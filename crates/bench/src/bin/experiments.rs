@@ -3,7 +3,6 @@
 //! ```text
 //! experiments [--fast] [--grid-search] [--gbrt-kernel <histogram|exact>] [--gbrt-bins <n>]
 //!             [--place-kernel <delta|reference>] [--extract-kernel <soa|reference>]
-//!             [--pipeline-depth <n>]
 //!             <table1|table3|table4|table5|table6|fig1|fig5|fig6|dataset|ablation|place-bench|router-bench|train-bench|pipeline-bench|serve-bench|all>
 //! experiments --version
 //! ```
@@ -32,7 +31,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--gbrt-bins",
     "--place-kernel",
     "--extract-kernel",
-    "--pipeline-depth",
 ];
 
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -97,17 +95,10 @@ fn main() {
             std::process::exit(2);
         })
     });
-    // Feature-extraction kernel and pipelined-executor depth, applied to
-    // the dataset experiment's flow.
+    // Feature-extraction kernel, applied to the dataset experiment's flow.
     let extract_kernel = flag(&args, "--extract-kernel").map(|s| {
         congestion_core::features::ExtractKernel::parse(s).unwrap_or_else(|| {
             eprintln!("bad --extract-kernel `{s}` (expected soa|reference)");
-            std::process::exit(2);
-        })
-    });
-    let pipeline_depth = flag(&args, "--pipeline-depth").map(|s| {
-        s.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("bad --pipeline-depth `{s}` (expected an in-flight design count)");
             std::process::exit(2);
         })
     });
@@ -206,9 +197,6 @@ fn main() {
                 if let Some(k) = extract_kernel {
                     flow = flow.with_extract_kernel(k);
                 }
-                if let Some(d) = pipeline_depth {
-                    flow = flow.with_pipeline_depth(d);
-                }
                 if let Some(path) = flag(&args, "--fault-plan") {
                     match fs::read_to_string(path)
                         .map_err(|e| e.to_string())
@@ -306,8 +294,8 @@ fn main() {
                 });
             }
             "pipeline-bench" => {
-                // Dataset-build stack head-to-head (SoA extraction kernel and
-                // the pipelined executor vs the reference stack); `--fast`
+                // Extraction-kernel head-to-head (SoA vs reference, per design
+                // and on whole dataset builds); `--fast`
                 // shrinks the corpus (the CI smoke run). Full effort also
                 // refreshes the BENCH_pipeline.json baseline at the repo root.
                 let bench = pipeline_bench::run(effort);

@@ -1,10 +1,9 @@
 //! Dataset-build benchmark: the SoA feature-extraction kernel against the
-//! reference per-node path, and the new build stack (cross-stage pipelined
-//! executor + SoA extraction) against the pre-optimisation stack (serial
-//! per-design loop + reference extraction) at equal worker counts.
-//! Produces the rows recorded in `BENCH_pipeline.json`.
+//! reference per-node path, per design and on whole dataset builds at
+//! equal worker counts. Produces the rows recorded in
+//! `BENCH_pipeline.json`.
 //!
-//! Every row also carries a bit-identity verdict: the optimised stack must
+//! Every row also carries a bit-identity verdict: the SoA kernel must
 //! reproduce the baseline dataset byte for byte (CSV serialization) and
 //! the baseline metrics digest exactly — a speedup that changes the answer
 //! is a bug, not a result.
@@ -66,27 +65,26 @@ impl FeatureKernelRow {
     }
 }
 
-/// End-to-end dataset build at one worker count: pre-optimisation stack
-/// (serial executor + reference extraction) vs the new stack (pipelined
-/// executor + SoA extraction).
+/// End-to-end dataset build at one worker count: reference-kernel build
+/// vs SoA-kernel build, both on the design-parallel executor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EndToEndRow {
-    /// Worker threads given to both stacks.
+    /// Worker threads given to both builds.
     pub workers: usize,
-    /// Pre-optimisation stack wall-clock, milliseconds.
-    pub serial_ms: f64,
-    /// New stack wall-clock, milliseconds.
-    pub pipelined_ms: f64,
-    /// Dataset CSV bytes and metrics digest match the 1-worker serial
-    /// baseline exactly.
+    /// Reference-kernel build wall-clock, milliseconds.
+    pub reference_ms: f64,
+    /// SoA-kernel build wall-clock, milliseconds.
+    pub soa_ms: f64,
+    /// Dataset CSV bytes and metrics digest match the 1-worker
+    /// reference-kernel baseline exactly.
     pub identical: bool,
 }
 
 impl EndToEndRow {
-    /// End-to-end speedup of the new stack at this worker count.
+    /// End-to-end speedup of the SoA kernel at this worker count.
     pub fn speedup(&self) -> f64 {
-        if self.pipelined_ms > 0.0 {
-            self.serial_ms / self.pipelined_ms
+        if self.soa_ms > 0.0 {
+            self.reference_ms / self.soa_ms
         } else {
             f64::INFINITY
         }
@@ -128,10 +126,10 @@ impl PipelineBench {
 
     /// End-to-end speedup summed over the worker-count rows.
     pub fn e2e_speedup(&self) -> f64 {
-        let piped: f64 = self.e2e.iter().map(|r| r.pipelined_ms).sum();
-        let serial: f64 = self.e2e.iter().map(|r| r.serial_ms).sum();
-        if piped > 0.0 {
-            serial / piped
+        let soa: f64 = self.e2e.iter().map(|r| r.soa_ms).sum();
+        let reference: f64 = self.e2e.iter().map(|r| r.reference_ms).sum();
+        if soa > 0.0 {
+            reference / soa
         } else {
             f64::INFINITY
         }
@@ -143,10 +141,10 @@ impl PipelineBench {
     }
 }
 
-/// The benchmark flow: both stacks run with [`ParOptions::fast`] place and
+/// The benchmark flow: both kernels run with [`ParOptions::fast`] place and
 /// route regardless of effort, so the features stage keeps the share it
 /// has in the extraction-bound regime this optimisation targets. The two
-/// stacks always get identical PAR settings — the comparison is fair at
+/// builds always get identical PAR settings — the comparison is fair at
 /// any effort; effort only scales the corpus and repetition counts.
 fn bench_flow() -> CongestionFlow {
     let mut flow = CongestionFlow::new();
@@ -316,39 +314,31 @@ fn build(flow: &CongestionFlow, modules: &[Module], reps: usize) -> (f64, Vec<u8
 }
 
 /// End-to-end build comparison at 1, 2, and 8 workers. Identity is judged
-/// against the 1-worker serial baseline: same CSV bytes, same digest, for
-/// every configuration.
+/// against the 1-worker reference-kernel baseline: same CSV bytes, same
+/// digest, for every configuration.
 pub fn e2e_rows(effort: Effort) -> Vec<EndToEndRow> {
     let modules: Vec<Module> = corpus(effort).into_iter().map(|(_, m)| m).collect();
     let reps = match effort {
         Effort::Fast => 3,
         Effort::Full => 7,
     };
-    let serial_flow = |w: usize| {
-        bench_flow()
-            .with_workers(w)
-            .with_extract_kernel(ExtractKernel::Reference)
-    };
-    let pipelined_flow = |w: usize| {
-        bench_flow()
-            .with_workers(w)
-            .with_pipeline_depth(2)
-            .with_extract_kernel(ExtractKernel::Soa)
-    };
-    let (_, base_bytes, base_digest) = build(&serial_flow(1), &modules, 1);
+    let flow = |w: usize, kernel| bench_flow().with_workers(w).with_extract_kernel(kernel);
+    let (_, base_bytes, base_digest) = build(&flow(1, ExtractKernel::Reference), &modules, 1);
     [1usize, 2, 8]
         .into_iter()
         .map(|workers| {
-            let (serial_ms, s_bytes, s_digest) = build(&serial_flow(workers), &modules, reps);
-            let (pipelined_ms, p_bytes, p_digest) = build(&pipelined_flow(workers), &modules, reps);
+            let (reference_ms, r_bytes, r_digest) =
+                build(&flow(workers, ExtractKernel::Reference), &modules, reps);
+            let (soa_ms, s_bytes, s_digest) =
+                build(&flow(workers, ExtractKernel::Soa), &modules, reps);
             EndToEndRow {
                 workers,
-                serial_ms,
-                pipelined_ms,
-                identical: s_bytes == base_bytes
-                    && p_bytes == base_bytes
-                    && s_digest == base_digest
-                    && p_digest == base_digest,
+                reference_ms,
+                soa_ms,
+                identical: r_bytes == base_bytes
+                    && s_bytes == base_bytes
+                    && r_digest == base_digest
+                    && s_digest == base_digest,
             }
         })
         .collect()
@@ -395,8 +385,8 @@ pub fn to_metrics(bench: &PipelineBench) -> obskit::MetricsSnapshot {
     for r in &bench.e2e {
         let base = format!("pipeline_bench.e2e.workers{}", r.workers);
         reg.inc(&format!("{base}.identical"), u64::from(r.identical));
-        reg.set_gauge(&format!("{base}.serial_ms"), r.serial_ms);
-        reg.set_gauge(&format!("{base}.pipelined_ms"), r.pipelined_ms);
+        reg.set_gauge(&format!("{base}.reference_ms"), r.reference_ms);
+        reg.set_gauge(&format!("{base}.soa_ms"), r.soa_ms);
         reg.set_gauge(&format!("{base}.speedup"), r.speedup());
     }
     reg.into_snapshot()
@@ -442,17 +432,17 @@ pub fn render(bench: &PipelineBench) -> String {
         bench.features_speedup(),
         bench.stage_speedup()
     ));
-    out.push_str("DATASET BUILD: PIPELINED+SOA STACK VS SERIAL+REFERENCE STACK\n");
+    out.push_str("DATASET BUILD: SOA KERNEL VS REFERENCE KERNEL\n");
     out.push_str(&format!(
-        "{:<8} {:>11} {:>13} {:>8} {:>10}\n",
-        "workers", "serial ms", "pipelined ms", "speedup", "identical"
+        "{:<8} {:>14} {:>8} {:>8} {:>10}\n",
+        "workers", "reference ms", "soa ms", "speedup", "identical"
     ));
     for r in &bench.e2e {
         out.push_str(&format!(
-            "{:<8} {:>11.1} {:>13.1} {:>7.2}x {:>10}\n",
+            "{:<8} {:>14.1} {:>8.1} {:>7.2}x {:>10}\n",
             r.workers,
-            r.serial_ms,
-            r.pipelined_ms,
+            r.reference_ms,
+            r.soa_ms,
             r.speedup(),
             r.identical,
         ));
@@ -472,7 +462,7 @@ mod tests {
         assert_eq!(bench.e2e.len(), 3);
         assert!(
             bench.all_identical(),
-            "optimised stack changed the dataset: {bench:?}"
+            "SoA kernel changed the dataset: {bench:?}"
         );
         assert!(bench.features_speedup() > 0.0);
         assert!(bench.e2e_speedup() > 0.0);
@@ -494,8 +484,8 @@ mod tests {
             }],
             e2e: vec![EndToEndRow {
                 workers: 2,
-                serial_ms: 30.0,
-                pipelined_ms: 20.0,
+                reference_ms: 30.0,
+                soa_ms: 20.0,
                 identical: true,
             }],
         }
@@ -521,7 +511,10 @@ mod tests {
             j.contains("\"tool\": \"experiments pipeline-bench\""),
             "{j}"
         );
-        assert!(j.contains("pipeline_bench.e2e.workers2.serial_ms"), "{j}");
+        assert!(
+            j.contains("pipeline_bench.e2e.workers2.reference_ms"),
+            "{j}"
+        );
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

@@ -3,15 +3,11 @@
 //! Dataset construction is the most expensive step of the training phase —
 //! every design goes through HLS and a full simulated place-and-route — so
 //! [`CongestionFlow::build_dataset_report`] fans designs out across worker
-//! threads and merges the per-design samples back **in input order**,
-//! making the parallel output bit-identical to the serial path. Two
-//! executors share the same three stage bodies: the default
-//! design-parallel executor runs one design end to end per worker
-//! ([`parkit::par_map_threads`]), and the cross-stage pipelined executor
-//! ([`CongestionFlow::with_pipeline_depth`]) gives each stage its own
-//! worker pool with bounded queues in between, overlapping HLS of design
-//! N+1 with place/route of design N and feature extraction of design N-1
-//! ([`parkit::pipeline_map`]).
+//! threads with [`parkit::par_map_threads`] and merges the per-design
+//! samples back **in input order**, making the parallel output
+//! bit-identical to the serial path. Each worker takes one design straight
+//! through HLS → place-and-route → features; designs are independent, so
+//! the workers already overlap different stages of different designs.
 //!
 //! It is also *supervised*: each design's stages (`hls`, `par`, `features`)
 //! run under a [`faultkit::Supervisor`] that catches panics at the stage
@@ -35,8 +31,7 @@ use fpga_fabric::route::RouteStats;
 use fpga_fabric::{Device, ImplResult};
 use hls_ir::Module;
 use hls_synth::{HlsFlow, HlsOptions, SynthError, SynthesizedDesign};
-use obskit::{Collector, ObsRecord, OwnedSpan};
-use parkit::StagePools;
+use obskit::{Collector, ObsRecord};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -53,24 +48,6 @@ pub struct CheckpointConfig {
     pub resume: bool,
 }
 
-/// Cross-stage pipelined execution for dataset builds: instead of one
-/// worker owning a design end to end, per-stage worker pools overlap HLS
-/// of design N+1 with place/route of design N and feature extraction of
-/// design N-1 (see [`parkit::pipeline_map`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineConfig {
-    /// Capacity of the bounded queues linking adjacent stages: how many
-    /// designs may sit between two stages before the upstream stage
-    /// blocks (backpressure). Clamped to at least 1.
-    pub depth: usize,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig { depth: 2 }
-    }
-}
-
 /// Drives HLS + (for the training phase) simulated PAR over designs.
 #[derive(Debug, Clone)]
 pub struct CongestionFlow {
@@ -83,10 +60,6 @@ pub struct CongestionFlow {
     /// Worker threads for dataset construction. `None` (the default) uses
     /// [`parkit::num_threads`], which honours `RAYON_NUM_THREADS`.
     pub workers: Option<usize>,
-    /// Cross-stage pipelining for dataset construction. `None` (the
-    /// default) runs each design end to end on one worker; `Some` splits
-    /// the workers into per-stage pools with bounded queues in between.
-    pub pipeline: Option<PipelineConfig>,
     /// Feature-extraction kernel. Both kernels are bitwise identical;
     /// `Reference` keeps the original per-node allocation path alive for
     /// differential tests and benchmarks.
@@ -107,7 +80,6 @@ impl CongestionFlow {
             par: ParOptions::default(),
             device: Device::xc7z020(),
             workers: None,
-            pipeline: None,
             extract: ExtractKernel::default(),
             supervision: SupervisorPolicy::default(),
             fault_plan: None,
@@ -126,15 +98,6 @@ impl CongestionFlow {
     /// Set an explicit worker count for dataset construction.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
-        self
-    }
-
-    /// Enable the cross-stage pipelined executor with the given inter-stage
-    /// queue depth (clamped to at least 1).
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline = Some(PipelineConfig {
-            depth: depth.max(1),
-        });
         self
     }
 
@@ -172,10 +135,10 @@ impl CongestionFlow {
     /// Digest of everything that determines a design's samples: HLS and
     /// PAR options, and the target device. Checkpoints are keyed by this,
     /// so entries from a differently-configured run are never resumed.
-    /// Worker count, pipeline config, extract kernel, fault plan, and
-    /// supervision policy are deliberately excluded — they change *how*
-    /// the answer is computed, not the answer (the extract kernels are
-    /// bitwise identical by contract, enforced by the differential tests).
+    /// Worker count, extract kernel, fault plan, and supervision policy are
+    /// deliberately excluded — they change *how* the answer is computed,
+    /// not the answer (the extract kernels are bitwise identical by
+    /// contract, enforced by the differential tests).
     pub fn config_digest(&self) -> u64 {
         let opts = format!("{:?}|{:?}|{}", self.hls, self.par, self.device.name);
         faultkit::fnv1a(&[b"congestion-flow-v1", opts.as_bytes()])
@@ -265,28 +228,9 @@ impl CongestionFlow {
         let start = Instant::now();
         let requested = self.workers.unwrap_or_else(parkit::num_threads);
         let store = self.open_checkpoint_store();
-        let st: Option<&CheckpointStore> = match store.as_deref() {
-            Some(Ok(s)) => Some(s),
-            _ => None,
-        };
-        // Two executors, one set of stage bodies: the design-parallel path
-        // runs the three stages back to back on one worker per design; the
-        // pipelined path gives each stage its own pool so designs overlap
-        // across stages. parkit guarantees both merge in input order, so
-        // the choice never changes the output.
-        let results = match self.pipeline {
-            None => {
-                parkit::par_map_threads(requested, modules, |m| self.implement_for_dataset(m, st))
-            }
-            Some(cfg) => parkit::pipeline_map(
-                Self::stage_pools(requested),
-                cfg.depth,
-                modules,
-                |m| self.stage_hls(m, st),
-                |m, flight| self.stage_par(m, flight, st),
-                |m, flight| self.stage_features(m, flight, st),
-            ),
-        };
+        let st = store.as_ref().and_then(|s| s.as_ref().ok());
+        let results =
+            parkit::par_map_threads(requested, modules, |m| self.implement_for_dataset(m, st));
 
         // Merge in input order — bit-identical to the serial loop. The
         // per-design obskit records merge under the same rule, so every
@@ -298,21 +242,13 @@ impl CongestionFlow {
         {
             let mut build_span = root.span("dataset_build");
             build_span.arg("designs", modules.len().to_string());
-            build_span.arg(
-                "executor",
-                if self.pipeline.is_some() {
-                    "pipelined"
-                } else {
-                    "design-parallel"
-                },
-            );
             for (ds, report, rec) in results {
                 dataset.extend(&ds);
                 designs.push(report);
                 root.absorb(rec);
             }
         }
-        if let Some(Err(e)) = store.as_deref() {
+        if let Some(Err(e)) = &store {
             // The directory could not even be opened: record it once and
             // run without checkpointing rather than aborting the build.
             root.inc("checkpoint.errors", 1);
@@ -333,28 +269,16 @@ impl CongestionFlow {
 
     /// Open the configured checkpoint store, if any. The `Err` form is
     /// surfaced in the build report instead of failing the build.
-    fn open_checkpoint_store(&self) -> Option<Arc<Result<CheckpointStore, PersistError>>> {
+    fn open_checkpoint_store(&self) -> Option<Result<CheckpointStore, PersistError>> {
         self.checkpoint
             .as_ref()
-            .map(|c| Arc::new(CheckpointStore::open(&c.dir, self.config_digest())))
+            .map(|c| CheckpointStore::open(&c.dir, self.config_digest()))
     }
 
-    /// Split `workers` across the three stage pools of the pipelined
-    /// executor, weighted by measured stage cost (place-and-route
-    /// dominates, features second, HLS a sliver). Every stage keeps at
-    /// least one worker so the pipeline can always drain.
-    fn stage_pools(workers: usize) -> StagePools {
-        let par = (workers / 2).max(1);
-        let features = (workers / 4).max(1);
-        let hls = workers.saturating_sub(par + features).max(1);
-        [hls, par, features]
-    }
-
-    /// The per-design unit of [`Self::build_dataset_report`]'s
-    /// design-parallel executor: the three supervised stages back to back
-    /// on the calling worker. The stage bodies are shared verbatim with
-    /// the pipelined executor, so the two executors are bit-identical by
-    /// construction. Never panics on a bad module — or a panicking stage.
+    /// The per-design unit of [`Self::build_dataset_report`]: checkpoint
+    /// replay, or the three supervised stages back to back on the calling
+    /// worker followed by the checkpoint commit. Never panics on a bad
+    /// module — or a panicking stage.
     ///
     /// Every stage runs inside an obskit span on the design's own
     /// collector, and [`StageTimings`] is derived from those spans — one
@@ -368,14 +292,6 @@ impl CongestionFlow {
         module: &Module,
         store: Option<&CheckpointStore>,
     ) -> DesignResult {
-        let flight = self.stage_hls(module, store);
-        let flight = self.stage_par(module, flight, store);
-        self.stage_features(module, flight, store)
-    }
-
-    /// Stage 1: checkpoint replay, then supervised HLS. `InvalidIr` is
-    /// permanent; injected faults retry.
-    fn stage_hls(&self, module: &Module, store: Option<&CheckpointStore>) -> Flight {
         let obs = Collector::new();
         obs.inc("dataset.designs", 1);
 
@@ -385,7 +301,7 @@ impl CongestionFlow {
             if self.checkpoint.as_ref().is_some_and(|c| c.resume) {
                 match store.lookup(&module.name) {
                     CheckpointLookup::Hit(entry) => {
-                        return Flight::Done(Box::new(self.replay_checkpoint(module, entry, obs)));
+                        return self.replay_checkpoint(module, entry, obs);
                     }
                     CheckpointLookup::Miss => {}
                     CheckpointLookup::Corrupt(message) => {
@@ -399,122 +315,109 @@ impl CongestionFlow {
             }
         }
 
+        let mut supervision: Vec<StageLog> = Vec::new();
+        let outcome = {
+            let mut design_span = obs.span("design");
+            design_span.arg("design", module.name.clone());
+            let outcome = self.run_stages(module, &obs, &mut supervision);
+            match &outcome {
+                Ok((ds, ..)) => {
+                    obs.inc("dataset.designs_ok", 1);
+                    obs.inc("dataset.samples", ds.len() as u64);
+                    design_span.arg("samples", ds.len().to_string());
+                }
+                Err(_) => {
+                    obs.inc("dataset.designs_failed", 1);
+                    design_span.arg("outcome", "failed");
+                }
+            }
+            outcome
+        };
+
+        let checkpoint_error = store.and_then(|s| {
+            let outcome = match &outcome {
+                Ok((ds, ..)) => Ok(ds.clone()),
+                Err(failure) => Err(failure.recorded()),
+            };
+            self.commit_checkpoint(
+                s,
+                &obs,
+                CheckpointEntry {
+                    design: module.name.clone(),
+                    outcome,
+                },
+            )
+        });
+        let rec = obs.finish();
+        let (ds, outcome, route_stats, place_stats) = match outcome {
+            Ok((ds, route_stats, place_stats)) => {
+                let n = ds.len();
+                (ds, Ok(n), route_stats, place_stats)
+            }
+            Err(failure) => (
+                CongestionDataset::new(),
+                Err(failure),
+                RouteStats::default(),
+                PlaceStats::default(),
+            ),
+        };
+        let report = DesignReport {
+            name: module.name.clone(),
+            outcome,
+            timings: StageTimings::from_record(&rec),
+            route_stats,
+            place_stats,
+            supervision,
+            from_checkpoint: false,
+            checkpoint_error,
+        };
+        (ds, report, rec)
+    }
+
+    /// HLS → place-and-route → back-trace + features for one design, each
+    /// stage under the design's [`Supervisor`] and appending its log to
+    /// `supervision`. `InvalidIr` is permanent; injected faults retry.
+    /// The features stage rebuilds its dataset per attempt, so a failed
+    /// attempt can't leak partial samples.
+    fn run_stages(
+        &self,
+        module: &Module,
+        obs: &Collector,
+        supervision: &mut Vec<StageLog>,
+    ) -> Result<(CongestionDataset, RouteStats, PlaceStats), DesignFailure> {
         let supervisor = Supervisor::new(
             self.supervision.clone(),
             self.fault_plan.clone(),
             &module.name,
         );
-        // The design span travels with the flight (a borrowing SpanGuard
-        // could not); it is recorded into the collector when the verdict
-        // lands, covering every stage in between.
-        let mut design_span = OwnedSpan::start("design");
-        design_span.arg("design", module.name.clone());
-        let mut supervision: Vec<StageLog> = Vec::new();
 
         let mut hls_span = obs.span("hls");
         let run =
             supervisor.run_stage("hls", |_| self.synthesize(module), SynthError::is_transient);
-        record_stage(&obs, &run.log);
+        record_stage(obs, &run.log);
         supervision.push(run.log);
-        match run.result {
-            Ok(design) => {
-                hls_span.end();
-                Flight::Flying(Box::new(InFlight {
-                    design,
-                    impl_result: None,
-                    supervisor,
-                    obs,
-                    design_span,
-                    supervision,
-                }))
-            }
+        let design = match run.result {
+            Ok(design) => design,
             Err(failure) => {
                 let failure = DesignFailure::classify("hls", failure, DesignFailure::Synth);
                 hls_span.arg("error", failure.to_string());
-                drop(hls_span);
-                design_span.arg("outcome", "failed");
-                design_span.record_into(&obs);
-                Flight::Done(Box::new(self.fail_design(
-                    module,
-                    failure,
-                    supervision,
-                    obs,
-                    store,
-                )))
+                return Err(failure);
             }
-        }
-    }
-
-    /// Stage 2: supervised place-and-route. Infallible by type — failures
-    /// here are panics (real or injected) or budget overruns.
-    fn stage_par(
-        &self,
-        module: &Module,
-        flight: Flight,
-        store: Option<&CheckpointStore>,
-    ) -> Flight {
-        let mut fl = match flight {
-            Flight::Flying(fl) => fl,
-            done @ Flight::Done(_) => return done,
         };
-        let run = fl.supervisor.run_stage(
+        hls_span.end();
+
+        // Infallible by type — failures here are panics (real or injected)
+        // or budget overruns.
+        let run = supervisor.run_stage(
             "par",
-            |_| Ok(run_par_obs(&fl.design, &self.device, &self.par, &fl.obs)),
+            |_| Ok(run_par_obs(&design, &self.device, &self.par, obs)),
             |_: &NoError| false,
         );
-        record_stage(&fl.obs, &run.log);
-        fl.supervision.push(run.log);
-        match run.result {
-            Ok((impl_result, _par)) => {
-                fl.impl_result = Some(impl_result);
-                Flight::Flying(fl)
-            }
-            Err(failure) => {
-                let failure = DesignFailure::classify("par", failure, |e: NoError| match e {});
-                let InFlight {
-                    obs,
-                    mut design_span,
-                    supervision,
-                    ..
-                } = *fl;
-                design_span.arg("outcome", "failed");
-                design_span.record_into(&obs);
-                Flight::Done(Box::new(self.fail_design(
-                    module,
-                    failure,
-                    supervision,
-                    obs,
-                    store,
-                )))
-            }
-        }
-    }
-
-    /// Stage 3: supervised back-trace + feature extraction, then the
-    /// verdict: checkpoint commit and report assembly. The dataset is
-    /// rebuilt per attempt, so a failed attempt can't leak partial
-    /// samples.
-    fn stage_features(
-        &self,
-        module: &Module,
-        flight: Flight,
-        store: Option<&CheckpointStore>,
-    ) -> DesignResult {
-        let fl = match flight {
-            Flight::Flying(fl) => fl,
-            Flight::Done(done) => return *done,
-        };
-        let InFlight {
-            design,
-            impl_result,
-            supervisor,
-            obs,
-            mut design_span,
-            mut supervision,
-        } = *fl;
-        let impl_result = impl_result.expect("stage_par runs before stage_features");
-        let route_stats = impl_result.route.stats;
-        let place_stats = impl_result.placement.stats;
+        record_stage(obs, &run.log);
+        supervision.push(run.log);
+        let (impl_result, _) = run
+            .result
+            .map_err(|failure| DesignFailure::classify("par", failure, |e: NoError| match e {}))?;
 
         let mut features_span = obs.span("features");
         let run = supervisor.run_stage(
@@ -526,87 +429,20 @@ impl CongestionFlow {
             },
             BacktraceError::is_transient,
         );
-        record_stage(&obs, &run.log);
+        record_stage(obs, &run.log);
         supervision.push(run.log);
-        let ds = match run.result {
+        match run.result {
             Ok(ds) => {
                 features_span.end();
-                ds
+                Ok((ds, impl_result.route.stats, impl_result.placement.stats))
             }
             Err(failure) => {
                 let failure =
                     DesignFailure::classify("features", failure, DesignFailure::Backtrace);
                 features_span.arg("error", failure.to_string());
-                drop(features_span);
-                design_span.arg("outcome", "failed");
-                design_span.record_into(&obs);
-                return self.fail_design(module, failure, supervision, obs, store);
+                Err(failure)
             }
-        };
-
-        obs.inc("dataset.designs_ok", 1);
-        obs.inc("dataset.samples", ds.len() as u64);
-        design_span.arg("samples", ds.len().to_string());
-        design_span.record_into(&obs);
-
-        let checkpoint_error = store.and_then(|s| {
-            self.commit_checkpoint(
-                s,
-                &obs,
-                CheckpointEntry {
-                    design: module.name.clone(),
-                    outcome: Ok(ds.clone()),
-                },
-            )
-        });
-        let rec = obs.finish();
-        let report = DesignReport {
-            name: module.name.clone(),
-            outcome: Ok(ds.len()),
-            timings: StageTimings::from_record(&rec),
-            route_stats,
-            place_stats,
-            supervision,
-            from_checkpoint: false,
-            checkpoint_error,
-        };
-        (ds, report, rec)
-    }
-
-    /// Failure tail of [`Self::implement_for_dataset`]: bump counters,
-    /// checkpoint the verdict, and build the report. The caller has
-    /// already closed its spans.
-    fn fail_design(
-        &self,
-        module: &Module,
-        failure: DesignFailure,
-        supervision: Vec<StageLog>,
-        obs: Collector,
-        store: Option<&CheckpointStore>,
-    ) -> DesignResult {
-        obs.inc("dataset.designs_failed", 1);
-        let checkpoint_error = store.and_then(|s| {
-            self.commit_checkpoint(
-                s,
-                &obs,
-                CheckpointEntry {
-                    design: module.name.clone(),
-                    outcome: Err(failure.recorded()),
-                },
-            )
-        });
-        let rec = obs.finish();
-        let report = DesignReport {
-            name: module.name.clone(),
-            outcome: Err(failure),
-            timings: StageTimings::from_record(&rec),
-            route_stats: RouteStats::default(),
-            place_stats: PlaceStats::default(),
-            supervision,
-            from_checkpoint: false,
-            checkpoint_error,
-        };
-        (CongestionDataset::new(), report, rec)
+        }
     }
 
     /// Write one design's verdict to the checkpoint store. A store failure
@@ -683,28 +519,6 @@ impl CongestionFlow {
 /// What one design contributes to a build: its samples, its report row,
 /// and its observability record.
 type DesignResult = (CongestionDataset, DesignReport, ObsRecord);
-
-/// A design mid-journey through the staged executors. Everything the next
-/// stage needs travels with the design — supervisor, collector, open
-/// design span, supervision log — so any worker of the next stage's pool
-/// can pick it up.
-struct InFlight {
-    design: SynthesizedDesign,
-    /// `None` until `stage_par` completes.
-    impl_result: Option<ImplResult>,
-    supervisor: Supervisor,
-    obs: Collector,
-    design_span: OwnedSpan,
-    supervision: Vec<StageLog>,
-}
-
-/// Inter-stage carrier: a design still flying, or one whose verdict is
-/// already known (stage failure or checkpoint replay) — later stages pass
-/// `Done` through untouched, preserving the output slot.
-enum Flight {
-    Flying(Box<InFlight>),
-    Done(Box<DesignResult>),
-}
 
 /// Fold a stage's supervision log into the design's obskit counters.
 fn record_stage(obs: &Collector, log: &StageLog) {
@@ -1157,10 +971,6 @@ const _: () = {
     // Finished records are plain data; only the live `Collector` is
     // single-threaded.
     assert_send_sync::<ObsRecord>();
-    // The pipelined executor hands flights between stage pools — they
-    // must cross threads by move (the Collector inside is Send, not Sync).
-    const fn assert_send<T: Send>() {}
-    assert_send::<Flight>();
 };
 
 #[cfg(test)]
@@ -1260,51 +1070,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_build_matches_design_parallel_bit_for_bit() {
-        let modules = suite();
-        let base = CongestionFlow::fast()
-            .with_workers(1)
-            .build_dataset_report(&modules);
-        for workers in [1, 8] {
-            let piped = CongestionFlow::fast()
-                .with_workers(workers)
-                .with_pipeline_depth(2)
-                .build_dataset_report(&modules);
-            assert_eq!(base.dataset, piped.dataset, "workers = {workers}");
-            assert_eq!(
-                base.obs.metrics.deterministic_digest(),
-                piped.obs.metrics.deterministic_digest(),
-                "workers = {workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn pipelined_build_reports_failures_like_design_parallel() {
-        let mut modules = suite();
-        modules.insert(1, broken_module("cursed"));
-        let report = CongestionFlow::fast()
-            .with_workers(4)
-            .with_pipeline_depth(1)
-            .build_dataset_report(&modules);
-        assert_eq!(report.succeeded(), 3);
-        assert_eq!(report.failed(), 1);
-        assert_eq!(report.designs[1].name, "cursed");
-        // Failure removes one design's samples, nothing else — same
-        // contract as the design-parallel executor.
-        let clean = CongestionFlow::fast().build_dataset(&suite()).unwrap();
-        assert_eq!(report.dataset, clean);
-    }
-
-    #[test]
-    fn stage_pools_cover_every_stage() {
-        assert_eq!(CongestionFlow::stage_pools(1), [1, 1, 1]);
-        assert_eq!(CongestionFlow::stage_pools(2), [1, 1, 1]);
-        assert_eq!(CongestionFlow::stage_pools(4), [1, 2, 1]);
-        assert_eq!(CongestionFlow::stage_pools(8), [2, 4, 2]);
-    }
-
-    #[test]
     fn failed_design_is_reported_not_fatal() {
         let mut modules = suite();
         modules.insert(1, broken_module("cursed"));
@@ -1400,6 +1165,138 @@ mod tests {
             failed_line.contains("hls"),
             "no partial timings: {failed_line}"
         );
+    }
+
+    /// Build `d0` alone under a plan that fails `stage` on every attempt.
+    fn build_failing_at(stage: &str, kind: faultkit::FaultKind) -> DatasetBuildReport {
+        let plan = FaultPlan::new(5)
+            .with_rule(faultkit::FaultRule::once("d0", stage, kind).for_attempts(u32::MAX));
+        CongestionFlow::fast()
+            .with_fault_plan(plan)
+            .build_dataset_report(&suite()[..1])
+    }
+
+    fn span_args<'a>(rec: &'a ObsRecord, name: &str) -> Vec<&'a [(String, String)]> {
+        rec.events
+            .iter()
+            .filter(|e| e.name == name)
+            .map(|e| e.args.as_slice())
+            .collect()
+    }
+
+    #[test]
+    fn par_failure_keeps_hls_and_place_timings() {
+        let report = build_failing_at("route", faultkit::FaultKind::Panic);
+        let d = &report.designs[0];
+        let failure = d.outcome.as_ref().unwrap_err();
+        assert_eq!(
+            (failure.kind().as_str(), failure.stage().as_str()),
+            ("panic", "par")
+        );
+        // HLS finished and place ran on every attempt before route died.
+        assert!(d.timings.hls > Duration::ZERO && d.timings.place > Duration::ZERO);
+        assert_eq!(d.timings.features, Duration::ZERO, "features never ran");
+        assert_eq!(d.supervision.len(), 2, "hls and par were attempted");
+        assert_eq!(span_args(&report.obs, "hls"), vec![&[][..]]);
+        assert_eq!(
+            span_args(&report.obs, "design"),
+            vec![
+                &[
+                    ("design".to_string(), "d0".to_string()),
+                    ("outcome".to_string(), "failed".to_string()),
+                ][..]
+            ]
+        );
+        assert!(report.dataset.is_empty());
+        assert_eq!(report.obs.metrics.counters["dataset.designs_failed"], 1);
+    }
+
+    #[test]
+    fn features_failure_keeps_par_timings_and_error_span() {
+        let report = build_failing_at("backtrace", faultkit::FaultKind::Error);
+        let d = &report.designs[0];
+        let failure = d.outcome.as_ref().unwrap_err();
+        assert_eq!(
+            (failure.kind().as_str(), failure.stage().as_str()),
+            ("injected", "features")
+        );
+        assert!(d.timings.place > Duration::ZERO && d.timings.route > Duration::ZERO);
+        assert_eq!(d.supervision.len(), 3);
+        // A failed design reports zero effort counters.
+        assert_eq!(d.route_stats, RouteStats::default());
+        let features = span_args(&report.obs, "features");
+        assert_eq!(features.len(), 1);
+        assert_eq!(features[0][0].0, "error");
+        assert_eq!(report.obs.metrics.counters["dataset.designs_failed"], 1);
+    }
+
+    #[test]
+    fn design_spans_contain_their_stage_spans_with_pinned_args() {
+        let modules = suite();
+        let report = CongestionFlow::fast().build_dataset_report(&modules);
+        let stages = ["hls", "place", "route", "congestion", "timing", "features"];
+        // Each design's stage spans complete before its design span, in
+        // flow order, all under the `pipeline` category.
+        let mut events = report.obs.events.iter();
+        for (m, d) in modules.iter().zip(&report.designs) {
+            let own: Vec<_> = events.by_ref().take(stages.len() + 1).collect();
+            let names: Vec<&str> = own.iter().map(|e| e.name.as_str()).collect();
+            assert_eq!(names[..stages.len()], stages, "{}", m.name);
+            let design = own[stages.len()];
+            assert_eq!(design.name, "design");
+            assert_eq!(
+                design.args,
+                vec![
+                    ("design".to_string(), m.name.clone()),
+                    (
+                        "samples".to_string(),
+                        d.outcome.as_ref().unwrap().to_string()
+                    ),
+                ]
+            );
+            for e in &own {
+                assert_eq!(e.cat, "pipeline", "{}", e.name);
+                assert!(e.ts_us >= design.ts_us, "{} starts inside design", e.name);
+                assert!(e.ts_us + e.dur_us <= design.ts_us + design.dur_us);
+            }
+            assert!(own[..stages.len()].iter().all(|e| e.args.is_empty()));
+        }
+        let rest: Vec<&str> = events.map(|e| e.name.as_str()).collect();
+        assert_eq!(rest, ["dataset_build"]);
+    }
+
+    #[test]
+    fn corrupt_checkpoint_entry_is_recomputed_and_overwritten() {
+        let dir = std::env::temp_dir().join(format!("congest-corrupt-ckpt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let modules = suite();
+        let first = CongestionFlow::fast()
+            .with_checkpoint(&dir, false)
+            .build_dataset_report(&modules);
+        // Garble every committed meta file of d1.
+        let prefix = "d1-";
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().to_string();
+            if name.starts_with(prefix) && name.ends_with(".json") {
+                std::fs::write(&path, "{not json").unwrap();
+            }
+        }
+        let resumed = CongestionFlow::fast()
+            .with_checkpoint(&dir, true)
+            .build_dataset_report(&modules);
+        assert_eq!(resumed.dataset, first.dataset);
+        let from_ckpt: Vec<bool> = resumed.designs.iter().map(|d| d.from_checkpoint).collect();
+        assert_eq!(from_ckpt, [true, false, true], "only d1 recomputes");
+        assert_eq!(resumed.obs.metrics.counters["checkpoint.corrupt"], 1);
+        assert_eq!(span_args(&resumed.obs, "checkpoint_corrupt").len(), 1);
+        // The recompute overwrote the entry: the next resume replays all.
+        let again = CongestionFlow::fast()
+            .with_checkpoint(&dir, true)
+            .build_dataset_report(&modules);
+        assert_eq!(again.resumed(), modules.len());
+        assert_eq!(again.dataset, first.dataset);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

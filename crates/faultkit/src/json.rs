@@ -163,15 +163,23 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a frame of `[[[[…` off the wire
+/// overflows the stack and aborts the process. The deepest document the
+/// workspace writes (a model artifact) is 4 levels.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a complete JSON document (one top-level value, optionally
 /// surrounded by whitespace).
 ///
 /// # Errors
-/// Returns a [`JsonError`] with the byte offset of the first problem.
+/// Returns a [`JsonError`] with the byte offset of the first problem,
+/// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -185,6 +193,8 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -216,8 +226,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -225,6 +235,21 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.num(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
@@ -382,6 +407,19 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let e = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.pos, MAX_DEPTH);
+        assert!(e.message.contains("nesting"), "{e}");
+        // Far past the cap: this input overflows an uncapped parser's stack.
+        let e = parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

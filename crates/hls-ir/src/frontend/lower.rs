@@ -17,7 +17,7 @@ use crate::module::Module;
 use crate::op::{CmpPred, OpId, OpKind, Operand, Operation};
 use crate::source::SourceLoc;
 use crate::types::IrType;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// Lower a parsed program to an IR module (the last function becomes the
 /// top) plus the directives harvested from its pragmas.
@@ -332,8 +332,10 @@ impl<'a> FuncLowerer<'a> {
                 let shadowed = self.env.insert(var.clone(), Binding { value, ty: iv_ty });
 
                 // Loop-carried scalars: any outer variable assigned in the
-                // body gets a Phi at loop entry.
-                let mut assigned = HashSet::new();
+                // body gets a Phi at loop entry, in name order so the op
+                // order (and everything scheduled from it) is the same on
+                // every compile.
+                let mut assigned = BTreeSet::new();
                 collect_assigned(body, &mut assigned);
                 let mut carried: Vec<(String, OpId, IrType)> = Vec::new();
                 for name in &assigned {
@@ -695,7 +697,7 @@ fn swar_mask(w: u16, shift: u16) -> i64 {
     ((mask & trunc) & (i64::MAX as u128)) as i64
 }
 
-fn collect_assigned(body: &[Stmt], out: &mut HashSet<String>) {
+fn collect_assigned(body: &[Stmt], out: &mut BTreeSet<String>) {
     for s in body {
         match s {
             Stmt::Assign {
@@ -713,7 +715,7 @@ fn collect_assigned(body: &[Stmt], out: &mut HashSet<String>) {
                 collect_assigned(else_body, out);
             }
             Stmt::For { body, var, .. } => {
-                let mut inner = HashSet::new();
+                let mut inner = BTreeSet::new();
                 collect_assigned(body, &mut inner);
                 inner.remove(var);
                 out.extend(inner);

@@ -54,4 +54,4 @@ pub use metrics::{
     is_timing_metric, HistogramSnapshot, MetricsSnapshot, Registry, DEFAULT_BUCKETS,
 };
 pub use sketch::QuantileSketch;
-pub use span::{Collector, ObsRecord, OwnedSpan, SpanEvent, SpanGuard};
+pub use span::{Collector, ObsRecord, SpanEvent, SpanGuard};

@@ -158,54 +158,6 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// A span detached from any collector: it carries its start timestamp and
-/// annotations by value, so it can ride along with a unit of work that
-/// migrates across threads (a [`SpanGuard`] borrows its collector and
-/// cannot). The cross-stage pipelined dataset executor opens one of these
-/// per design at the first stage and records it into the design's
-/// collector when the last stage finishes.
-#[derive(Debug, Clone)]
-pub struct OwnedSpan {
-    name: String,
-    cat: String,
-    ts_us: u64,
-    args: Vec<(String, String)>,
-}
-
-impl OwnedSpan {
-    /// Start a detached span now (category `pipeline`).
-    pub fn start(name: impl Into<String>) -> OwnedSpan {
-        OwnedSpan {
-            name: name.into(),
-            cat: "pipeline".to_string(),
-            ts_us: clock::now_us(),
-            args: Vec::new(),
-        }
-    }
-
-    /// Attach a key/value annotation to the span.
-    pub fn arg(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.args.push((key.into(), value.into()));
-    }
-
-    /// Close the span now and record it into `obs`, with the duration
-    /// measured from [`OwnedSpan::start`] to this call. The recording
-    /// thread's tid is used — for a migrating span there is no single
-    /// owning thread, and trace viewers reconstruct nesting from
-    /// `ts`/`dur` containment.
-    pub fn record_into(self, obs: &Collector) {
-        let event = SpanEvent {
-            name: self.name,
-            cat: self.cat,
-            ts_us: self.ts_us,
-            dur_us: clock::now_us().saturating_sub(self.ts_us),
-            tid: clock::thread_tid(),
-            args: self.args,
-        };
-        obs.inner.borrow_mut().events.push(event);
-    }
-}
-
 /// A finished collector: the merge and export unit.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsRecord {
@@ -303,25 +255,6 @@ mod tests {
         assert_eq!(
             rec.span_total_us("x"),
             rec.events[0].dur_us + rec.events[1].dur_us
-        );
-    }
-
-    #[test]
-    fn owned_span_keeps_start_and_contains_later_spans() {
-        let obs = Collector::new();
-        let mut span = OwnedSpan::start("design");
-        span.arg("design", "d0");
-        obs.span("hls").end();
-        span.record_into(&obs);
-        let rec = obs.finish();
-        assert_eq!(rec.events.len(), 2);
-        assert_eq!(rec.events[1].name, "design");
-        assert_eq!(rec.events[1].args, vec![("design".into(), "d0".into())]);
-        // Started before and ended after the hls span: containment holds.
-        assert!(rec.events[1].ts_us <= rec.events[0].ts_us);
-        assert!(
-            rec.events[1].ts_us + rec.events[1].dur_us
-                >= rec.events[0].ts_us + rec.events[0].dur_us
         );
     }
 

@@ -7,7 +7,7 @@
 //! The container this workspace builds in has no network access, so a
 //! `rayon` dependency is off the table; this crate provides the small slice
 //! of rayon the pipeline needs — an **ordered parallel map** — on top of
-//! `std::thread::scope`. Two properties are guaranteed:
+//! `std::thread::scope`. Three properties are guaranteed:
 //!
 //! 1. **Output order equals input order**, regardless of which worker
 //!    finishes first, so parallel results are bit-identical to the serial
@@ -27,6 +27,11 @@
 //! so a single slow item — one large design, one expensive fold — does not
 //! leave the other workers idle, which is exactly the workload shape of
 //! HLS + place-and-route over a benchmark suite.
+//!
+//! The ordered map is the only executor. Designs are independent, so
+//! mapping whole designs across workers already keeps every worker busy
+//! on some stage; a cross-stage pipeline with per-stage pools was measured
+//! against it and never won by a real margin (DESIGN.md §12).
 
 use std::any::Any;
 use std::fmt;
@@ -204,227 +209,6 @@ where
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Bounded three-stage pipeline
-// ---------------------------------------------------------------------------
-
-/// A bounded MPMC queue (mutex + condvars) linking two pipeline stages.
-/// `send` blocks while the queue is at capacity — that is the pipeline's
-/// backpressure — and `recv` returns `None` once every producer has
-/// deregistered and the queue has drained.
-struct Channel<M> {
-    state: Mutex<ChannelState<M>>,
-    not_empty: std::sync::Condvar,
-    not_full: std::sync::Condvar,
-    cap: usize,
-}
-
-struct ChannelState<M> {
-    buf: std::collections::VecDeque<M>,
-    producers: usize,
-}
-
-impl<M> Channel<M> {
-    fn new(cap: usize, producers: usize) -> Channel<M> {
-        Channel {
-            state: Mutex::new(ChannelState {
-                buf: std::collections::VecDeque::with_capacity(cap),
-                producers,
-            }),
-            not_empty: std::sync::Condvar::new(),
-            not_full: std::sync::Condvar::new(),
-            cap,
-        }
-    }
-
-    fn send(&self, m: M) {
-        let mut st = self.state.lock().unwrap();
-        while st.buf.len() >= self.cap {
-            st = self.not_full.wait(st).unwrap();
-        }
-        st.buf.push_back(m);
-        self.not_empty.notify_one();
-    }
-
-    fn recv(&self) -> Option<M> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(m) = st.buf.pop_front() {
-                self.not_full.notify_one();
-                return Some(m);
-            }
-            if st.producers == 0 {
-                return None;
-            }
-            st = self.not_empty.wait(st).unwrap();
-        }
-    }
-
-    /// One producer is done; the last one out wakes every blocked consumer.
-    fn close_producer(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.producers -= 1;
-        if st.producers == 0 {
-            self.not_empty.notify_all();
-        }
-    }
-}
-
-/// Per-stage worker-pool sizes for [`pipeline_map`]: `[stage1, stage2,
-/// stage3]`. Each stage gets its own pool so a slow middle stage cannot
-/// starve the ends.
-pub type StagePools = [usize; 3];
-
-/// Map every item through three stages with cross-item overlap: item N+1
-/// can be in stage 1 while item N is in stage 2 and item N-1 in stage 3.
-/// The congestion pipeline uses this to overlap HLS of one design with
-/// place/route of the previous and feature extraction of the one before.
-///
-/// Items enter stage 1 in input order (an atomic cursor, as in
-/// [`par_map_threads`]); stages are linked by bounded queues of capacity
-/// `depth`, so a stalled downstream stage backpressures upstream instead of
-/// buffering unboundedly. Output order equals input order, and because
-/// each item's journey through the stages is independent of scheduling,
-/// results are **bit-identical to running the three stages back-to-back
-/// per item** — the same determinism contract as `par_map`.
-///
-/// Stages 2 and 3 also receive the original item (`&T`), so later stages
-/// can read item context without stage 1 threading it through its return
-/// value.
-///
-/// # Panics
-/// Re-raises the first (in input order) per-item panic after every other
-/// item completes, exactly like [`par_map_threads`]. Use
-/// [`pipeline_map_catch`] for panics as values.
-pub fn pipeline_map<T, A, B, R, F1, F2, F3>(
-    pools: StagePools,
-    depth: usize,
-    items: &[T],
-    s1: F1,
-    s2: F2,
-    s3: F3,
-) -> Vec<R>
-where
-    T: Sync,
-    A: Send,
-    B: Send,
-    R: Send,
-    F1: Fn(&T) -> A + Sync,
-    F2: Fn(&T, A) -> B + Sync,
-    F3: Fn(&T, B) -> R + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    let mut first_panic = None;
-    for result in pipeline_map_catch(pools, depth, items, s1, s2, s3) {
-        match result {
-            Ok(v) => out.push(v),
-            Err(p) => {
-                if first_panic.is_none() {
-                    first_panic = Some(p);
-                }
-            }
-        }
-    }
-    if let Some(p) = first_panic {
-        p.resume();
-    }
-    out
-}
-
-/// [`pipeline_map`] with panics caught **per item per stage**: a panic in
-/// any stage yields `Err(`[`Panicked`]`)` in that item's output slot and
-/// skips its remaining stages; every other item is unaffected. The Ok/Err
-/// classification of every slot is identical for any pool sizes and any
-/// queue depth.
-pub fn pipeline_map_catch<T, A, B, R, F1, F2, F3>(
-    pools: StagePools,
-    depth: usize,
-    items: &[T],
-    s1: F1,
-    s2: F2,
-    s3: F3,
-) -> Vec<Result<R, Panicked>>
-where
-    T: Sync,
-    A: Send,
-    B: Send,
-    R: Send,
-    F1: Fn(&T) -> A + Sync,
-    F2: Fn(&T, A) -> B + Sync,
-    F3: Fn(&T, B) -> R + Sync,
-{
-    // The same per-item unwind boundary as `par_map_catch_threads`: sound
-    // because each catch wraps exactly one item's stage invocation, and an
-    // item that unwound contributes only its payload.
-    let run1 = |t: &T| catch_unwind(AssertUnwindSafe(|| s1(t))).map_err(Panicked::new);
-    let run2 = |t: &T, a: A| catch_unwind(AssertUnwindSafe(|| s2(t, a))).map_err(Panicked::new);
-    let run3 = |t: &T, b: B| catch_unwind(AssertUnwindSafe(|| s3(t, b))).map_err(Panicked::new);
-
-    if items.is_empty() {
-        return Vec::new();
-    }
-    if items.len() == 1 {
-        // Nothing to overlap; run inline.
-        let t = &items[0];
-        let r = run1(t).and_then(|a| run2(t, a)).and_then(|b| run3(t, b));
-        return vec![r];
-    }
-
-    let depth = depth.max(1);
-    let p1 = pools[0].clamp(1, items.len());
-    let p2 = pools[1].clamp(1, items.len());
-    let p3 = pools[2].clamp(1, items.len());
-
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<R, Panicked>>>> =
-        (0..items.len()).map(|_| Mutex::new(None)).collect();
-    let ch12: Channel<(usize, A)> = Channel::new(depth, p1);
-    let ch23: Channel<(usize, B)> = Channel::new(depth, p2);
-
-    std::thread::scope(|scope| {
-        for _ in 0..p1 {
-            scope.spawn(|| {
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    match run1(item) {
-                        Ok(a) => ch12.send((i, a)),
-                        Err(p) => *slots[i].lock().unwrap() = Some(Err(p)),
-                    }
-                }
-                ch12.close_producer();
-            });
-        }
-        for _ in 0..p2 {
-            scope.spawn(|| {
-                while let Some((i, a)) = ch12.recv() {
-                    match run2(&items[i], a) {
-                        Ok(b) => ch23.send((i, b)),
-                        Err(p) => *slots[i].lock().unwrap() = Some(Err(p)),
-                    }
-                }
-                ch23.close_producer();
-            });
-        }
-        for _ in 0..p3 {
-            scope.spawn(|| {
-                while let Some((i, b)) = ch23.recv() {
-                    *slots[i].lock().unwrap() = Some(run3(&items[i], b));
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every slot filled by a pipeline stage")
-        })
-        .collect()
-}
-
 /// Map `f` over `0..n` in parallel, preserving index order.
 pub fn par_map_range<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
 where
@@ -588,155 +372,6 @@ mod tests {
         assert!(msg.contains("index 9"), "first in input order wins: {msg}");
         // Every non-panicking item still ran — nothing was poisoned.
         assert_eq!(completed.load(Ordering::Relaxed), 30);
-    }
-
-    #[test]
-    fn pipeline_preserves_order_and_matches_serial_composition() {
-        let items: Vec<u64> = (0..321).collect();
-        let s1 = |&x: &u64| x.wrapping_mul(0x9E3779B9);
-        let s2 = |_: &u64, a: u64| a.rotate_left(13);
-        let s3 = |&x: &u64, b: u64| b ^ x;
-        let expect: Vec<u64> = items.iter().map(|x| s3(x, s2(x, s1(x)))).collect();
-        for pools in [[1, 1, 1], [2, 3, 2], [8, 8, 8]] {
-            for depth in [1, 2, 16] {
-                let got = pipeline_map(pools, depth, &items, s1, s2, s3);
-                assert_eq!(got, expect, "pools {pools:?} depth {depth}");
-            }
-        }
-    }
-
-    #[test]
-    fn pipeline_stages_pass_the_original_item() {
-        let items = vec!["a".to_string(), "bb".to_string(), "ccc".to_string()];
-        let out = pipeline_map(
-            [1, 1, 1],
-            2,
-            &items,
-            |s: &String| s.len(),
-            |s: &String, n| format!("{s}:{n}"),
-            |s: &String, acc| format!("{acc}:{}", s.to_uppercase()),
-        );
-        assert_eq!(out, vec!["a:1:A", "bb:2:BB", "ccc:3:CCC"]);
-    }
-
-    #[test]
-    fn pipeline_overlaps_stages_across_items() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        // With single-item stage pools and sleeps, overlap shows up as
-        // multiple distinct worker threads touching the trace.
-        let ids = Mutex::new(HashSet::new());
-        let tag = |ids: &Mutex<HashSet<std::thread::ThreadId>>| {
-            ids.lock().unwrap().insert(std::thread::current().id());
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        };
-        let items: Vec<u32> = (0..24).collect();
-        pipeline_map(
-            [1, 1, 1],
-            2,
-            &items,
-            |&x: &u32| {
-                tag(&ids);
-                x
-            },
-            |_, a: u32| {
-                tag(&ids);
-                a
-            },
-            |_, b: u32| {
-                tag(&ids);
-                b
-            },
-        );
-        assert!(
-            ids.lock().unwrap().len() >= 3,
-            "each stage runs on its own worker"
-        );
-    }
-
-    #[test]
-    fn pipeline_catches_panics_per_stage_and_skips_downstream() {
-        quiet_panics();
-        let ran_stage3 = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..40).collect();
-        let out = pipeline_map_catch(
-            [2, 2, 2],
-            2,
-            &items,
-            |&x: &usize| {
-                if x % 10 == 3 {
-                    panic!("{TEST_PANIC} s1 at {x}");
-                }
-                x
-            },
-            |_, a: usize| {
-                if a % 10 == 7 {
-                    panic!("{TEST_PANIC} s2 at {a}");
-                }
-                a
-            },
-            |_, b: usize| {
-                ran_stage3.fetch_add(1, Ordering::Relaxed);
-                b * 2
-            },
-        );
-        assert_eq!(out.len(), 40);
-        for (i, r) in out.iter().enumerate() {
-            match i % 10 {
-                3 | 7 => {
-                    let p = r.as_ref().unwrap_err();
-                    assert!(p.message().contains(&format!("at {i}")), "{p:?}");
-                }
-                _ => assert_eq!(*r.as_ref().unwrap(), i * 2),
-            }
-        }
-        // Panicked items never reached stage 3.
-        assert_eq!(ran_stage3.load(Ordering::Relaxed), 32);
-    }
-
-    #[test]
-    fn pipeline_classification_identical_across_pools_and_depths() {
-        quiet_panics();
-        let items: Vec<u32> = (0..53).collect();
-        let run = |pools: StagePools, depth: usize| -> Vec<Result<u32, String>> {
-            pipeline_map_catch(
-                pools,
-                depth,
-                &items,
-                |&x: &u32| x,
-                |_, a: u32| {
-                    if a % 9 == 4 {
-                        panic!("{TEST_PANIC} {a}");
-                    }
-                    a
-                },
-                |_, b: u32| b + 1,
-            )
-            .into_iter()
-            .map(|r| r.map_err(|p| p.message()))
-            .collect()
-        };
-        let baseline = run([1, 1, 1], 1);
-        for pools in [[1, 2, 1], [4, 4, 4], [8, 1, 8]] {
-            for depth in [1, 3, 32] {
-                assert_eq!(run(pools, depth), baseline, "pools {pools:?} depth {depth}");
-            }
-        }
-    }
-
-    #[test]
-    fn pipeline_empty_and_single() {
-        let empty: Vec<u32> = vec![];
-        assert!(pipeline_map([2, 2, 2], 2, &empty, |&x: &u32| x, |_, a| a, |_, b| b).is_empty());
-        let one = pipeline_map(
-            [2, 2, 2],
-            2,
-            &[7u32],
-            |&x: &u32| x,
-            |_, a: u32| a + 1,
-            |_, b: u32| b * 2,
-        );
-        assert_eq!(one, vec![16]);
     }
 
     #[test]

@@ -88,6 +88,34 @@ mod tests {
     }
 
     #[test]
+    fn every_kernel_compiles_to_one_module() {
+        // Lowering must not depend on hash iteration order: repeated
+        // compiles of one source give one module, op for op.
+        for (preset, fd) in [
+            (Preset::Plain, face_detection::FdVariant::Plain),
+            (Preset::Optimized, face_detection::FdVariant::Optimized),
+        ] {
+            for bench in [
+                face_detection::benchmark(fd),
+                digit_recognition::benchmark(preset),
+                spam_filter::benchmark(preset),
+                bnn::benchmark(preset),
+                rendering_3d::benchmark(preset),
+                optical_flow::benchmark(preset),
+            ] {
+                let first = bench.build().unwrap();
+                for _ in 1..32 {
+                    assert!(
+                        bench.build().unwrap() == first,
+                        "{} ({preset:?}) compiled to more than one module",
+                        bench.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn optimized_presets_generate_more_parallel_ops() {
         for (plain, opt) in [
             (

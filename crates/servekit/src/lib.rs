@@ -23,8 +23,7 @@
 //! - [`journal`] — append-only crash-recovery journal.
 //! - [`estimator`] — the analytic degraded-path estimator.
 //! - [`server`] — the request engine tying it together.
-//! - [`net`] — TCP framing, thread-per-conn and event-loop front-ends,
-//!   client helper.
+//! - [`net`] — TCP framing, the event-loop front-end, client helper.
 
 #![warn(missing_docs)]
 
@@ -42,7 +41,7 @@ pub use artifact::{ModelArtifact, MODEL_SCHEMA};
 pub use cache::{CacheStats, CachedFeatures, FeatureCache};
 pub use estimator::{AnalyticEstimator, ANALYTIC_MODEL};
 pub use journal::{Journal, JournalEvent, RecoveredState, JOURNAL_SCHEMA};
-pub use net::{read_frame, request, serve_event_loop, serve_tcp, write_frame, MAX_FRAME};
+pub use net::{read_frame, request, serve_event_loop, write_frame, MAX_FRAME};
 pub use proto::{Reply, ReplyStatus, Request, RequestBody};
 pub use queue::{coalesce_plan, shed_plan, AdmissionQueue, Admit, TraceStep, WorkGate};
 pub use registry::{GateOutcome, GoldenBatch, ModelRegistry, ValidationGate};

@@ -5,22 +5,19 @@
 //! request per frame, many frames per connection. Frames are capped so a
 //! hostile (or torn) prefix cannot make the daemon allocate gigabytes.
 //!
-//! Convenience protocol: the accept loop sniffs the first bytes of each
+//! Convenience protocol: the front-end sniffs the first bytes of each
 //! connection — `POST`/`GET ` switches to a minimal HTTP/1.1 handler so
 //! `curl -d '{...}' http://addr/` works for demos and smoke tests. This is
 //! deliberately not a web server: one request per connection, only
 //! `Content-Length` bodies, JSON in, JSON out.
 //!
-//! Two front-ends share these protocols:
-//! - [`serve_tcp`] — thread-per-connection; simple, fine for a handful of
-//!   peers.
-//! - [`serve_event_loop`] — a single acceptor plus a readiness-polled
-//!   event loop over nonblocking sockets. Connections are plain state
-//!   machines (read buffer → in-order pending replies → write buffer) and
-//!   requests enter the same admission queue via the nonblocking
-//!   [`Server::submit`], so connection count is bounded by memory, not by
-//!   threads, and per-connection pipelining falls out for free. Only HTTP
-//!   stragglers get a thread (they are demo traffic by definition).
+//! The one front-end, [`serve_event_loop`], is a single acceptor plus a
+//! readiness-polled event loop over nonblocking sockets. Connections are
+//! plain state machines (read buffer → in-order pending replies → write
+//! buffer) and requests enter the admission queue via the nonblocking
+//! [`Server::submit`], so connection count is bounded by memory, not by
+//! threads, and per-connection pipelining falls out for free. Only HTTP
+//! stragglers get a thread (they are demo traffic by definition).
 
 use crate::proto::{Reply, Request};
 use crate::server::Server;
@@ -73,56 +70,12 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<String>> {
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
-/// Bind `addr` and serve until the server shuts down. Returns the bound
-/// address immediately via `on_bound` (so callers can bind port 0), then
-/// blocks in the accept loop: one thread per connection, shutdown polled
-/// between accepts.
-pub fn serve_tcp(
-    server: Arc<Server>,
-    addr: &str,
-    on_bound: impl FnOnce(SocketAddr),
-) -> std::io::Result<()> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    on_bound(listener.local_addr()?);
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !server.is_shutting_down() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let server = server.clone();
-                conns.push(std::thread::spawn(move || {
-                    let _ = handle_conn(&server, stream);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
-        }
-        conns.retain(|h| !h.is_finished());
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-    Ok(())
-}
-
-fn handle_conn(server: &Server, stream: TcpStream) -> std::io::Result<()> {
-    // Sniff the protocol: an HTTP verb in the first bytes means a human
-    // with curl; anything else is a native length-prefixed peer.
-    let mut head = [0u8; 4];
-    let n = stream.peek(&mut head)?;
-    if n >= 4 && (&head == b"POST" || &head == b"GET ") {
-        return handle_http(server, stream);
-    }
-    handle_native(server, stream)
-}
-
 /// Bind `addr` and serve until the server shuts down, using a single
 /// acceptor plus a readiness-polled event loop over nonblocking sockets.
-/// Same wire protocols as [`serve_tcp`]; replies per connection are
-/// written in request order. Returns once shutdown is observed and every
-/// in-flight reply has been flushed.
+/// `on_bound` receives the bound address before the loop starts (so
+/// callers can bind port 0). Speaks both wire protocols; replies per
+/// connection are written in request order. Returns once shutdown is
+/// observed and every in-flight reply has been flushed.
 pub fn serve_event_loop(
     server: Arc<Server>,
     addr: &str,
@@ -164,7 +117,7 @@ pub fn serve_event_loop(
                     let conn = conns.swap_remove(i);
                     let server = server.clone();
                     http_threads.push(std::thread::spawn(move || {
-                        let _ = handle_http_prefixed(&server, conn.stream, conn.read_buf);
+                        let _ = handle_http(&server, conn.stream, conn.read_buf);
                     }));
                     progressed = true;
                 }
@@ -333,50 +286,13 @@ impl Conn {
     }
 }
 
-fn handle_native(server: &Server, mut stream: TcpStream) -> std::io::Result<()> {
-    while let Some(json) = read_frame(&mut stream)? {
-        let reply = dispatch(server, &json);
-        write_frame(&mut stream, &reply.to_json())?;
-        if server.is_shutting_down() {
-            break;
-        }
-    }
-    Ok(())
-}
-
-/// Parse-or-reject, then run the request through the server. A frame that
-/// does not parse still gets a typed `Error` reply (id 0).
-fn dispatch(server: &Server, json: &str) -> Reply {
-    match Request::from_json(json) {
-        Ok(req) => server.call(req),
-        Err(e) => Reply::error(0, format!("bad request: {e}")),
-    }
-}
-
-fn handle_http(server: &Server, stream: TcpStream) -> std::io::Result<()> {
-    let write_half = stream.try_clone()?;
-    http_exchange(server, BufReader::new(stream), write_half)
-}
-
 /// HTTP handoff from the event loop: `prefix` holds bytes already pulled
 /// off the (nonblocking) socket; the stream goes back to blocking mode
 /// for the thread that owns it from here on.
-fn handle_http_prefixed(
-    server: &Server,
-    stream: TcpStream,
-    prefix: Vec<u8>,
-) -> std::io::Result<()> {
+fn handle_http(server: &Server, stream: TcpStream, prefix: Vec<u8>) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
-    let write_half = stream.try_clone()?;
-    let reader = BufReader::new(std::io::Cursor::new(prefix).chain(stream));
-    http_exchange(server, reader, write_half)
-}
-
-fn http_exchange(
-    server: &Server,
-    mut reader: impl BufRead,
-    mut stream: TcpStream,
-) -> std::io::Result<()> {
+    let mut write_half = stream.try_clone()?;
+    let mut reader = BufReader::new(std::io::Cursor::new(prefix).chain(stream));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     let is_get = request_line.starts_with("GET ");
@@ -411,19 +327,23 @@ fn http_exchange(
     } else {
         let mut body = vec![0u8; content_length];
         reader.read_exact(&mut body)?;
+        // A body that does not parse still gets a typed `Error` reply.
         match String::from_utf8(body) {
-            Ok(json) => dispatch(server, &json),
+            Ok(json) => match Request::from_json(&json) {
+                Ok(req) => server.call(req),
+                Err(e) => Reply::error(0, format!("bad request: {e}")),
+            },
             Err(_) => Reply::error(0, "request body is not UTF-8"),
         }
     };
     let json = reply.to_json();
     write!(
-        stream,
+        write_half,
         "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
         json.len(),
         json
     )?;
-    stream.flush()
+    write_half.flush()
 }
 
 /// Client helper: connect, send one request, read one reply.
@@ -454,16 +374,21 @@ mod tests {
         Arc::new(s)
     }
 
-    fn spawn_server(server: Arc<Server>) -> SocketAddr {
+    fn spawn_event_loop(server: Arc<Server>) -> SocketAddr {
         let (tx, rx) = std::sync::mpsc::channel();
         let srv = server.clone();
         std::thread::spawn(move || {
-            serve_tcp(srv, "127.0.0.1:0", move |addr| {
+            serve_event_loop(srv, "127.0.0.1:0", move |addr| {
                 let _ = tx.send(addr);
             })
             .unwrap();
         });
         rx.recv().unwrap()
+    }
+
+    fn call_frame(stream: &mut TcpStream, json: &str) -> Reply {
+        write_frame(stream, json).unwrap();
+        Reply::from_json(&read_frame(stream).unwrap().unwrap()).unwrap()
     }
 
     #[test]
@@ -483,14 +408,13 @@ mod tests {
     #[test]
     fn native_protocol_serves_and_shuts_down() {
         let server = started();
-        let addr = spawn_server(server.clone());
+        let addr = spawn_event_loop(server.clone());
         let reply = request(addr, &Request::predict(7, vec![vec![1.0; 8]])).unwrap();
         assert_eq!(reply.id, 7);
         assert_eq!(reply.status, ReplyStatus::Degraded, "no model installed");
         // Garbage frame gets a typed error, not a dropped connection.
         let mut stream = TcpStream::connect(addr).unwrap();
-        write_frame(&mut stream, "not json").unwrap();
-        let r = Reply::from_json(&read_frame(&mut stream).unwrap().unwrap()).unwrap();
+        let r = call_frame(&mut stream, "not json");
         assert_eq!(r.status, ReplyStatus::Error);
         // Shutdown request stops the accept loop.
         let r = request(
@@ -506,16 +430,58 @@ mod tests {
         server.shutdown();
     }
 
-    fn spawn_event_loop(server: Arc<Server>) -> SocketAddr {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let srv = server.clone();
-        std::thread::spawn(move || {
-            serve_event_loop(srv, "127.0.0.1:0", move |addr| {
-                let _ = tx.send(addr);
-            })
-            .unwrap();
-        });
-        rx.recv().unwrap()
+    #[test]
+    fn deeply_nested_frame_gets_a_typed_error_and_the_daemon_keeps_serving() {
+        let server = started();
+        let addr = spawn_event_loop(server.clone());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let r = call_frame(&mut stream, &"[".repeat(100_000));
+        assert_eq!(r.status, ReplyStatus::Error);
+        let error = r.error.unwrap_or_default();
+        assert!(error.contains("nesting"), "{error}");
+        // The same connection and a fresh one are both still answered.
+        let r = call_frame(
+            &mut stream,
+            &Request::predict(8, vec![vec![1.0; 4]]).to_json(),
+        );
+        assert_eq!((r.id, r.status), (8, ReplyStatus::Degraded));
+        let r = request(addr, &Request::predict(9, vec![vec![1.0; 4]])).unwrap();
+        assert_eq!(r.id, 9);
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_frame_length_gets_a_typed_error_then_close() {
+        let server = started();
+        let addr = spawn_event_loop(server.clone());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&(MAX_FRAME + 1).to_le_bytes()).unwrap();
+        let r = Reply::from_json(&read_frame(&mut stream).unwrap().unwrap()).unwrap();
+        assert_eq!(r.status, ReplyStatus::Error);
+        assert!(r.error.unwrap_or_default().contains("cap"));
+        // The stream is poisoned and closed; the daemon is not.
+        assert!(read_frame(&mut stream).unwrap().is_none());
+        let r = request(addr, &Request::predict(4, vec![vec![1.0; 4]])).unwrap();
+        assert_eq!(r.id, 4);
+        server.shutdown();
+    }
+
+    #[test]
+    fn non_utf8_frame_gets_a_typed_error_and_the_connection_keeps_serving() {
+        let server = started();
+        let addr = spawn_event_loop(server.clone());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&2u32.to_le_bytes()).unwrap();
+        stream.write_all(&[0xff, 0xfe]).unwrap();
+        let r = Reply::from_json(&read_frame(&mut stream).unwrap().unwrap()).unwrap();
+        assert_eq!(r.status, ReplyStatus::Error);
+        assert!(r.error.unwrap_or_default().contains("UTF-8"));
+        let r = call_frame(
+            &mut stream,
+            &Request::predict(5, vec![vec![1.0; 4]]).to_json(),
+        );
+        assert_eq!(r.id, 5);
+        server.shutdown();
     }
 
     #[test]
@@ -523,7 +489,7 @@ mod tests {
         let server = started();
         let addr = spawn_event_loop(server.clone());
         // Pipeline several frames on one connection without reading
-        // between writes — the threaded front-end cannot do this.
+        // between writes.
         let mut stream = TcpStream::connect(addr).unwrap();
         for id in 1..=5u64 {
             write_frame(
@@ -553,34 +519,10 @@ mod tests {
     }
 
     #[test]
-    fn event_loop_answers_http_and_garbage_frames() {
+    fn http_fallback_answers_curl_style_requests() {
         let server = started();
         let addr = spawn_event_loop(server.clone());
         // HTTP straggler handed off to a thread.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let body = "{\"id\":3,\"kind\":\"status\"}";
-        write!(
-            stream,
-            "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{}",
-            body.len(),
-            body
-        )
-        .unwrap();
-        let mut resp = String::new();
-        stream.read_to_string(&mut resp).unwrap();
-        assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
-        // Garbage native frame gets a typed error reply.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write_frame(&mut stream, "not json").unwrap();
-        let r = Reply::from_json(&read_frame(&mut stream).unwrap().unwrap()).unwrap();
-        assert_eq!(r.status, ReplyStatus::Error);
-        server.shutdown();
-    }
-
-    #[test]
-    fn http_fallback_answers_curl_style_requests() {
-        let server = started();
-        let addr = spawn_server(server.clone());
         let mut stream = TcpStream::connect(addr).unwrap();
         let body = "{\"id\":3,\"kind\":\"status\"}";
         write!(
@@ -597,6 +539,30 @@ mod tests {
         let reply = Reply::from_json(json).unwrap();
         assert_eq!(reply.id, 3);
         assert_eq!(reply.model, "analytic");
+        server.shutdown();
+    }
+
+    #[test]
+    fn http_body_with_deep_nesting_gets_a_typed_error() {
+        let server = started();
+        let addr = spawn_event_loop(server.clone());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let body = "[".repeat(100_000);
+        write!(
+            stream,
+            "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{}",
+            body.len(),
+            body
+        )
+        .unwrap();
+        let mut resp = String::new();
+        stream.read_to_string(&mut resp).unwrap();
+        let json = resp.split("\r\n\r\n").nth(1).unwrap();
+        let reply = Reply::from_json(json).unwrap();
+        assert_eq!(reply.status, ReplyStatus::Error);
+        assert!(reply.error.unwrap_or_default().contains("nesting"));
+        let r = request(addr, &Request::predict(6, vec![vec![1.0; 4]])).unwrap();
+        assert_eq!(r.id, 6);
         server.shutdown();
     }
 }

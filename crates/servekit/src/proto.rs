@@ -436,4 +436,17 @@ mod tests {
             assert!(e.contains(needle), "`{text}` → {e}");
         }
     }
+
+    #[test]
+    fn deeply_nested_frames_are_typed_errors() {
+        // 100 000 levels overflow the stack of a parser without a depth cap.
+        let deep = "[".repeat(100_000);
+        let rows = format!(r#"{{"id":1,"kind":"predict","rows":{deep}"#);
+        for text in [deep.as_str(), rows.as_str()] {
+            let e = Request::from_json(text).unwrap_err();
+            assert!(e.contains("nesting"), "{e}");
+            let e = Reply::from_json(text).unwrap_err();
+            assert!(e.contains("nesting"), "{e}");
+        }
+    }
 }

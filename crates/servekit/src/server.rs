@@ -281,7 +281,8 @@ pub struct ServeSummary {
 }
 
 /// The running daemon: worker pool + shared state. `submit` is `&self`
-/// and thread-safe, so network front-ends share one `Arc<Server>`.
+/// and thread-safe, so the network front-end and its HTTP handoff threads
+/// share one `Arc<Server>`.
 pub struct Server {
     state: Arc<ServerState>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,

@@ -7,7 +7,6 @@
 //!                       [--place-kernel delta|reference]
 //! hls-congest dataset   <file.mhls>... -o data.csv [--workers N] [--router-stats]
 //!                       [--place-kernel delta|reference]
-//!                       [--pipeline-depth N]        cross-stage pipelined executor
 //!                       [--extract-kernel soa|reference]
 //!                                                   build + save a labelled dataset
 //!                                                   (parallel, fault-tolerant, timed)
@@ -28,7 +27,7 @@
 //!                       [--golden data.csv] [--mae-band PP] [--expect-features N]
 //!                       [--queue-capacity N] [--serve-workers N] [--deadline-ms MS]
 //!                       [--batch-max-rows N] [--batch-max-wait-ms MS]
-//!                       [--cache-capacity N] [--frontend event-loop|threads]
+//!                       [--cache-capacity N]
 //!                       [--journal journal.jsonl] [--fault-plan plan.json]
 //!                       [--max-retries N] [--ledger-out runs.jsonl]
 //!                                                   run congestd: the crash-only,
@@ -424,16 +423,10 @@ fn serve_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let server = std::sync::Arc::new(server);
     let addr = flag(args, "--addr").unwrap_or("127.0.0.1:0");
     let model_name = server.active_model();
-    let frontend = flag(args, "--frontend").unwrap_or("event-loop");
-    let on_bound = |bound: std::net::SocketAddr| {
+    servekit::serve_event_loop(server.clone(), addr, |bound| {
         // One parseable line for scripts/CI to scrape the bound port from.
         println!("congestd listening on {bound} (model {model_name})");
-    };
-    match frontend {
-        "event-loop" => servekit::serve_event_loop(server.clone(), addr, on_bound)?,
-        "threads" => servekit::serve_tcp(server.clone(), addr, on_bound)?,
-        other => return Err(format!("--frontend {other}: expected event-loop or threads").into()),
-    }
+    })?;
     let summary = server.shutdown();
     println!(
         "served {} requests ({} shed, {} degraded, {} deadline-missed, {} errors); swaps {}, rejects {}, rollbacks {}; model {}",
@@ -542,9 +535,6 @@ fn dataset_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(w) = flag(args, "--workers") {
         flow = flow.with_workers(w.parse()?);
-    }
-    if let Some(d) = flag(args, "--pipeline-depth") {
-        flow = flow.with_pipeline_depth(d.parse()?);
     }
     if let Some(k) = flag(args, "--extract-kernel") {
         let kernel = congestion_core::features::ExtractKernel::parse(k)

@@ -126,11 +126,10 @@ fn maze_router_is_deterministic_across_worker_counts() {
 }
 
 #[test]
-fn pipelined_executor_matches_serial_byte_for_byte() {
-    // The cross-stage pipelined executor must be a pure scheduling change:
-    // the serialized CSV bytes — the strictest equality, catching even
-    // `-0.0` vs `+0.0` — match the serial builder's at any queue depth and
-    // worker count.
+fn dataset_bytes_and_metrics_digest_match_at_1_2_and_8_workers() {
+    // Worker count must be a pure scheduling change: the serialized CSV
+    // bytes — the strictest equality, catching even `-0.0` vs `+0.0` —
+    // and the deterministic metrics digest match the 1-worker build's.
     let modules: Vec<Module> = [
         "int32 f(int32 a[16], int32 k) { int32 s = 0; for (i = 0; i < 16; i++) { s = s + a[i] * k; } return s; }",
         "int32 g(int32 a[32]) { int32 s = 0;\n#pragma HLS unroll factor=4\nfor (i = 0; i < 32; i++) { s = s + a[i]; } return s; }",
@@ -141,20 +140,22 @@ fn pipelined_executor_matches_serial_byte_for_byte() {
     .map(|(i, s)| compile_named(s, &format!("pl{i}")).unwrap())
     .collect();
 
-    let csv = |flow: CongestionFlow| {
-        let ds = flow.build_dataset(&modules).unwrap();
-        let mut bytes = Vec::new();
-        congestion_core::persist::write_csv(&ds, &mut bytes).unwrap();
-        bytes
-    };
-    let serial = csv(CongestionFlow::fast().with_workers(1));
-    for (workers, depth) in [(1, 1), (2, 2), (8, 4)] {
-        let pipelined = csv(CongestionFlow::fast()
+    let build = |workers: usize| {
+        let report = CongestionFlow::fast()
             .with_workers(workers)
-            .with_pipeline_depth(depth));
+            .build_dataset_report(&modules);
+        assert_eq!(report.failed(), 0, "{}", report.render());
+        let mut bytes = Vec::new();
+        congestion_core::persist::write_csv(&report.dataset, &mut bytes).unwrap();
+        (bytes, report.obs.metrics.deterministic_digest())
+    };
+    let (serial, serial_digest) = build(1);
+    for workers in [2, 8] {
+        let (bytes, digest) = build(workers);
+        assert_eq!(serial, bytes, "{workers} workers changed the dataset bytes");
         assert_eq!(
-            serial, pipelined,
-            "pipelined ({workers} workers, depth {depth}) changed the dataset bytes"
+            serial_digest, digest,
+            "{workers} workers changed the metrics digest"
         );
     }
 }

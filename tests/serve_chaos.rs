@@ -463,8 +463,6 @@ fn sigkill_mid_coalesced_batch_reports_the_whole_batch_lost() {
         journal.display().to_string(),
         "--expect-features".to_string(),
         "4".to_string(),
-        "--frontend".to_string(),
-        "event-loop".to_string(),
         "--batch-max-rows".to_string(),
         "1024".to_string(),
         "--batch-max-wait-ms".to_string(),

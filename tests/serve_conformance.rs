@@ -20,15 +20,14 @@
 //!   from features extracted before the most recent model swap, under
 //!   arbitrary source/swap interleavings, and the `serve.cache.*`
 //!   accounting always balances (`hits + misses == lookups`).
-//! * **Front-ends are interchangeable** — the readiness-polled event loop
-//!   and the thread-per-connection front-end produce bitwise-identical
-//!   reply frames for the same pipelined request stream.
+//! * **The wire adds nothing** — the readiness-polled event loop answers a
+//!   pipelined request stream with reply frames byte-identical to the
+//!   serialized replies of in-process [`Server::call`]s.
 
 use fpga_hls_congestion::mlkit::CompiledEnsemble;
 use fpga_hls_congestion::servekit::{
-    coalesce_plan, read_frame, serve_event_loop, serve_tcp, shed_plan, write_frame, ModelArtifact,
-    Reply, ReplyStatus, Request, RequestBody, ServeConfig, Server, SourceExtractor, TraceStep,
-    WorkGate,
+    coalesce_plan, read_frame, serve_event_loop, shed_plan, write_frame, ModelArtifact, Reply,
+    ReplyStatus, Request, RequestBody, ServeConfig, Server, SourceExtractor, TraceStep, WorkGate,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -337,30 +336,27 @@ proptest! {
     }
 }
 
-/// Send `frames` over one connection to a front-end, pipelined (all
-/// writes before any read), and return the decoded replies in arrival
-/// order.
-fn roundtrip(addr: std::net::SocketAddr, frames: &[String]) -> Vec<Reply> {
+/// Send `frames` over one connection to the event loop, pipelined (all
+/// writes before any read), and return the reply frames in arrival order.
+fn roundtrip(addr: std::net::SocketAddr, frames: &[String]) -> Vec<String> {
     let mut stream = TcpStream::connect(addr).expect("connect");
     for f in frames {
         write_frame(&mut stream, f).expect("write frame");
     }
-    let mut out = Vec::with_capacity(frames.len());
-    for _ in 0..frames.len() {
-        let json = read_frame(&mut stream)
-            .expect("read frame")
-            .expect("reply frame");
-        out.push(Reply::from_json(&json).expect("decode reply"));
-    }
-    out
+    (0..frames.len())
+        .map(|_| {
+            read_frame(&mut stream)
+                .expect("read frame")
+                .expect("reply frame")
+        })
+        .collect()
 }
 
 #[test]
-fn event_loop_and_threaded_frontends_serve_identical_reply_frames() {
+fn event_loop_reply_frames_match_in_process_calls() {
     let reqs = fixed_request_set(12);
     let frames: Vec<String> = reqs.iter().map(Request::to_json).collect();
-    let mut per_frontend: Vec<Vec<_>> = Vec::new();
-    for use_event_loop in [false, true] {
+    let start = || {
         let mut cfg = ServeConfig {
             queue_capacity: 64,
             workers: 2,
@@ -368,31 +364,36 @@ fn event_loop_and_threaded_frontends_serve_identical_reply_frames() {
         };
         cfg.gate.expected_features = FEATURES;
         let (server, _) = Server::start(cfg, Some(artifact(1)), None).expect("start");
-        let server = Arc::new(server);
-        let (tx, rx) = mpsc::channel();
-        let net = {
-            let server = server.clone();
-            std::thread::spawn(move || {
-                let serve = if use_event_loop {
-                    serve_event_loop
-                } else {
-                    serve_tcp
-                };
-                serve(server, "127.0.0.1:0", move |a| tx.send(a).unwrap()).expect("serve");
-            })
-        };
-        let addr = rx.recv_timeout(Duration::from_secs(10)).expect("bound");
-        let replies = roundtrip(addr, &frames);
-        assert!(
-            replies.iter().all(|r| r.status == ReplyStatus::Ok),
-            "front-end event_loop={use_event_loop}: {replies:?}"
-        );
-        per_frontend.push(replies.iter().map(reply_bits).collect());
-        server.shutdown();
-        net.join().expect("front-end thread");
+        Arc::new(server)
+    };
+
+    // Reference: the same requests answered in process, one call at a time.
+    let server = start();
+    let in_process: Vec<String> = reqs
+        .iter()
+        .map(|r| server.call(r.clone()).to_json())
+        .collect();
+    server.shutdown();
+
+    let server = start();
+    let (tx, rx) = mpsc::channel();
+    let net = {
+        let server = server.clone();
+        std::thread::spawn(move || {
+            serve_event_loop(server, "127.0.0.1:0", move |a| tx.send(a).unwrap()).expect("serve");
+        })
+    };
+    let addr = rx.recv_timeout(Duration::from_secs(10)).expect("bound");
+    let wire = roundtrip(addr, &frames);
+    server.shutdown();
+    net.join().expect("front-end thread");
+
+    for json in &wire {
+        let reply = Reply::from_json(json).expect("decode reply");
+        assert_eq!(reply.status, ReplyStatus::Ok, "{reply:?}");
     }
     assert_eq!(
-        per_frontend[0], per_frontend[1],
-        "event-loop replies diverged from thread-per-connection replies"
+        wire, in_process,
+        "event-loop reply frames diverged from in-process replies"
     );
 }
