@@ -5,36 +5,21 @@
 //! root (full-effort runs only). Both copies come from **one** serialized
 //! string, so they are byte-identical by construction; the regression gate
 //! checks that invariant on the committed tree. The shared `meta` block
-//! stamps tool/version/git plus the active kernel selections, so baseline
-//! diffs stay apples-to-apples when a kernel default changes.
+//! stamps tool/version/git plus the production kernels, so baseline diffs
+//! stay apples-to-apples when a kernel default changes.
 
+use congestion_core::cli::kernel_stamps;
 use obskit::MetricsSnapshot;
 use std::fs;
 use std::path::Path;
 
-/// The workspace's active kernel selections, as `meta` key/value stamps:
+/// The workspace's production kernels, as `meta` key/value stamps:
 /// `kernel.extract`, `kernel.place`, `kernel.route`, `kernel.gbrt`.
 pub fn kernel_meta() -> Vec<(String, String)> {
-    vec![
-        (
-            "kernel.extract".to_string(),
-            congestion_core::features::ExtractKernel::default()
-                .name()
-                .to_string(),
-        ),
-        (
-            "kernel.place".to_string(),
-            fpga_fabric::PlaceKernel::default().name().to_string(),
-        ),
-        (
-            "kernel.route".to_string(),
-            fpga_fabric::MazeKernel::default().name().to_string(),
-        ),
-        (
-            "kernel.gbrt".to_string(),
-            mlkit::GbrtKernel::default().name().to_string(),
-        ),
-    ]
+    kernel_stamps()
+        .iter()
+        .map(|(stage, kernel)| (format!("kernel.{stage}"), kernel.to_string()))
+        .collect()
 }
 
 /// Serialize a bench snapshot through the `obskit.metrics.v1` schema with
@@ -58,9 +43,8 @@ pub fn bench_json(tool: &str, effort: crate::designs::Effort, snap: &MetricsSnap
 /// Stamp a ledger record with the same kernel selections the bench meta
 /// carries.
 pub fn stamp_kernels(rec: &mut obskit::RunRecord) {
-    for (k, v) in kernel_meta() {
-        let which = k.trim_start_matches("kernel.").to_string();
-        rec.kernels.insert(which, v);
+    for (stage, kernel) in kernel_stamps() {
+        rec.kernel(stage, kernel);
     }
 }
 

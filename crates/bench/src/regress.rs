@@ -18,7 +18,7 @@
 //! with a full-effort run and committing both the JSON and the band edit
 //! in the same change (see DESIGN.md §13).
 
-use faultkit::json::{parse, Value};
+use obskit::json::{parse, Value};
 use std::fs;
 use std::path::Path;
 

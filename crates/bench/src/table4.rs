@@ -106,16 +106,7 @@ impl Table4 {
 
 /// Run the Table IV experiment on a prebuilt dataset.
 pub fn run_on(dataset: &CongestionDataset, effort: Effort, grid_search: bool) -> Table4 {
-    run_with(dataset, &effort.train(grid_search))
-}
-
-/// [`run_on`] with explicit training options — the entry point the
-/// `experiments` CLI uses so `--gbrt-kernel` / `--gbrt-bins` reach the
-/// fitted models.
-pub fn run_with(
-    dataset: &CongestionDataset,
-    opts: &congestion_core::predict::TrainOptions,
-) -> Table4 {
+    let opts = effort.train(grid_search);
     let filtered = filter_marginal(dataset, &FilterOptions::default());
     let mut rows = Vec::new();
     for data in [dataset, &filtered.kept] {
@@ -124,7 +115,7 @@ pub fn run_with(
         for model in ModelKind::ALL {
             let mut per_target = Vec::new();
             for target in Target::ALL {
-                let p = CongestionPredictor::train(model, target, &train, opts);
+                let p = CongestionPredictor::train(model, target, &train, &opts);
                 let Accuracy { mae, medae } = p.evaluate(&test);
                 per_target.push(Cell { mae, medae });
             }

@@ -46,16 +46,7 @@ pub enum ExtractKernel {
 }
 
 impl ExtractKernel {
-    /// Parse a CLI name (`soa` | `reference`).
-    pub fn parse(s: &str) -> Option<ExtractKernel> {
-        match s {
-            "soa" => Some(ExtractKernel::Soa),
-            "reference" => Some(ExtractKernel::Reference),
-            _ => None,
-        }
-    }
-
-    /// Display name (also the CLI spelling).
+    /// Display name (used in metrics and kernel stamps).
     pub fn name(&self) -> &'static str {
         match self {
             ExtractKernel::Soa => "soa",

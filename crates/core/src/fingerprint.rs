@@ -15,7 +15,7 @@
 
 use crate::dataset::CongestionDataset;
 use crate::features::feature_names;
-use faultkit::json::{parse, Value};
+use obskit::json::{parse, Value};
 use obskit::QuantileSketch;
 use std::collections::BTreeSet;
 

@@ -27,6 +27,7 @@
 //! ```
 
 pub mod backtrace;
+pub mod cli;
 pub mod dataset;
 pub mod features;
 pub mod filter;

@@ -19,8 +19,8 @@
 
 use crate::dataset::{CongestionDataset, Sample};
 use crate::features::{feature_names, FEATURE_COUNT};
-use faultkit::json::{self, Value};
 use hls_ir::{FuncId, OpId, ReplicaTag};
+use obskit::json::{self, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{BufRead, Write};

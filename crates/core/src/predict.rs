@@ -13,10 +13,7 @@ use hls_synth::SynthesizedDesign;
 use mlkit::cv::cross_val_mae_observed;
 use mlkit::metrics::{mae, medae};
 use mlkit::tree::TreeOptions;
-use mlkit::{
-    GbrtKernel, GbrtOptions, GbrtRegressor, Lasso, LassoOptions, MlpOptions, MlpRegressor,
-    Regressor,
-};
+use mlkit::{GbrtOptions, GbrtRegressor, Lasso, LassoOptions, MlpOptions, MlpRegressor, Regressor};
 use obskit::Collector;
 
 /// Which model family to train.
@@ -55,10 +52,6 @@ pub struct TrainOptions {
     pub seed: u64,
     /// Effort multiplier in (0, 1]: scales epochs/estimators for fast tests.
     pub effort: f64,
-    /// GBRT split-search engine (`--gbrt-kernel`).
-    pub gbrt_kernel: GbrtKernel,
-    /// GBRT histogram bin budget per feature (`--gbrt-bins`).
-    pub gbrt_bins: usize,
 }
 
 impl Default for TrainOptions {
@@ -68,8 +61,6 @@ impl Default for TrainOptions {
             cv_folds: 10,
             seed: 5,
             effort: 1.0,
-            gbrt_kernel: GbrtKernel::default(),
-            gbrt_bins: mlkit::binning::DEFAULT_BINS,
         }
     }
 }
@@ -243,8 +234,6 @@ impl CongestionPredictor {
                                         max_depth: d,
                                         ..Default::default()
                                     },
-                                    kernel: opts.gbrt_kernel,
-                                    max_bins: opts.gbrt_bins,
                                     // CV folds already run on parallel
                                     // workers; keep each fit serial so the
                                     // pools don't nest.
@@ -273,8 +262,6 @@ impl CongestionPredictor {
                         max_depth: depth,
                         ..Default::default()
                     },
-                    kernel: opts.gbrt_kernel,
-                    max_bins: opts.gbrt_bins,
                     // The final fit is the only one on this thread, so it
                     // may use the full worker pool (training stays
                     // bit-identical for any worker count).

@@ -41,7 +41,6 @@
 //! ```
 
 pub mod inject;
-pub mod json;
 pub mod plan;
 pub mod supervisor;
 

@@ -7,7 +7,7 @@
 //! across repetitions and worker counts, and a failure found under a plan can
 //! be replayed from the plan file alone.
 
-use crate::json::{self, Value};
+use obskit::json::{self, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;

@@ -33,12 +33,6 @@ impl ParOptions {
         self.placer.seed = seed;
         self
     }
-
-    /// Set the placement kernel.
-    pub fn with_place_kernel(mut self, kernel: crate::place::PlaceKernel) -> Self {
-        self.placer.kernel = kernel;
-        self
-    }
 }
 
 /// The result of implementing a synthesized design on a device.

@@ -56,23 +56,11 @@ pub enum PlaceKernel {
 }
 
 impl PlaceKernel {
-    /// Stable display name (used in metrics and CLI output).
+    /// Stable display name (used in metrics and kernel stamps).
     pub fn name(&self) -> &'static str {
         match self {
             PlaceKernel::DeltaAnneal => "delta",
             PlaceKernel::ReferenceAnneal => "reference",
-        }
-    }
-
-    /// Parse a CLI spelling (`delta`/`delta-anneal` or
-    /// `reference`/`reference-anneal`).
-    pub fn parse(s: &str) -> Option<PlaceKernel> {
-        match s {
-            "delta" | "delta-anneal" | "delta_anneal" => Some(PlaceKernel::DeltaAnneal),
-            "reference" | "reference-anneal" | "reference_anneal" => {
-                Some(PlaceKernel::ReferenceAnneal)
-            }
-            _ => None,
         }
     }
 }
@@ -1250,14 +1238,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn kernel_parse_roundtrip() {
-        for k in [PlaceKernel::DeltaAnneal, PlaceKernel::ReferenceAnneal] {
-            assert_eq!(PlaceKernel::parse(k.name()), Some(k));
-        }
-        assert_eq!(PlaceKernel::parse("no-such-kernel"), None);
-        assert_eq!(PlaceKernel::default(), PlaceKernel::DeltaAnneal);
     }
 }

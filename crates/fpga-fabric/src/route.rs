@@ -147,16 +147,7 @@ pub enum MazeKernel {
 }
 
 impl MazeKernel {
-    /// Parse a CLI name (`astar` | `reference`).
-    pub fn parse(s: &str) -> Option<MazeKernel> {
-        match s {
-            "astar" => Some(MazeKernel::AStar),
-            "reference" => Some(MazeKernel::ReferenceDijkstra),
-            _ => None,
-        }
-    }
-
-    /// Canonical CLI / metrics name (the bench `meta` kernel stamp).
+    /// Canonical metrics name (the bench `meta` kernel stamp).
     pub fn name(&self) -> &'static str {
         match self {
             MazeKernel::AStar => "astar",

@@ -5,18 +5,33 @@ use super::pragma::{parse_pragma, Pragma};
 use super::token::{Token, TokenKind};
 use super::{CompileError, Stage};
 
+/// Deepest nesting [`parse`] accepts. Each parenthesised, bracketed or
+/// call-argument expression, ternary branch, unary operator, nested block
+/// and left-folded binary operator (`a + a + … + a` is a tree one level
+/// deeper per `+`) is one level; parsing and lowering recurse per level, so
+/// uncapped, a few thousand levels overflow the stack and abort the
+/// process. The Rosetta kernels reach at most 10.
+pub const MAX_NESTING: usize = 256;
+
 /// Parse a token stream into a [`Program`].
 ///
 /// # Errors
-/// Returns a [`CompileError`] on syntax errors.
+/// Returns a [`CompileError`] on syntax errors, including nesting deeper
+/// than [`MAX_NESTING`].
 pub fn parse(tokens: &[Token]) -> Result<Program, CompileError> {
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     p.program()
 }
 
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Nesting levels open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -38,6 +53,16 @@ impl<'a> Parser<'a> {
 
     fn err(&self, msg: impl Into<String>) -> CompileError {
         CompileError::new(Stage::Parse, self.line(), msg.into())
+    }
+
+    /// Open one more nesting level, refusing to go past [`MAX_NESTING`].
+    /// An error ends the parse, so only successful paths close levels.
+    fn descend(&mut self) -> Result<(), CompileError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn expect(&mut self, kind: &TokenKind) -> Result<(), CompileError> {
@@ -158,6 +183,7 @@ impl<'a> Parser<'a> {
     }
 
     fn block(&mut self) -> Result<Vec<Stmt>, CompileError> {
+        self.descend()?;
         self.expect(&TokenKind::LBrace)?;
         let mut stmts = Vec::new();
         let mut pending: Vec<Pragma> = Vec::new();
@@ -212,6 +238,7 @@ impl<'a> Parser<'a> {
         if !pending.is_empty() {
             return Err(self.err("dangling loop pragma at end of block"));
         }
+        self.depth -= 1;
         Ok(stmts)
     }
 
@@ -391,7 +418,10 @@ impl<'a> Parser<'a> {
     // Expression parsing: precedence climbing.
 
     fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.ternary()
+        self.descend()?;
+        let e = self.ternary()?;
+        self.depth -= 1;
+        Ok(e)
     }
 
     fn ternary(&mut self) -> Result<Expr, CompileError> {
@@ -413,36 +443,36 @@ impl<'a> Parser<'a> {
     }
 
     fn binary(&mut self, min_prec: u8) -> Result<Expr, CompileError> {
+        let outer = self.depth;
         let mut lhs = self.unary()?;
         while let Some((op, prec)) = binop_of(self.peek()) {
             if prec < min_prec {
                 break;
             }
+            // Each fold puts `lhs` one level further down the tree.
+            self.descend()?;
             let line = self.line();
             self.bump();
             let rhs = self.binary(prec + 1)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), line);
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, CompileError> {
         let line = self.line();
-        match self.peek() {
-            TokenKind::Minus => {
-                self.bump();
-                Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary()?), line))
-            }
-            TokenKind::Tilde => {
-                self.bump();
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.unary()?), line))
-            }
-            TokenKind::Bang => {
-                self.bump();
-                Ok(Expr::Unary(UnOp::LNot, Box::new(self.unary()?), line))
-            }
-            _ => self.postfix(),
-        }
+        let op = match self.peek() {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Tilde => UnOp::Not,
+            TokenKind::Bang => UnOp::LNot,
+            _ => return self.postfix(),
+        };
+        self.bump();
+        self.descend()?;
+        let operand = self.unary()?;
+        self.depth -= 1;
+        Ok(Expr::Unary(op, Box::new(operand), line))
     }
 
     fn postfix(&mut self) -> Result<Expr, CompileError> {

@@ -1,8 +1,10 @@
 //! Robustness: the frontend must never panic — on arbitrary byte soup it
 //! returns structured errors; on valid programs, transforms keep the module
-//! verifiable and semantics intact.
+//! verifiable and semantics intact; and no nesting depth overflows the
+//! stack.
 
-use hls_ir::frontend::{compile, compile_to_ir, finish};
+use hls_ir::frontend::parser::MAX_NESTING;
+use hls_ir::frontend::{compile, compile_to_ir, finish, CompileError, Stage};
 use hls_ir::interp::Interpreter;
 use proptest::prelude::*;
 
@@ -60,5 +62,58 @@ proptest! {
             .run_top(&[], std::slice::from_ref(&data))
             .unwrap();
         prop_assert_eq!(got.ret, expected.ret, "factor {}", factor);
+    }
+}
+
+/// The five ways to nest MiniHLS `n` levels deep, as `(shape, source)`:
+/// each body is `prefix + open×n + middle + close×n + suffix`.
+fn nested_sources(n: usize) -> [(&'static str, String); 5] {
+    [
+        ("parens", "return ", "(", "a", ")", ";"),
+        ("unary", "return ", "- ", "a", "", ";"),
+        ("ternary", "return ", "a ? a : ", "a", "", ";"),
+        ("if", "", "if (a) { ", "", "}", " return a;"),
+        ("chain", "return ", "a + ", "a", "", ";"),
+    ]
+    .map(|(shape, prefix, open, middle, close, suffix)| {
+        let body = format!(
+            "{prefix}{}{middle}{}{suffix}",
+            open.repeat(n),
+            close.repeat(n)
+        );
+        (shape, format!("int32 f(int32 a) {{ {body} }}"))
+    })
+}
+
+/// Compile every shape at depth `n` on a fresh thread with the default
+/// stack, the way a `congestd` worker would.
+fn compile_on_default_stack(n: usize) -> Vec<(&'static str, Result<(), CompileError>)> {
+    std::thread::spawn(move || {
+        nested_sources(n)
+            .into_iter()
+            .map(|(shape, src)| (shape, compile(&src).map(drop)))
+            .collect()
+    })
+    .join()
+    .expect("compiling nested source panicked")
+}
+
+#[test]
+fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+    for (shape, result) in compile_on_default_stack(100_000) {
+        let e = result.expect_err(shape);
+        assert_eq!(e.stage, Stage::Parse, "{shape}: {e}");
+        assert!(e.message.contains("nesting"), "{shape}: {e}");
+    }
+}
+
+#[test]
+fn nesting_under_the_cap_still_compiles() {
+    // Each shape's top level costs a few levels of its own (the function
+    // body block, the statement's expression), so stay a little under.
+    for depth in [64, MAX_NESTING - 8] {
+        for (shape, result) in compile_on_default_stack(depth) {
+            assert!(result.is_ok(), "{shape} at {depth}: {result:?}");
+        }
     }
 }

@@ -21,7 +21,7 @@ use crate::dataset::Matrix;
 /// Hard upper limit on bins per feature (bin codes are stored as `u8`).
 pub const MAX_BINS: usize = 256;
 
-/// Default bin budget per feature (`--gbrt-bins` overrides it).
+/// The bin budget per feature the GBRT histogram kernel fits with.
 pub const DEFAULT_BINS: usize = 256;
 
 /// A feature matrix quantized to per-feature equal-frequency bins, shared
@@ -44,12 +44,12 @@ impl BinnedMatrix {
         Self::with_bins(x, DEFAULT_BINS)
     }
 
-    /// Quantize a matrix into at most `max_bins` equal-frequency bins per
+    /// Quantize a matrix into at most `budget` equal-frequency bins per
     /// feature (clamped to `2..=`[`MAX_BINS`]). Edges are quantiles of the
     /// *distinct* sorted values, so constant columns collapse to one bin
     /// and heavy ties never split a bin.
-    pub fn with_bins(x: &Matrix, max_bins: usize) -> BinnedMatrix {
-        let max_bins = max_bins.clamp(2, MAX_BINS);
+    pub fn with_bins(x: &Matrix, budget: usize) -> BinnedMatrix {
+        let budget = budget.clamp(2, MAX_BINS);
         let rows = x.rows();
         let cols = x.cols();
         let mut bins = vec![0u8; rows * cols];
@@ -62,7 +62,7 @@ impl BinnedMatrix {
                 thresholds.push(Vec::new());
                 continue;
             }
-            let nb = max_bins.min(vals.len());
+            let nb = budget.min(vals.len());
             let mut cuts = Vec::with_capacity(nb);
             for b in 1..=nb {
                 // Upper edge of bin b-1: the (b/nb)-quantile of the distinct
@@ -102,11 +102,6 @@ impl BinnedMatrix {
     /// Number of bins actually used by feature `col`.
     pub fn n_bins(&self, col: usize) -> usize {
         self.thresholds[col].len()
-    }
-
-    /// The widest per-feature bin count (histogram stride).
-    pub fn max_bins_used(&self) -> usize {
-        self.thresholds.iter().map(Vec::len).max().unwrap_or(1)
     }
 
     /// The bin code of one cell.

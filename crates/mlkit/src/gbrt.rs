@@ -19,7 +19,7 @@
 //! ([`Regressor::predict`] / [`Regressor::predict_into`]) runs on it and
 //! is bit-identical to per-row [`Regressor::predict_one`].
 
-use crate::binning::{BinnedMatrix, DEFAULT_BINS};
+use crate::binning::BinnedMatrix;
 use crate::compiled::CompiledEnsemble;
 use crate::dataset::Matrix;
 use crate::model::Regressor;
@@ -41,20 +41,11 @@ pub enum GbrtKernel {
 }
 
 impl GbrtKernel {
-    /// Stable display name (used in metrics and CLI output).
+    /// Stable display name (used in metrics and kernel stamps).
     pub fn name(&self) -> &'static str {
         match self {
             GbrtKernel::Histogram => "histogram",
             GbrtKernel::ReferenceExact => "reference-exact",
-        }
-    }
-
-    /// Parse a CLI spelling (`histogram`/`hist` or `exact`/`reference-exact`).
-    pub fn parse(s: &str) -> Option<GbrtKernel> {
-        match s {
-            "histogram" | "hist" => Some(GbrtKernel::Histogram),
-            "exact" | "reference-exact" | "reference_exact" => Some(GbrtKernel::ReferenceExact),
-            _ => None,
         }
     }
 }
@@ -74,10 +65,9 @@ pub struct GbrtOptions {
     pub feature_fraction: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Split-search engine.
+    /// Split-search engine. The histogram kernel bins every feature into
+    /// at most [`crate::binning::DEFAULT_BINS`] buckets.
     pub kernel: GbrtKernel,
-    /// Histogram-kernel bin budget per feature (clamped to 2..=256).
-    pub max_bins: usize,
     /// Worker threads for histogram construction (1 = serial). Training is
     /// bit-identical for any value; CV/grid-search factories keep 1 to
     /// avoid nesting thread pools inside parallel folds.
@@ -94,7 +84,6 @@ impl Default for GbrtOptions {
             feature_fraction: 0.4,
             seed: 11,
             kernel: GbrtKernel::Histogram,
-            max_bins: DEFAULT_BINS,
             workers: 1,
         }
     }
@@ -184,8 +173,8 @@ impl GbrtRegressor {
         self.trees.clear();
 
         // The histogram kernel quantizes features exactly once per fit.
-        let binned = (self.options.kernel == GbrtKernel::Histogram)
-            .then(|| BinnedMatrix::with_bins(x, self.options.max_bins));
+        let binned =
+            (self.options.kernel == GbrtKernel::Histogram).then(|| BinnedMatrix::from_matrix(x));
         let workers = self.options.workers.max(1);
         let mut stats = TreeFitStats::default();
 

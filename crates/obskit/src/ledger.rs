@@ -197,7 +197,7 @@ impl RunRecord {
 /// A ledger file read back with torn-write tolerance.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LedgerRead {
-    /// Structurally complete JSON lines, in file order.
+    /// Lines that parse as complete JSON objects, in file order.
     pub lines: Vec<String>,
     /// Lines skipped as torn or corrupt (a killed process can leave at
     /// most one, but the reader tolerates any number). Surface this as a
@@ -207,7 +207,7 @@ pub struct LedgerRead {
 }
 
 /// Read a JSONL ledger (run ledger, serve journal) tolerantly: lines that
-/// are not structurally complete JSON objects — the signature of a torn
+/// are not complete JSON objects — the signature of a torn
 /// write from a SIGKILLed process — are counted in
 /// [`LedgerRead::skipped`] instead of failing the read. Blank lines are
 /// ignored entirely. A missing file reads as empty (crash-only restart
@@ -228,63 +228,23 @@ pub fn read_jsonl(path: &Path) -> std::io::Result<LedgerRead> {
         if line.is_empty() {
             continue;
         }
-        if is_complete_json_object(line) {
+        if is_object_line(line) {
             out.lines.push(line.to_string());
         } else {
             out.skipped += 1;
         }
     }
     // A torn final write can also leave a line without a trailing newline
-    // that `lines()` still yields — the structural check above already
-    // classifies it, so nothing special is needed here.
+    // that `lines()` still yields — the parse above already classifies it,
+    // so nothing special is needed here.
     Ok(out)
 }
 
-/// Structural completeness check for one ledger line: it must be a single
-/// JSON object whose braces balance *outside string literals* and whose
-/// final character closes the top-level object. This is not a full parse
-/// (obskit stays parser-free); it is exactly strong enough to reject a
-/// prefix of a record — which is the only corruption an append-only
-/// writer plus SIGKILL can produce.
-fn is_complete_json_object(line: &str) -> bool {
-    let mut depth: i64 = 0;
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut seen_open = false;
-    for (i, c) in line.char_indices() {
-        if i == 0 && c != '{' {
-            return false;
-        }
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => {
-                depth += 1;
-                seen_open = true;
-            }
-            '}' => {
-                depth -= 1;
-                if depth < 0 {
-                    return false;
-                }
-                // Top level closed before the end: trailing garbage.
-                if depth == 0 && i + c.len_utf8() != line.len() {
-                    return false;
-                }
-            }
-            _ => {}
-        }
-    }
-    seen_open && depth == 0 && !in_string
+/// True when `line` is one complete JSON object. A prefix of a record —
+/// the only corruption an append-only writer plus SIGKILL can produce —
+/// never parses, and neither does any other damaged line.
+fn is_object_line(line: &str) -> bool {
+    matches!(json::parse(line), Ok(json::Value::Obj(_)))
 }
 
 #[cfg(test)]
@@ -355,14 +315,16 @@ mod tests {
 
     #[test]
     fn completeness_check_handles_strings_and_nesting() {
-        assert!(is_complete_json_object(r#"{"a":{"b":"}{"},"c":[1,2]}"#));
-        assert!(is_complete_json_object(r#"{"esc":"a\"b{","n":1}"#));
-        assert!(!is_complete_json_object(r#"{"a":1"#));
-        assert!(!is_complete_json_object(r#"{"a":"unterminated"#));
-        assert!(!is_complete_json_object(r#"{"a":1}}"#));
-        assert!(!is_complete_json_object(r#"{"a":1}garbage"#));
-        assert!(!is_complete_json_object("not json"));
-        assert!(!is_complete_json_object("[1,2,3]"));
+        assert!(is_object_line(r#"{"a":{"b":"}{"},"c":[1,2]}"#));
+        assert!(is_object_line(r#"{"esc":"a\"b{","n":1}"#));
+        assert!(!is_object_line(r#"{"a":1"#));
+        assert!(!is_object_line(r#"{"a":"unterminated"#));
+        assert!(!is_object_line(r#"{"a":1}}"#));
+        assert!(!is_object_line(r#"{"a":1}garbage"#));
+        assert!(!is_object_line("not json"));
+        assert!(!is_object_line("[1,2,3]"));
+        // Balanced but not JSON: counted as skipped, not kept.
+        assert!(!is_object_line(r#"{"a":}"#));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! written with Rust's shortest round-trip float formatting, so a
 //! save/load cycle is bitwise lossless.
 
-use faultkit::json::{self, Value};
 use mlkit::CompiledEnsemble;
+use obskit::json::{self, Value};
 use std::collections::BTreeMap;
 use std::path::Path;
 

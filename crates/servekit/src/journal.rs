@@ -13,7 +13,7 @@
 //! (the SIGKILL signature) is counted, not fatal — first boot and
 //! post-crash boot share one code path.
 
-use faultkit::json::{self, Value};
+use obskit::json::{self, Value};
 use obskit::read_jsonl;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -181,13 +181,8 @@ impl Journal {
             records: read.lines.len() as u64,
             ..Default::default()
         };
-        for line in &read.lines {
-            let Ok(doc) = json::parse(line) else {
-                // Structurally complete but unparsable: treat as torn.
-                state.torn_lines += 1;
-                state.records -= 1;
-                continue;
-            };
+        // `read_jsonl` keeps only lines that parse as JSON objects.
+        for doc in read.lines.iter().filter_map(|line| json::parse(line).ok()) {
             let seq = doc.get("seq").and_then(Value::as_u64).unwrap_or(0);
             state.max_seq = state.max_seq.max(seq);
             let event = doc.get("event").and_then(Value::as_str).unwrap_or("");

@@ -8,7 +8,7 @@
 //! (malformed input or terminal stage failure). The process never answers a
 //! request by dying.
 
-use faultkit::json::{self, Value};
+use obskit::json::{self, Value};
 use std::collections::BTreeMap;
 
 /// What a request asks the daemon to do.

@@ -9,7 +9,7 @@
 //! and root copies come from one writer, so full-effort mirrors must be
 //! byte-identical to their baselines.
 
-use fpga_hls_congestion::faultkit::json::{parse, Value};
+use fpga_hls_congestion::obskit::json::{parse, Value};
 use std::fs;
 use std::path::{Path, PathBuf};
 

@@ -21,6 +21,7 @@
 
 use fpga_hls_congestion::faultkit::{serve_stages, FaultKind, FaultPlan, FaultRule};
 use fpga_hls_congestion::mlkit::CompiledEnsemble;
+use fpga_hls_congestion::obskit::json::{self, Value};
 use fpga_hls_congestion::servekit::{
     shed_plan, AdmissionQueue, ModelArtifact, Reply, ReplyStatus, Request, RequestBody,
     ServeConfig, Server, TraceStep,
@@ -295,10 +296,10 @@ fn sigkill_restart_recovers_registry_with_unique_seqs() {
     // Zero duplicate seqs across both lives, and strictly increasing.
     let mut seqs = Vec::new();
     for line in text.lines() {
-        let doc = fpga_hls_congestion::faultkit::json::parse(line).unwrap();
+        let doc = json::parse(line).unwrap();
         seqs.push(
             doc.get("seq")
-                .and_then(fpga_hls_congestion::faultkit::json::Value::as_u64)
+                .and_then(Value::as_u64)
                 .expect("every record carries a seq"),
         );
     }
@@ -527,20 +528,14 @@ fn sigkill_mid_coalesced_batch_reports_the_whole_batch_lost() {
     let mut seqs = Vec::new();
     let mut recovered_lost = None;
     for line in text.lines() {
-        let doc = fpga_hls_congestion::faultkit::json::parse(line).unwrap();
+        let doc = json::parse(line).unwrap();
         seqs.push(
             doc.get("seq")
-                .and_then(fpga_hls_congestion::faultkit::json::Value::as_u64)
+                .and_then(Value::as_u64)
                 .expect("every record carries a seq"),
         );
-        if doc
-            .get("event")
-            .and_then(fpga_hls_congestion::faultkit::json::Value::as_str)
-            == Some("recover")
-        {
-            recovered_lost = doc
-                .get("lost_in_flight")
-                .and_then(fpga_hls_congestion::faultkit::json::Value::as_u64);
+        if doc.get("event").and_then(Value::as_str) == Some("recover") {
+            recovered_lost = doc.get("lost_in_flight").and_then(Value::as_u64);
         }
     }
     assert_eq!(
