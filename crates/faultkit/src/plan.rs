@@ -188,9 +188,9 @@ impl FaultPlan {
         }
         let seed = match doc.get("seed") {
             None => 0,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| PlanParseError("`seed` must be a non-negative integer".into()))?,
+            Some(v) => v.as_u64().ok_or_else(|| {
+                PlanParseError("`seed` must be a non-negative integer below 2^53".into())
+            })?,
         };
         let mut rules = Vec::new();
         if let Some(list) = doc.get("rules") {
@@ -407,6 +407,8 @@ mod tests {
                 r#"{"rules": [{"design":"d","stage":"s","kind":"panic","probability":2}]}"#,
                 "probability",
             ),
+            // 2^53 + 1 would silently become 2^53 (JSON numbers are f64).
+            (r#"{"seed": 9007199254740993, "rules": []}"#, "seed"),
         ] {
             let e = FaultPlan::from_json(text).unwrap_err();
             assert!(e.0.contains(needle), "`{text}` → {e}");

@@ -45,6 +45,9 @@ pub fn number(v: f64) -> String {
     }
 }
 
+/// 2^53: every integer below it is exactly representable as an `f64`.
+const MAX_EXACT_INTEGER: f64 = 9_007_199_254_740_992.0;
+
 /// A parsed JSON value. Objects use a [`BTreeMap`], so re-serialization is
 /// deterministic (keys sorted), which keeps checkpoint files diffable.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,10 +99,13 @@ impl Value {
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative integral number.
+    /// The value as a `u64`, if it is a non-negative integer below 2^53.
+    /// Numbers are `f64`s, which hold every integer only up to there: a
+    /// larger one may already have been rounded to a neighbour, so it is
+    /// refused rather than read back as a different integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < MAX_EXACT_INTEGER => {
                 Some(*n as u64)
             }
             _ => None,
@@ -454,5 +460,14 @@ mod tests {
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
+        let max = (1u64 << 53) - 1;
+        assert_eq!(parse(&max.to_string()).unwrap().as_u64(), Some(max));
+        for too_big in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+        ] {
+            assert_eq!(parse(too_big).unwrap().as_u64(), None, "{too_big}");
+        }
     }
 }

@@ -23,9 +23,13 @@
 //! - [`journal`] — append-only crash-recovery journal.
 //! - [`estimator`] — the analytic degraded-path estimator.
 //! - [`server`] — the request engine tying it together.
-//! - [`net`] — TCP framing, the event-loop front-end, client helper.
+//! - [`net`] — TCP framing, the poll(2) event-loop front-end, client
+//!   helper.
 
 #![warn(missing_docs)]
+// The only unsafe code is the poll(2) call in `net`, which opts back in.
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod artifact;
 pub mod cache;

@@ -11,24 +11,40 @@
 //! deliberately not a web server: one request per connection, only
 //! `Content-Length` bodies, JSON in, JSON out.
 //!
-//! The one front-end, [`serve_event_loop`], is a single acceptor plus a
-//! readiness-polled event loop over nonblocking sockets. Connections are
-//! plain state machines (read buffer → in-order pending replies → write
-//! buffer) and requests enter the admission queue via the nonblocking
-//! [`Server::submit`], so connection count is bounded by memory, not by
-//! threads, and per-connection pipelining falls out for free. Only HTTP
-//! stragglers get a thread (they are demo traffic by definition).
+//! The one front-end, [`serve_event_loop`], is a single acceptor plus an
+//! event loop over nonblocking sockets that blocks in poll(2) until a
+//! socket or a reply is ready, so an idle daemon uses no CPU. Connections
+//! are plain state machines (read buffer → in-order pending replies →
+//! write buffer) and requests enter the admission queue via the
+//! nonblocking [`Server::submit`], so connection count is bounded by
+//! memory, not by threads, and per-connection pipelining falls out for
+//! free. A connection that stops reading its replies stops being read
+//! (backpressure). Only HTTP stragglers get a thread (they are demo
+//! traffic by definition). Unix only: the loop polls raw descriptors.
 
 use crate::proto::{Reply, Request};
 use crate::server::Server;
+use poll::{PollFd, POLLIN, POLLOUT};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
 
 /// Largest accepted frame (64 MiB — a full-design batch is well under).
 pub const MAX_FRAME: u32 = 64 << 20;
+
+/// Bytes one connection may pull per loop pass, so one chatty peer cannot
+/// starve the others.
+const READ_PER_PASS: usize = 256 * 1024;
+
+/// Replies a connection may owe before the loop stops reading from it.
+const MAX_PENDING_REPLIES: usize = 1024;
+
+/// Unflushed reply bytes a connection may hold before the loop stops
+/// reading from it.
+const MAX_UNFLUSHED_BYTES: usize = 1 << 20;
 
 /// Write one length-prefixed JSON frame.
 pub fn write_frame(w: &mut impl Write, json: &str) -> std::io::Result<()> {
@@ -71,11 +87,15 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<String>> {
 }
 
 /// Bind `addr` and serve until the server shuts down, using a single
-/// acceptor plus a readiness-polled event loop over nonblocking sockets.
-/// `on_bound` receives the bound address before the loop starts (so
-/// callers can bind port 0). Speaks both wire protocols; replies per
-/// connection are written in request order. Returns once shutdown is
-/// observed and every in-flight reply has been flushed.
+/// acceptor plus an event loop over nonblocking sockets that blocks in
+/// poll(2) until a socket or a reply is ready. `on_bound` receives the
+/// bound address before the loop starts (so callers can bind port 0).
+/// Speaks both wire protocols; replies per connection are written in
+/// request order. Returns once shutdown is observed and every in-flight
+/// reply has been flushed.
+///
+/// # Errors
+/// Bind, accept and poll failures, and a second loop on the same server.
 pub fn serve_event_loop(
     server: Arc<Server>,
     addr: &str,
@@ -83,19 +103,54 @@ pub fn serve_event_loop(
 ) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
-    on_bound(listener.local_addr()?);
+    let bound = listener.local_addr()?;
+    // Workers write a byte to the server's end after each reply, and
+    // `Server::shutdown` writes one too, so the loop needs no clock.
+    let (wake, waker) = UnixStream::pair()?;
+    wake.set_nonblocking(true)?;
+    waker.set_nonblocking(true)?;
+    server.register_waker(waker)?;
+    on_bound(bound);
+    let served = run_event_loop(&server, &listener, &wake);
+    server.clear_waker();
+    served
+}
+
+fn run_event_loop(
+    server: &Arc<Server>,
+    listener: &TcpListener,
+    wake: &UnixStream,
+) -> std::io::Result<()> {
     let mut conns: Vec<Conn> = Vec::new();
     let mut http_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
-        let mut progressed = false;
         let shutting_down = server.is_shutting_down();
+        if shutting_down && conns.iter().all(Conn::drained) {
+            break;
+        }
+        fds.clear();
+        fds.push(PollFd::new(wake.as_raw_fd(), POLLIN));
+        if !shutting_down {
+            fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
+        }
+        // A connection that waits only for replies is left out: poll
+        // reports a hung-up socket even when asked for nothing, which
+        // would spin the loop, and the reply's wake covers it.
+        fds.extend(conns.iter().filter_map(|c| {
+            let events = c.interest();
+            (events != 0).then(|| PollFd::new(c.stream.as_raw_fd(), events))
+        }));
+        poll::wait(&mut fds)?;
+        // Drain before stepping: a reply delivered after this read leaves
+        // a fresh byte behind, so the next poll returns at once.
+        drain_wakes(wake)?;
         if !shutting_down {
             loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
                         stream.set_nonblocking(true)?;
                         conns.push(Conn::new(stream));
-                        progressed = true;
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) => return Err(e),
@@ -104,14 +159,10 @@ pub fn serve_event_loop(
         }
         let mut i = 0;
         while i < conns.len() {
-            match conns[i].step(&server) {
-                ConnStep::Keep(p) => {
-                    progressed |= p;
-                    i += 1;
-                }
+            match conns[i].step(server) {
+                ConnStep::Keep => i += 1,
                 ConnStep::Close => {
                     conns.swap_remove(i);
-                    progressed = true;
                 }
                 ConnStep::Http => {
                     let conn = conns.swap_remove(i);
@@ -119,15 +170,8 @@ pub fn serve_event_loop(
                     http_threads.push(std::thread::spawn(move || {
                         let _ = handle_http(&server, conn.stream, conn.read_buf);
                     }));
-                    progressed = true;
                 }
             }
-        }
-        if shutting_down && conns.iter().all(Conn::drained) {
-            break;
-        }
-        if !progressed {
-            std::thread::sleep(Duration::from_millis(1));
         }
         http_threads.retain(|h| !h.is_finished());
     }
@@ -137,9 +181,28 @@ pub fn serve_event_loop(
     Ok(())
 }
 
+/// Empty the wake socket without blocking.
+fn drain_wakes(mut wake: &UnixStream) -> std::io::Result<()> {
+    let mut buf = [0u8; 256];
+    loop {
+        match wake.read(&mut buf) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::BrokenPipe,
+                    "the server dropped the event loop's wake socket",
+                ))
+            }
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 enum ConnStep {
-    /// Connection stays registered; `true` when any byte or reply moved.
-    Keep(bool),
+    /// Connection stays registered.
+    Keep,
     /// Connection finished (EOF + drained) or errored; drop it.
     Close,
     /// First bytes were an HTTP verb; hand the stream to a thread.
@@ -177,19 +240,37 @@ impl Conn {
         self.pending.is_empty() && self.written >= self.write_buf.len()
     }
 
+    /// The client is not reading its replies fast enough: stop reading its
+    /// requests until it catches up.
+    fn backpressured(&self) -> bool {
+        self.pending.len() >= MAX_PENDING_REPLIES
+            || self.write_buf.len() - self.written >= MAX_UNFLUSHED_BYTES
+    }
+
+    /// The poll(2) events this connection waits for: input while it may
+    /// read, output while it has unflushed bytes.
+    fn interest(&self) -> i16 {
+        let mut events = 0;
+        if !self.eof && !self.backpressured() {
+            events |= POLLIN;
+        }
+        if self.written < self.write_buf.len() {
+            events |= POLLOUT;
+        }
+        events
+    }
+
     fn step(&mut self, server: &Server) -> ConnStep {
-        let mut progressed = false;
-        // 1. Pull whatever bytes are ready (bounded per pass so one chatty
-        //    peer cannot starve the loop).
+        // 1. Pull whatever bytes are ready, bounded per pass, and none
+        //    while backpressured.
         let mut scratch = [0u8; 4096];
         let mut pulled = 0usize;
-        while !self.eof && pulled < 256 * 1024 {
+        while !self.eof && !self.backpressured() && pulled < READ_PER_PASS {
             match self.stream.read(&mut scratch) {
                 Ok(0) => self.eof = true,
                 Ok(n) => {
                     self.read_buf.extend_from_slice(&scratch[..n]);
                     pulled += n;
-                    progressed = true;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(_) => return ConnStep::Close,
@@ -202,9 +283,34 @@ impl Conn {
                 return ConnStep::Http;
             }
         }
-        // 3. Parse complete frames and submit them; the reply receiver
-        //    queues in arrival order so responses cannot reorder.
+        // 3. Submit buffered frames, collect replies, flush — again while
+        //    flushing lifts the backpressure that stopped the submitting,
+        //    so no decodable frame is left behind with nothing to wake
+        //    the loop for it.
+        loop {
+            let stopped = self.submit_frames(server);
+            self.collect_replies();
+            if !self.flush() {
+                return ConnStep::Close;
+            }
+            if !stopped || self.backpressured() {
+                break;
+            }
+        }
+        if self.eof && self.drained() {
+            return ConnStep::Close;
+        }
+        ConnStep::Keep
+    }
+
+    /// Parse complete frames and submit them; the reply receiver queues in
+    /// arrival order so responses cannot reorder. Returns `true` when it
+    /// stopped because the connection is backpressured.
+    fn submit_frames(&mut self, server: &Server) -> bool {
         while self.sniffed && self.read_buf.len() >= 4 {
+            if self.backpressured() {
+                return true;
+            }
             let len = u32::from_le_bytes(self.read_buf[..4].try_into().unwrap());
             if len > MAX_FRAME {
                 self.enqueue_now(Reply::error(
@@ -213,7 +319,6 @@ impl Conn {
                 ));
                 self.eof = true; // poison the stream: flush then close
                 self.read_buf.clear();
-                progressed = true;
                 break;
             }
             let total = 4 + len as usize;
@@ -228,53 +333,44 @@ impl Conn {
                 },
                 Err(_) => self.enqueue_now(Reply::error(0, "frame is not UTF-8")),
             }
-            progressed = true;
         }
-        // 4. Move ready replies (front first — strict request order) into
-        //    the write buffer.
+        false
+    }
+
+    /// Move ready replies (front first — strict request order) into the
+    /// write buffer.
+    fn collect_replies(&mut self) {
         while let Some(rx) = self.pending.front() {
-            match rx.try_recv() {
-                Ok(reply) => {
-                    self.pending.pop_front();
-                    let json = reply.to_json();
-                    self.write_buf
-                        .extend_from_slice(&(json.len() as u32).to_le_bytes());
-                    self.write_buf.extend_from_slice(json.as_bytes());
-                    progressed = true;
-                }
+            let reply = match rx.try_recv() {
+                Ok(reply) => reply,
                 Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    // Should not happen (exactly-one-reply contract), but
-                    // never wedge the connection on it.
-                    self.pending.pop_front();
-                    let json = Reply::error(0, "reply channel closed").to_json();
-                    self.write_buf
-                        .extend_from_slice(&(json.len() as u32).to_le_bytes());
-                    self.write_buf.extend_from_slice(json.as_bytes());
-                    progressed = true;
-                }
-            }
+                // Should not happen (exactly-one-reply contract), but
+                // never wedge the connection on it.
+                Err(mpsc::TryRecvError::Disconnected) => Reply::error(0, "reply channel closed"),
+            };
+            self.pending.pop_front();
+            let json = reply.to_json();
+            self.write_buf
+                .extend_from_slice(&(json.len() as u32).to_le_bytes());
+            self.write_buf.extend_from_slice(json.as_bytes());
         }
-        // 5. Flush as much as the socket accepts.
+    }
+
+    /// Write as much as the socket accepts; `false` when the peer is gone.
+    fn flush(&mut self) -> bool {
         while self.written < self.write_buf.len() {
             match self.stream.write(&self.write_buf[self.written..]) {
-                Ok(0) => return ConnStep::Close,
-                Ok(n) => {
-                    self.written += n;
-                    progressed = true;
-                }
+                Ok(0) => return false,
+                Ok(n) => self.written += n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => return ConnStep::Close,
+                Err(_) => return false,
             }
         }
         if self.written >= self.write_buf.len() && !self.write_buf.is_empty() {
             self.write_buf.clear();
             self.written = 0;
         }
-        if self.eof && self.drained() {
-            return ConnStep::Close;
-        }
-        ConnStep::Keep(progressed)
+        true
     }
 
     /// Queue an immediately-available reply without going through the
@@ -363,27 +459,105 @@ pub fn request(addr: impl ToSocketAddrs, req: &Request) -> std::io::Result<Reply
     Reply::from_json(&json).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
+/// poll(2), the one foreign call in servekit. Std has no readiness API
+/// for sockets, and it already links libc, so a declaration is all the
+/// loop needs; no crate is vendored for it.
+#[allow(unsafe_code)]
+mod poll {
+    use std::ffi::{c_int, c_short};
+    use std::io;
+    use std::os::fd::RawFd;
+
+    /// Readable, or at end of stream.
+    pub const POLLIN: c_short = 0x1;
+    /// Writable without blocking.
+    pub const POLLOUT: c_short = 0x4;
+
+    /// `struct pollfd` from `<poll.h>`.
+    #[repr(C)]
+    pub struct PollFd {
+        fd: RawFd,
+        events: c_short,
+        /// Written by the kernel; the loop steps every connection anyway.
+        revents: c_short,
+    }
+
+    impl PollFd {
+        pub fn new(fd: RawFd, events: c_short) -> PollFd {
+            PollFd {
+                fd,
+                events,
+                revents: 0,
+            }
+        }
+    }
+
+    /// `nfds_t`: `unsigned long` on Linux, `unsigned int` elsewhere.
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::ffi::c_uint;
+
+    unsafe extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+
+    /// Block until at least one descriptor in `fds` is ready. There is no
+    /// timeout: an idle loop sleeps in the kernel until a peer or a wake
+    /// byte arrives. Retries on `EINTR`.
+    pub fn wait(fds: &mut [PollFd]) -> io::Result<()> {
+        let nfds = Nfds::try_from(fds.len())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "too many sockets to poll"))?;
+        loop {
+            // SAFETY: `fds` is an exclusively borrowed slice of
+            // `#[repr(C)]` records laid out as `struct pollfd`, and `nfds`
+            // is its length, so poll(2) reads and writes only inside the
+            // slice, and only until it returns.
+            let ready = unsafe { poll(fds.as_mut_ptr(), nfds, -1) };
+            if ready >= 0 {
+                return Ok(());
+            }
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proto::ReplyStatus;
+    use crate::queue::WorkGate;
     use crate::server::ServeConfig;
+    use std::time::Duration;
 
     fn started() -> Arc<Server> {
         let (s, _) = Server::start(ServeConfig::default(), None, None).unwrap();
         Arc::new(s)
     }
 
-    fn spawn_event_loop(server: Arc<Server>) -> SocketAddr {
+    type Front = std::thread::JoinHandle<std::io::Result<()>>;
+
+    fn spawn_event_loop(server: Arc<Server>) -> (SocketAddr, Front) {
         let (tx, rx) = std::sync::mpsc::channel();
-        let srv = server.clone();
-        std::thread::spawn(move || {
-            serve_event_loop(srv, "127.0.0.1:0", move |addr| {
+        let front = std::thread::spawn(move || {
+            serve_event_loop(server, "127.0.0.1:0", move |addr| {
                 let _ = tx.send(addr);
             })
-            .unwrap();
         });
-        rx.recv().unwrap()
+        (rx.recv().unwrap(), front)
+    }
+
+    /// Shut the server down and join its event loop: a loop that misses
+    /// the shutdown wake hangs here instead of leaking a thread.
+    fn stop(server: &Server, front: Front) {
+        server.shutdown();
+        front
+            .join()
+            .expect("event loop panicked")
+            .expect("event loop returned an error");
     }
 
     fn call_frame(stream: &mut TcpStream, json: &str) -> Reply {
@@ -408,7 +582,7 @@ mod tests {
     #[test]
     fn native_protocol_serves_and_shuts_down() {
         let server = started();
-        let addr = spawn_event_loop(server.clone());
+        let (addr, front) = spawn_event_loop(server.clone());
         let reply = request(addr, &Request::predict(7, vec![vec![1.0; 8]])).unwrap();
         assert_eq!(reply.id, 7);
         assert_eq!(reply.status, ReplyStatus::Degraded, "no model installed");
@@ -427,13 +601,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.status, ReplyStatus::Ok);
-        server.shutdown();
+        stop(&server, front);
     }
 
     #[test]
     fn deeply_nested_frame_gets_a_typed_error_and_the_daemon_keeps_serving() {
         let server = started();
-        let addr = spawn_event_loop(server.clone());
+        let (addr, front) = spawn_event_loop(server.clone());
         let mut stream = TcpStream::connect(addr).unwrap();
         let r = call_frame(&mut stream, &"[".repeat(100_000));
         assert_eq!(r.status, ReplyStatus::Error);
@@ -447,13 +621,13 @@ mod tests {
         assert_eq!((r.id, r.status), (8, ReplyStatus::Degraded));
         let r = request(addr, &Request::predict(9, vec![vec![1.0; 4]])).unwrap();
         assert_eq!(r.id, 9);
-        server.shutdown();
+        stop(&server, front);
     }
 
     #[test]
     fn oversized_frame_length_gets_a_typed_error_then_close() {
         let server = started();
-        let addr = spawn_event_loop(server.clone());
+        let (addr, front) = spawn_event_loop(server.clone());
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(&(MAX_FRAME + 1).to_le_bytes()).unwrap();
         let r = Reply::from_json(&read_frame(&mut stream).unwrap().unwrap()).unwrap();
@@ -463,13 +637,13 @@ mod tests {
         assert!(read_frame(&mut stream).unwrap().is_none());
         let r = request(addr, &Request::predict(4, vec![vec![1.0; 4]])).unwrap();
         assert_eq!(r.id, 4);
-        server.shutdown();
+        stop(&server, front);
     }
 
     #[test]
     fn non_utf8_frame_gets_a_typed_error_and_the_connection_keeps_serving() {
         let server = started();
-        let addr = spawn_event_loop(server.clone());
+        let (addr, front) = spawn_event_loop(server.clone());
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(&2u32.to_le_bytes()).unwrap();
         stream.write_all(&[0xff, 0xfe]).unwrap();
@@ -481,13 +655,13 @@ mod tests {
             &Request::predict(5, vec![vec![1.0; 4]]).to_json(),
         );
         assert_eq!(r.id, 5);
-        server.shutdown();
+        stop(&server, front);
     }
 
     #[test]
     fn event_loop_serves_pipelined_frames_in_order() {
         let server = started();
-        let addr = spawn_event_loop(server.clone());
+        let (addr, front) = spawn_event_loop(server.clone());
         // Pipeline several frames on one connection without reading
         // between writes.
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -503,25 +677,123 @@ mod tests {
             let reply = Reply::from_json(&json).unwrap();
             assert_eq!(reply.id, id, "replies must come back in request order");
         }
-        server.shutdown();
+        stop(&server, front);
+    }
+
+    #[test]
+    fn a_reply_wakes_the_loop_blocked_in_poll() {
+        // The worker waits on a closed pacing gate, so once the request is
+        // admitted the loop has nothing to do and blocks; only the reply's
+        // wake can get the reply out.
+        let gate = Arc::new(WorkGate::closed());
+        let cfg = ServeConfig {
+            pace_gate: Some(gate.clone()),
+            ..ServeConfig::default()
+        };
+        let server = Arc::new(Server::start(cfg, None, None).unwrap().0);
+        let (addr, front) = spawn_event_loop(server.clone());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write_frame(
+            &mut stream,
+            &Request::predict(11, vec![vec![1.0; 4]]).to_json(),
+        )
+        .unwrap();
+        while server.metrics().counters.get("serve.admitted") != Some(&1) {
+            std::thread::yield_now();
+        }
+        gate.open();
+        let r = Reply::from_json(&read_frame(&mut stream).unwrap().unwrap()).unwrap();
+        assert_eq!(r.id, 11);
+        stop(&server, front);
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_is_no_longer_read() {
+        let server = started();
+        let (addr, front) = spawn_event_loop(server.clone());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        // A write that moves nothing for half a second fails with
+        // `WouldBlock`; a server that keeps reading frees space long before.
+        stream
+            .set_write_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // ~4 KB frames of an unknown kind: each `error` reply quotes the
+        // kind, so it names its frame and is about as large. The kernel
+        // buffers both ways then hold a few MB, and a server that stops
+        // reading stalls the writer long before 64 MiB.
+        let frame = |i: usize| {
+            let json = format!("{{\"kind\":\"junk-{i:06}-{}\"}}", "x".repeat(4000));
+            let mut bytes = (json.len() as u32).to_le_bytes().to_vec();
+            bytes.extend_from_slice(json.as_bytes());
+            bytes
+        };
+        let (mut frames, mut total) = (0usize, 0usize);
+        let (mut current, mut offset) = (frame(0), 0usize);
+        loop {
+            assert!(
+                total < 64 << 20,
+                "the server kept reading a client that never reads"
+            );
+            match stream.write(&current[offset..]) {
+                Ok(n) => {
+                    offset += n;
+                    total += n;
+                    if offset == current.len() {
+                        frames += 1;
+                        (current, offset) = (frame(frames), 0);
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("write failed: {e}"),
+            }
+        }
+        // Read every reply while finishing the frame cut short.
+        let owed = frames + usize::from(offset > 0);
+        stream.set_write_timeout(None).unwrap();
+        let mut reader = stream.try_clone().unwrap();
+        let replies = std::thread::spawn(move || {
+            (0..owed)
+                .map(|_| Reply::from_json(&read_frame(&mut reader).unwrap().unwrap()).unwrap())
+                .collect::<Vec<_>>()
+        });
+        stream.write_all(&current[offset..]).unwrap();
+        let replies = replies.join().unwrap();
+        assert!(owed > 0);
+        for (i, r) in replies.iter().enumerate() {
+            assert_eq!(r.status, ReplyStatus::Error);
+            let error = r.error.as_deref().unwrap_or_default();
+            assert!(
+                error.contains(&format!("junk-{i:06}-")),
+                "reply {i}: {error:.80}"
+            );
+        }
+        let r = request(addr, &Request::predict(12, vec![vec![1.0; 4]])).unwrap();
+        assert_eq!(r.id, 12);
+        stop(&server, front);
     }
 
     #[test]
     fn event_loop_holds_many_idle_connections() {
         let server = started();
-        let addr = spawn_event_loop(server.clone());
+        let (addr, front) = spawn_event_loop(server.clone());
         // Far more connections than worker threads (the server has 1).
         let idle: Vec<TcpStream> = (0..64).map(|_| TcpStream::connect(addr).unwrap()).collect();
         let reply = request(addr, &Request::predict(42, vec![vec![1.0; 4]])).unwrap();
         assert_eq!(reply.id, 42);
         drop(idle);
-        server.shutdown();
+        stop(&server, front);
     }
 
     #[test]
     fn http_fallback_answers_curl_style_requests() {
         let server = started();
-        let addr = spawn_event_loop(server.clone());
+        let (addr, front) = spawn_event_loop(server.clone());
         // HTTP straggler handed off to a thread.
         let mut stream = TcpStream::connect(addr).unwrap();
         let body = "{\"id\":3,\"kind\":\"status\"}";
@@ -539,13 +811,13 @@ mod tests {
         let reply = Reply::from_json(json).unwrap();
         assert_eq!(reply.id, 3);
         assert_eq!(reply.model, "analytic");
-        server.shutdown();
+        stop(&server, front);
     }
 
     #[test]
     fn http_body_with_deep_nesting_gets_a_typed_error() {
         let server = started();
-        let addr = spawn_event_loop(server.clone());
+        let (addr, front) = spawn_event_loop(server.clone());
         let mut stream = TcpStream::connect(addr).unwrap();
         let body = "[".repeat(100_000);
         write!(
@@ -563,6 +835,6 @@ mod tests {
         assert!(reply.error.unwrap_or_default().contains("nesting"));
         let r = request(addr, &Request::predict(6, vec![vec![1.0; 4]])).unwrap();
         assert_eq!(r.id, 6);
-        server.shutdown();
+        stop(&server, front);
     }
 }

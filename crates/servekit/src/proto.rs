@@ -116,11 +116,16 @@ impl Request {
         }
         let id = match doc.get("id") {
             None => 0,
-            Some(v) => v.as_u64().ok_or("`id` must be a non-negative integer")?,
+            Some(v) => v
+                .as_u64()
+                .ok_or("`id` must be a non-negative integer below 2^53")?,
         };
         let deadline_ms = match doc.get("deadline_ms") {
             None => None,
-            Some(v) => Some(v.as_u64().ok_or("`deadline_ms` must be an integer")?),
+            Some(v) => Some(
+                v.as_u64()
+                    .ok_or("`deadline_ms` must be a non-negative integer below 2^53")?,
+            ),
         };
         let kind = doc
             .get("kind")
@@ -420,6 +425,29 @@ mod tests {
             let r = Reply::status_only(1, s);
             assert_eq!(Reply::from_json(&r.to_json()).unwrap().status, s);
         }
+    }
+
+    #[test]
+    fn ids_at_or_above_2_pow_53_are_refused_and_smaller_ones_echo_exactly() {
+        // An `f64` holds every integer below 2^53; 2^53 + 1 would come back
+        // as 2^53, so anything from 2^53 up is a typed error instead.
+        for id in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+        ] {
+            let e =
+                Request::from_json(&format!("{{\"id\":{id},\"kind\":\"status\"}}")).unwrap_err();
+            assert!(e.contains("`id`"), "{id}: {e}");
+        }
+        let e = Request::from_json(r#"{"kind":"status","deadline_ms":9007199254740992}"#);
+        assert!(e.unwrap_err().contains("`deadline_ms`"));
+        let max = (1u64 << 53) - 1;
+        let req = Request::from_json(&format!("{{\"id\":{max},\"kind\":\"status\"}}")).unwrap();
+        assert_eq!(req.id, max);
+        let wire = Reply::status_only(req.id, ReplyStatus::Ok).to_json();
+        assert!(wire.contains("\"id\":9007199254740991"), "{wire}");
+        assert_eq!(Reply::from_json(&wire).unwrap().id, max);
     }
 
     #[test]

@@ -30,10 +30,12 @@ use faultkit::{serve_stages, FaultPlan, StageFailure, Supervisor, SupervisorPoli
 use mlkit::Matrix;
 use obskit::QuantileSketch;
 use std::collections::BTreeMap;
+use std::io::Write;
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Rows predicted between cooperative deadline checks.
@@ -250,6 +252,8 @@ struct ServerState {
     extractor: Option<Arc<SourceExtractor>>,
     cache: FeatureCache,
     recovered: RecoveredState,
+    /// The event loop's wake socket, while one runs (see [`wake_loop`]).
+    waker: Mutex<Option<UnixStream>>,
 }
 
 /// What [`Server::start`] found and did while coming up.
@@ -344,6 +348,7 @@ impl Server {
             extractor,
             cache: FeatureCache::new(cfg.cache_capacity),
             recovered: report.recovered.clone(),
+            waker: Mutex::new(None),
             cfg,
         });
         let workers = (0..state.cfg.workers.max(1))
@@ -416,6 +421,9 @@ impl Server {
                 let _ = old
                     .reply_to
                     .send(Reply::status_only(old.req.id, ReplyStatus::Overloaded));
+                // The shed request may belong to a connection the event
+                // loop has already stepped this pass.
+                wake_loop(state);
             }
             Admit::Closed(job) => {
                 let _ = job
@@ -437,6 +445,35 @@ impl Server {
     /// True once a shutdown request was processed or `shutdown` called.
     pub fn is_shutting_down(&self) -> bool {
         self.state.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Give the event loop's wake socket to the server: from now on every
+    /// reply a worker delivers or admission sheds, and [`Self::shutdown`],
+    /// write one byte to it. One loop per server, so a second registration
+    /// is refused.
+    pub(crate) fn register_waker(&self, waker: UnixStream) -> std::io::Result<()> {
+        let mut slot = self
+            .state
+            .waker
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if slot.is_some() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::AlreadyExists,
+                "this server already runs an event loop",
+            ));
+        }
+        *slot = Some(waker);
+        Ok(())
+    }
+
+    /// Drop the wake socket once the event loop has exited.
+    pub(crate) fn clear_waker(&self) {
+        *self
+            .state
+            .waker
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// Current queue depth.
@@ -481,6 +518,7 @@ impl Server {
         if let Some(g) = &self.state.cfg.pace_gate {
             g.open(); // never leave workers wedged on the pacing gate
         }
+        wake_loop(&self.state);
         for h in self.workers.lock().unwrap().drain(..) {
             let _ = h.join();
         }
@@ -545,7 +583,8 @@ fn worker_loop(state: &Arc<ServerState>) {
 }
 
 /// Per-reply bookkeeping shared by the singleton and coalesced paths:
-/// completion counters, latency sketch, reply delivery, journal cadence.
+/// completion counters, latency sketch, reply delivery plus the event
+/// loop's wake, journal cadence.
 fn finish(state: &Arc<ServerState>, job: &Job, reply: Reply) {
     let flush = {
         let mut m = state.metrics.lock().unwrap();
@@ -562,8 +601,20 @@ fn finish(state: &Arc<ServerState>, job: &Job, reply: Reply) {
             .is_multiple_of(state.cfg.journal_flush_every.max(1))
     };
     let _ = job.reply_to.send(reply);
+    wake_loop(state);
     if flush {
         journal_progress(state);
+    }
+}
+
+/// Tell a blocked event loop that something changed: a reply is waiting
+/// or the server is shutting down. The byte is written *after* the change,
+/// and the loop drains the socket *before* looking, so no wake is lost. A
+/// full socket already holds a wake, so a failed write is ignored.
+fn wake_loop(state: &ServerState) {
+    let mut waker = state.waker.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(w) = waker.as_mut() {
+        let _ = w.write(&[1]);
     }
 }
 
