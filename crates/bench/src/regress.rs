@@ -273,8 +273,11 @@ fn train_checks(name: &str, doc: &Value) -> Vec<Finding> {
     let mut f = Vec::new();
     for target in ["vertical", "horizontal"] {
         let b = format!("train_bench.{target}");
-        // Perf: the histogram kernel's fit speedup (committed 6.7x / 3.7x).
+        // Perf: the histogram kernel's fit speedup (committed 10.1x / 7.8x).
         floor_band(&mut f, name, doc, &format!("{b}.fit_speedup"), 1.5);
+        // Perf: compiled inference over the per-row tree walk (committed
+        // 1.8x / 2.2x).
+        floor_band(&mut f, name, doc, &format!("{b}.predict_speedup"), 1.3);
         let hist = gauge(doc, &format!("{b}.histogram.mae"));
         let serial = gauge(doc, &format!("{b}.histogram_serial.mae"));
         let exact = gauge(doc, &format!("{b}.reference_exact.mae"));
@@ -712,6 +715,24 @@ mod tests {
             f.iter().any(|x| x.check == "perf-band"),
             "perturbed speedup must trip the perf band: {f:?}"
         );
+    }
+
+    #[test]
+    fn perturbed_predict_speedup_trips_the_gate() {
+        let text = fs::read_to_string(repo_root().join("BENCH_train.json")).unwrap();
+        let doc = parse(&text).unwrap();
+        assert!(check_metrics_doc("BENCH_train.json", &doc).is_empty());
+        for target in ["vertical", "horizontal"] {
+            let mut bad = doc.clone();
+            let key = format!("train_bench.{target}.predict_speedup");
+            set_gauge(&mut bad, &key, 1.1);
+            let f = check_metrics_doc("BENCH_train.json", &bad);
+            assert!(
+                f.iter()
+                    .any(|x| x.check == "perf-band" && x.detail.contains(&key)),
+                "a slow compiled engine must trip the perf band: {f:?}"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@ use hls_synth::SynthesizedDesign;
 use mlkit::cv::cross_val_mae_observed;
 use mlkit::metrics::{mae, medae};
 use mlkit::tree::TreeOptions;
-use mlkit::{GbrtOptions, GbrtRegressor, Lasso, LassoOptions, MlpOptions, MlpRegressor, Regressor};
+use mlkit::{
+    GbrtOptions, GbrtRegressor, Lasso, LassoOptions, Matrix, MlpOptions, MlpRegressor, Regressor,
+};
 use obskit::Collector;
 
 /// Which model family to train.
@@ -299,11 +301,14 @@ impl CongestionPredictor {
 
     /// Predict per-operation congestion for a synthesized design *without*
     /// implementing it — the paper's prediction phase. Features for every
-    /// op are extracted with the SoA kernel into one reused row buffer, so
-    /// prediction no longer allocates a `Vec<f64>` per op.
+    /// op group are extracted with the SoA kernel straight into one
+    /// matrix, which the model predicts in one batch (for a GBRT, the
+    /// compiled engine `congestd` serves with); each op of a group gets
+    /// its group's prediction.
     pub fn predict_design(&self, design: &SynthesizedDesign, device: &Device) -> Vec<OpPrediction> {
         let mut out = Vec::new();
-        let mut row = [0.0f64; FEATURE_COUNT];
+        let mut rows = Matrix::with_cols(FEATURE_COUNT);
+        let mut row_of_op = Vec::new();
         for fid in design.module.bottom_up_order() {
             let f = design.module.function(fid);
             let binding = &design.bindings[&fid];
@@ -313,17 +318,21 @@ impl CongestionPredictor {
                 if node.is_port || node.ops.is_empty() {
                     continue;
                 }
-                ctx.extract_into(ni, &mut row);
-                let value = self.predict_features(&row);
+                ctx.extract_into(ni, rows.alloc_row());
                 for &op in &node.ops {
+                    row_of_op.push(rows.rows() - 1);
                     out.push(OpPrediction {
                         func: fid,
                         op,
                         line: f.op(op).loc.map(|l| l.line).unwrap_or(0),
-                        predicted: value,
+                        predicted: 0.0,
                     });
                 }
             }
+        }
+        let predicted = self.model.as_regressor().predict(&rows);
+        for (p, r) in out.iter_mut().zip(row_of_op) {
+            p.predicted = predicted[r];
         }
         out
     }

@@ -15,12 +15,13 @@
 //! forever, like the router's `MazeKernel::ReferenceDijkstra`, so the
 //! differential suite can prove the fast kernel never silently changes
 //! the paper's Table IV numbers. After fitting, the ensemble is compiled
-//! into a flat [`CompiledEnsemble`] node table; batched prediction
-//! ([`Regressor::predict`] / [`Regressor::predict_into`]) runs on it and
-//! is bit-identical to per-row [`Regressor::predict_one`].
+//! into a [`CompiledEnsemble`] (implicit complete trees, branchless
+//! descent); batched prediction ([`Regressor::predict`] /
+//! [`Regressor::predict_into`]) runs on it and is bit-identical to per-row
+//! [`Regressor::predict_one`].
 
 use crate::binning::BinnedMatrix;
-use crate::compiled::CompiledEnsemble;
+use crate::compiled::{CompiledEnsemble, MAX_DEPTH};
 use crate::dataset::Matrix;
 use crate::model::Regressor;
 use crate::tree::{RegressionTree, TreeFitStats, TreeOptions};
@@ -57,7 +58,9 @@ pub struct GbrtOptions {
     pub n_estimators: usize,
     /// Shrinkage applied to each stage.
     pub learning_rate: f64,
-    /// Per-tree growth options.
+    /// Per-tree growth options. `tree.max_depth` may not exceed
+    /// [`crate::compiled::MAX_DEPTH`]: the compiled inference layout
+    /// spends `2^depth` leaves per tree, and a fit asserts the cap.
     pub tree: TreeOptions,
     /// Fraction of rows sampled per stage (stochastic gradient boosting).
     pub subsample: f64,
@@ -165,6 +168,11 @@ impl GbrtRegressor {
     fn fit_inner(&mut self, x: &Matrix, y: &[f64], obs: Option<&obskit::Collector>) {
         assert_eq!(x.rows(), y.len());
         assert!(!y.is_empty());
+        assert!(
+            self.options.tree.max_depth <= MAX_DEPTH,
+            "tree.max_depth {} exceeds the depth cap MAX_DEPTH = {MAX_DEPTH}",
+            self.options.tree.max_depth
+        );
         let started = std::time::Instant::now();
         let n = x.rows();
         let p = x.cols();
@@ -276,8 +284,8 @@ impl Regressor for GbrtRegressor {
                 * self.trees.iter().map(|t| t.predict_one(row)).sum::<f64>()
     }
 
-    /// Batched prediction on the compiled node table — bit-identical to
-    /// mapping [`Self::predict_one`] over the rows, just cache-friendly.
+    /// Batched prediction on the compiled layout — bit-identical to
+    /// mapping [`Self::predict_one`] over the rows, just branch-free.
     fn predict_into(&self, x: &Matrix, out: &mut [f64]) {
         self.compiled.predict_into(x, out);
     }
@@ -475,6 +483,20 @@ mod tests {
         assert!(scanned <= splits + m.n_trees() as u64 + 8);
         assert_eq!(rec.metrics.counters["mlkit.gbrt.fits.histogram"], 1);
         assert_eq!(rec.metrics.histograms["mlkit.gbrt.fit_ms"].count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the depth cap")]
+    fn fit_rejects_trees_deeper_than_the_cap() {
+        let (x, y) = friedman_like(50);
+        let mut m = GbrtRegressor::new(GbrtOptions {
+            tree: TreeOptions {
+                max_depth: MAX_DEPTH + 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        m.fit(&x, &y);
     }
 
     #[test]

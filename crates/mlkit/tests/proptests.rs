@@ -1,11 +1,73 @@
 //! Property-based tests of the ML toolkit's invariants.
 
+use mlkit::compiled::{CompiledEnsemble, LEAF, MAX_DEPTH};
 use mlkit::cv::kfold;
 use mlkit::dataset::Matrix;
 use mlkit::metrics::{mae, medae, r2, rmse};
 use mlkit::scaler::StandardScaler;
 use mlkit::tree::{BinnedMatrix, RegressionTree, TreeOptions};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+type RawNode = (u32, u32, u32, f64);
+
+/// Values that make comparisons interesting: ties, signed zeros, extremes.
+const EDGES: [f64; 8] = [-1.5, -0.0, 0.0, 0.5, 1.0, 2.0, -1e300, 1e300];
+
+fn chance(rng: &mut StdRng, p: f64) -> bool {
+    rng.gen::<f64>() < p
+}
+
+/// Append a random subtree at `depth` whose deepest leaf is at most
+/// `max_depth`, children after parents (the layout `from_raw` accepts).
+/// A right child sometimes reuses a node of the left subtree, so subtrees
+/// are shared. Returns the subtree root's index.
+fn grow(
+    rng: &mut StdRng,
+    nodes: &mut Vec<RawNode>,
+    depth: usize,
+    max_depth: usize,
+    n_features: u32,
+) -> u32 {
+    let id = nodes.len() as u32;
+    if depth == max_depth || chance(rng, 0.25) {
+        nodes.push((LEAF, 0, 0, rng.gen_range(-100.0..100.0)));
+        return id;
+    }
+    let threshold = if chance(rng, 0.5) {
+        EDGES[rng.gen_range(0..EDGES.len())]
+    } else {
+        rng.gen_range(-3.0..3.0)
+    };
+    nodes.push((rng.gen_range(0..n_features), 0, 0, threshold));
+    let left = grow(rng, nodes, depth + 1, max_depth, n_features);
+    // Every node of the left subtree sits at depth > `depth`, so it fits
+    // under this split without deepening the tree.
+    let right = if chance(rng, 0.3) {
+        rng.gen_range(left..nodes.len() as u32)
+    } else {
+        grow(rng, nodes, depth + 1, max_depth, n_features)
+    };
+    nodes[id as usize].1 = left;
+    nodes[id as usize].2 = right;
+    id
+}
+
+/// The test-only reference: walk each tree's pointers, add the leaves in
+/// tree order.
+fn pointer_walk(base: f64, scale: f64, roots: &[u32], nodes: &[RawNode], row: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for &root in roots {
+        let mut n = nodes[root as usize];
+        while n.0 != LEAF {
+            let next = if row[n.0 as usize] <= n.3 { n.1 } else { n.2 };
+            n = nodes[next as usize];
+        }
+        acc += n.3;
+    }
+    base + scale * acc
+}
 
 fn vec_pair() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
     prop::collection::vec((-1e6f64..1e6, -1e6f64..1e6), 1..64)
@@ -13,6 +75,49 @@ fn vec_pair() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
 }
 
 proptest! {
+    #[test]
+    fn implicit_layout_matches_the_pointer_walk(seed in any::<u64>(), n_rows in 0usize..131) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n_features = rng.gen_range(1u32..6);
+        let mut nodes = Vec::new();
+        let mut roots = Vec::new();
+        for _ in 0..rng.gen_range(1..6) {
+            let max_depth = rng.gen_range(0..MAX_DEPTH + 1);
+            roots.push(grow(&mut rng, &mut nodes, 0, max_depth, n_features));
+            if chance(&mut rng, 0.3) {
+                // Another tree rooted inside an existing one (maybe a leaf).
+                roots.push(rng.gen_range(0..nodes.len() as u32));
+            }
+        }
+        let (base, scale) = (rng.gen_range(-10.0..10.0), rng.gen_range(0.01..1.0));
+        let c = CompiledEnsemble::from_raw(base, scale, roots.clone(), nodes.clone(), n_features as usize)
+            .map_err(TestCaseError::Fail)?;
+        prop_assert_eq!(c.n_nodes(), nodes.len());
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+        let rows: Vec<Vec<f64>> = (0..n_rows)
+            .map(|_| {
+                (0..n_features)
+                    .map(|_| match rng.gen_range(0..3) {
+                        0 => specials[rng.gen_range(0..specials.len())],
+                        1 => EDGES[rng.gen_range(0..EDGES.len())],
+                        _ => rng.gen_range(-3.0..3.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        let x = if rows.is_empty() {
+            Matrix::with_cols(n_features as usize)
+        } else {
+            Matrix::from_rows(&rows)
+        };
+        let mut out = vec![f64::NAN; n_rows];
+        c.predict_into(&x, &mut out);
+        for (i, row) in rows.iter().enumerate() {
+            let want = pointer_walk(base, scale, &roots, &nodes, row);
+            prop_assert_eq!(out[i].to_bits(), want.to_bits(), "row {} of {}", i, n_rows);
+        }
+    }
+
     #[test]
     fn metrics_are_nonnegative_and_zero_on_identity((y, p) in vec_pair()) {
         prop_assert!(mae(&y, &p) >= 0.0);

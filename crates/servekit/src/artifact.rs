@@ -1,12 +1,13 @@
 //! Versioned model artifacts (`servekit.model.v1`): a pair of compiled
-//! flat-table ensembles (vertical + horizontal) with identity metadata,
-//! serialized as canonical JSON.
+//! ensembles (vertical + horizontal), stored as their raw node tables,
+//! with identity metadata, serialized as canonical JSON.
 //!
 //! Artifacts are the unit of hot-swap: `hls-congest train --model-out`
 //! writes one, the registry validates and installs it. Deserialization
 //! goes through [`CompiledEnsemble::from_raw`], so a corrupt file (out of
-//! bounds children, cycles, non-finite thresholds) is rejected with a
-//! typed error before it can ever reach a traversal. Node thresholds are
+//! bounds children, cycles, non-finite thresholds, trees deeper than
+//! `mlkit::compiled::MAX_DEPTH`) is rejected with a typed error before it
+//! can ever reach a traversal. Node thresholds are
 //! written with Rust's shortest round-trip float formatting, so a
 //! save/load cycle is bitwise lossless.
 
@@ -204,7 +205,7 @@ impl ModelArtifact {
 
 /// The leaf sentinel (`u32::MAX`) — re-exported for tests that build node
 /// tables by hand.
-pub const LEAF: u32 = u32::MAX;
+pub use mlkit::compiled::LEAF;
 
 #[cfg(test)]
 mod tests {
@@ -227,7 +228,23 @@ mod tests {
 
     #[test]
     fn save_load_round_trip_is_bitwise() {
-        let a = tiny_artifact(3);
+        use mlkit::{GbrtOptions, GbrtRegressor, Matrix, Regressor};
+        // A fitted ensemble, so the loaded layout is checked against the
+        // training-side per-tree walk.
+        let rows: Vec<Vec<f64>> = (0..90)
+            .map(|i| vec![(i % 17) as f64, (i * 7 % 13) as f64, f64::from(i), 1.0])
+            .collect();
+        let y: Vec<f64> = rows.iter().map(|r| r[0] * 2.0 + r[1].sin()).collect();
+        let x = Matrix::from_rows(&rows);
+        let mut m = GbrtRegressor::new(GbrtOptions {
+            n_estimators: 20,
+            ..Default::default()
+        });
+        m.fit(&x, &y);
+        let a = ModelArtifact {
+            vertical: m.compiled().clone(),
+            ..tiny_artifact(3)
+        };
         let dir = std::env::temp_dir().join(format!("servekit-artifact-{}", std::process::id()));
         let path = dir.join("m.json");
         a.save(&path).unwrap();
@@ -235,11 +252,11 @@ mod tests {
         assert_eq!(a.to_json(), b.to_json(), "canonical JSON is stable");
         assert_eq!(a.digest(), b.digest());
         assert_eq!(b.display_name(), "gbrt@v3");
-        let row = [5.0, 0.0, 0.0, 0.0];
-        assert_eq!(
-            a.vertical.predict_row(&row).to_bits(),
-            b.vertical.predict_row(&row).to_bits()
-        );
+        let mut out = vec![0.0; x.rows()];
+        b.vertical.predict_into(&x, &mut out);
+        for (o, row) in out.iter().zip(x.iter_rows()) {
+            assert_eq!(o.to_bits(), m.predict_one(row).to_bits());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
