@@ -273,8 +273,13 @@ fn train_checks(name: &str, doc: &Value) -> Vec<Finding> {
     let mut f = Vec::new();
     for target in ["vertical", "horizontal"] {
         let b = format!("train_bench.{target}");
-        // Perf: the histogram kernel's fit speedup (committed 10.1x / 7.8x).
+        // Perf: the histogram kernel's fit speedup (committed 28.4x / 15.9x).
         floor_band(&mut f, name, doc, &format!("{b}.fit_speedup"), 1.5);
+        // Perf: the serial histogram fit (committed 29.4x / 18.1x). Sizing
+        // each feature's histogram by its own bins lifted it from 7.9x /
+        // 6.6x; the floor sits above those and at half the committed
+        // horizontal figure.
+        floor_band(&mut f, name, doc, &format!("{b}.serial_fit_speedup"), 9.0);
         // Perf: compiled inference over the per-row tree walk (committed
         // 1.8x / 2.2x).
         floor_band(&mut f, name, doc, &format!("{b}.predict_speedup"), 1.3);
@@ -731,6 +736,25 @@ mod tests {
                 f.iter()
                     .any(|x| x.check == "perf-band" && x.detail.contains(&key)),
                 "a slow compiled engine must trip the perf band: {f:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn perturbed_serial_fit_speedup_trips_the_gate() {
+        let text = fs::read_to_string(repo_root().join("BENCH_train.json")).unwrap();
+        let doc = parse(&text).unwrap();
+        assert!(check_metrics_doc("BENCH_train.json", &doc).is_empty());
+        for target in ["vertical", "horizontal"] {
+            let mut bad = doc.clone();
+            let key = format!("train_bench.{target}.serial_fit_speedup");
+            // The padded-histogram kernel's figure.
+            set_gauge(&mut bad, &key, 7.9);
+            let f = check_metrics_doc("BENCH_train.json", &bad);
+            assert!(
+                f.iter()
+                    .any(|x| x.check == "perf-band" && x.detail.contains(&key)),
+                "a serial fit back at the padded layout's speed must trip the perf band: {f:?}"
             );
         }
     }

@@ -160,7 +160,8 @@ impl GbrtRegressor {
     /// per-stage squared-loss curve (`train.gbrt.stage_loss` histogram —
     /// deterministic for a given seed), the `train.gbrt.stages` counter,
     /// and the `mlkit.gbrt.*` kernel work counters (histograms scanned vs
-    /// derived by subtraction, split count, fit wall-clock).
+    /// derived by subtraction, the slots of the scanned ones, split count,
+    /// fit wall-clock).
     pub fn fit_observed(&mut self, x: &Matrix, y: &[f64], obs: &obskit::Collector) {
         self.fit_inner(x, y, Some(obs));
     }
@@ -255,6 +256,7 @@ impl GbrtRegressor {
             obs.inc("mlkit.gbrt.splits", splits);
             obs.inc("mlkit.gbrt.hist.scanned", stats.hist_scanned);
             obs.inc("mlkit.gbrt.hist.subtracted", stats.hist_subtracted);
+            obs.inc("mlkit.gbrt.hist.slots", stats.hist_slots);
             obs.inc(
                 match self.options.kernel {
                     GbrtKernel::Histogram => "mlkit.gbrt.fits.histogram",
@@ -483,6 +485,44 @@ mod tests {
         assert!(scanned <= splits + m.n_trees() as u64 + 8);
         assert_eq!(rec.metrics.counters["mlkit.gbrt.fits.histogram"], 1);
         assert_eq!(rec.metrics.histograms["mlkit.gbrt.fit_ms"].count(), 1);
+    }
+
+    #[test]
+    fn scanned_histograms_hold_one_slot_per_bin_of_each_splittable_feature() {
+        // Two constant columns and one 2-bin column beside friedman_like's
+        // four: the constants get no slots.
+        let (x, y) = friedman_like(200);
+        let rows: Vec<Vec<f64>> = x
+            .iter_rows()
+            .enumerate()
+            .map(|(i, r)| {
+                let mut r = r.to_vec();
+                r.extend([7.0, (i % 2) as f64, -1.0]);
+                r
+            })
+            .collect();
+        let x = Matrix::from_rows(&rows);
+        let obs = obskit::Collector::new();
+        let mut m = GbrtRegressor::new(GbrtOptions {
+            n_estimators: 20,
+            feature_fraction: 1.0,
+            ..Default::default()
+        });
+        m.fit_observed(&x, &y, &obs);
+        let rec = obs.finish();
+        let binned = BinnedMatrix::from_matrix(&x);
+        let bins: u64 = (0..x.cols())
+            .map(|j| binned.n_bins(j) as u64)
+            .filter(|&nb| nb > 1)
+            .sum();
+        assert_eq!(binned.n_bins(4), 1);
+        assert_eq!(binned.n_bins(5), 2);
+        let scanned = rec.metrics.counters["mlkit.gbrt.hist.scanned"];
+        assert!(scanned > 0);
+        assert_eq!(
+            rec.metrics.counters["mlkit.gbrt.hist.slots"],
+            scanned * bins
+        );
     }
 
     #[test]

@@ -8,10 +8,13 @@
 //!   accumulates gradient/count histograms over bin codes, and each split
 //!   only *scans* the smaller child — the larger child's histogram is
 //!   derived with the parent-minus-sibling subtraction trick (LightGBM's
-//!   scheme). Histogram construction parallelizes across feature chunks via
-//!   `parkit`; every feature's accumulator sees its addends in sample
-//!   order regardless of chunking, so the result is **bit-identical for
-//!   any worker count**.
+//!   scheme). A node's histogram has one slot per bin of each candidate
+//!   feature with more than one bin, at prefix-sum offsets of their bin
+//!   counts; one-bin features can never split and are never scanned.
+//!   Large nodes build it across feature chunks via `parkit`; every
+//!   (feature, bin) accumulator sees its addends in sample order
+//!   regardless of chunking, so the result is **bit-identical for any
+//!   worker count**.
 //! * [`RegressionTree::fit_exact`] — the reference kernel
 //!   (`GbrtKernel::ReferenceExact`): sorts the node's samples per feature
 //!   and scans every boundary between distinct values. Slow, but the
@@ -19,6 +22,7 @@
 
 pub use crate::binning::BinnedMatrix;
 use crate::dataset::Matrix;
+use std::ops::Range;
 
 /// Default bin budget, re-exported for backward compatibility.
 pub const BINS: usize = crate::binning::DEFAULT_BINS;
@@ -47,6 +51,12 @@ impl Default for TreeOptions {
 pub struct TreeFitStats {
     /// Node histograms built by scanning rows.
     pub hist_scanned: u64,
+    /// Of those, the scans that fanned out over the worker pool. The only
+    /// counter that depends on the worker count: 0 at one worker.
+    pub hist_pooled: u64,
+    /// (count, sum) slots of every scanned histogram: one per bin of each
+    /// candidate feature that can split.
+    pub hist_slots: u64,
     /// Node histograms derived via parent-minus-sibling subtraction.
     pub hist_subtracted: u64,
     /// Nodes emitted (splits + leaves).
@@ -59,6 +69,8 @@ impl TreeFitStats {
     /// Accumulate another fit's counters.
     pub fn absorb(&mut self, other: &TreeFitStats) {
         self.hist_scanned += other.hist_scanned;
+        self.hist_pooled += other.hist_pooled;
+        self.hist_slots += other.hist_slots;
         self.hist_subtracted += other.hist_subtracted;
         self.nodes += other.nodes;
         self.splits += other.splits;
@@ -99,12 +111,16 @@ pub struct RegressionTree {
 /// so their "no split" decisions agree on flat targets.
 const MIN_GAIN: f64 = 1e-12;
 
-/// Minimum `samples × features` product before histogram construction fans
-/// out to parallel workers; below it, thread spawn overhead dominates.
-const PAR_THRESHOLD: usize = 1 << 15;
+/// Minimum `samples × features` product (features that can split) before
+/// a node's histogram fans out to parallel workers. On a 2-vCPU x86-64 VM
+/// spawning and joining the scoped workers costs ~70 µs and a serial scan
+/// ~1.35 ns per (sample, feature) cell, so two workers can win only well
+/// above 100 k cells; whole fits of the train-bench data were slower with
+/// two workers at 2^15 and at 2^17.
+const PAR_THRESHOLD: usize = 1 << 18;
 
-/// Per-node count/sum histograms over every candidate feature, flattened as
-/// `feature_slot * stride + bin`.
+/// Per-node count/sum histograms, one slot per bin of each feature that
+/// can split, laid out by [`HistCtx::offsets`].
 struct Hist {
     counts: Vec<u32>,
     sums: Vec<f64>,
@@ -127,56 +143,72 @@ impl Hist {
 struct HistCtx<'a> {
     binned: &'a BinnedMatrix,
     y: &'a [f64],
-    features: &'a [usize],
-    /// Histogram stride: the widest bin count among `features`.
-    stride: usize,
+    /// The caller's candidate features that have more than one bin, in the
+    /// caller's order. A one-bin feature can never split, so it gets no
+    /// slots and is never scanned.
+    features: Vec<usize>,
+    /// Prefix sums of the bin counts of `features`: feature `k` owns slots
+    /// `offsets[k]..offsets[k + 1]`, and the last entry is the slot total.
+    offsets: Vec<usize>,
     opts: TreeOptions,
     workers: usize,
 }
 
 impl HistCtx<'_> {
-    /// Build the count/sum histograms of one node by scanning its samples.
+    /// Build the count/sum histograms of one node by scanning its samples,
+    /// and account the scan in `stats`.
     ///
     /// Large nodes fan out over contiguous feature chunks on `workers`
-    /// parkit threads. Each feature's accumulator receives its addends in
-    /// sample order no matter how features are chunked, and chunk results
-    /// are concatenated in feature order (parkit's ordered map), so the
-    /// result is bit-identical for any worker count.
-    fn build_hist(&self, samples: &[usize]) -> Hist {
+    /// parkit threads. Each (feature, bin) accumulator receives its addends
+    /// in sample order no matter how features are chunked, and chunk
+    /// results are concatenated in feature order (parkit's ordered map), so
+    /// the result is bit-identical for any worker count.
+    fn build_hist(&self, samples: &[usize], stats: &mut TreeFitStats) -> Hist {
         let nf = self.features.len();
-        if self.workers > 1 && samples.len().saturating_mul(nf) >= PAR_THRESHOLD && nf > 1 {
+        let total = self.offsets[nf];
+        stats.hist_scanned += 1;
+        stats.hist_slots += total as u64;
+        if self.workers > 1 && nf > 1 && samples.len().saturating_mul(nf) >= PAR_THRESHOLD {
+            stats.hist_pooled += 1;
             let chunk_len = nf.div_ceil(self.workers);
-            let chunks: Vec<&[usize]> = self.features.chunks(chunk_len).collect();
-            let parts = parkit::par_map_threads(self.workers, &chunks, |chunk| {
-                self.scan_chunk(chunk, samples)
+            let starts: Vec<usize> = (0..nf).step_by(chunk_len).collect();
+            let parts = parkit::par_map_threads(self.workers, &starts, |&lo| {
+                self.scan_chunk(lo..nf.min(lo + chunk_len), samples)
             });
-            let mut counts = Vec::with_capacity(nf * self.stride);
-            let mut sums = Vec::with_capacity(nf * self.stride);
-            for (c, s) in parts {
-                counts.extend_from_slice(&c);
-                sums.extend_from_slice(&s);
+            let mut hist = Hist {
+                counts: Vec::with_capacity(total),
+                sums: Vec::with_capacity(total),
+            };
+            for part in parts {
+                hist.counts.extend_from_slice(&part.counts);
+                hist.sums.extend_from_slice(&part.sums);
             }
-            Hist { counts, sums }
+            hist
         } else {
-            let (counts, sums) = self.scan_chunk(self.features, samples);
-            Hist { counts, sums }
+            self.scan_chunk(0..nf, samples)
         }
     }
 
-    /// Histogram a contiguous chunk of candidate features (row-major scan,
-    /// cache-friendly on the bin-code matrix).
-    fn scan_chunk(&self, chunk: &[usize], samples: &[usize]) -> (Vec<u32>, Vec<f64>) {
-        let mut counts = vec![0u32; chunk.len() * self.stride];
-        let mut sums = vec![0.0f64; chunk.len() * self.stride];
+    /// Histogram the candidate features `chunk` (indices into `features`)
+    /// into slots numbered from the chunk's first. Row-major scan,
+    /// cache-friendly on the bin-code matrix.
+    fn scan_chunk(&self, chunk: Range<usize>, samples: &[usize]) -> Hist {
+        let first = self.offsets[chunk.start];
+        let len = self.offsets[chunk.end] - first;
+        let features = &self.features[chunk.clone()];
+        let offsets = &self.offsets[chunk];
+        let mut counts = vec![0u32; len];
+        let mut sums = vec![0.0f64; len];
         for &i in samples {
             let yi = self.y[i];
-            for (slot, &fj) in chunk.iter().enumerate() {
-                let b = slot * self.stride + self.binned.bin(i, fj);
+            let codes = self.binned.row(i);
+            for (&fj, &off) in features.iter().zip(offsets) {
+                let b = off - first + codes[fj] as usize;
                 counts[b] += 1;
                 sums[b] += yi;
             }
         }
-        (counts, sums)
+        Hist { counts, sums }
     }
 }
 
@@ -205,23 +237,29 @@ impl RegressionTree {
         opts: &TreeOptions,
         workers: usize,
     ) -> (RegressionTree, TreeFitStats) {
-        let stride = features
+        let features: Vec<usize> = features
             .iter()
-            .map(|&fj| binned.n_bins(fj))
-            .max()
-            .unwrap_or(1);
+            .copied()
+            .filter(|&fj| binned.n_bins(fj) > 1)
+            .collect();
+        let mut offsets = Vec::with_capacity(features.len() + 1);
+        let mut total = 0;
+        offsets.push(total);
+        for &fj in &features {
+            total += binned.n_bins(fj);
+            offsets.push(total);
+        }
         let ctx = HistCtx {
             binned,
             y,
             features,
-            stride,
+            offsets,
             opts: *opts,
             workers: workers.max(1),
         };
         let mut tree = RegressionTree { nodes: Vec::new() };
         let mut stats = TreeFitStats::default();
-        let root_hist = ctx.build_hist(samples);
-        stats.hist_scanned += 1;
+        let root_hist = ctx.build_hist(samples, &mut stats);
         tree.grow_hist(&ctx, samples.to_vec(), root_hist, 0, &mut stats);
         (tree, stats)
     }
@@ -250,15 +288,16 @@ impl RegressionTree {
         }
 
         // Best split over features × bins; ties resolve to the first
-        // candidate in (feature-slot, bin) order via strict `>`.
+        // candidate in (feature, bin) order via strict `>`. No candidate
+        // sits at a feature's last bin (everything would go left). A
+        // column's NaNs have that bin to themselves, so every learned split
+        // sends NaN right, as `predict_one` does.
         let mut best: Option<(usize, usize, f64)> = None; // (feature, bin, gain)
-        for (slot, &fj) in ctx.features.iter().enumerate() {
-            let nb = ctx.binned.n_bins(fj);
-            if nb <= 1 {
-                continue;
-            }
-            let counts = &hist.counts[slot * ctx.stride..slot * ctx.stride + nb];
-            let sums = &hist.sums[slot * ctx.stride..slot * ctx.stride + nb];
+        for (k, &fj) in ctx.features.iter().enumerate() {
+            let slots = ctx.offsets[k]..ctx.offsets[k + 1];
+            let nb = slots.len();
+            let counts = &hist.counts[slots.clone()];
+            let sums = &hist.sums[slots];
             let mut left_cnt = 0usize;
             let mut left_sum = 0.0f64;
             for b in 0..nb - 1 {
@@ -294,8 +333,7 @@ impl RegressionTree {
         } else {
             &right_samples
         };
-        let small_hist = ctx.build_hist(small);
-        stats.hist_scanned += 1;
+        let small_hist = ctx.build_hist(small, stats);
         let mut large_hist = hist;
         large_hist.subtract(&small_hist);
         stats.hist_subtracted += 1;
@@ -562,9 +600,9 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_the_tree() {
-        // Large enough that the parallel path engages (given >1 workers).
-        let n = 600;
-        let nf = 60;
+        // Large enough that the pool engages at the root and below it.
+        let n = 3000;
+        let nf = 200;
         let rows: Vec<Vec<f64>> = (0..n)
             .map(|i| {
                 (0..nf)
@@ -585,13 +623,55 @@ mod tests {
         };
         let (serial, s1) = RegressionTree::fit_hist(&binned, &y, &samples, &features, &opts, 1);
         let (parallel, s8) = RegressionTree::fit_hist(&binned, &y, &samples, &features, &opts, 8);
-        assert_eq!(s1, s8, "identical work accounting");
+        assert_eq!(s1.hist_pooled, 0, "one worker never pools");
+        assert!(s8.hist_pooled > 1, "the pool runs below the root: {s8:?}");
+        assert_eq!(
+            s1,
+            TreeFitStats {
+                hist_pooled: 0,
+                ..s8
+            },
+            "identical work accounting"
+        );
         for row in x.iter_rows() {
             assert_eq!(
                 serial.predict_one(row).to_bits(),
                 parallel.predict_one(row).to_bits(),
                 "1 vs 8 workers must agree to the bit"
             );
+        }
+    }
+
+    #[test]
+    fn nan_goes_right_in_training_as_in_prediction() {
+        // Values 1..=9 (target 0) and three NaN rows (target 100), NaN of
+        // either sign: the NaN bin sits after every number, so the one
+        // split separates the NaNs, and `predict_one` routes them the
+        // same way.
+        for nan in [f64::NAN, f64::from_bits(0xfff8_0000_0000_0000)] {
+            let mut rows: Vec<Vec<f64>> = (1..=9).map(|v| vec![v as f64]).collect();
+            let mut y = vec![0.0; 9];
+            for _ in 0..3 {
+                rows.push(vec![nan]);
+                y.push(100.0);
+            }
+            let x = Matrix::from_rows(&rows);
+            let binned = BinnedMatrix::from_matrix(&x);
+            let samples: Vec<usize> = (0..x.rows()).collect();
+            let opts = TreeOptions {
+                max_depth: 1,
+                min_samples_leaf: 1,
+            };
+            let t = RegressionTree::fit(&binned, &y, &samples, &[0], &opts);
+            assert_eq!(t.split_count(), 1);
+            assert_eq!(
+                t.predict_one(&[1.0]),
+                0.0,
+                "sign bit {}",
+                nan.is_sign_negative()
+            );
+            assert_eq!(t.predict_one(&[9.0]), 0.0);
+            assert_eq!(t.predict_one(&[nan]), 100.0);
         }
     }
 

@@ -5,7 +5,7 @@ use mlkit::cv::kfold;
 use mlkit::dataset::Matrix;
 use mlkit::metrics::{mae, medae, r2, rmse};
 use mlkit::scaler::StandardScaler;
-use mlkit::tree::{BinnedMatrix, RegressionTree, TreeOptions};
+use mlkit::tree::{BinnedMatrix, RegressionTree, TreeFitStats, TreeOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,6 +14,21 @@ type RawNode = (u32, u32, u32, f64);
 
 /// Values that make comparisons interesting: ties, signed zeros, extremes.
 const EDGES: [f64; 8] = [-1.5, -0.0, 0.0, 0.5, 1.0, 2.0, -1e300, 1e300];
+
+/// Feature values binning must order as `predict_one` compares them: NaN of
+/// either sign (`0.0 / 0.0` is the negative one on x86), infinities and
+/// signed zeros. Codes past the end are small integers.
+fn special_or_int(code: usize) -> f64 {
+    match code {
+        0 => f64::NAN,
+        1 => f64::from_bits(0xfff8_0000_0000_0000),
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        4 => -0.0,
+        5 => 0.0,
+        k => k as f64 - 9.0,
+    }
+}
 
 fn chance(rng: &mut StdRng, p: f64) -> bool {
     rng.gen::<f64>() < p
@@ -255,24 +270,6 @@ proptest! {
     }
 
     #[test]
-    fn worker_count_never_changes_training(
-        data in prop::collection::vec((-100f64..100.0, -50f64..50.0, -50f64..50.0), 10..80)
-    ) {
-        let rows: Vec<Vec<f64>> = data.iter().map(|&(a, b, _)| vec![a, b]).collect();
-        let y: Vec<f64> = data.iter().map(|&(_, _, t)| t).collect();
-        let x = Matrix::from_rows(&rows);
-        let binned = BinnedMatrix::from_matrix(&x);
-        let samples: Vec<usize> = (0..x.rows()).collect();
-        let opts = TreeOptions::default();
-        let (serial, s1) = RegressionTree::fit_hist(&binned, &y, &samples, &[0, 1], &opts, 1);
-        let (parallel, s8) = RegressionTree::fit_hist(&binned, &y, &samples, &[0, 1], &opts, 8);
-        prop_assert_eq!(s1, s8, "identical work counters");
-        for row in x.iter_rows() {
-            prop_assert_eq!(serial.predict_one(row).to_bits(), parallel.predict_one(row).to_bits());
-        }
-    }
-
-    #[test]
     fn tree_predictions_stay_within_target_range(
         data in prop::collection::vec((-100f64..100.0, -50f64..50.0), 10..80)
     ) {
@@ -289,6 +286,82 @@ proptest! {
             // Leaf values are means of targets, so they stay inside the
             // observed range.
             prop_assert!(p >= lo - 1e-9 && p <= hi + 1e-9, "{p} outside [{lo}, {hi}]");
+        }
+    }
+
+    #[test]
+    fn rows_train_in_the_leaf_they_predict_from(
+        data in prop::collection::vec((0usize..14, 0usize..14, -20i32..20), 12..90),
+        max_depth in 1usize..5,
+    ) {
+        // A leaf's value is the mean target of the training rows binned
+        // into it. If binning orders NaN, ±inf and -0.0 as `predict_one`
+        // compares them, that is also the mean over the rows
+        // `predict_one` sends there. Integer targets keep sums exact, so a
+        // group of rows with equal predictions (one leaf, or leaves of
+        // equal mean) has exactly that mean.
+        let rows: Vec<Vec<f64>> = data
+            .iter()
+            .map(|&(a, b, _)| vec![special_or_int(a), special_or_int(b)])
+            .collect();
+        let y: Vec<f64> = data.iter().map(|&(_, _, t)| t as f64).collect();
+        let x = Matrix::from_rows(&rows);
+        let binned = BinnedMatrix::from_matrix(&x);
+        let samples: Vec<usize> = (0..x.rows()).collect();
+        let opts = TreeOptions { max_depth, min_samples_leaf: 1 };
+        let tree = RegressionTree::fit(&binned, &y, &samples, &[0, 1], &opts);
+        let pred: Vec<f64> = x.iter_rows().map(|r| tree.predict_one(r)).collect();
+        for (i, p) in pred.iter().enumerate() {
+            let (sum, cnt) = pred
+                .iter()
+                .zip(&y)
+                .filter(|(q, _)| q.to_bits() == p.to_bits())
+                .fold((0.0, 0usize), |(s, c), (_, t)| (s + t, c + 1));
+            prop_assert_eq!(
+                p.to_bits(),
+                (sum / cnt as f64).to_bits(),
+                "row {} ({:?}) predicts {} but its group's targets average {}",
+                i, rows[i], p, sum / cnt as f64
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn worker_count_never_changes_training(
+        seed in any::<u64>(),
+        n in 1400usize..1800,
+        workers in 2usize..9,
+    ) {
+        // 240 columns of 1 to 400 distinct values: samples × splittable
+        // features passes the tree kernel's pooling threshold (2^18) at the
+        // root.
+        let nf = 240;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let distinct: Vec<u32> = (0..nf).map(|_| rng.gen_range(1..400)).collect();
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| distinct.iter().map(|&d| rng.gen_range(0..d) as f64 * 0.5).collect())
+            .collect();
+        let y: Vec<f64> = rows
+            .iter()
+            .map(|r| r[0] - 2.0 * r[1] + rng.gen_range(-50.0..50.0))
+            .collect();
+        let x = Matrix::from_rows(&rows);
+        let binned = BinnedMatrix::from_matrix(&x);
+        let samples: Vec<usize> = (0..n).collect();
+        let features: Vec<usize> = (0..nf).collect();
+        let opts = TreeOptions::default();
+        let (serial, s1) = RegressionTree::fit_hist(&binned, &y, &samples, &features, &opts, 1);
+        let (pooled, sp) =
+            RegressionTree::fit_hist(&binned, &y, &samples, &features, &opts, workers);
+        prop_assert_eq!(s1.hist_pooled, 0);
+        prop_assert!(sp.hist_pooled > 0, "the pooled scan never ran: {:?}", sp);
+        prop_assert_eq!(s1, TreeFitStats { hist_pooled: 0, ..sp }, "identical work counters");
+        for row in x.iter_rows() {
+            prop_assert_eq!(serial.predict_one(row).to_bits(), pooled.predict_one(row).to_bits());
         }
     }
 }
