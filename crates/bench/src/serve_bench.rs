@@ -489,10 +489,8 @@ pub fn run(effort: Effort) -> ServeBench {
         assert_eq!(reply.status, ReplyStatus::Ok, "{reply:?}");
     }
     let wall = started.elapsed();
-    let snap = server.metrics();
-    let gauge = |k: &str| snap.gauges.get(k).copied().unwrap_or(0.0);
-    let (p50_ms, p99_ms) = (gauge("serve.latency_ms.p50"), gauge("serve.latency_ms.p99"));
-    server.shutdown();
+    let latency = server.shutdown().metrics.latency_ms;
+    let (p50_ms, p99_ms) = (latency.quantile(0.50), latency.quantile(0.99));
     let predictions_per_sec = (requests * batch_rows) as f64 / wall.as_secs_f64().max(1e-9);
 
     // A light ensemble for the coalescing comparison — see the module

@@ -37,8 +37,8 @@ pub const FLAGS: &str = "
     implement/dataset:  -o= --out= --workers= --router-stats --fingerprint-out=
     train/predict:      --model= --target= --model-out= --model-version= --data=
     serve:              --addr= --golden= --mae-band= --expect-features= --queue-capacity=
-                        --serve-workers= --deadline-ms= --batch-max-rows= --batch-max-wait-ms=
-                        --cache-capacity= --journal=
+                        --serve-workers= --deadline-ms= --batch-max-rows= --cache-capacity=
+                        --journal=
     serve-client:       --id= --status --shutdown --rollback --swap= --rows-from= --limit=
                         --source=
 ";
@@ -206,7 +206,7 @@ impl RunOptions {
     /// A digest of the whole command line, for ledger records whose
     /// configuration is the command line itself.
     pub fn command_digest(&self) -> u64 {
-        faultkit::fnv1a(&[self.command_line.as_bytes()])
+        obskit::fnv1a(&[self.command_line.as_bytes()])
     }
 
     /// The `--fault-plan` file, read and parsed.
@@ -339,6 +339,10 @@ mod tests {
             ("dataset --extract-kernel soa", unknown("--extract-kernel")),
             ("--gbrt-kernel exact table4", unknown("--gbrt-kernel")),
             ("train d.csv --gbrt-bins 64", unknown("--gbrt-bins")),
+            (
+                "serve --batch-max-wait-ms 2",
+                unknown("--batch-max-wait-ms"),
+            ),
             ("dataset a.mhls -o", MissingValue("-o")),
             (
                 "dataset --checkpoint-dir --resume",

@@ -16,7 +16,7 @@
 use crate::dataset::CongestionDataset;
 use crate::features::feature_names;
 use obskit::json::{parse, Value};
-use obskit::QuantileSketch;
+use obskit::{Fnv1a, QuantileSketch};
 use std::collections::BTreeSet;
 
 /// The fingerprint file schema identifier.
@@ -49,24 +49,6 @@ pub struct DatasetFingerprint {
     pub matrix_digest: String,
 }
 
-/// FNV-1a over a stream of f64 bit patterns.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf29ce484222325)
-    }
-    fn eat(&mut self, v: f64) {
-        for b in v.to_bits().to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-    fn hex(&self) -> String {
-        format!("{:016x}", self.0)
-    }
-}
-
 impl DatasetFingerprint {
     /// Fingerprint a dataset: sketch every feature column and both label
     /// columns, and digest the raw matrix bits in row-major order.
@@ -81,20 +63,20 @@ impl DatasetFingerprint {
             .collect();
         let mut vertical = QuantileSketch::new();
         let mut horizontal = QuantileSketch::new();
-        let mut digest = Fnv::new();
+        let mut digest = Fnv1a::default();
         for i in 0..ds.len() {
             let row = ds.features_of(i);
             for (col, &v) in columns.iter_mut().zip(row.iter()) {
                 col.sketch.observe(v);
             }
             for &v in row {
-                digest.eat(v);
+                digest.bytes(&v.to_bits().to_le_bytes());
             }
             let s = &ds.samples[i];
             vertical.observe(s.vertical);
             horizontal.observe(s.horizontal);
-            digest.eat(s.vertical);
-            digest.eat(s.horizontal);
+            digest.bytes(&s.vertical.to_bits().to_le_bytes());
+            digest.bytes(&s.horizontal.to_bits().to_le_bytes());
         }
         columns.push(ColumnSketch {
             name: "label.vertical".to_string(),
@@ -109,7 +91,7 @@ impl DatasetFingerprint {
             samples: ds.len() as u64,
             designs: designs.into_iter().collect(),
             columns,
-            matrix_digest: digest.hex(),
+            matrix_digest: format!("{:016x}", digest.finish()),
         }
     }
 
@@ -223,7 +205,7 @@ fn sketch_from_value(v: &Value) -> Result<QuantileSketch, String> {
             })
             .collect()
     };
-    Ok(QuantileSketch::from_parts(
+    QuantileSketch::from_parts(
         num("alpha")?,
         v.get("zero")
             .and_then(Value::as_u64)
@@ -233,7 +215,8 @@ fn sketch_from_value(v: &Value) -> Result<QuantileSketch, String> {
         num("max")?,
         &bins("pos")?,
         &bins("neg")?,
-    ))
+    )
+    .map_err(|e| e.to_string())
 }
 
 /// One feature's drift between two fingerprints.
@@ -301,8 +284,9 @@ impl DriftReport {
 /// Compare two fingerprints column by column.
 ///
 /// # Errors
-/// A message naming the first column-set mismatch — drift across different
-/// feature layouts is meaningless.
+/// A message naming the first column-set mismatch or the first pair of
+/// columns whose sketches differ in accuracy — drift across different
+/// feature or bin layouts is meaningless.
 pub fn drift(a: &DatasetFingerprint, b: &DatasetFingerprint) -> Result<DriftReport, String> {
     if a.columns.len() != b.columns.len() {
         return Err(format!(
@@ -317,6 +301,14 @@ pub fn drift(a: &DatasetFingerprint, b: &DatasetFingerprint) -> Result<DriftRepo
             return Err(format!(
                 "column name mismatch: `{}` vs `{}`",
                 ca.name, cb.name
+            ));
+        }
+        if ca.sketch.alpha() != cb.sketch.alpha() {
+            return Err(format!(
+                "column `{}`: sketch accuracy mismatch: alpha {} vs {}",
+                ca.name,
+                ca.sketch.alpha(),
+                cb.sketch.alpha()
             ));
         }
         let quantile_shift = [0.10, 0.25, 0.50, 0.75, 0.90]
@@ -407,6 +399,23 @@ mod tests {
         let fp = DatasetFingerprint::of(&synthetic(5, 1.0));
         let broken = fp.to_json().replace("\"samples\": 5", "\"samples\": -1");
         assert!(DatasetFingerprint::from_json(&broken).is_err());
+        // A sketch's alpha and bin counts are outside input too: a typed
+        // error, not a panic or a wrapped count.
+        let json = fp.to_json();
+        let alpha = obskit::json::number(QuantileSketch::new().alpha());
+        let zero_alpha = json.replacen(&format!("\"alpha\":{alpha}"), "\"alpha\":0", 1);
+        assert_ne!(zero_alpha, json);
+        assert!(DatasetFingerprint::from_json(&zero_alpha)
+            .unwrap_err()
+            .contains("sketch alpha must be in (0, 1), got 0"));
+        let huge: Vec<String> = (1..=2049)
+            .map(|k| format!("[{k},{}]", (1u64 << 53) - 1))
+            .collect();
+        let overflow = json.replacen("\"neg\":[]", &format!("\"neg\":[{}]", huge.join(",")), 1);
+        assert_ne!(overflow, json);
+        assert!(DatasetFingerprint::from_json(&overflow)
+            .unwrap_err()
+            .contains("sketch bin counts overflow u64"));
     }
 
     #[test]
@@ -446,5 +455,10 @@ mod tests {
         let mut c = DatasetFingerprint::of(&synthetic(10, 1.0));
         c.columns[0].name = "renamed".into();
         assert!(drift(&a, &c).unwrap_err().contains("name mismatch"));
+        // A column sketched at another accuracy: PSI would compare bin
+        // keys of two different layouts.
+        let mut d = a.clone();
+        d.columns[0].sketch = QuantileSketch::with_alpha(0.05);
+        assert!(drift(&a, &d).unwrap_err().contains("accuracy mismatch"));
     }
 }

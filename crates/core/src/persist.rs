@@ -324,7 +324,7 @@ impl CheckpointStore {
         format!(
             "{}-{:08x}",
             sanitize(design),
-            faultkit::fnv1a(&[design.as_bytes()]) as u32
+            obskit::fnv1a(&[design.as_bytes()]) as u32
         )
     }
 

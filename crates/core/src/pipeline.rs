@@ -141,7 +141,7 @@ impl CongestionFlow {
     /// contract, enforced by the differential tests).
     pub fn config_digest(&self) -> u64 {
         let opts = format!("{:?}|{:?}|{}", self.hls, self.par, self.device.name);
-        faultkit::fnv1a(&[b"congestion-flow-v1", opts.as_bytes()])
+        obskit::fnv1a(&[b"congestion-flow-v1", opts.as_bytes()])
     }
 
     /// HLS only — the prediction phase's input.
@@ -234,7 +234,7 @@ impl CongestionFlow {
 
         // Merge in input order — bit-identical to the serial loop. The
         // per-design obskit records merge under the same rule, so every
-        // deterministic metric (counters, histogram buckets) is identical
+        // deterministic metric (counters, histogram bins) is identical
         // for any worker count; only wall-clocks vary.
         let root = Collector::new();
         let mut dataset = CongestionDataset::new();

@@ -409,7 +409,7 @@ pub fn extract_feature_rows(
 pub fn source_digest(name: &str, text: &str) -> u64 {
     let width = FEATURE_COUNT.to_le_bytes();
     let kernel = crate::features::ExtractKernel::default().name();
-    faultkit::fnv1a(&[
+    obskit::fnv1a(&[
         b"congestion-core.source.v1",
         &width,
         kernel.as_bytes(),

@@ -47,7 +47,7 @@ pub mod supervisor;
 pub use inject::{
     arm, inject, inject_abort, silence_injected_panics, InjectedFault, InjectedPanic,
 };
-pub use plan::{fnv1a, serve_stages, FaultKind, FaultPlan, FaultRule, PlanParseError};
+pub use plan::{serve_stages, FaultKind, FaultPlan, FaultRule, PlanParseError};
 pub use supervisor::{
     AttemptOutcome, AttemptRecord, StageFailure, StageLog, StageRun, Supervisor, SupervisorPolicy,
 };

@@ -272,26 +272,10 @@ pub mod serve_stages {
     pub const ALL: &[&str] = &[ADMISSION, EXTRACT, PREDICT, SWAP];
 }
 
-/// FNV-1a over an arbitrary byte stream — the only "randomness" in
-/// faultkit, and a convenient stable digest for callers keying
-/// checkpoints or deriving jitter.
-pub fn fnv1a(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for part in parts {
-        for &b in *part {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        // Separator so ("ab","c") and ("a","bc") hash differently.
-        h ^= 0xff;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// A deterministic uniform draw in `[0, 1)` for a probabilistic rule.
+/// A deterministic uniform draw in `[0, 1)` for a probabilistic rule:
+/// an FNV-1a hash, the only "randomness" in faultkit.
 fn roll(seed: u64, design: &str, stage: &str, attempt: u32) -> f64 {
-    let h = fnv1a(&[
+    let h = obskit::fnv1a(&[
         &seed.to_le_bytes(),
         design.as_bytes(),
         stage.as_bytes(),

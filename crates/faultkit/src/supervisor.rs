@@ -22,7 +22,7 @@
 //! `StageLog: PartialEq` lets tests assert directly.
 
 use crate::inject::{self, InjectedPanic};
-use crate::plan::{fnv1a, FaultPlan};
+use crate::plan::FaultPlan;
 use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -87,7 +87,8 @@ impl SupervisorPolicy {
         let jitter = if base == 0 {
             0
         } else {
-            fnv1a(&[design.as_bytes(), stage.as_bytes(), &attempt.to_le_bytes()]) % (base / 2 + 1)
+            obskit::fnv1a(&[design.as_bytes(), stage.as_bytes(), &attempt.to_le_bytes()])
+                % (base / 2 + 1)
         };
         Duration::from_millis(exp.saturating_add(jitter)).min(self.backoff_cap)
     }

@@ -136,19 +136,13 @@ impl Placement {
     /// FNV-1a checksum of every cell's position and span (golden-test
     /// anchor, mirroring `RouteResult::usage_checksum`).
     pub fn position_checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u32| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
+        let mut h = obskit::Fnv1a::default();
         for (&(x, y), &s) in self.pos.iter().zip(&self.span) {
-            mix(x);
-            mix(y);
-            mix(s);
+            for v in [x, y, s] {
+                h.bytes(&v.to_le_bytes());
+            }
         }
-        h
+        h.finish()
     }
 }
 

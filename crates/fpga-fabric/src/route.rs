@@ -123,14 +123,11 @@ pub struct RouteResult {
 impl RouteResult {
     /// FNV-1a checksum of the final per-tile usage (golden-test anchor).
     pub fn usage_checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = obskit::Fnv1a::default();
         for v in self.h_usage.iter().chain(self.v_usage.iter()) {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
+            h.bytes(&v.to_le_bytes());
         }
-        h
+        h.finish()
     }
 }
 

@@ -462,7 +462,7 @@ mod tests {
         );
         let h = &rec.metrics.histograms["train.gbrt.stage_loss"];
         assert_eq!(h.count(), observed.n_trees() as u64);
-        assert!(h.sum.is_finite() && h.sum >= 0.0);
+        assert!(h.sum().is_finite() && h.sum() >= 0.0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::dataset::Matrix;
 use crate::gbrt::GbrtRegressor;
 use crate::model::Regressor;
-use obskit::{QuantileSketch, RunRecord};
+use obskit::{HistSummary, QuantileSketch, RunRecord};
 
 /// Distribution-level telemetry for one fitted model on one dataset.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,7 +52,8 @@ impl ModelTelemetry {
 
     /// Record this telemetry into a ledger record: the top `top_k`
     /// importances as gauges (`model.importance.f<idx>`, named via
-    /// `names` when provided) and the two sketches' summary quantiles.
+    /// `names` when provided) and the two sketches as the
+    /// `model.predictions` and `model.residuals` histogram summaries.
     pub fn record(&self, rec: &mut RunRecord, names: Option<&[String]>, top_k: usize) {
         for &(idx, share) in self.importance.iter().take(top_k) {
             let label = names
@@ -65,12 +66,7 @@ impl ModelTelemetry {
             ("model.predictions", &self.predictions),
             ("model.residuals", &self.residuals),
         ] {
-            rec.gauges.insert(format!("{name}.mean"), sketch.mean());
-            for (q, tag) in [(0.50, "p50"), (0.90, "p90"), (0.99, "p99")] {
-                rec.gauges
-                    .insert(format!("{name}.{tag}"), sketch.quantile(q));
-            }
-            rec.counters.insert(format!("{name}.count"), sketch.count());
+            rec.hists.insert(name.to_string(), HistSummary::of(sketch));
         }
     }
 }
@@ -133,9 +129,8 @@ mod tests {
         let names = vec!["informative".to_string(), "constant".to_string()];
         t.record(&mut rec, Some(&names), 5);
         assert!(rec.gauges.contains_key("model.importance.informative"));
-        assert!(rec.gauges.contains_key("model.residuals.p90"));
-        assert!(rec.gauges.contains_key("model.predictions.mean"));
-        assert_eq!(rec.counters["model.residuals.count"], 120);
+        assert_eq!(rec.hists["model.residuals"], HistSummary::of(&t.residuals));
+        assert_eq!(rec.hists["model.predictions"].count, 120);
         let line = rec.to_json_line();
         assert_eq!(line.matches('{').count(), line.matches('}').count());
     }

@@ -14,6 +14,7 @@
 use mlkit::dataset::Matrix;
 use mlkit::tree::{BinnedMatrix, RegressionTree, TreeOptions};
 use mlkit::{GbrtOptions, GbrtRegressor, Regressor};
+use obskit::Fnv1a;
 
 const ROWS: usize = 6000;
 const COLS: usize = 96;
@@ -59,22 +60,10 @@ fn data() -> (Matrix, Vec<f64>) {
     (Matrix::from_rows(&rows), y)
 }
 
-/// FNV-1a, 64-bit.
-struct Fnv(u64);
-
-impl Fnv {
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 /// Digest of a fitted ensemble: its compiled node table (threshold bits
 /// included), base, scale and gain importances.
 fn digest(m: &GbrtRegressor) -> u64 {
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv1a::default();
     let c = m.compiled();
     for r in c.roots() {
         h.bytes(&r.to_le_bytes());
@@ -90,7 +79,7 @@ fn digest(m: &GbrtRegressor) -> u64 {
     for g in m.feature_importance_gain() {
         h.bytes(&g.to_bits().to_le_bytes());
     }
-    h.0
+    h.finish()
 }
 
 const STAGES: usize = 40;

@@ -13,6 +13,7 @@
 
 use crate::json;
 use crate::metrics::MetricsSnapshot;
+use crate::sketch::QuantileSketch;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
@@ -31,7 +32,7 @@ pub struct RunRecord {
     pub version: String,
     /// Git hash the binary was built from (`unknown` outside a repo).
     pub git: String,
-    /// Digest of the run's configuration (hex, from `faultkit::fnv1a`).
+    /// Digest of the run's configuration (hex, from [`crate::fnv1a`]).
     pub config_digest: String,
     /// Active kernel selections: `extract`, `place`, `route`, `gbrt`.
     pub kernels: BTreeMap<String, String>,
@@ -60,6 +61,19 @@ pub struct HistSummary {
     pub p90: f64,
     /// 99th-percentile estimate.
     pub p99: f64,
+}
+
+impl HistSummary {
+    /// The summary of `sketch`.
+    pub fn of(sketch: &QuantileSketch) -> HistSummary {
+        HistSummary {
+            count: sketch.count(),
+            mean: sketch.mean(),
+            p50: sketch.quantile(0.50),
+            p90: sketch.quantile(0.90),
+            p99: sketch.quantile(0.99),
+        }
+    }
 }
 
 impl RunRecord {
@@ -104,16 +118,7 @@ impl RunRecord {
             self.gauges.insert(k.clone(), *v);
         }
         for (k, h) in &snap.histograms {
-            self.hists.insert(
-                k.clone(),
-                HistSummary {
-                    count: h.count(),
-                    mean: h.mean(),
-                    p50: h.quantile(0.50),
-                    p90: h.quantile(0.90),
-                    p99: h.quantile(0.99),
-                },
-            );
+            self.hists.insert(k.clone(), HistSummary::of(h));
         }
         self
     }

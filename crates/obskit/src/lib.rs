@@ -2,9 +2,10 @@
 //!
 //! Zero-dependency structured observability for the HLS → PAR → ML
 //! pipeline: hierarchical **spans** on monotonic clocks, a **metrics
-//! registry** (counters, gauges, fixed-bucket histograms), and **sinks**
+//! registry** (counters, gauges, [`QuantileSketch`] histograms), **sinks**
 //! that export a Chrome trace-event file (`chrome://tracing` / Perfetto),
-//! a flat JSON metrics snapshot, and a human-readable profile table.
+//! a flat JSON metrics snapshot and a human-readable profile table, and
+//! the workspace's one FNV-1a digest ([`fnv`]).
 //!
 //! The container this workspace builds in has no network access (same
 //! constraint that produced the `shims/` crates), so everything here is
@@ -42,6 +43,7 @@
 //! ```
 
 pub mod clock;
+pub mod fnv;
 pub mod json;
 pub mod ledger;
 pub mod metrics;
@@ -49,9 +51,8 @@ pub mod sink;
 pub mod sketch;
 pub mod span;
 
+pub use fnv::{fnv1a, Fnv1a};
 pub use ledger::{read_jsonl, HistSummary, LedgerRead, RunRecord, RUN_SCHEMA};
-pub use metrics::{
-    is_timing_metric, HistogramSnapshot, MetricsSnapshot, Registry, DEFAULT_BUCKETS,
-};
-pub use sketch::QuantileSketch;
+pub use metrics::{is_timing_metric, MetricsSnapshot, Registry};
+pub use sketch::{QuantileSketch, SketchError};
 pub use span::{Collector, ObsRecord, SpanEvent, SpanGuard};

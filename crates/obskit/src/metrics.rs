@@ -1,119 +1,19 @@
-//! The metrics registry: monotonic counters, gauges, fixed-bucket
+//! The metrics registry: monotonic counters, gauges, quantile-sketch
 //! histograms, and deterministic merging.
 //!
 //! Metric names follow the `stage.metric` convention (`route.expanded_nodes`,
 //! `train.gbrt.stage_loss`, `cv.fold.wall_ms`). Names ending in `_ms`, `_us`
 //! or `_ns` are **timing metrics**: their values are wall-clock and therefore
 //! nondeterministic, so [`MetricsSnapshot::deterministic_digest`] includes
-//! only their sample *counts*, not their bucket distribution.
+//! only their sample *counts*, not their distribution.
 
-use crate::json;
+use crate::sketch::QuantileSketch;
 use std::collections::BTreeMap;
-
-/// Default histogram bucket upper bounds: 1–2.5–5 steps over nine decades,
-/// wide enough for loss values, overflow tile counts, and millisecond
-/// timings alike. Values above the last bound land in the overflow bucket.
-pub const DEFAULT_BUCKETS: &[f64] = &[
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
-    100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10_000.0, 25_000.0, 50_000.0, 100_000.0,
-];
 
 /// True when `name` denotes a wall-clock metric whose *values* are
 /// nondeterministic (the sample count still is deterministic).
 pub fn is_timing_metric(name: &str) -> bool {
     name.ends_with("_ms") || name.ends_with("_us") || name.ends_with("_ns")
-}
-
-/// A fixed-bucket histogram snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Bucket upper bounds (inclusive), ascending.
-    pub bounds: Vec<f64>,
-    /// Per-bucket sample counts; `counts.len() == bounds.len() + 1`, the
-    /// last entry being the overflow bucket.
-    pub counts: Vec<u64>,
-    /// Sum of all observed values.
-    pub sum: f64,
-}
-
-impl HistogramSnapshot {
-    /// An empty histogram over the given bounds.
-    pub fn new(bounds: &[f64]) -> HistogramSnapshot {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
-        HistogramSnapshot {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            sum: 0.0,
-        }
-    }
-
-    /// Record one value.
-    pub fn observe(&mut self, value: f64) {
-        let i = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[i] += 1;
-        self.sum += value;
-    }
-
-    /// Total sample count.
-    pub fn count(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Mean of observed values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum / n as f64
-        }
-    }
-
-    /// Estimated quantile (`q` in [0, 1]) by linear interpolation inside
-    /// the bucket containing the target rank. Returns 0 when empty; the
-    /// overflow bucket reports the last finite bound.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            return 0.0;
-        }
-        let rank = q.clamp(0.0, 1.0) * n as f64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let next = seen + c;
-            if rank <= next as f64 {
-                let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                let hi = self.bounds.get(i).copied().unwrap_or(lo);
-                let frac = (rank - seen as f64) / c as f64;
-                return lo + (hi - lo) * frac.clamp(0.0, 1.0);
-            }
-            seen = next;
-        }
-        self.bounds.last().copied().unwrap_or(0.0)
-    }
-
-    /// Add another histogram's samples into this one.
-    ///
-    /// # Panics
-    /// Panics when the bucket bounds differ — one metric name must always
-    /// use one bucket layout, or merged snapshots would silently lie.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "histogram bucket layouts differ; use one layout per metric name"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.sum += other.sum;
-    }
 }
 
 /// A point-in-time view of every metric: the unit of merging and export.
@@ -123,12 +23,12 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Last-written values (wall-clocks, final losses, …).
     pub gauges: BTreeMap<String, f64>,
-    /// Fixed-bucket histograms.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
+    /// Histograms, each a [`QuantileSketch`] with the default accuracy.
+    pub histograms: BTreeMap<String, QuantileSketch>,
 }
 
 impl MetricsSnapshot {
-    /// Merge `other` into `self`: counters and histogram buckets add,
+    /// Merge `other` into `self`: counters and histogram bins add,
     /// gauges take `other`'s value (last write wins). Callers must merge
     /// in input order — same rule as `parkit` — for deterministic results.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
@@ -148,10 +48,10 @@ impl MetricsSnapshot {
 
     /// The deterministic view of this snapshot, as a canonical string:
     /// every counter with its value, and every histogram with its total
-    /// sample count — plus full bucket counts for non-timing histograms.
-    /// Two runs of a deterministic workload produce equal digests for any
-    /// worker count; wall-clock content (gauges, timing-histogram values)
-    /// is excluded.
+    /// sample count — plus the full canonical sketch for non-timing
+    /// histograms. Two runs of a deterministic workload produce equal
+    /// digests for any worker count; wall-clock content (gauges,
+    /// timing-histogram values) is excluded.
     pub fn deterministic_digest(&self) -> String {
         let mut out = String::new();
         for (k, v) in &self.counters {
@@ -160,9 +60,7 @@ impl MetricsSnapshot {
         for (k, h) in &self.histograms {
             out.push_str(&format!("hist {k} n={}", h.count()));
             if !is_timing_metric(k) {
-                let buckets: Vec<String> = h.counts.iter().map(u64::to_string).collect();
-                out.push_str(&format!(" buckets={}", buckets.join(",")));
-                out.push_str(&format!(" sum={}", json::number(h.sum)));
+                out.push_str(&format!(" sketch={}", h.to_json()));
             }
             out.push('\n');
         }
@@ -192,19 +90,13 @@ impl Registry {
         self.snap.gauges.insert(name.to_string(), value);
     }
 
-    /// Record `value` into histogram `name` with [`DEFAULT_BUCKETS`].
+    /// Record `value` into histogram `name`. A non-finite value is
+    /// dropped, as [`QuantileSketch::observe`] drops it.
     pub fn observe(&mut self, name: &str, value: f64) {
-        self.observe_with(name, value, DEFAULT_BUCKETS);
-    }
-
-    /// Record `value` into histogram `name`, creating it with the given
-    /// bucket bounds on first use. Later observations reuse the layout the
-    /// histogram was created with.
-    pub fn observe_with(&mut self, name: &str, value: f64, bounds: &[f64]) {
         self.snap
             .histograms
             .entry(name.to_string())
-            .or_insert_with(|| HistogramSnapshot::new(bounds))
+            .or_default()
             .observe(value);
     }
 
@@ -237,45 +129,25 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = HistogramSnapshot::new(&[1.0, 2.0, 4.0]);
-        for v in [0.5, 1.5, 1.6, 3.0, 100.0] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.counts, vec![1, 2, 1, 1]);
-        assert!((h.sum - 106.6).abs() < 1e-9);
-        let p50 = h.quantile(0.5);
-        assert!((1.0..=2.0).contains(&p50), "p50 = {p50}");
-        // Quantiles never exceed the last finite bound.
-        assert!(h.quantile(0.99) <= 4.0);
-        assert_eq!(HistogramSnapshot::new(&[1.0]).quantile(0.5), 0.0);
-    }
-
-    #[test]
     fn merge_is_additive_for_counters_and_buckets() {
         let mut a = Registry::new();
         a.inc("n", 1);
-        a.observe_with("h", 0.5, &[1.0, 2.0]);
+        a.observe("h", 0.5);
         a.set_gauge("g", 1.0);
         let mut b = Registry::new();
         b.inc("n", 2);
-        b.observe_with("h", 1.5, &[1.0, 2.0]);
+        b.observe("h", 1.5);
         b.set_gauge("g", 7.0);
 
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged.counters["n"], 3);
-        assert_eq!(merged.histograms["h"].counts, vec![1, 1, 0]);
+        let h = &merged.histograms["h"];
+        assert_eq!(
+            (h.count(), h.sum(), h.min(), h.max()),
+            (2, 2.0, Some(0.5), Some(1.5))
+        );
         assert_eq!(merged.gauges["g"], 7.0, "gauges are last-write-wins");
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket layouts differ")]
-    fn merge_rejects_mismatched_buckets() {
-        let mut a = HistogramSnapshot::new(&[1.0]);
-        let b = HistogramSnapshot::new(&[2.0]);
-        a.merge(&b);
     }
 
     #[test]
@@ -291,7 +163,17 @@ mod tests {
         assert_eq!(make(1.0), make(999.0));
         assert!(make(1.0).contains("counter route.expanded_nodes=41"));
         assert!(make(1.0).contains("hist cv.fold.wall_ms n=1\n"));
-        assert!(make(1.0).contains("hist route.pass_overflow n=1 buckets="));
+        assert!(make(1.0).contains("hist route.pass_overflow n=1 sketch={\"alpha\":"));
+    }
+
+    #[test]
+    fn non_finite_observations_are_dropped() {
+        let mut r = Registry::new();
+        for v in [3.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            r.observe("route.pass_overflow", v);
+        }
+        let h = &r.snapshot().histograms["route.pass_overflow"];
+        assert_eq!((h.count(), h.sum(), h.quantile(0.99)), (1, 3.0, 3.0));
     }
 
     #[test]

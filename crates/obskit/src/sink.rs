@@ -37,9 +37,10 @@ pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
 }
 
 /// Serialize a metrics snapshot as flat JSON (schema `obskit.metrics.v1`):
-/// counters, gauges, and histograms with bucket data plus p50/p90/p99
-/// summaries. `meta` key/value pairs (tool name, version, git hash, …)
-/// land in a `meta` object so artifacts are attributable to a build.
+/// counters, gauges, and histograms with count/sum/mean/p50/p90/p99
+/// summaries plus the canonical sketch they were read from. `meta`
+/// key/value pairs (tool name, version, git hash, …) land in a `meta`
+/// object so artifacts are attributable to a build.
 pub fn metrics_json(snap: &MetricsSnapshot, meta: &[(&str, &str)]) -> String {
     let mut out = String::from("{\n  \"schema\": \"obskit.metrics.v1\",\n");
     out.push_str("  \"meta\": {");
@@ -74,19 +75,16 @@ pub fn metrics_json(snap: &MetricsSnapshot, meta: &[(&str, &str)]) -> String {
         if i > 0 {
             out.push(',');
         }
-        let bounds: Vec<String> = h.bounds.iter().map(|&b| json::number(b)).collect();
-        let counts: Vec<String> = h.counts.iter().map(u64::to_string).collect();
         out.push_str(&format!(
-            "\n    {}: {{\"count\": {}, \"sum\": {}, \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"bounds\": [{}], \"counts\": [{}]}}",
+            "\n    {}: {{\"count\": {}, \"sum\": {}, \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"sketch\": {}}}",
             json::string(k),
             h.count(),
-            json::number(h.sum),
+            json::number(h.sum()),
             json::number(h.mean()),
             json::number(h.quantile(0.50)),
             json::number(h.quantile(0.90)),
             json::number(h.quantile(0.99)),
-            bounds.join(", "),
-            counts.join(", "),
+            h.to_json(),
         ));
     }
     out.push_str("\n  }\n}\n");
@@ -213,6 +211,7 @@ mod tests {
         assert!(j.contains("\"route.expanded_nodes\": 17"));
         assert!(j.contains("\"dataset.wall_ms\": 1.5"));
         assert!(j.contains("\"p99\":"));
+        assert!(j.contains("\"sketch\": {\"alpha\":"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
     }

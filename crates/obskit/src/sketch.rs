@@ -4,10 +4,10 @@
 //! The sketch is DDSketch-shaped: values map to logarithmic bins with a
 //! fixed relative accuracy, so any quantile estimate is within a bounded
 //! *relative* error of the true value while the state stays a few hundred
-//! bins regardless of stream length. Unlike the fixed-bucket
-//! [`crate::HistogramSnapshot`] (whose bounds must be chosen up front),
-//! the sketch adapts to any value range — it is what dataset fingerprints
-//! and model-telemetry distributions are built from.
+//! bins regardless of stream length, and it adapts to any value range
+//! without bounds chosen up front. It is the workspace's only histogram:
+//! registry histograms, serve latency, dataset fingerprints and
+//! model-telemetry distributions are all sketches.
 //!
 //! ## Determinism contract
 //!
@@ -16,14 +16,14 @@
 //! stream split across N workers, sketched per worker, and merged is
 //! therefore **bit-identical** to the single-worker sketch of the same
 //! stream in every count, bin, min and max — hence in every quantile.
-//! `sum` is a float accumulator, so it follows the same rule as the
-//! registry's histogram sums: merge per-unit sketches in input order (the
-//! parkit rule) and the full canonical serialization is bit-identical for
-//! any worker count, because the summation tree never depends on how many
-//! threads did the work.
+//! `sum` is a float accumulator, so merge per-unit sketches in input
+//! order (the parkit rule) and the full canonical serialization is
+//! bit-identical for any worker count, because the summation tree never
+//! depends on how many threads did the work.
 
 use crate::json;
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Relative accuracy of the default sketch: quantile estimates are within
 /// 1 % of the true value (for values away from zero).
@@ -33,6 +33,26 @@ pub const DEFAULT_ALPHA: f64 = 0.01;
 /// smaller than any quantity the pipeline measures (percentages, counts,
 /// losses, milliseconds).
 const MIN_MAGNITUDE: f64 = 1e-12;
+
+/// Why [`QuantileSketch::from_parts`] refused its parts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SketchError {
+    /// The relative accuracy is outside (0, 1).
+    Alpha(f64),
+    /// The bin counts total more than `u64` can hold.
+    CountOverflow,
+}
+
+impl fmt::Display for SketchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SketchError::Alpha(a) => write!(f, "sketch alpha must be in (0, 1), got {a}"),
+            SketchError::CountOverflow => write!(f, "sketch bin counts overflow u64"),
+        }
+    }
+}
+
+impl std::error::Error for SketchError {}
 
 /// A mergeable log-binned quantile sketch.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,6 +107,10 @@ impl QuantileSketch {
 
     /// Rebuild a sketch from serialized parts (the fingerprint reader's
     /// path). `pos`/`neg` are `(bin, count)` pairs; duplicate keys add.
+    ///
+    /// # Errors
+    /// A [`SketchError`] when `alpha` is outside (0, 1) or the counts
+    /// total more than `u64::MAX`.
     pub fn from_parts(
         alpha: f64,
         zero: u64,
@@ -95,28 +119,30 @@ impl QuantileSketch {
         max: f64,
         pos: &[(i32, u64)],
         neg: &[(i32, u64)],
-    ) -> QuantileSketch {
+    ) -> Result<QuantileSketch, SketchError> {
+        if !(alpha > 0.0 && alpha < 1.0) {
+            return Err(SketchError::Alpha(alpha));
+        }
+        let count = pos
+            .iter()
+            .chain(neg)
+            .try_fold(zero, |n, &(_, c)| n.checked_add(c))
+            .ok_or(SketchError::CountOverflow)?;
         let mut s = Self::with_alpha(alpha);
         s.zero = zero;
+        s.count = count;
         s.sum = sum;
-        s.min = if zero + total(pos) + total(neg) == 0 {
-            f64::INFINITY
-        } else {
-            min
-        };
-        s.max = if zero + total(pos) + total(neg) == 0 {
-            f64::NEG_INFINITY
-        } else {
-            max
-        };
+        if count > 0 {
+            s.min = min;
+            s.max = max;
+        }
         for &(k, c) in pos {
             *s.pos.entry(k).or_insert(0) += c;
         }
         for &(k, c) in neg {
             *s.neg.entry(k).or_insert(0) += c;
         }
-        s.count = s.zero + total(pos) + total(neg);
-        s
+        Ok(s)
     }
 
     /// The bin a positive magnitude falls into.
@@ -318,10 +344,6 @@ impl QuantileSketch {
     }
 }
 
-fn total(bins: &[(i32, u64)]) -> u64 {
-    bins.iter().map(|&(_, c)| c).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,7 +449,8 @@ mod tests {
             s.max().unwrap(),
             &pos,
             &neg,
-        );
+        )
+        .unwrap();
         assert_eq!(back.to_json(), s.to_json());
         assert_eq!(back.quantile(0.5).to_bits(), s.quantile(0.5).to_bits());
     }

@@ -79,17 +79,10 @@ impl Collector {
         self.inner.borrow_mut().registry.set_gauge(name, value);
     }
 
-    /// Record `value` into histogram `name` (default buckets).
+    /// Record `value` into histogram `name` (a non-finite value is
+    /// dropped).
     pub fn observe(&self, name: &str, value: f64) {
         self.inner.borrow_mut().registry.observe(name, value);
-    }
-
-    /// Record `value` into histogram `name`, created with `bounds`.
-    pub fn observe_with(&self, name: &str, value: f64, bounds: &[f64]) {
-        self.inner
-            .borrow_mut()
-            .registry
-            .observe_with(name, value, bounds);
     }
 
     /// Absorb a finished unit's record: events append (input order),

@@ -44,7 +44,7 @@ impl ModelArtifact {
 
     /// Stable content digest (FNV-1a of the canonical JSON).
     pub fn digest(&self) -> u64 {
-        faultkit::fnv1a(&[self.to_json().as_bytes()])
+        obskit::fnv1a(&[self.to_json().as_bytes()])
     }
 
     /// Serialize to canonical `servekit.model.v1` JSON. Key order is fixed

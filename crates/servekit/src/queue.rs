@@ -17,7 +17,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Outcome of a non-blocking admission attempt.
 #[derive(Debug, PartialEq, Eq)]
@@ -116,20 +115,13 @@ impl<T> AdmissionQueue<T> {
     /// alone; one encountered mid-queue ends the batch — batches are
     /// always contiguous queue prefixes, so FIFO order is preserved and
     /// the partition is decided entirely under the queue lock from the
-    /// queue contents at drain time (see [`coalesce_plan`]).
-    ///
-    /// When the queue runs dry before the weight budget is filled and
-    /// `max_wait` is nonzero, the pop lingers up to `max_wait` for more
-    /// arrivals to join the batch. `max_wait = 0` takes what is there.
+    /// queue contents at drain time (see [`coalesce_plan`]). A pop never
+    /// waits for more arrivals: once the first item is there, it takes
+    /// what is queued.
     ///
     /// Returns `None` once the queue is closed and drained, like
     /// [`Self::pop`]. A batch is never empty.
-    pub fn pop_batch<F>(
-        &self,
-        max_weight: usize,
-        max_wait: Duration,
-        weight_of: F,
-    ) -> Option<Vec<T>>
+    pub fn pop_batch<F>(&self, max_weight: usize, weight_of: F) -> Option<Vec<T>>
     where
         F: Fn(&T) -> Option<usize>,
     {
@@ -151,46 +143,28 @@ impl<T> AdmissionQueue<T> {
         if max_weight <= 1 {
             return Some(batch); // coalescing off: per-request drain
         }
-        let linger = (max_wait > Duration::ZERO).then(|| Instant::now() + max_wait);
-        loop {
-            while let Some(front) = inner.items.front() {
-                let Some(w) = weight_of(front) else {
-                    return Some(batch); // barrier stops the batch
-                };
-                if weight + w.max(1) > max_weight {
-                    return Some(batch);
-                }
-                weight += w.max(1);
-                batch.push(inner.items.pop_front().expect("front observed"));
-            }
-            // Queue dry: linger for more arrivals if allowed.
-            let Some(deadline) = linger else {
-                return Some(batch);
+        while let Some(front) = inner.items.front() {
+            let Some(w) = weight_of(front) else {
+                break; // barrier stops the batch
             };
-            if inner.closed {
-                return Some(batch);
+            if weight + w.max(1) > max_weight {
+                break;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Some(batch);
-            }
-            let (guard, timeout) = self.ready.wait_timeout(inner, deadline - now).unwrap();
-            inner = guard;
-            if timeout.timed_out() && inner.items.is_empty() {
-                return Some(batch);
-            }
+            weight += w.max(1);
+            batch.push(inner.items.pop_front().expect("front observed"));
         }
+        Some(batch)
     }
 }
 
 /// The reference model of micro-batch coalescing, the batching twin of
 /// [`shed_plan`]: replay the *served* id sequence (in FIFO order, with
 /// per-id row weights) and return the batch partition a single drainer
-/// would form with `max_weight` and no linger (`max_wait = 0`, queue
-/// pre-filled). Like shedding, the partition is decided entirely under
-/// the queue lock from queue contents, so for a fixed drain interleaving
-/// it is a pure function of (trace, config); the conformance suite pins
-/// the live queue against this model.
+/// would form with `max_weight` from a pre-filled queue. Like shedding,
+/// the partition is decided entirely under the queue lock from queue
+/// contents, so for a fixed drain interleaving it is a pure function of
+/// (trace, config); the conformance suite pins the live queue against
+/// this model.
 pub fn coalesce_plan(max_weight: usize, weights: &[usize]) -> Vec<Vec<u64>> {
     let mut batches: Vec<Vec<u64>> = Vec::new();
     let mut current: Vec<u64> = Vec::new();
@@ -400,9 +374,9 @@ mod tests {
         }
         // Budget 9 takes 2+3+4, leaves 5 for the next batch.
         let weigh = |w: &usize| Some(*w);
-        let b = q.pop_batch(9, Duration::ZERO, weigh).unwrap();
+        let b = q.pop_batch(9, weigh).unwrap();
         assert_eq!(b, vec![2, 3, 4]);
-        assert_eq!(q.pop_batch(9, Duration::ZERO, weigh).unwrap(), vec![5]);
+        assert_eq!(q.pop_batch(9, weigh).unwrap(), vec![5]);
     }
 
     #[test]
@@ -413,11 +387,11 @@ mod tests {
             q.push(v);
         }
         let weigh = |v: &i32| (*v > 0).then_some(1usize);
-        assert_eq!(q.pop_batch(100, Duration::ZERO, weigh).unwrap(), vec![1, 2]);
-        assert_eq!(q.pop_batch(100, Duration::ZERO, weigh).unwrap(), vec![-1]);
-        assert_eq!(q.pop_batch(100, Duration::ZERO, weigh).unwrap(), vec![3]);
-        assert_eq!(q.pop_batch(100, Duration::ZERO, weigh).unwrap(), vec![-2]);
-        assert_eq!(q.pop_batch(100, Duration::ZERO, weigh).unwrap(), vec![4]);
+        assert_eq!(q.pop_batch(100, weigh).unwrap(), vec![1, 2]);
+        assert_eq!(q.pop_batch(100, weigh).unwrap(), vec![-1]);
+        assert_eq!(q.pop_batch(100, weigh).unwrap(), vec![3]);
+        assert_eq!(q.pop_batch(100, weigh).unwrap(), vec![-2]);
+        assert_eq!(q.pop_batch(100, weigh).unwrap(), vec![4]);
     }
 
     #[test]
@@ -426,24 +400,8 @@ mod tests {
         q.push(7);
         q.push(8);
         let weigh = |_: &i32| Some(1usize);
-        assert_eq!(q.pop_batch(1, Duration::ZERO, weigh).unwrap(), vec![7]);
-        assert_eq!(q.pop_batch(1, Duration::ZERO, weigh).unwrap(), vec![8]);
-    }
-
-    #[test]
-    fn pop_batch_lingers_for_late_arrivals() {
-        let q = Arc::new(AdmissionQueue::new(16));
-        q.push(1);
-        let q2 = q.clone();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            q2.push(2);
-        });
-        let b = q
-            .pop_batch(10, Duration::from_millis(500), |_| Some(1usize))
-            .unwrap();
-        h.join().unwrap();
-        assert_eq!(b, vec![1, 2], "late arrival joins the lingering batch");
+        assert_eq!(q.pop_batch(1, weigh).unwrap(), vec![7]);
+        assert_eq!(q.pop_batch(1, weigh).unwrap(), vec![8]);
     }
 
     #[test]
@@ -452,11 +410,8 @@ mod tests {
         q.push(1);
         q.close();
         let weigh = |_: &i32| Some(1usize);
-        assert_eq!(
-            q.pop_batch(8, Duration::from_millis(50), weigh).unwrap(),
-            vec![1]
-        );
-        assert_eq!(q.pop_batch(8, Duration::from_millis(50), weigh), None);
+        assert_eq!(q.pop_batch(8, weigh).unwrap(), vec![1]);
+        assert_eq!(q.pop_batch(8, weigh), None);
     }
 
     #[test]

@@ -41,6 +41,9 @@ use std::time::{Duration, Instant};
 /// Rows predicted between cooperative deadline checks.
 const PREDICT_CHUNK: usize = 2048;
 
+/// Completed requests between journal progress records.
+const JOURNAL_FLUSH_EVERY: u64 = 32;
+
 /// Pluggable MiniHLS front-end for `source` requests: maps
 /// `(design name, source text)` to per-op feature rows plus source lines.
 /// The binary wires `congestion-core` extraction in; servekit itself stays
@@ -55,7 +58,7 @@ pub type SourceExtractor =
 pub type SourceKeyFn = dyn Fn(&str, &str) -> u64 + Send + Sync;
 
 fn default_source_key(name: &str, text: &str) -> u64 {
-    faultkit::fnv1a(&[name.as_bytes(), b"\0", text.as_bytes()])
+    obskit::fnv1a(&[name.as_bytes(), b"\0", text.as_bytes()])
 }
 
 /// Where swap events additionally land as `obskit.run.v1` ledger records
@@ -87,8 +90,6 @@ pub struct ServeConfig {
     pub plan: Option<Arc<FaultPlan>>,
     /// Journal path; `None` disables crash-only persistence.
     pub journal_path: Option<PathBuf>,
-    /// Journal a progress record every N completed requests.
-    pub journal_flush_every: u64,
     /// Swap validation gate.
     pub gate: ValidationGate,
     /// The degraded-path estimator.
@@ -100,10 +101,6 @@ pub struct ServeConfig {
     /// fits, and answers them with one merged `predict_into` call.
     /// `1` disables coalescing (per-request drain, the pre-batching path).
     pub batch_max_rows: usize,
-    /// How long a worker lingers for more arrivals once the queue runs dry
-    /// before the row budget is filled. Zero (the default) takes whatever
-    /// is queued — opportunistic batching with no added latency.
-    pub batch_max_wait: Duration,
     /// Feature-cache capacity in designs for `source` requests;
     /// 0 disables the cache.
     pub cache_capacity: usize,
@@ -127,12 +124,10 @@ impl std::fmt::Debug for ServeConfig {
             .field("policy", &self.policy)
             .field("plan", &self.plan)
             .field("journal_path", &self.journal_path)
-            .field("journal_flush_every", &self.journal_flush_every)
             .field("gate", &self.gate)
             .field("estimator", &self.estimator)
             .field("ledger", &self.ledger)
             .field("batch_max_rows", &self.batch_max_rows)
-            .field("batch_max_wait", &self.batch_max_wait)
             .field("cache_capacity", &self.cache_capacity)
             .field("cache_key", &self.cache_key.as_ref().map(|_| "<fn>"))
             .field("pace_gate", &self.pace_gate)
@@ -149,12 +144,10 @@ impl Default for ServeConfig {
             policy: SupervisorPolicy::no_sleep(),
             plan: None,
             journal_path: None,
-            journal_flush_every: 32,
             gate: ValidationGate::default(),
             estimator: AnalyticEstimator::default(),
             ledger: None,
             batch_max_rows: 256,
-            batch_max_wait: Duration::ZERO,
             cache_capacity: 64,
             cache_key: None,
             pace_gate: None,
@@ -197,8 +190,9 @@ pub struct ServeMetrics {
 
 impl ServeMetrics {
     /// Export as an obskit registry snapshot (`serve.*` namespace),
-    /// folding in the registry's swap counters and the feature-cache
-    /// counters (`serve.cache.*`, where `hits + misses == lookups`).
+    /// folding in the registry's swap counters, the feature-cache
+    /// counters (`serve.cache.*`, where `hits + misses == lookups`) and
+    /// the latency sketch as the `serve.latency_ms` histogram.
     pub fn snapshot(
         &self,
         swaps: u64,
@@ -228,11 +222,10 @@ impl ServeMetrics {
         r.inc("serve.cache.invalidations", cache.invalidations);
         r.set_gauge("serve.queue_depth_peak", self.queue_depth_peak as f64);
         r.set_gauge("serve.batch.peak_requests", self.batch_peak as f64);
-        if self.latency_ms.count() > 0 {
-            r.set_gauge("serve.latency_ms.p50", self.latency_ms.quantile(0.50));
-            r.set_gauge("serve.latency_ms.p99", self.latency_ms.quantile(0.99));
-        }
-        r.snapshot()
+        let mut snap = r.into_snapshot();
+        snap.histograms
+            .insert("serve.latency_ms".to_string(), self.latency_ms.clone());
+        snap
     }
 }
 
@@ -558,14 +551,13 @@ fn worker_loop(state: &Arc<ServerState>) {
         // runs alone. The partition is decided under the queue lock, so
         // it is a pure function of (arrival trace, config) — and replies
         // are bitwise-identical either way (see `process_batch`).
-        let Some(batch) = state.queue.pop_batch(
-            state.cfg.batch_max_rows,
-            state.cfg.batch_max_wait,
-            |job: &Job| match &job.req.body {
+        let Some(batch) = state
+            .queue
+            .pop_batch(state.cfg.batch_max_rows, |job: &Job| match &job.req.body {
                 RequestBody::Predict { rows } => Some(rows.len().max(1)),
                 _ => None,
-            },
-        ) else {
+            })
+        else {
             break;
         };
         if batch.len() == 1 {
@@ -597,8 +589,7 @@ fn finish(state: &Arc<ServerState>, job: &Job, reply: Reply) {
         }
         m.latency_ms
             .observe(job.admitted_at.elapsed().as_secs_f64() * 1e3);
-        m.completed
-            .is_multiple_of(state.cfg.journal_flush_every.max(1))
+        m.completed.is_multiple_of(JOURNAL_FLUSH_EVERY)
     };
     let _ = job.reply_to.send(reply);
     wake_loop(state);

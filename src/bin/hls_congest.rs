@@ -21,8 +21,7 @@
 //! hls-congest serve     [--model artifact.json] [--addr 127.0.0.1:0]
 //!                       [--golden data.csv] [--mae-band PP] [--expect-features N]
 //!                       [--queue-capacity N] [--serve-workers N] [--deadline-ms MS]
-//!                       [--batch-max-rows N] [--batch-max-wait-ms MS]
-//!                       [--cache-capacity N]
+//!                       [--batch-max-rows N] [--cache-capacity N]
 //!                       [--journal journal.jsonl] [--fault-plan plan.json]
 //!                       [--max-retries N] [--ledger-out runs.jsonl]
 //!                                                   run congestd: the crash-only,
@@ -238,9 +237,6 @@ fn serve_cmd(opts: &RunOptions) -> Result {
     }
     if let Some(n) = opts.parse("--batch-max-rows")? {
         cfg.batch_max_rows = n;
-    }
-    if let Some(ms) = opts.parse("--batch-max-wait-ms")? {
-        cfg.batch_max_wait = Duration::from_millis(ms);
     }
     if let Some(n) = opts.parse("--cache-capacity")? {
         cfg.cache_capacity = n;
@@ -506,8 +502,7 @@ fn train_cmd(opts: &RunOptions) -> Result {
     // Ledger: model identity + held-out accuracy + telemetry (split-gain
     // importance, prediction/residual sketches) under one run record.
     let config = format!("{}|{}|{}", kind.name(), target.name(), path);
-    let digest =
-        fpga_hls_congestion::faultkit::fnv1a(&[b"hls-congest-train-v1", config.as_bytes()]);
+    let digest = fpga_hls_congestion::obskit::fnv1a(&[b"hls-congest-train-v1", config.as_bytes()]);
     opts.append_ledger(&TOOL, "train", digest, &rec, |run_rec| {
         run_rec.note("model", kind.name());
         run_rec.note("target", target.name());

@@ -1,0 +1,140 @@
+//! Pins every digest that the workspace stores or replays: checkpoint
+//! keys and file names, model-artifact digests, dataset fingerprints,
+//! ledger config digests, retry backoff jitter and probabilistic fault
+//! decisions. All of them are FNV-1a, and a file written by one build must
+//! still be found and trusted by the next.
+//!
+//! The constants were recorded by running this file against commit
+//! `47e20a0`, before the workspace's FNV-1a copies were folded into
+//! `obskit::fnv`. A change that moves any of them invalidates stored
+//! checkpoints, artifacts or fingerprints and must say so.
+
+use fpga_hls_congestion::congestion_core::cli::RunOptions;
+use fpga_hls_congestion::congestion_core::persist::{
+    CheckpointEntry, CheckpointStore, RecordedFailure,
+};
+use fpga_hls_congestion::congestion_core::{
+    source_digest, CongestionDataset, DatasetFingerprint, Sample, FEATURE_COUNT,
+};
+use fpga_hls_congestion::hls_ir::{FuncId, OpId};
+use fpga_hls_congestion::mlkit::CompiledEnsemble;
+use fpga_hls_congestion::prelude::*;
+use fpga_hls_congestion::servekit::ModelArtifact;
+use std::time::Duration;
+
+/// The `mac16` design of the CI observability smoke run, without the
+/// heredoc's trailing newline.
+const MAC16: &str = "int32 f(int32 a[16], int32 k) { int32 s = 0; for (i = 0; i < 16; i++) { s = s + a[i] * k; } return s; }";
+
+#[test]
+fn flow_config_digests_are_pinned() {
+    assert_eq!(CongestionFlow::new().config_digest(), 0x7951_7b0c_5acb_0d2c);
+    assert_eq!(
+        CongestionFlow::fast().config_digest(),
+        0x07b0_9845_990f_04de
+    );
+}
+
+#[test]
+fn source_digest_is_pinned() {
+    assert_eq!(source_digest("mac16", MAC16), 0xeb62_6a73_8f44_5445);
+}
+
+#[test]
+fn model_artifact_digest_is_pinned() {
+    const LEAF: u32 = u32::MAX;
+    let stump = |base: f64| {
+        let nodes = vec![(2u32, 1, 2, 0.5), (LEAF, 0, 0, -1.25), (LEAF, 0, 0, 3.75)];
+        CompiledEnsemble::from_raw(base, 0.5, vec![0], nodes, 4).expect("valid stump")
+    };
+    let artifact = ModelArtifact {
+        name: "gbrt".into(),
+        version: 3,
+        feature_count: 4,
+        trained_on: "digest pin".into(),
+        vertical: stump(10.0),
+        horizontal: stump(20.0),
+    };
+    assert_eq!(artifact.digest(), 0xdea7_2620_b0e5_1bde);
+}
+
+#[test]
+fn fingerprint_matrix_digest_is_pinned() {
+    let mut ds = CongestionDataset::new();
+    for i in 0..6u32 {
+        let row: Vec<f64> = (0..FEATURE_COUNT)
+            .map(|j| f64::from(i) * 0.5 + j as f64 - 7.25)
+            .collect();
+        let sample = Sample {
+            design: format!("d{}", i % 2),
+            func: FuncId(0),
+            op: OpId(i),
+            line: i + 1,
+            replica: None,
+            vertical: 12.5 * f64::from(i),
+            horizontal: 100.0 - f64::from(i),
+        };
+        ds.push(sample, &row);
+    }
+    assert_eq!(
+        DatasetFingerprint::of(&ds).matrix_digest,
+        "16903aba6bd1afa0"
+    );
+}
+
+#[test]
+fn checkpoint_file_name_is_pinned() {
+    let dir = std::env::temp_dir().join(format!("digest-pins-ckpt-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = CheckpointStore::open(&dir, 0x1234).expect("open store");
+    store
+        .store(&CheckpointEntry {
+            design: "mac16".into(),
+            outcome: Err(RecordedFailure {
+                kind: "synth".into(),
+                stage: "hls".into(),
+                message: "pinned".into(),
+            }),
+        })
+        .expect("store entry");
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list store")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(names, vec!["mac16-7198ad78.json"]);
+}
+
+#[test]
+fn command_digest_is_pinned() {
+    let opts = RunOptions::from_args(&["dataset", "a.mhls", "b.mhls", "--workers", "2"])
+        .expect("valid argv");
+    assert_eq!(opts.command_digest(), 0x4d46_b7ea_6b62_3e26);
+}
+
+#[test]
+fn backoff_jitter_is_pinned() {
+    let policy = SupervisorPolicy::default();
+    let backoffs: Vec<Duration> = (1..=3)
+        .map(|a| policy.backoff_for("d0", "route", a))
+        .collect();
+    let ms = |n| Duration::from_millis(n);
+    assert_eq!(backoffs, vec![ms(34), ms(55), ms(108)]);
+}
+
+#[test]
+fn probabilistic_fault_decisions_are_pinned() {
+    let plan = FaultPlan::new(7).with_rule(FaultRule {
+        probability: 0.5,
+        ..FaultRule::once("d0", "route", FaultKind::Error).for_attempts(8)
+    });
+    let fired: Vec<bool> = (0..8)
+        .map(|a| plan.fault_for("d0", "route", a).is_some())
+        .collect();
+    assert_eq!(fired, [true, true, true, true, false, false, true, false]);
+}

@@ -1,12 +1,13 @@
 //! Observability contract tests.
 //!
-//! Two guarantees are pinned here: (1) the metrics snapshot attached to a
-//! dataset build is **bit-identical for any worker count** — per-design
+//! Three guarantees are pinned here: (1) the metrics snapshot attached to
+//! a dataset build is **bit-identical for any worker count** — per-design
 //! collectors merge in input order, and wall-clock values are quarantined
-//! in gauges / `*_ms` histograms that `deterministic_digest` excludes; and
-//! (2) the Chrome trace export keeps the trace-event fields
-//! (`name`/`ph`/`ts`/`dur`/`pid`/`tid`) that chrome://tracing and Perfetto
-//! require.
+//! in gauges / `*_ms` histograms that `deterministic_digest` excludes;
+//! (2) registry histograms report quantiles within the sketch's 1 %
+//! accuracy of the exact ones; and (3) the Chrome trace export keeps the
+//! trace-event fields (`name`/`ph`/`ts`/`dur`/`pid`/`tid`) that
+//! chrome://tracing and Perfetto require.
 
 use fpga_hls_congestion::obskit;
 use fpga_hls_congestion::obskit::QuantileSketch;
@@ -57,11 +58,59 @@ fn metrics_snapshot_is_bit_identical_across_worker_counts() {
     assert!(serial.obs.metrics.counters.contains_key("route.conns"));
 
     // The per-pass overflow convergence curve is made of tile counts, not
-    // wall-clock, so its buckets are part of the deterministic contract.
+    // wall-clock, so its whole sketch is part of the deterministic contract.
     let h = &serial.obs.metrics.histograms["route.pass_overflow"];
     let hp = &parallel.obs.metrics.histograms["route.pass_overflow"];
-    assert_eq!(h.counts, hp.counts);
-    assert_eq!(h.sum.to_bits(), hp.sum.to_bits());
+    assert_eq!(h.to_json(), hp.to_json());
+}
+
+/// The two designs of the CI observability smoke run.
+const OBS_SMOKE: [(&str, &str); 2] = [
+    (
+        "mac16",
+        "int32 f(int32 a[16], int32 k) { int32 s = 0; for (i = 0; i < 16; i++) { s = s + a[i] * k; } return s; }",
+    ),
+    (
+        "unroll32",
+        "int32 f(int32 a[32], int32 k) {\n#pragma HLS array_partition variable=a complete\nint32 s = 0;\n#pragma HLS unroll\nfor (i = 0; i < 32; i++) { s = s + a[i] * k; } return s; }",
+    ),
+];
+
+#[test]
+fn registry_quantiles_track_the_exact_quantiles() {
+    let flow = CongestionFlow::new();
+    let obs = Collector::new();
+    let (mut overflow, mut cost) = (Vec::new(), Vec::new());
+    for (name, src) in OBS_SMOKE {
+        let module = compile_named(src, name).unwrap();
+        let (_, imp) = flow.implement_observed(&module, &obs).unwrap();
+        overflow.extend(imp.route.pass_overflow.iter().map(|&t| f64::from(t)));
+        cost.extend(imp.placement.cost_trajectory);
+    }
+    let metrics = obs.finish().metrics;
+    for (name, mut values) in [
+        ("route.pass_overflow", overflow),
+        ("place.cost_trajectory", cost),
+    ] {
+        values.sort_by(f64::total_cmp);
+        let h = &metrics.histograms[name];
+        assert_eq!(h.count(), values.len() as u64, "{name}");
+        let (min, max) = (values[0], values[values.len() - 1]);
+        for q in [0.50, 0.90, 0.99] {
+            // The exact quantile: the value at rank ceil(q * n).
+            let rank = (q * values.len() as f64).ceil() as usize;
+            let exact = values[rank - 1];
+            let got = h.quantile(q);
+            assert!(
+                (min..=max).contains(&got),
+                "{name} q{q}: {got} outside the observed [{min}, {max}]"
+            );
+            assert!(
+                (got - exact).abs() <= 0.01 * exact.abs(),
+                "{name} q{q}: {got} is more than 1 % from the exact {exact}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -49,10 +49,13 @@ fn corpus() -> Vec<(&'static str, Module, u64)> {
 /// Golden `Placement::position_checksum()` values for the default kernel
 /// under `ParOptions::fast()` placer options. Recorded at the delta-kernel
 /// rewrite; every congestion label downstream depends on placement, so a
-/// drift here means datasets change.
-const GOLDEN_MAC16: u64 = 0x0484_1af7_df51_e4c6;
-const GOLDEN_UNROLL64: u64 = 0xa3e5_cb65_8b49_e5ef;
-const GOLDEN_WIDE256: u64 = 0x38fb_aa5d_46a8_ca3c;
+/// drift here means datasets change. When the checksum became true FNV-1a
+/// (it had multiplied by 2^44 + 0x1b3, not FNV's 2^40 + 0x1b3), one run at
+/// `47e20a0` computed both functions over the same placements: each old
+/// value equalled the constant then committed, and these are the new ones.
+const GOLDEN_MAC16: u64 = 0xb9a8_d2f7_df51_e4c6;
+const GOLDEN_UNROLL64: u64 = 0x8ccb_ff65_8b49_e5ef;
+const GOLDEN_WIDE256: u64 = 0x8e6b_ee5d_46a8_ca3c;
 
 fn synth(module: &Module) -> SynthesizedDesign {
     HlsFlow::new(HlsOptions::default()).run(module).unwrap()

@@ -432,13 +432,17 @@ fn shed_victims_get_overloaded_replies_while_server_is_wedged() {
 
 #[test]
 fn sigkill_mid_coalesced_batch_reports_the_whole_batch_lost() {
-    // Wedge the real daemon *inside* a coalesced batch: five pipelined
-    // single-row predicts linger into one micro-batch (300 ms window,
-    // 1024-row budget), then an injected delay holds the merged
-    // `predict_into` long enough to SIGKILL the process mid-batch. The
-    // batch-start progress record must make restart recovery report
-    // `lost_in_flight` equal to the batch's admitted size — and the seq
-    // chain must stay duplicate-free across both lives.
+    // Wedge the real daemon *inside* a coalesced batch: a `source`
+    // request leads, and an injected delay in its extraction holds the
+    // only worker while five pipelined single-row predicts queue up
+    // behind it. A `source` request is a barrier, so it always runs
+    // alone; the worker then drains the five as one micro-batch
+    // (1024-row budget), and an injected delay holds the merged
+    // `predict_into` (supervised as `req-1`, the batch's first id) long
+    // enough to SIGKILL the process mid-batch. The batch-start progress
+    // record must make restart recovery report `lost_in_flight` equal to
+    // the batch's admitted size — and the seq chain must stay
+    // duplicate-free across both lives.
     let dir = tmp("sigkill_batch");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
@@ -446,14 +450,20 @@ fn sigkill_mid_coalesced_batch_reports_the_whole_batch_lost() {
     let model = dir.join("model.json");
     stump_artifact(1, 4).save(&model).unwrap();
     let plan_path = dir.join("plan.json");
-    let plan = FaultPlan::new(11).with_rule(
-        FaultRule::once(
-            "*",
-            fpga_hls_congestion::faultkit::serve_stages::PREDICT,
-            FaultKind::Delay(Duration::from_millis(4000)),
-        )
-        .for_attempts(u32::MAX),
-    );
+    let plan = FaultPlan::new(11)
+        .with_rule(FaultRule::once(
+            "lead",
+            serve_stages::EXTRACT,
+            FaultKind::Delay(Duration::from_millis(500)),
+        ))
+        .with_rule(
+            FaultRule::once(
+                "req-1",
+                serve_stages::PREDICT,
+                FaultKind::Delay(Duration::from_millis(4000)),
+            )
+            .for_attempts(u32::MAX),
+        );
     std::fs::write(&plan_path, plan.to_json()).unwrap();
     let base_args = vec![
         "--model".to_string(),
@@ -466,29 +476,38 @@ fn sigkill_mid_coalesced_batch_reports_the_whole_batch_lost() {
         "4".to_string(),
         "--batch-max-rows".to_string(),
         "1024".to_string(),
-        "--batch-max-wait-ms".to_string(),
-        "300".to_string(),
     ];
     let mut wedged_args = base_args.clone();
     wedged_args.extend(["--fault-plan".to_string(), plan_path.display().to_string()]);
 
-    // First life: pipeline the whole burst on one connection. The event
-    // loop admits every frame without waiting for replies, the worker
-    // lingers them into a single batch, journals batch-start progress,
-    // then hits the injected delay — that's when SIGKILL lands.
+    // First life: pipeline the lead request and the burst on one
+    // connection. The event loop admits every frame without waiting for
+    // replies; the batch journals batch-start progress, then hits the
+    // injected delay — that's when SIGKILL lands.
     let batch_size = 5u64;
     let (mut child, addr) = spawn_congestd(&wedged_args);
     {
         let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-        for i in 0..batch_size {
+        let lead = Request {
+            id: 0,
+            deadline_ms: None,
+            body: RequestBody::Source {
+                name: "lead".into(),
+                text: "int32 f(int32 a, int32 b) { return a * b; }".into(),
+            },
+        };
+        fpga_hls_congestion::servekit::write_frame(&mut stream, &lead.to_json())
+            .expect("write frame");
+        for i in 1..=batch_size {
             fpga_hls_congestion::servekit::write_frame(
                 &mut stream,
                 &Request::predict(i, vec![vec![9.0; 4]]).to_json(),
             )
             .expect("write frame");
         }
-        // Linger (300 ms) + a margin inside the 4 s delay window.
-        std::thread::sleep(Duration::from_millis(1500));
+        // The lead's 500 ms delay plus a margin inside the 4 s delay
+        // window.
+        std::thread::sleep(Duration::from_millis(2000));
         child.kill().expect("SIGKILL congestd");
         child.wait().unwrap();
     }
@@ -500,7 +519,7 @@ fn sigkill_mid_coalesced_batch_reports_the_whole_batch_lost() {
     );
 
     // Second life, no faults: recovery must account the wedged batch as
-    // lost in flight — all five admitted, none completed, none shed.
+    // lost in flight — six admitted, only the lead completed, none shed.
     let (mut child, addr) = spawn_congestd(&base_args);
     let status = fpga_hls_congestion::servekit::request(
         &addr,

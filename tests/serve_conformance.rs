@@ -5,8 +5,8 @@
 //! The conformance contract:
 //!
 //! * **Coalescing is invisible** — for a fixed request set, the replies
-//!   produced under any micro-batch configuration (row budget, linger
-//!   window, worker count) are **bitwise identical** to per-request
+//!   produced under any micro-batch configuration (row budget, worker
+//!   count) are **bitwise identical** to per-request
 //!   serving. This holds by construction (the compiled ensemble
 //!   accumulates per row in tree order regardless of batch shape) and is
 //!   pinned here by brute-force comparison across the config matrix.
@@ -109,18 +109,12 @@ fn reply_bits(r: &Reply) -> (u64, ReplyStatus, Vec<u64>, Vec<u64>, Vec<u32>) {
 /// Pile `reqs` up behind a closed [`WorkGate`], open it, and collect every
 /// reply in id order — so every run drains an identical queue and the
 /// batch budget is the only variable.
-fn gated_run(
-    reqs: &[Request],
-    batch_max_rows: usize,
-    batch_max_wait_ms: u64,
-    workers: usize,
-) -> (Vec<Reply>, u64, u64) {
+fn gated_run(reqs: &[Request], batch_max_rows: usize, workers: usize) -> (Vec<Reply>, u64, u64) {
     let gate = Arc::new(WorkGate::closed());
     let mut cfg = ServeConfig {
         queue_capacity: reqs.len().max(8),
         workers,
         batch_max_rows,
-        batch_max_wait: Duration::from_millis(batch_max_wait_ms),
         pace_gate: Some(gate.clone()),
         ..Default::default()
     };
@@ -141,22 +135,20 @@ fn gated_run(
 #[test]
 fn coalesced_replies_are_bitwise_identical_across_batch_configs_and_workers() {
     let reqs = fixed_request_set(48);
-    let (baseline, base_batches, _) = gated_run(&reqs, 1, 0, 1);
+    let (baseline, base_batches, _) = gated_run(&reqs, 1, 1);
     assert_eq!(base_batches, 0, "budget 1 must never coalesce");
     assert!(baseline.iter().all(|r| r.status == ReplyStatus::Ok));
     let baseline_bits: Vec<_> = baseline.iter().map(reply_bits).collect();
     let mut coalesced_somewhere = false;
     for &budget in &[1usize, 64, 4096] {
-        for &wait_ms in &[0u64, 5] {
-            for &workers in &[1usize, 2, 4, 8] {
-                let (replies, batches, _) = gated_run(&reqs, budget, wait_ms, workers);
-                coalesced_somewhere |= batches > 0;
-                let bits: Vec<_> = replies.iter().map(reply_bits).collect();
-                assert_eq!(
-                    bits, baseline_bits,
-                    "replies diverged at budget={budget} wait={wait_ms}ms workers={workers}"
-                );
-            }
+        for &workers in &[1usize, 2, 4, 8] {
+            let (replies, batches, _) = gated_run(&reqs, budget, workers);
+            coalesced_somewhere |= batches > 0;
+            let bits: Vec<_> = replies.iter().map(reply_bits).collect();
+            assert_eq!(
+                bits, baseline_bits,
+                "replies diverged at budget={budget} workers={workers}"
+            );
         }
     }
     assert!(
@@ -174,7 +166,7 @@ fn batch_partition_matches_coalesce_plan_for_a_piled_queue() {
         .map(|i| Request::predict(i as u64, rows_for(i, 1)))
         .collect();
     for &budget in &[2usize, 8, 64] {
-        let (replies, batches, coalesced) = gated_run(&reqs, budget, 0, 1);
+        let (replies, batches, coalesced) = gated_run(&reqs, budget, 1);
         assert!(replies.iter().all(|r| r.status == ReplyStatus::Ok));
         let plan = coalesce_plan(budget, &vec![1usize; n]);
         let planned_batches = plan.iter().filter(|b| b.len() > 1).count() as u64;
