@@ -5,8 +5,9 @@
 //! root (full-effort runs only). Both copies come from **one** serialized
 //! string, so they are byte-identical by construction; the regression gate
 //! checks that invariant on the committed tree. The shared `meta` block
-//! stamps tool/version/git plus the production kernels, so baseline diffs
-//! stay apples-to-apples when a kernel default changes.
+//! stamps tool/version/git, the host's CPU count (`nproc`) and the
+//! production kernels, so baseline diffs stay apples-to-apples when a
+//! kernel default or the host changes.
 
 use congestion_core::cli::kernel_stamps;
 use obskit::MetricsSnapshot;
@@ -23,16 +24,22 @@ pub fn kernel_meta() -> Vec<(String, String)> {
 }
 
 /// Serialize a bench snapshot through the `obskit.metrics.v1` schema with
-/// the canonical meta block: tool, version, git, effort, and the kernel
-/// stamps. The effort stamp lets the regression gate tell a committed
-/// full-effort baseline from a CI fast smoke sharing the same path.
+/// the canonical meta block: tool, version, git, effort, `nproc` (the CPUs
+/// the process may use, from [`std::thread::available_parallelism`]; 0 if
+/// unknown) and the kernel stamps. The effort stamp lets the regression
+/// gate tell a committed full-effort baseline from a CI fast smoke sharing
+/// the same path; `nproc` says what a wall-clock gauge was measured on.
 pub fn bench_json(tool: &str, effort: crate::designs::Effort, snap: &MetricsSnapshot) -> String {
     let kernels = kernel_meta();
+    let nproc = std::thread::available_parallelism()
+        .map_or(0, |n| n.get())
+        .to_string();
     let mut meta: Vec<(&str, &str)> = vec![
         ("tool", tool),
         ("version", env!("CARGO_PKG_VERSION")),
         ("git", option_env!("GIT_HASH").unwrap_or("unknown")),
         ("effort", effort.name()),
+        ("nproc", &nproc),
     ];
     for (k, v) in &kernels {
         meta.push((k.as_str(), v.as_str()));
@@ -100,6 +107,15 @@ mod tests {
         assert!(j.contains("\"schema\": \"obskit.metrics.v1\""));
         assert!(j.contains("\"tool\": \"experiments test-bench\""));
         assert!(j.contains("\"effort\": \"full\""));
+        let doc = obskit::json::parse(&j).expect("bench JSON parses");
+        let nproc: usize = doc
+            .get("meta")
+            .and_then(|m| m.get("nproc"))
+            .and_then(|v| v.as_str())
+            .expect("meta carries nproc")
+            .parse()
+            .expect("nproc is an integer");
+        assert!(nproc >= 1, "nproc stamp {nproc} in {j}");
         for k in [
             "kernel.extract",
             "kernel.place",

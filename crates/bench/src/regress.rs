@@ -124,8 +124,9 @@ fn middle_segments(doc: &Value, prefix: &str, suffix: &str) -> Vec<String> {
 
 /// Schema + meta-completeness checks shared by every bench artifact: the
 /// `obskit.metrics.v1` tag, the tool/version/git stamps, the effort stamp
-/// and all four kernel stamps (satellite: baselines must record which
-/// kernels produced them).
+/// and all four kernel stamps (baselines must record which kernels
+/// produced them). The `nproc` stamp is not required: baselines written
+/// before benches stamped it lack it.
 fn check_doc_shape(name: &str, doc: &Value) -> Vec<Finding> {
     let mut f = Vec::new();
     if doc.get("schema").and_then(Value::as_str) != Some("obskit.metrics.v1") {
@@ -707,6 +708,19 @@ mod tests {
         let report = run(&repo_root(), None);
         assert!(report.checked.len() >= 5, "{}", report.render());
         assert!(report.ok(), "{}", report.render());
+    }
+
+    #[test]
+    fn baselines_without_the_nproc_stamp_pass() {
+        let text = fs::read_to_string(repo_root().join("BENCH_train.json")).unwrap();
+        let mut doc = parse(&text).unwrap();
+        if let Value::Obj(top) = &mut doc {
+            if let Some(Value::Obj(meta)) = top.get_mut("meta") {
+                meta.remove("nproc");
+            }
+        }
+        assert!(doc.get("meta").unwrap().get("nproc").is_none());
+        assert!(check_metrics_doc("BENCH_train.json", &doc).is_empty());
     }
 
     #[test]

@@ -190,10 +190,12 @@ impl GbrtRegressor {
         let mut rng = StdRng::seed_from_u64(self.options.seed);
         let mut pred = vec![self.base; n];
         let mut residual = vec![0.0f64; n];
+        // This stage's tree value of every row.
+        let mut stage = vec![0.0f64; n];
         let mut all_rows: Vec<usize> = (0..n).collect();
         let mut all_feats: Vec<usize> = (0..p).collect();
 
-        let n_rows = ((n as f64) * self.options.subsample).ceil() as usize;
+        let n_rows = (((n as f64) * self.options.subsample).ceil() as usize).clamp(1, n);
         let n_feats = (((p as f64) * self.options.feature_fraction).ceil() as usize).clamp(1, p);
 
         let mut consecutive_empty = 0usize;
@@ -202,25 +204,31 @@ impl GbrtRegressor {
                 residual[i] = y[i] - pred[i];
             }
             all_rows.shuffle(&mut rng);
-            let rows = &all_rows[..n_rows.clamp(1, n)];
+            let (rows, out_of_bag) = all_rows.split_at(n_rows);
             all_feats.shuffle(&mut rng);
             let mut feats: Vec<usize> = all_feats[..n_feats].to_vec();
             feats.sort_unstable();
 
-            let tree = match &binned {
+            // The histogram kernel records the leaf of each in-bag row, so
+            // only the out-of-bag rows walk the tree for their value.
+            let (tree, walked) = match &binned {
                 Some(binned) => {
-                    let (tree, tree_stats) = RegressionTree::fit_hist(
+                    let (tree, tree_stats) = RegressionTree::fit_hist_with_leaves(
                         binned,
                         &residual,
                         rows,
                         &feats,
                         &self.options.tree,
                         workers,
+                        &mut stage,
                     );
                     stats.absorb(&tree_stats);
-                    tree
+                    (tree, out_of_bag)
                 }
-                None => RegressionTree::fit_exact(x, &residual, rows, &feats, &self.options.tree),
+                None => (
+                    RegressionTree::fit_exact(x, &residual, rows, &feats, &self.options.tree),
+                    &all_rows[..],
+                ),
             };
             if tree.split_count() == 0 {
                 // This stage's feature sample had no signal. A few empty
@@ -232,8 +240,11 @@ impl GbrtRegressor {
                 continue;
             }
             consecutive_empty = 0;
-            for (i, p) in pred.iter_mut().enumerate() {
-                *p += self.options.learning_rate * tree.predict_one(x.row(i));
+            for &i in walked {
+                stage[i] = tree.predict_one(x.row(i));
+            }
+            for (p, v) in pred.iter_mut().zip(&stage) {
+                *p += self.options.learning_rate * v;
             }
             self.trees.push(tree);
             if let Some(obs) = obs {
@@ -471,6 +482,10 @@ mod tests {
         let obs = obskit::Collector::new();
         let mut m = GbrtRegressor::new(GbrtOptions {
             n_estimators: 20,
+            tree: TreeOptions {
+                max_depth: 4,
+                ..Default::default()
+            },
             ..Default::default()
         });
         m.fit_observed(&x, &y, &obs);
@@ -478,11 +493,16 @@ mod tests {
         let scanned = rec.metrics.counters["mlkit.gbrt.hist.scanned"];
         let subtracted = rec.metrics.counters["mlkit.gbrt.hist.subtracted"];
         let splits = rec.metrics.counters["mlkit.gbrt.splits"];
+        assert_eq!(m.n_trees(), 20, "every stage fits a tree");
         assert!(splits > 0);
         assert!(subtracted > 0, "subtraction trick engaged");
-        // One scan per split (smaller child) + one per stage (root); every
-        // sibling histogram is derived, never scanned.
-        assert!(scanned <= splits + m.n_trees() as u64 + 8);
+        // One scan per stage (the root) plus one per subtraction (the
+        // smaller child); the larger child's histogram is derived, never
+        // scanned.
+        assert_eq!(scanned, m.n_trees() as u64 + subtracted);
+        // Splits whose children are leaves (all of depth 3's) build no
+        // child histogram.
+        assert!(subtracted < splits, "{subtracted} of {splits} splits");
         assert_eq!(rec.metrics.counters["mlkit.gbrt.fits.histogram"], 1);
         assert_eq!(rec.metrics.histograms["mlkit.gbrt.fit_ms"].count(), 1);
     }

@@ -8,9 +8,13 @@
 //!   accumulates gradient/count histograms over bin codes, and each split
 //!   only *scans* the smaller child — the larger child's histogram is
 //!   derived with the parent-minus-sibling subtraction trick (LightGBM's
-//!   scheme). A node's histogram has one slot per bin of each candidate
-//!   feature with more than one bin, at prefix-sum offsets of their bin
-//!   counts; one-bin features can never split and are never scanned.
+//!   scheme). A split whose children are leaves by depth or size builds
+//!   no histogram for them. Rows are partitioned stably in one buffer per
+//!   tree, which also tells the caller each in-bag row's leaf
+//!   ([`RegressionTree::fit_hist_with_leaves`]). A node's histogram has
+//!   one slot per bin of each candidate feature with more than one bin,
+//!   at prefix-sum offsets of their bin counts; one-bin features can
+//!   never split and are never scanned.
 //!   Large nodes build it across feature chunks via `parkit`; every
 //!   (feature, bin) accumulator sees its addends in sample order
 //!   regardless of chunking, so the result is **bit-identical for any
@@ -49,7 +53,8 @@ impl Default for TreeOptions {
 /// [`crate::gbrt::GbrtRegressor`] into the `mlkit.gbrt.*` obskit counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TreeFitStats {
-    /// Node histograms built by scanning rows.
+    /// Node histograms built by scanning rows: the root's, if it searches
+    /// for a split, and the smaller child's at each subtraction.
     pub hist_scanned: u64,
     /// Of those, the scans that fanned out over the worker pool. The only
     /// counter that depends on the worker count: 0 at one worker.
@@ -57,7 +62,9 @@ pub struct TreeFitStats {
     /// (count, sum) slots of every scanned histogram: one per bin of each
     /// candidate feature that can split.
     pub hist_slots: u64,
-    /// Node histograms derived via parent-minus-sibling subtraction.
+    /// Node histograms derived via parent-minus-sibling subtraction: one
+    /// per split whose larger child searches. Splits whose children are
+    /// both leaves by depth or size build no child histogram.
     pub hist_subtracted: u64,
     /// Nodes emitted (splits + leaves).
     pub nodes: u64,
@@ -155,6 +162,13 @@ struct HistCtx<'a> {
 }
 
 impl HistCtx<'_> {
+    /// Whether a node of `n` rows at `depth` searches for a split. A node
+    /// that does not is a leaf whatever its rows hold, so it never reads
+    /// a histogram.
+    fn searches(&self, depth: usize, n: usize) -> bool {
+        depth < self.opts.max_depth && n >= 2 * self.opts.min_samples_leaf
+    }
+
     /// Build the count/sum histograms of one node by scanning its samples,
     /// and account the scan in `stats`.
     ///
@@ -212,6 +226,40 @@ impl HistCtx<'_> {
     }
 }
 
+/// Mutable state of one histogram-kernel fit besides the node table.
+struct Grow<'a> {
+    /// Holds the right rows of a partition until they are copied back.
+    scratch: Vec<usize>,
+    /// The leaf value of each partitioned row, indexed by sample id.
+    leaf_value: &'a mut [f64],
+    stats: TreeFitStats,
+}
+
+/// Reorder `rows` so the rows `goes_left` accepts come first, and return
+/// how many there are. Stable: both sides keep their rows in the order
+/// they had, so a child's sums and histograms add in the same order as an
+/// out-of-place partition. `scratch` must be at least as long as `rows`.
+fn partition_stable(
+    rows: &mut [usize],
+    scratch: &mut [usize],
+    goes_left: impl Fn(usize) -> bool,
+) -> usize {
+    let mut n_left = 0;
+    let mut n_right = 0;
+    for k in 0..rows.len() {
+        let i = rows[k];
+        if goes_left(i) {
+            rows[n_left] = i;
+            n_left += 1;
+        } else {
+            scratch[n_right] = i;
+            n_right += 1;
+        }
+    }
+    rows[n_left..].copy_from_slice(&scratch[..n_right]);
+    n_left
+}
+
 impl RegressionTree {
     /// Histogram-kernel fit on the given sample indices of a binned matrix
     /// against targets `y` (full-length array indexed by sample id),
@@ -237,6 +285,25 @@ impl RegressionTree {
         opts: &TreeOptions,
         workers: usize,
     ) -> (RegressionTree, TreeFitStats) {
+        let mut leaf_value = vec![0.0; y.len()];
+        Self::fit_hist_with_leaves(binned, y, samples, features, opts, workers, &mut leaf_value)
+    }
+
+    /// [`Self::fit_hist`] that also writes, for each row `i` of `samples`,
+    /// the value of the leaf the fit partitioned it into to
+    /// `leaf_value[i]` (indexed like `y`; other entries are left as they
+    /// are). That is the value [`Self::predict_one`] returns for the row:
+    /// a split at bin `b` is the raw split `v <= thresholds[b]`, NaN
+    /// included (see [`crate::binning`]).
+    pub fn fit_hist_with_leaves(
+        binned: &BinnedMatrix,
+        y: &[f64],
+        samples: &[usize],
+        features: &[usize],
+        opts: &TreeOptions,
+        workers: usize,
+        leaf_value: &mut [f64],
+    ) -> (RegressionTree, TreeFitStats) {
         let features: Vec<usize> = features
             .iter()
             .copied()
@@ -258,40 +325,57 @@ impl RegressionTree {
             workers: workers.max(1),
         };
         let mut tree = RegressionTree { nodes: Vec::new() };
-        let mut stats = TreeFitStats::default();
-        let root_hist = ctx.build_hist(samples, &mut stats);
-        tree.grow_hist(&ctx, samples.to_vec(), root_hist, 0, &mut stats);
-        (tree, stats)
+        let mut grow = Grow {
+            scratch: vec![0; samples.len()],
+            leaf_value,
+            stats: TreeFitStats::default(),
+        };
+        let mut rows = samples.to_vec();
+        let hist = ctx
+            .searches(0, rows.len())
+            .then(|| ctx.build_hist(&rows, &mut grow.stats));
+        tree.grow_hist(&ctx, &mut grow, &mut rows, hist, 0);
+        (tree, grow.stats)
     }
 
+    /// Grow the subtree of the node holding `rows` at `depth`. `hist` is
+    /// the node's histogram; only a node that [`HistCtx::searches`] has
+    /// one.
     fn grow_hist(
         &mut self,
         ctx: &HistCtx<'_>,
-        samples: Vec<usize>,
-        hist: Hist,
+        grow: &mut Grow<'_>,
+        rows: &mut [usize],
+        hist: Option<Hist>,
         depth: usize,
-        stats: &mut TreeFitStats,
     ) -> usize {
-        let n = samples.len();
-        let sum: f64 = samples.iter().map(|&i| ctx.y[i]).sum();
+        let n = rows.len();
+        let sum: f64 = rows.iter().map(|&i| ctx.y[i]).sum();
         let mean = sum / n.max(1) as f64;
 
-        let make_leaf = |nodes: &mut Vec<Node>, stats: &mut TreeFitStats| {
+        let make_leaf = |nodes: &mut Vec<Node>, grow: &mut Grow<'_>| {
+            for &i in rows.iter() {
+                grow.leaf_value[i] = mean;
+            }
             let id = nodes.len();
             nodes.push(Node::Leaf { value: mean });
-            stats.nodes += 1;
+            grow.stats.nodes += 1;
             id
         };
 
-        if depth >= ctx.opts.max_depth || n < 2 * ctx.opts.min_samples_leaf {
-            return make_leaf(&mut self.nodes, stats);
+        if !ctx.searches(depth, n) {
+            return make_leaf(&mut self.nodes, grow);
         }
+        let hist = hist.expect("a node that searches has a histogram");
 
         // Best split over features × bins; ties resolve to the first
         // candidate in (feature, bin) order via strict `>`. No candidate
         // sits at a feature's last bin (everything would go left). A
         // column's NaNs have that bin to themselves, so every learned split
-        // sends NaN right, as `predict_one` does.
+        // sends NaN right, as `predict_one` does. `left_cnt` only grows, so
+        // once the right side is below `min_samples_leaf` no later bin of
+        // the feature can split either.
+        let min_leaf = ctx.opts.min_samples_leaf;
         let mut best: Option<(usize, usize, f64)> = None; // (feature, bin, gain)
         for (k, &fj) in ctx.features.iter().enumerate() {
             let slots = ctx.offsets[k]..ctx.offsets[k + 1];
@@ -304,7 +388,10 @@ impl RegressionTree {
                 left_cnt += counts[b] as usize;
                 left_sum += sums[b];
                 let right_cnt = n - left_cnt;
-                if left_cnt < ctx.opts.min_samples_leaf || right_cnt < ctx.opts.min_samples_leaf {
+                if right_cnt < min_leaf {
+                    break;
+                }
+                if left_cnt < min_leaf {
                     continue;
                 }
                 let right_sum = sum - left_sum;
@@ -318,37 +405,46 @@ impl RegressionTree {
         }
 
         let Some((feature, bin, gain)) = best else {
-            return make_leaf(&mut self.nodes, stats);
+            return make_leaf(&mut self.nodes, grow);
         };
 
-        let (left_samples, right_samples): (Vec<usize>, Vec<usize>) = samples
-            .iter()
-            .partition(|&&i| ctx.binned.bin(i, feature) <= bin);
+        let n_left = partition_stable(rows, &mut grow.scratch, |i| {
+            ctx.binned.bin(i, feature) <= bin
+        });
+        let (left_rows, right_rows) = rows.split_at_mut(n_left);
 
-        // Subtraction trick: scan only the smaller child; the larger
-        // child's histogram is parent − sibling.
-        let left_is_small = left_samples.len() <= right_samples.len();
-        let small = if left_is_small {
-            &left_samples
+        // A child that will not search needs no histogram. If the larger
+        // child searches, scan only the smaller child and derive the
+        // larger as parent − sibling (the subtraction trick); scanning the
+        // larger one directly would round its sums differently. If the
+        // larger child does not search, neither does the smaller.
+        let left_is_small = left_rows.len() <= right_rows.len();
+        let n_large = left_rows.len().max(right_rows.len());
+        let (left_hist, right_hist) = if ctx.searches(depth + 1, n_large) {
+            let small = if left_is_small {
+                &*left_rows
+            } else {
+                &*right_rows
+            };
+            let small_hist = ctx.build_hist(small, &mut grow.stats);
+            let mut large_hist = hist;
+            large_hist.subtract(&small_hist);
+            grow.stats.hist_subtracted += 1;
+            if left_is_small {
+                (Some(small_hist), Some(large_hist))
+            } else {
+                (Some(large_hist), Some(small_hist))
+            }
         } else {
-            &right_samples
-        };
-        let small_hist = ctx.build_hist(small, stats);
-        let mut large_hist = hist;
-        large_hist.subtract(&small_hist);
-        stats.hist_subtracted += 1;
-        let (left_hist, right_hist) = if left_is_small {
-            (small_hist, large_hist)
-        } else {
-            (large_hist, small_hist)
+            (None, None)
         };
 
         let id = self.nodes.len();
         self.nodes.push(Node::Leaf { value: mean }); // placeholder
-        stats.nodes += 1;
-        stats.splits += 1;
-        let left = self.grow_hist(ctx, left_samples, left_hist, depth + 1, stats);
-        let right = self.grow_hist(ctx, right_samples, right_hist, depth + 1, stats);
+        grow.stats.nodes += 1;
+        grow.stats.splits += 1;
+        let left = self.grow_hist(ctx, grow, left_rows, left_hist, depth + 1);
+        let right = self.grow_hist(ctx, grow, right_rows, right_hist, depth + 1);
         self.nodes[id] = Node::Split {
             feature,
             threshold: ctx.binned.thresholds[feature][bin],
@@ -675,20 +771,103 @@ mod tests {
         }
     }
 
+    /// `(depth, rows of x reaching it)` of every node of `t`.
+    fn node_depths_and_rows(t: &RegressionTree, x: &Matrix) -> Vec<(usize, usize)> {
+        let mut out = vec![(0, 0); t.nodes.len()];
+        for (id, node) in t.nodes.iter().enumerate() {
+            if let Node::Split { left, right, .. } = node {
+                out[*left].0 = out[id].0 + 1;
+                out[*right].0 = out[id].0 + 1;
+            }
+        }
+        for row in x.iter_rows() {
+            let mut id = 0;
+            loop {
+                out[id].1 += 1;
+                match &t.nodes[id] {
+                    Node::Leaf { .. } => break,
+                    Node::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                        ..
+                    } => {
+                        id = if row[*feature] <= *threshold {
+                            *left
+                        } else {
+                            *right
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn subtraction_trick_scans_fewer_histograms_than_nodes() {
-        let (x, y) = step_data();
+        // A ramp splits its rows in halves: 100, 50, 25, then 12 and 13.
+        // Nodes of 13 rows or fewer are leaves at min_samples_leaf 7, so
+        // the four splits at depth 2 have leaf-only children and build no
+        // histogram for them.
+        let rows: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64, 0.0]).collect();
+        let y: Vec<f64> = (0..100).map(|i| i as f64).collect();
+        let x = Matrix::from_rows(&rows);
         let binned = BinnedMatrix::from_matrix(&x);
         let samples: Vec<usize> = (0..x.rows()).collect();
         let opts = TreeOptions {
             max_depth: 4,
-            min_samples_leaf: 2,
+            min_samples_leaf: 7,
         };
         let (t, stats) = RegressionTree::fit_hist(&binned, &y, &samples, &[0, 1], &opts, 1);
         assert_eq!(stats.splits, t.split_count() as u64);
-        // One scanned histogram per split (the smaller child) plus the
-        // root; every sibling comes from subtraction.
-        assert_eq!(stats.hist_scanned, stats.splits + 1);
-        assert_eq!(stats.hist_subtracted, stats.splits);
+        // One scanned histogram for the root, one for the smaller child of
+        // each split whose larger child searches; that child's comes from
+        // subtraction.
+        let info = node_depths_and_rows(&t, &x);
+        let searching_splits = t
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(id, node)| match node {
+                Node::Split { left, right, .. } => {
+                    let large = info[*left].1.max(info[*right].1);
+                    info[*id].0 + 1 < opts.max_depth && large >= 2 * opts.min_samples_leaf
+                }
+                Node::Leaf { .. } => false,
+            })
+            .count() as u64;
+        assert_eq!(stats.hist_subtracted, searching_splits);
+        assert_eq!(stats.hist_scanned, 1 + stats.hist_subtracted);
+        assert_eq!((stats.splits, stats.hist_subtracted), (7, 3), "{stats:?}");
+    }
+
+    #[test]
+    fn leaf_only_children_scan_nothing() {
+        // At max_depth 1 both children of the root split are leaves: the
+        // root's histogram is the only one, and nothing is subtracted.
+        let (x, y) = step_data();
+        let binned = BinnedMatrix::from_matrix(&x);
+        let samples: Vec<usize> = (0..x.rows()).collect();
+        let opts = TreeOptions {
+            max_depth: 1,
+            min_samples_leaf: 2,
+        };
+        let (t, stats) = RegressionTree::fit_hist(&binned, &y, &samples, &[0, 1], &opts, 1);
+        assert_eq!(t.split_count(), 1);
+        assert_eq!(stats.splits, 1);
+        assert_eq!(stats.hist_scanned, 1);
+        assert_eq!(stats.hist_subtracted, 0);
+        assert_eq!(stats.hist_slots, binned.n_bins(0) as u64);
+    }
+
+    #[test]
+    fn partition_is_stable_on_both_sides() {
+        let mut rows = vec![9, 2, 7, 4, 1, 8, 3];
+        let mut scratch = vec![0; rows.len()];
+        let n_left = partition_stable(&mut rows, &mut scratch, |i| i % 2 == 0);
+        assert_eq!(n_left, 3);
+        assert_eq!(rows, [2, 4, 8, 9, 7, 1, 3]);
     }
 }

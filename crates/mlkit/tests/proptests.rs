@@ -328,6 +328,45 @@ proptest! {
 }
 
 proptest! {
+    #[test]
+    fn in_bag_rows_record_the_leaf_they_predict_from(
+        data in prop::collection::vec((0usize..14, 0usize..14, -20i32..20, any::<bool>()), 12..90),
+        max_depth in 1usize..5,
+        min_samples_leaf in 1usize..4,
+    ) {
+        // The boosting loop takes an in-bag row's stage value from the
+        // leaf the fit partitioned it into, and walks the tree only for
+        // the others. Binning must order NaN of either sign, ±inf and ±0.0
+        // as `predict_one` compares them for that leaf to be the one
+        // `predict_one` reaches. Out-of-bag entries stay untouched.
+        const UNTOUCHED: f64 = -7.25;
+        let rows: Vec<Vec<f64>> = data
+            .iter()
+            .map(|&(a, b, _, _)| vec![special_or_int(a), special_or_int(b)])
+            .collect();
+        let y: Vec<f64> = data.iter().map(|&(_, _, t, _)| t as f64 * 0.37).collect();
+        let bag: Vec<usize> = (0..data.len()).filter(|&i| data[i].3).collect();
+        prop_assume!(!bag.is_empty());
+        let x = Matrix::from_rows(&rows);
+        let binned = BinnedMatrix::from_matrix(&x);
+        let opts = TreeOptions { max_depth, min_samples_leaf };
+        let mut leaf_value = vec![UNTOUCHED; data.len()];
+        let (tree, _) = RegressionTree::fit_hist_with_leaves(
+            &binned, &y, &bag, &[0, 1], &opts, 1, &mut leaf_value,
+        );
+        for (i, row) in x.iter_rows().enumerate() {
+            let want = if data[i].3 { tree.predict_one(row) } else { UNTOUCHED };
+            prop_assert_eq!(
+                leaf_value[i].to_bits(),
+                want.to_bits(),
+                "row {} ({:?}) recorded {} but predicts {}",
+                i, row, leaf_value[i], want
+            );
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]

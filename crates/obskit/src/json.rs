@@ -9,39 +9,71 @@
 //! [`JsonError`] instead of a stack overflow.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Escape a string for inclusion inside JSON double quotes.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    write_escaped(&mut out, s);
     out
 }
 
 /// A quoted, escaped JSON string literal.
 pub fn string(s: &str) -> String {
-    format!("\"{}\"", escape(s))
+    let mut out = String::with_capacity(s.len() + 2);
+    write_string(&mut out, s);
+    out
 }
 
 /// A JSON number literal. Non-finite floats have no JSON form and become
 /// `null`; everything else round-trips via Rust's shortest representation.
 pub fn number(v: f64) -> String {
+    let mut out = String::new();
+    write_number(&mut out, v);
+    out
+}
+
+/// Append `s` escaped for inclusion inside JSON double quotes. Runs of
+/// bytes that need no escape are copied whole; every byte that does is
+/// ASCII, so the runs end on character boundaries.
+fn write_escaped(out: &mut String, s: &str) {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[start..i]);
+        if escaped.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escaped);
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+}
+
+/// Append `s` as a quoted, escaped JSON string literal.
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    write_escaped(out, s);
+    out.push('"');
+}
+
+/// Append `v` as a JSON number literal (`null` when not finite). `{:?}`
+/// keeps a decimal point or exponent, so the value re-parses as the same
+/// f64.
+fn write_number(out: &mut String, v: f64) {
     if v.is_finite() {
-        // `{:?}` keeps a decimal point / exponent, so the value re-parses
-        // as the same f64.
-        format!("{v:?}")
+        let _ = write!(out, "{v:?}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
@@ -128,8 +160,8 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => out.push_str(&number(*n)),
-            Value::Str(s) => out.push_str(&string(s)),
+            Value::Num(n) => write_number(out, *n),
+            Value::Str(s) => write_string(out, s),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -146,7 +178,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&string(k));
+                    write_string(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -396,6 +428,95 @@ mod tests {
     fn escapes_quotes_and_control_chars() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape("\u{1}"), "\\u0001");
+    }
+
+    /// The writer as it was before `Value::write` formatted in place: one
+    /// `String` per number, string and key.
+    fn per_value_json(v: &Value) -> String {
+        fn escape_chars(s: &str) -> String {
+            let mut out = String::new();
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        let join = |parts: Vec<String>| parts.join(",");
+        match v {
+            Value::Null => "null".into(),
+            Value::Bool(b) => b.to_string(),
+            Value::Num(n) if n.is_finite() => format!("{n:?}"),
+            Value::Num(_) => "null".into(),
+            Value::Str(s) => format!("\"{}\"", escape_chars(s)),
+            Value::Arr(items) => format!("[{}]", join(items.iter().map(per_value_json).collect())),
+            Value::Obj(map) => format!(
+                "{{{}}}",
+                join(
+                    map.iter()
+                        .map(|(k, v)| format!("\"{}\":{}", escape_chars(k), per_value_json(v)))
+                        .collect()
+                )
+            ),
+        }
+    }
+
+    #[test]
+    fn in_place_writer_matches_per_value_formatting() {
+        let nums = [
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            1e300,
+            -1e300,
+            f64::MAX,
+            0.1,
+            1.5,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            9_007_199_254_740_992.0,
+            9_007_199_254_740_994.0,
+            18_446_744_073_709_551_616.0,
+            -9_007_199_254_740_996.0,
+            42.0,
+        ];
+        let text = "plain \"q\" back\\slash \n\r\t \u{1}\u{1f} é ß \u{7f} 日本";
+        let mut obj = BTreeMap::new();
+        obj.insert(
+            text.to_string(),
+            Value::Arr(nums.iter().map(|&n| Value::Num(n)).collect()),
+        );
+        obj.insert("".into(), Value::Str(String::new()));
+        obj.insert("s".into(), Value::Str(text.into()));
+        obj.insert("\u{0}k\"".into(), Value::Null);
+        obj.insert(
+            "nested".into(),
+            Value::Arr(vec![
+                Value::Bool(true),
+                Value::Bool(false),
+                Value::Obj(BTreeMap::new()),
+            ]),
+        );
+        let doc = Value::Obj(obj);
+        assert_eq!(doc.to_json(), per_value_json(&doc));
+        for &n in &nums {
+            assert_eq!(
+                Value::Num(n).to_json(),
+                per_value_json(&Value::Num(n)),
+                "{n:?}"
+            );
+            assert_eq!(number(n), per_value_json(&Value::Num(n)), "{n:?}");
+        }
+        assert_eq!(string(text), per_value_json(&Value::Str(text.into())));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! The constants were recorded by running this file against commit
 //! `47e20a0`, before the workspace's FNV-1a copies were folded into
-//! `obskit::fnv`. A change that moves any of them invalidates stored
-//! checkpoints, artifacts or fingerprints and must say so.
+//! `obskit::fnv`; the Rosetta GBRT artifact's was recorded at `ee26b56`.
+//! A change that moves any of them invalidates stored checkpoints,
+//! artifacts or fingerprints and must say so.
 
 use fpga_hls_congestion::congestion_core::cli::RunOptions;
 use fpga_hls_congestion::congestion_core::persist::{
@@ -19,6 +20,9 @@ use fpga_hls_congestion::congestion_core::{
 use fpga_hls_congestion::hls_ir::{FuncId, OpId};
 use fpga_hls_congestion::mlkit::CompiledEnsemble;
 use fpga_hls_congestion::prelude::*;
+use fpga_hls_congestion::rosetta_gen::{
+    bnn, digit_recognition, face_detection, optical_flow, rendering_3d, spam_filter, Preset,
+};
 use fpga_hls_congestion::servekit::ModelArtifact;
 use std::time::Duration;
 
@@ -56,6 +60,50 @@ fn model_artifact_digest_is_pinned() {
         horizontal: stump(20.0),
     };
     assert_eq!(artifact.digest(), 0xdea7_2620_b0e5_1bde);
+}
+
+/// A V/H GBRT artifact as `hls_congest train --model-out` builds one,
+/// fitted on the six Rosetta kernels without directives (the journey
+/// benchmark's corpus): one-worker dataset build, default marginal
+/// filtering, an 80/20 split with seed 17 and default training options.
+/// Fitted on real features, it pins every tree, threshold and leaf value
+/// of both fits. Recorded at commit `ee26b56`, before fits stopped
+/// building the histograms no split reads.
+#[test]
+fn rosetta_gbrt_artifact_digest_is_pinned() {
+    let modules: Vec<Module> = [
+        face_detection::benchmark(face_detection::FdVariant::Plain),
+        digit_recognition::benchmark(Preset::Plain),
+        spam_filter::benchmark(Preset::Plain),
+        bnn::benchmark(Preset::Plain),
+        rendering_3d::benchmark(Preset::Plain),
+        optical_flow::benchmark(Preset::Plain),
+    ]
+    .iter()
+    .map(|b| compile_named(&b.source, &b.name).expect("Rosetta kernel compiles"))
+    .collect();
+    let dataset = CongestionFlow::new()
+        .with_workers(1)
+        .build_dataset(&modules)
+        .expect("Rosetta dataset builds");
+    let (train, _) = filter_marginal(&dataset, &Default::default())
+        .kept
+        .split(0.2, 17);
+    let fit = |target| {
+        CongestionPredictor::train(ModelKind::Gbrt, target, &train, &TrainOptions::default())
+            .compiled_ensemble()
+            .cloned()
+            .expect("GBRT compiles its ensemble")
+    };
+    let artifact = ModelArtifact {
+        name: "gbrt".into(),
+        version: 1,
+        feature_count: FEATURE_COUNT,
+        trained_on: "pin".into(),
+        vertical: fit(Target::Vertical),
+        horizontal: fit(Target::Horizontal),
+    };
+    assert_eq!(artifact.digest(), 0x4bdf_ac0f_4d76_d37c);
 }
 
 #[test]
