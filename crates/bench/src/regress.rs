@@ -496,7 +496,7 @@ fn serve_checks(name: &str, doc: &Value) -> Vec<Finding> {
         Some(v) => f.push(Finding::new(
             name,
             "quality",
-            format!("hot swap did not invalidate the feature cache (invalidations = {v})"),
+            format!("hot swap did not invalidate the reply cache (invalidations = {v})"),
         )),
         None => f.push(Finding::new(
             name,

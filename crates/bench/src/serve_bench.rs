@@ -17,7 +17,7 @@
 //!    overhead (supervision, registry lock, metrics, reply channel), so
 //!    the model must not be so heavy that predict compute — identical
 //!    per row in both runs — drowns the quantity under test.
-//! 3. **Feature cache** — repeated `source` requests over a small design
+//! 3. **Reply cache** — repeated `source` requests over a small design
 //!    set, then a hot swap: reports `serve.cache.*` hit/miss accounting,
 //!    the swap-invalidation count, and pins hit replies bit-for-bit to
 //!    their miss-path twins.
@@ -103,7 +103,7 @@ impl CoalesceRun {
     }
 }
 
-/// Results of the feature-cache phase.
+/// Results of the reply-cache phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheRun {
     /// Distinct designs in the request mix.
@@ -153,7 +153,7 @@ pub struct ServeBench {
     pub predictions_per_sec: f64,
     /// The coalescing comparison phase.
     pub coalesce: CoalesceRun,
-    /// The feature-cache phase.
+    /// The reply-cache phase.
     pub cache: CacheRun,
     /// The overload phase.
     pub overload: OverloadRun,

@@ -403,7 +403,7 @@ pub fn extract_feature_rows(
 /// a stable 64-bit key over `(design name, source text)`, stamped with the
 /// feature schema width and the active extract kernel so a schema or
 /// kernel change can never alias a cache entry produced under different
-/// extraction semantics. `congestd` wires this in as the feature-cache
+/// extraction semantics. `congestd` wires this in as the reply-cache
 /// key function; two processes (or two runs) computing the key for the
 /// same source always agree.
 pub fn source_digest(name: &str, text: &str) -> u64 {

@@ -17,7 +17,7 @@
 //! - [`proto`] — request/reply wire types (JSON).
 //! - [`queue`] — bounded admission with deterministic shed-oldest,
 //!   micro-batch coalescing, and the [`queue::WorkGate`] pacing gate.
-//! - [`cache`] — digest-keyed feature cache with swap-aware invalidation.
+//! - [`cache`] — digest-keyed reply cache with swap-aware invalidation.
 //! - [`registry`] — hot-swap model registry, validation gate, rollback.
 //! - [`artifact`] — versioned on-disk model artifacts.
 //! - [`journal`] — append-only crash-recovery journal.
@@ -42,7 +42,7 @@ pub mod registry;
 pub mod server;
 
 pub use artifact::{ModelArtifact, MODEL_SCHEMA};
-pub use cache::{CacheStats, CachedFeatures, FeatureCache};
+pub use cache::{CacheStats, CachedReply, ReplyCache};
 pub use estimator::{AnalyticEstimator, ANALYTIC_MODEL};
 pub use journal::{Journal, JournalEvent, RecoveredState, JOURNAL_SCHEMA};
 pub use net::{read_frame, request, serve_event_loop, write_frame, MAX_FRAME};

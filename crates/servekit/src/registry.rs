@@ -149,8 +149,8 @@ pub struct ModelRegistry {
     pub rollbacks: u64,
     /// Monotonic model epoch: bumped on every change to the *active* slot
     /// (install commit, rollback, demotion). Gate rejects do **not** bump
-    /// it — the active model is unchanged. The feature cache keys its
-    /// swap-aware invalidation off this counter.
+    /// it — the active model is unchanged. The reply cache is cleared on
+    /// every bump, so it only ever holds the active model's answers.
     pub generation: u64,
 }
 

@@ -19,7 +19,7 @@
 //! mode — injected panic, poisoned model, overload, deadline — exits the
 //! process.
 
-use crate::cache::{CacheStats, CachedFeatures, FeatureCache};
+use crate::cache::{CacheStats, CachedReply, ReplyCache};
 use crate::estimator::{AnalyticEstimator, ANALYTIC_MODEL};
 use crate::journal::{Journal, JournalEvent, RecoveredState};
 use crate::proto::{Reply, ReplyStatus, Request, RequestBody};
@@ -52,7 +52,7 @@ pub type SourceExtractor =
     dyn Fn(&str, &str) -> Result<(Vec<Vec<f64>>, Vec<u32>), String> + Send + Sync;
 
 /// Pluggable source-digest function: maps `(design name, source text)` to
-/// the feature-cache key. The binary wires
+/// the reply-cache key. The binary wires
 /// `congestion_core::source_digest` in (stamped with the feature schema);
 /// the default is a plain FNV-1a over both strings.
 pub type SourceKeyFn = dyn Fn(&str, &str) -> u64 + Send + Sync;
@@ -101,10 +101,12 @@ pub struct ServeConfig {
     /// fits, and answers them with one merged `predict_into` call.
     /// `1` disables coalescing (per-request drain, the pre-batching path).
     pub batch_max_rows: usize,
-    /// Feature-cache capacity in designs for `source` requests;
-    /// 0 disables the cache.
+    /// Reply-cache capacity in designs for `source` requests; 0 disables
+    /// the cache. An entry is the answer a miss computed (status, model,
+    /// V/H predictions, lines: 20 bytes per op), so a hit neither
+    /// extracts nor predicts.
     pub cache_capacity: usize,
-    /// Source-digest function keying the feature cache; `None` uses a
+    /// Source-digest function keying the reply cache; `None` uses a
     /// plain FNV-1a over `(name, text)`.
     pub cache_key: Option<Arc<SourceKeyFn>>,
     /// Deterministic worker pacing gate: when set, each queue drain first
@@ -190,7 +192,7 @@ pub struct ServeMetrics {
 
 impl ServeMetrics {
     /// Export as an obskit registry snapshot (`serve.*` namespace),
-    /// folding in the registry's swap counters, the feature-cache
+    /// folding in the registry's swap counters, the reply-cache
     /// counters (`serve.cache.*`, where `hits + misses == lookups`) and
     /// the latency sketch as the `serve.latency_ms` histogram.
     pub fn snapshot(
@@ -243,7 +245,7 @@ struct ServerState {
     metrics: Mutex<ServeMetrics>,
     shutdown: AtomicBool,
     extractor: Option<Arc<SourceExtractor>>,
-    cache: FeatureCache,
+    cache: ReplyCache,
     recovered: RecoveredState,
     /// The event loop's wake socket, while one runs (see [`wake_loop`]).
     waker: Mutex<Option<UnixStream>>,
@@ -273,7 +275,7 @@ pub struct ServeSummary {
     pub rollbacks: u64,
     /// Model active at shutdown.
     pub model: String,
-    /// Feature-cache counters at shutdown.
+    /// Reply-cache counters at shutdown.
     pub cache: CacheStats,
 }
 
@@ -339,7 +341,7 @@ impl Server {
             metrics: Mutex::new(metrics),
             shutdown: AtomicBool::new(false),
             extractor,
-            cache: FeatureCache::new(cfg.cache_capacity),
+            cache: ReplyCache::new(cfg.cache_capacity),
             recovered: report.recovered.clone(),
             waker: Mutex::new(None),
             cfg,
@@ -493,7 +495,7 @@ impl Server {
         )
     }
 
-    /// Feature-cache counter snapshot (`hits + misses == lookups`).
+    /// Reply-cache counter snapshot (`hits + misses == lookups`).
     pub fn cache_stats(&self) -> CacheStats {
         self.state.cache.stats()
     }
@@ -779,7 +781,7 @@ fn predict_merged(
 }
 
 /// Terminal model-path failure: demote (last-good takes over for future
-/// requests), journal the rollback, and invalidate the feature cache —
+/// requests), journal the rollback, and invalidate the reply cache —
 /// the active-model epoch changed.
 fn demote_active(state: &Arc<ServerState>) {
     let name = {
@@ -987,28 +989,21 @@ fn source_request(
     let Some(extractor) = state.extractor.clone() else {
         return Reply::error(id, "this server was started without MiniHLS source support");
     };
-    // Feature-cache probe, keyed by source digest. The generation is read
-    // *before* the lookup/extraction so a swap that lands mid-extraction
-    // turns the eventual insert into a dropped stale write.
+    // Reply-cache probe, keyed by source digest. The generation is read
+    // *before* the lookup/extraction, so a model change that lands while
+    // this miss runs turns its eventual insert into a dropped stale write.
     let key = match &state.cfg.cache_key {
         Some(f) => f(name, text),
         None => default_source_key(name, text),
     };
     let generation = state.cache.generation();
-    if let Some(cached) = state.cache.lookup(key) {
+    if let Some(answer) = state.cache.lookup(key) {
         if past(deadline) {
             return Reply::status_only(id, ReplyStatus::DeadlineExceeded);
         }
-        let (status, model, v, h) = predict_ladder(state, id, &cached.matrix, deadline);
-        let mut r = Reply {
-            id,
-            status,
-            model,
-            vertical: v,
-            horizontal: h,
-            lines: cached.lines.clone(),
-            ..Default::default()
-        };
+        // The entry is the active model's answer (the cache is cleared on
+        // every change of model), so it is what predicting again returns.
+        let mut r = answer.reply(id);
         r.info.insert("cache".into(), "hit".into());
         return r;
     }
@@ -1043,19 +1038,21 @@ fn source_request(
     for row in &rows {
         m.push_row(row);
     }
-    let cached = Arc::new(CachedFeatures { matrix: m, lines });
-    state.cache.insert(key, generation, cached.clone());
-    let (status, model, v, h) = predict_ladder(state, id, &cached.matrix, deadline);
-    let mut r = Reply {
-        id,
+    let (status, model, vertical, horizontal) = predict_ladder(state, id, &m, deadline);
+    let answer = CachedReply {
         status,
         model,
-        vertical: v,
-        horizontal: h,
-        lines: cached.lines.clone(),
-        ..Default::default()
+        vertical,
+        horizontal,
+        lines,
     };
+    let mut r = answer.reply(id);
     if !state.cache.disabled() {
+        // Only complete answers are kept: a prediction cut short by its
+        // deadline leaves nothing behind.
+        if matches!(status, ReplyStatus::Ok | ReplyStatus::Degraded) {
+            state.cache.insert(key, generation, Arc::new(answer));
+        }
         r.info.insert("cache".into(), "miss".into());
     }
     r
@@ -1229,7 +1226,9 @@ fn status_request(state: &Arc<ServerState>, id: u64) -> Reply {
 mod tests {
     use super::*;
     use crate::artifact::LEAF;
+    use faultkit::{FaultKind, FaultRule};
     use mlkit::CompiledEnsemble;
+    use std::sync::atomic::AtomicU64;
 
     pub(crate) fn stump_artifact(version: u64, feature_count: usize) -> ModelArtifact {
         let nodes = vec![(0u32, 1, 2, 3.0), (LEAF, 0, 0, 10.0), (LEAF, 0, 0, 90.0)];
@@ -1356,7 +1355,6 @@ mod tests {
 
     #[test]
     fn source_cache_hits_skip_extraction_and_swaps_invalidate() {
-        use std::sync::atomic::AtomicU64;
         let extractions = Arc::new(AtomicU64::new(0));
         let counter = extractions.clone();
         let extractor: Arc<SourceExtractor> = Arc::new(move |_name, text: &str| {
@@ -1390,7 +1388,7 @@ mod tests {
             1,
             "hit skips extraction"
         );
-        assert_eq!(r1.vertical, r2.vertical, "cached rows answer identically");
+        assert_eq!(r1.vertical, r2.vertical, "the cached answer is the miss's");
         // Swap invalidates: the same design re-extracts under the new
         // model epoch.
         let swap = s.call(Request {
@@ -1410,6 +1408,112 @@ mod tests {
         assert_eq!(stats.invalidations, 1);
         s.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A server over the stump artifact whose extractor counts its calls,
+    /// with `plan` armed.
+    fn start_counting(plan: FaultPlan) -> (Server, Arc<AtomicU64>) {
+        let extractions = Arc::new(AtomicU64::new(0));
+        let counter = extractions.clone();
+        let extractor: Arc<SourceExtractor> = Arc::new(move |_name, _text| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            Ok((vec![vec![1.0; 4], vec![9.0, 0.0, 0.0, 0.0]], vec![3, 4]))
+        });
+        let cfg = ServeConfig {
+            plan: Some(Arc::new(plan)),
+            ..ServeConfig::default()
+        };
+        let (s, report) = Server::start(cfg, Some(stump_artifact(1, 4)), Some(extractor)).unwrap();
+        assert!(report.install_error.is_none(), "{report:?}");
+        (s, extractions)
+    }
+
+    fn source(id: u64, deadline_ms: Option<u64>) -> Request {
+        Request {
+            id,
+            deadline_ms,
+            body: RequestBody::Source {
+                name: "d".into(),
+                text: "int32 f() { return 1; }".into(),
+            },
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_hit_never_predicts() {
+        // Every predict attempt of request 2 fails: were the hit to
+        // predict, it would demote the model and answer degraded.
+        let plan = FaultPlan::new(1).with_rule(
+            FaultRule::once("req-2", serve_stages::PREDICT, FaultKind::Error)
+                .for_attempts(u32::MAX),
+        );
+        let (s, extractions) = start_counting(plan);
+        let miss = s.call(source(1, None));
+        assert_eq!(miss.info.get("cache").map(String::as_str), Some("miss"));
+        assert_eq!(miss.status, ReplyStatus::Ok);
+        let hit = s.call(source(2, None));
+        assert_eq!(hit.info.get("cache").map(String::as_str), Some("hit"));
+        assert_eq!(hit.status, ReplyStatus::Ok, "{hit:?}");
+        assert_eq!(hit.model, "gbrt@v1");
+        assert_eq!(bits(&hit.vertical), bits(&miss.vertical));
+        assert_eq!(bits(&hit.horizontal), bits(&miss.horizontal));
+        assert_eq!(hit.lines, vec![3, 4]);
+        assert_eq!(extractions.load(Ordering::SeqCst), 1);
+        assert_eq!(s.active_model(), "gbrt@v1", "nothing demoted");
+        let sum = s.shutdown();
+        assert_eq!(sum.metrics.injected, 0, "the hit entered no predict stage");
+        assert_eq!(sum.metrics.degraded, 0);
+    }
+
+    #[test]
+    fn a_miss_cut_short_by_its_deadline_leaves_no_entry() {
+        // Request 1's prediction sleeps past its 20 ms deadline.
+        let plan = FaultPlan::new(1).with_rule(FaultRule::once(
+            "req-1",
+            serve_stages::PREDICT,
+            FaultKind::Delay(Duration::from_millis(50)),
+        ));
+        let (s, extractions) = start_counting(plan);
+        let late = s.call(source(1, Some(20)));
+        assert_eq!(late.status, ReplyStatus::DeadlineExceeded, "{late:?}");
+        assert_eq!(late.info.get("cache").map(String::as_str), Some("miss"));
+        let again = s.call(source(2, None));
+        assert_eq!(again.info.get("cache").map(String::as_str), Some("miss"));
+        assert_eq!(again.status, ReplyStatus::Ok);
+        assert_eq!(extractions.load(Ordering::SeqCst), 2);
+        let stats = s.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 2));
+        s.shutdown();
+    }
+
+    #[test]
+    fn a_degraded_answer_after_a_demotion_is_not_kept() {
+        // Request 1's prediction fails for good: the model is demoted to
+        // nothing, which bumps the generation before the miss inserts.
+        let plan = FaultPlan::new(1).with_rule(
+            FaultRule::once("req-1", serve_stages::PREDICT, FaultKind::Error)
+                .for_attempts(u32::MAX),
+        );
+        let (s, extractions) = start_counting(plan);
+        let first = s.call(source(1, None));
+        assert_eq!(first.status, ReplyStatus::Degraded, "{first:?}");
+        assert_eq!(s.cache_stats().invalidations, 1, "the stale insert");
+        // With no model active, the degraded answer is the active answer
+        // and is kept.
+        let second = s.call(source(2, None));
+        assert_eq!(second.info.get("cache").map(String::as_str), Some("miss"));
+        assert_eq!(second.status, ReplyStatus::Degraded);
+        let third = s.call(source(3, None));
+        assert_eq!(third.info.get("cache").map(String::as_str), Some("hit"));
+        assert_eq!(third.status, ReplyStatus::Degraded);
+        assert_eq!(third.model, ANALYTIC_MODEL);
+        assert_eq!(bits(&third.vertical), bits(&second.vertical));
+        assert_eq!(extractions.load(Ordering::SeqCst), 2);
+        s.shutdown();
     }
 
     #[test]

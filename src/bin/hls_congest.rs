@@ -241,7 +241,7 @@ fn serve_cmd(opts: &RunOptions) -> Result {
     if let Some(n) = opts.parse("--cache-capacity")? {
         cfg.cache_capacity = n;
     }
-    // The feature cache keys on the core source digest (stamped with the
+    // The reply cache keys on the core source digest (stamped with the
     // feature schema + extract kernel), not the servekit default FNV.
     cfg.cache_key = Some(std::sync::Arc::new(|name: &str, text: &str| {
         congestion_core::source_digest(name, text)

@@ -6,24 +6,32 @@
 //!
 //! The constants were recorded by running this file against commit
 //! `47e20a0`, before the workspace's FNV-1a copies were folded into
-//! `obskit::fnv`; the Rosetta GBRT artifact's was recorded at `ee26b56`.
-//! A change that moves any of them invalidates stored checkpoints,
-//! artifacts or fingerprints and must say so.
+//! `obskit::fnv`; the Rosetta GBRT artifact's was recorded at `ee26b56`,
+//! and the served reply bytes at `421fc4f`, while cache hits still
+//! predicted again. A change that moves any of them invalidates stored
+//! checkpoints, artifacts or fingerprints, or changes what `congestd`
+//! answers, and must say so.
 
 use fpga_hls_congestion::congestion_core::cli::RunOptions;
 use fpga_hls_congestion::congestion_core::persist::{
     CheckpointEntry, CheckpointStore, RecordedFailure,
 };
 use fpga_hls_congestion::congestion_core::{
-    source_digest, CongestionDataset, DatasetFingerprint, Sample, FEATURE_COUNT,
+    extract_feature_rows, source_digest, CongestionDataset, DatasetFingerprint, Sample,
+    FEATURE_COUNT,
 };
 use fpga_hls_congestion::hls_ir::{FuncId, OpId};
 use fpga_hls_congestion::mlkit::CompiledEnsemble;
+use fpga_hls_congestion::obskit;
 use fpga_hls_congestion::prelude::*;
 use fpga_hls_congestion::rosetta_gen::{
-    bnn, digit_recognition, face_detection, optical_flow, rendering_3d, spam_filter, Preset,
+    bnn, digit_recognition, face_detection, optical_flow, rendering_3d, spam_filter, Benchmark,
+    Preset,
 };
-use fpga_hls_congestion::servekit::ModelArtifact;
+use fpga_hls_congestion::servekit::{
+    ModelArtifact, Request, RequestBody, ServeConfig, Server, SourceExtractor,
+};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// The `mac16` design of the CI observability smoke run, without the
@@ -62,16 +70,10 @@ fn model_artifact_digest_is_pinned() {
     assert_eq!(artifact.digest(), 0xdea7_2620_b0e5_1bde);
 }
 
-/// A V/H GBRT artifact as `hls_congest train --model-out` builds one,
-/// fitted on the six Rosetta kernels without directives (the journey
-/// benchmark's corpus): one-worker dataset build, default marginal
-/// filtering, an 80/20 split with seed 17 and default training options.
-/// Fitted on real features, it pins every tree, threshold and leaf value
-/// of both fits. Recorded at commit `ee26b56`, before fits stopped
-/// building the histograms no split reads.
-#[test]
-fn rosetta_gbrt_artifact_digest_is_pinned() {
-    let modules: Vec<Module> = [
+/// The six Rosetta kernels without directives: the journey benchmark's
+/// corpus.
+fn plain_rosetta_kernels() -> Vec<Benchmark> {
+    vec![
         face_detection::benchmark(face_detection::FdVariant::Plain),
         digit_recognition::benchmark(Preset::Plain),
         spam_filter::benchmark(Preset::Plain),
@@ -79,31 +81,104 @@ fn rosetta_gbrt_artifact_digest_is_pinned() {
         rendering_3d::benchmark(Preset::Plain),
         optical_flow::benchmark(Preset::Plain),
     ]
-    .iter()
-    .map(|b| compile_named(&b.source, &b.name).expect("Rosetta kernel compiles"))
-    .collect();
-    let dataset = CongestionFlow::new()
-        .with_workers(1)
-        .build_dataset(&modules)
-        .expect("Rosetta dataset builds");
-    let (train, _) = filter_marginal(&dataset, &Default::default())
-        .kept
-        .split(0.2, 17);
-    let fit = |target| {
-        CongestionPredictor::train(ModelKind::Gbrt, target, &train, &TrainOptions::default())
-            .compiled_ensemble()
-            .cloned()
-            .expect("GBRT compiles its ensemble")
+}
+
+/// A V/H GBRT artifact as `hls_congest train --model-out` builds one,
+/// fitted on [`plain_rosetta_kernels`]: one-worker dataset build, default
+/// marginal filtering, an 80/20 split with seed 17 and default training
+/// options. Built once and shared by the tests that pin it and serve it.
+fn rosetta_gbrt_artifact() -> &'static ModelArtifact {
+    static ARTIFACT: OnceLock<ModelArtifact> = OnceLock::new();
+    ARTIFACT.get_or_init(|| {
+        let modules: Vec<Module> = plain_rosetta_kernels()
+            .iter()
+            .map(|b| compile_named(&b.source, &b.name).expect("Rosetta kernel compiles"))
+            .collect();
+        let dataset = CongestionFlow::new()
+            .with_workers(1)
+            .build_dataset(&modules)
+            .expect("Rosetta dataset builds");
+        let (train, _) = filter_marginal(&dataset, &Default::default())
+            .kept
+            .split(0.2, 17);
+        let fit = |target| {
+            CongestionPredictor::train(ModelKind::Gbrt, target, &train, &TrainOptions::default())
+                .compiled_ensemble()
+                .cloned()
+                .expect("GBRT compiles its ensemble")
+        };
+        ModelArtifact {
+            name: "gbrt".into(),
+            version: 1,
+            feature_count: FEATURE_COUNT,
+            trained_on: "pin".into(),
+            vertical: fit(Target::Vertical),
+            horizontal: fit(Target::Horizontal),
+        }
+    })
+}
+
+/// Fitted on real features, the Rosetta artifact pins every tree,
+/// threshold and leaf value of both fits. Recorded at commit `ee26b56`,
+/// before fits stopped building the histograms no split reads.
+#[test]
+fn rosetta_gbrt_artifact_digest_is_pinned() {
+    assert_eq!(rosetta_gbrt_artifact().digest(), 0x4bdf_ac0f_4d76_d37c);
+}
+
+/// What `congestd` answers about each Plain Rosetta kernel, byte for
+/// byte: the Rosetta artifact served in process, keyed by
+/// `source_digest`, with the binary's MiniHLS extractor. Each kernel is
+/// asked twice. The first (miss) replies are pinned with a fixed id and
+/// no `info`, and each second (hit) reply must be its miss, byte for
+/// byte, apart from `info`.
+#[test]
+fn served_source_reply_bytes_are_pinned() {
+    let mut cfg = ServeConfig::default();
+    cfg.gate.expected_features = FEATURE_COUNT;
+    cfg.cache_key = Some(Arc::new(|name: &str, text: &str| source_digest(name, text)));
+    let extractor: Arc<SourceExtractor> = Arc::new(|name: &str, text: &str| {
+        let module = compile_named(text, name).map_err(|e| e.to_string())?;
+        let flow = CongestionFlow::new();
+        let design = flow.synthesize(&module).map_err(|e| e.to_string())?;
+        Ok(extract_feature_rows(&design, &flow.device))
+    });
+    let (server, report) =
+        Server::start(cfg, Some(rosetta_gbrt_artifact().clone()), Some(extractor))
+            .expect("server starts");
+    assert!(report.install_error.is_none(), "{report:?}");
+    let mut id = 0;
+    let mut ask = |b: &Benchmark| {
+        id += 1;
+        let mut reply = server.call(Request {
+            id,
+            deadline_ms: None,
+            body: RequestBody::Source {
+                name: b.name.clone(),
+                text: b.source.clone(),
+            },
+        });
+        let cache = reply.info.get("cache").cloned();
+        reply.id = 0;
+        reply.info.clear();
+        (cache, reply.to_json())
     };
-    let artifact = ModelArtifact {
-        name: "gbrt".into(),
-        version: 1,
-        feature_count: FEATURE_COUNT,
-        trained_on: "pin".into(),
-        vertical: fit(Target::Vertical),
-        horizontal: fit(Target::Horizontal),
-    };
-    assert_eq!(artifact.digest(), 0x4bdf_ac0f_4d76_d37c);
+    let mut misses = Vec::new();
+    for b in &plain_rosetta_kernels() {
+        let (cache, miss) = ask(b);
+        assert_eq!(cache.as_deref(), Some("miss"), "{}", b.name);
+        let (cache, hit) = ask(b);
+        assert_eq!(cache.as_deref(), Some("hit"), "{}", b.name);
+        assert_eq!(
+            hit, miss,
+            "{}: a hit answers what its miss answered",
+            b.name
+        );
+        misses.push(miss);
+    }
+    server.shutdown();
+    let parts: Vec<&[u8]> = misses.iter().map(|m| m.as_bytes()).collect();
+    assert_eq!(obskit::fnv1a(&parts), 0x1b0d_04fe_2c5c_fc93);
 }
 
 #[test]

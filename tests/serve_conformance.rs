@@ -1,5 +1,5 @@
 //! Serving conformance harness for `congestd`: pins the scale-out layer
-//! (request coalescing, the digest-keyed feature cache, the event-loop
+//! (request coalescing, the digest-keyed reply cache, the event-loop
 //! front-end) to the per-request serving semantics it must not change.
 //!
 //! The conformance contract:
@@ -16,15 +16,16 @@
 //! * **Shedding is untouched by batching** — admission decides the shed
 //!   set at push time ([`shed_plan`]), so the same arrival trace sheds
 //!   the same ids whatever the drain-side batch budget.
-//! * **The cache never time-travels** — a `source` reply is never built
-//!   from features extracted before the most recent model swap, under
-//!   arbitrary source/swap interleavings, and the `serve.cache.*`
-//!   accounting always balances (`hits + misses == lookups`).
+//! * **The cache never time-travels** — a `source` reply is never an
+//!   answer computed before the most recent model swap: under arbitrary
+//!   source/swap interleavings its bits are the active model's prediction
+//!   on the extracted rows, and the `serve.cache.*` accounting always
+//!   balances (`hits + misses == lookups`).
 //! * **The wire adds nothing** — the readiness-polled event loop answers a
 //!   pipelined request stream with reply frames byte-identical to the
 //!   serialized replies of in-process [`Server::call`]s.
 
-use fpga_hls_congestion::mlkit::CompiledEnsemble;
+use fpga_hls_congestion::mlkit::{CompiledEnsemble, Matrix};
 use fpga_hls_congestion::servekit::{
     coalesce_plan, read_frame, serve_event_loop, shed_plan, write_frame, ModelArtifact, Reply,
     ReplyStatus, Request, RequestBody, ServeConfig, Server, SourceExtractor, TraceStep, WorkGate,
@@ -43,7 +44,8 @@ const FEATURES: usize = 6;
 /// A deterministic two-tree ensemble per target with fractional leaves:
 /// tree 0 splits feature 0 at 3.0, tree 1 splits feature 1 at 4.5. Small
 /// enough to run thousands of times, structured enough that every row
-/// lands on a distinct sum of leaf values.
+/// lands on a distinct sum of leaf values. The base value grows with the
+/// version, so every version predicts differently.
 fn artifact(version: u64) -> ModelArtifact {
     let nodes = vec![
         (0u32, 1, 2, 3.0),
@@ -56,13 +58,14 @@ fn artifact(version: u64) -> ModelArtifact {
     let mk = |base: f64| {
         CompiledEnsemble::from_raw(base, 1.0, vec![0, 3], nodes.clone(), FEATURES).unwrap()
     };
+    let base = version as f64;
     ModelArtifact {
         name: "gbrt".into(),
         version,
         feature_count: FEATURES,
         trained_on: "conformance-test".into(),
-        vertical: mk(1.0),
-        horizontal: mk(0.5),
+        vertical: mk(base),
+        horizontal: mk(base - 0.5),
     }
 }
 
@@ -100,8 +103,8 @@ fn reply_bits(r: &Reply) -> (u64, ReplyStatus, Vec<u64>, Vec<u64>, Vec<u32>) {
     (
         r.id,
         r.status,
-        r.vertical.iter().map(|v| v.to_bits()).collect(),
-        r.horizontal.iter().map(|v| v.to_bits()).collect(),
+        bits(&r.vertical),
+        bits(&r.horizontal),
         r.lines.clone(),
     )
 }
@@ -225,6 +228,23 @@ fn shed_set_is_untouched_by_the_batch_budget() {
     }
 }
 
+/// The feature rows the proptest's extractor returns for design `name`:
+/// two or three rows with values in [0, 10), both depending on the name.
+fn design_rows(name: &str) -> Vec<Vec<f64>> {
+    let d: u64 = name.bytes().map(u64::from).sum();
+    (0..2 + d % 2)
+        .map(|r| {
+            (0..FEATURES)
+                .map(|c| (r * 7 + c as u64 + d) as f64 % 10.0)
+                .collect()
+        })
+        .collect()
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 /// Unique scratch dir per call site (process-wide counter, cleaned by the
 /// caller).
 fn scratch(tag: &str) -> PathBuf {
@@ -239,14 +259,16 @@ fn scratch(tag: &str) -> PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Arbitrary source/swap interleavings: a reply must never be built
-    /// from a cache entry that predates the latest swap, and the cache
-    /// accounting must balance exactly.
+    /// Arbitrary source/swap interleavings: a reply must never carry an
+    /// answer that predates the latest swap, and the cache accounting
+    /// must balance exactly.
     ///
-    /// The extractor stamps every extraction with a monotone epoch that
-    /// is bumped immediately before each swap, and reports it through
-    /// `reply.lines` — so a stale (pre-swap) cache entry is directly
-    /// visible as an old epoch on the wire.
+    /// Every version predicts differently, so each `source` reply's V/H
+    /// bits must equal the active artifact's prediction on the extracted
+    /// rows. The extractor also stamps every extraction with a monotone
+    /// epoch that is bumped immediately before each swap, and reports it
+    /// through `reply.lines` — so a stale (pre-swap) cache entry is
+    /// directly visible as an old epoch on the wire.
     #[test]
     fn cache_never_serves_pre_swap_entries(ops in prop::collection::vec(0u8..8, 1..24)) {
         let dir = scratch("proptest");
@@ -255,10 +277,7 @@ proptest! {
         let extractor_epoch = epoch.clone();
         let extractor: Arc<SourceExtractor> = Arc::new(move |name: &str, _text: &str| {
             let e = extractor_epoch.load(Ordering::SeqCst);
-            let d = name.len() as u64; // design-dependent row count
-            let rows: Vec<Vec<f64>> = (0..2 + d % 2)
-                .map(|r| (0..FEATURES).map(|c| (r * 7 + c as u64 + d) as f64 % 10.0).collect())
-                .collect();
+            let rows = design_rows(name);
             let lines = vec![e as u32; rows.len()];
             Ok((rows, lines))
         });
@@ -269,7 +288,7 @@ proptest! {
         prop_assert!(report.install_error.is_none(), "{report:?}");
 
         let mut version = 1u64;
-        let mut active = artifact(1).display_name();
+        let mut active = artifact(1);
         // Designs extracted since the last swap (they must now hit).
         let mut warm: BTreeSet<u64> = BTreeSet::new();
         let mut source_ops = 0u64;
@@ -277,17 +296,30 @@ proptest! {
             let id = i as u64 + 10;
             if *op < 6 {
                 let d = u64::from(*op % 3);
+                let name = format!("design-{d}");
                 let reply = server.call(Request {
                     id,
                     deadline_ms: None,
                     body: RequestBody::Source {
-                        name: format!("design-{d}"),
+                        name: name.clone(),
                         text: format!("// design {d}"),
                     },
                 });
                 source_ops += 1;
                 prop_assert_eq!(reply.status, ReplyStatus::Ok, "{:?}", reply);
-                prop_assert_eq!(&reply.model, &active, "{:?}", reply);
+                prop_assert_eq!(&reply.model, &active.display_name(), "{:?}", reply);
+                // The bits are the active model's on this design's rows.
+                let rows = design_rows(&name);
+                let mut m = Matrix::with_cols(FEATURES);
+                for row in &rows {
+                    m.push_row(row);
+                }
+                let mut v = vec![0.0; rows.len()];
+                let mut h = vec![0.0; rows.len()];
+                active.vertical.predict_into(&m, &mut v);
+                active.horizontal.predict_into(&m, &mut h);
+                prop_assert_eq!(bits(&reply.vertical), bits(&v), "{:?}", reply);
+                prop_assert_eq!(bits(&reply.horizontal), bits(&h), "{:?}", reply);
                 // The epoch stamped on the reply is the current one: the
                 // features were extracted after the latest swap.
                 let current = epoch.load(Ordering::SeqCst) as u32;
@@ -316,7 +348,7 @@ proptest! {
                     body: RequestBody::Swap { path: path.to_string_lossy().into_owned() },
                 });
                 prop_assert_eq!(reply.status, ReplyStatus::Ok, "{:?}", reply);
-                active = v.display_name();
+                active = v;
                 warm.clear();
             }
         }
