@@ -335,10 +335,26 @@ impl CompiledEnsemble {
     /// Panics if `out.len() != x.rows()`.
     pub fn predict_into(&self, x: &Matrix, out: &mut [f64]) {
         assert_eq!(out.len(), x.rows(), "output length mismatch");
+        self.predict_rows_into(x, 0, out);
+    }
+
+    /// Predict rows `first..first + out.len()` of `x` into `out`, as
+    /// [`Self::predict_into`] predicts them: each row's output depends on
+    /// that row alone, so a range gives the same bits as the whole matrix.
+    ///
+    /// # Panics
+    /// Panics if the range runs past the last row of `x`.
+    pub fn predict_rows_into(&self, x: &Matrix, first: usize, out: &mut [f64]) {
+        assert!(
+            first + out.len() <= x.rows(),
+            "rows {first}..{} of a {}-row matrix",
+            first + out.len(),
+            x.rows()
+        );
         for (g, out) in out.chunks_mut(LANES).enumerate() {
             // A short last group repeats its last row in the spare lanes.
             let last = out.len() - 1;
-            let rows = std::array::from_fn(|k| x.row(g * LANES + k.min(last)));
+            let rows = std::array::from_fn(|k| x.row(first + g * LANES + k.min(last)));
             let mut acc = [0.0f64; LANES];
             for tree in &self.trees {
                 for (a, v) in acc.iter_mut().zip(self.leaf_values(tree, rows)) {
@@ -449,6 +465,35 @@ mod tests {
             let want = per_row(1.25, 0.1, &trees, row);
             assert_eq!(out[i].to_bits(), want.to_bits(), "row {i}");
         }
+    }
+
+    #[test]
+    fn a_row_range_predicts_the_bits_of_the_whole_matrix() {
+        let (x, y) = wavy(101, 5);
+        let trees = fit_forest(&x, &y, 6);
+        let c = CompiledEnsemble::from_trees(0.5, 0.1, &trees);
+        let mut whole = vec![0.0; x.rows()];
+        c.predict_into(&x, &mut whole);
+        // Ranges starting off a lane boundary, with and without a short
+        // last group, and an empty one.
+        for (first, len) in [(0, 101), (1, 7), (3, 4), (50, 51), (100, 1), (101, 0)] {
+            let mut out = vec![f64::NAN; len];
+            c.predict_rows_into(&x, first, &mut out);
+            let want: Vec<u64> = whole[first..first + len]
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "rows {first}..{}", first + len);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rows 99..102 of a 101-row matrix")]
+    fn a_row_range_past_the_matrix_panics() {
+        let (x, y) = wavy(101, 5);
+        let c = CompiledEnsemble::from_trees(0.5, 0.1, &fit_forest(&x, &y, 1));
+        c.predict_rows_into(&x, 99, &mut [0.0; 3]);
     }
 
     #[test]

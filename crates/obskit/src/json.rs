@@ -60,7 +60,7 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 /// Append `s` as a quoted, escaped JSON string literal.
-fn write_string(out: &mut String, s: &str) {
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     write_escaped(out, s);
     out.push('"');
@@ -68,9 +68,29 @@ fn write_string(out: &mut String, s: &str) {
 
 /// Append `v` as a JSON number literal (`null` when not finite). `{:?}`
 /// keeps a decimal point or exponent, so the value re-parses as the same
-/// f64.
-fn write_number(out: &mut String, v: f64) {
-    if v.is_finite() {
+/// f64. An integral value below 2^53 in magnitude, which `{:?}` prints
+/// as its digits then `.0`, is written that way without the float
+/// formatter.
+pub fn write_number(out: &mut String, v: f64) {
+    if v.fract() == 0.0 && v.abs() < MAX_EXACT_INTEGER {
+        // Exact: every integer below 2^53 converts without rounding.
+        let mut n = v.abs() as u64;
+        let mut digits = [0u8; 16];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        if v.is_sign_negative() {
+            out.push('-'); // -0.0 included: `{:?}` prints "-0.0"
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+        out.push_str(".0");
+    } else if v.is_finite() {
         let _ = write!(out, "{v:?}");
     } else {
         out.push_str("null");
@@ -517,6 +537,61 @@ mod tests {
             assert_eq!(number(n), per_value_json(&Value::Num(n)), "{n:?}");
         }
         assert_eq!(string(text), per_value_json(&Value::Str(text.into())));
+    }
+
+    #[test]
+    fn integer_fast_path_prints_what_debug_prints() {
+        let debug = |v: f64| {
+            if v.is_finite() {
+                format!("{v:?}")
+            } else {
+                "null".to_string()
+            }
+        };
+        // splitmix64: a fixed, seedable stream of 64-bit words.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut values = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            9.0,
+            10.0,
+            MAX_EXACT_INTEGER - 1.0,
+            -(MAX_EXACT_INTEGER - 1.0),
+            MAX_EXACT_INTEGER,
+            -MAX_EXACT_INTEGER,
+            1e15,
+            1e16,
+            -1e16,
+            0.5,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for _ in 0..20_000 {
+            let word = next();
+            // An integer below 2^53 of either sign, of any digit count.
+            let digits = (word >> 58) % 17;
+            let magnitude = (word & ((1 << 53) - 1)) % 10u64.pow(digits as u32).max(1);
+            let sign = if word >> 57 & 1 == 1 { -1.0 } else { 1.0 };
+            values.push(sign * magnitude as f64);
+            // Any bit pattern: subnormals, NaN payloads, huge exponents.
+            values.push(f64::from_bits(next()));
+        }
+        for v in values {
+            let mut out = String::new();
+            write_number(&mut out, v);
+            assert_eq!(out, debug(v), "{:#018x}", v.to_bits());
+        }
     }
 
     #[test]

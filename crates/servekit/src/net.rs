@@ -15,10 +15,11 @@
 //! event loop over nonblocking sockets that blocks in poll(2) until a
 //! socket or a reply is ready, so an idle daemon uses no CPU. Connections
 //! are plain state machines (read buffer → in-order pending replies →
-//! write buffer) and requests enter the admission queue via the
-//! nonblocking [`Server::submit`], so connection count is bounded by
-//! memory, not by threads, and per-connection pipelining falls out for
-//! free. A connection that stops reading its replies stops being read
+//! write buffer) and requests enter the server via the nonblocking
+//! [`Server::submit`], which answers a `source` cache hit on an idle
+//! server itself and queues everything else, so connection count is
+//! bounded by memory, not by threads, and per-connection pipelining falls
+//! out for free. A connection that stops reading its replies stops being read
 //! (backpressure). Only HTTP stragglers get a thread (they are demo
 //! traffic by definition). Unix only: the loop polls raw descriptors.
 
@@ -142,10 +143,13 @@ fn run_event_loop(
             (events != 0).then(|| PollFd::new(c.stream.as_raw_fd(), events))
         }));
         poll::wait(&mut fds)?;
-        // Drain before stepping: a reply delivered after this read leaves
-        // a fresh byte behind, so the next poll returns at once.
-        drain_wakes(wake)?;
-        if !shutting_down {
+        // Drain before stepping: a reply delivered after this read, or
+        // after a poll that saw no wake, leaves a byte behind, so the next
+        // poll returns at once.
+        if fds[0].ready() {
+            drain_wakes(wake)?;
+        }
+        if !shutting_down && fds[1].ready() {
             loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
@@ -304,14 +308,21 @@ impl Conn {
     }
 
     /// Parse complete frames and submit them; the reply receiver queues in
-    /// arrival order so responses cannot reorder. Returns `true` when it
+    /// arrival order so responses cannot reorder. The parsed frames leave
+    /// the read buffer in one drain at the end. Returns `true` when it
     /// stopped because the connection is backpressured.
     fn submit_frames(&mut self, server: &Server) -> bool {
-        while self.sniffed && self.read_buf.len() >= 4 {
+        let mut at = 0;
+        let mut stopped = false;
+        while self.sniffed && self.read_buf.len() - at >= 4 {
             if self.backpressured() {
-                return true;
+                stopped = true;
+                break;
             }
-            let len = u32::from_le_bytes(self.read_buf[..4].try_into().unwrap());
+            let prefix = self.read_buf[at..at + 4]
+                .try_into()
+                .expect("a 4-byte slice");
+            let len = u32::from_le_bytes(prefix);
             if len > MAX_FRAME {
                 self.enqueue_now(Reply::error(
                     0,
@@ -319,22 +330,26 @@ impl Conn {
                 ));
                 self.eof = true; // poison the stream: flush then close
                 self.read_buf.clear();
+                at = 0;
                 break;
             }
             let total = 4 + len as usize;
-            if self.read_buf.len() < total {
+            if self.read_buf.len() - at < total {
                 break;
             }
-            let frame: Vec<u8> = self.read_buf.drain(..total).skip(4).collect();
-            match String::from_utf8(frame) {
-                Ok(json) => match Request::from_json(&json) {
-                    Ok(req) => self.pending.push_back(server.submit(req)),
-                    Err(e) => self.enqueue_now(Reply::error(0, format!("bad request: {e}"))),
-                },
-                Err(_) => self.enqueue_now(Reply::error(0, "frame is not UTF-8")),
+            let decoded = match std::str::from_utf8(&self.read_buf[at + 4..at + total]) {
+                Ok(json) => Request::from_json(json)
+                    .map_err(|e| Reply::error(0, format!("bad request: {e}"))),
+                Err(_) => Err(Reply::error(0, "frame is not UTF-8")),
+            };
+            at += total;
+            match decoded {
+                Ok(req) => self.pending.push_back(server.submit(req)),
+                Err(reply) => self.enqueue_now(reply),
             }
         }
-        false
+        self.read_buf.drain(..at);
+        stopped
     }
 
     /// Move ready replies (front first — strict request order) into the
@@ -478,7 +493,9 @@ mod poll {
     pub struct PollFd {
         fd: RawFd,
         events: c_short,
-        /// Written by the kernel; the loop steps every connection anyway.
+        /// Written by the kernel. The loop reads it for the wake socket and
+        /// the listener; it steps every connection anyway, since a reply
+        /// arrives by channel, not by socket.
         revents: c_short,
     }
 
@@ -489,6 +506,12 @@ mod poll {
                 events,
                 revents: 0,
             }
+        }
+
+        /// The last `wait` reported an event here: input, end of stream,
+        /// or an error.
+        pub fn ready(&self) -> bool {
+            self.revents != 0
         }
     }
 
@@ -676,6 +699,36 @@ mod tests {
             let json = read_frame(&mut stream).unwrap().unwrap();
             let reply = Reply::from_json(&json).unwrap();
             assert_eq!(reply.id, id, "replies must come back in request order");
+        }
+        stop(&server, front);
+    }
+
+    #[test]
+    fn one_write_of_1024_pipelined_frames_gets_1024_replies_in_order() {
+        // One pass may submit every frame, so the queue must hold them all.
+        let cfg = ServeConfig {
+            queue_capacity: 1024,
+            ..ServeConfig::default()
+        };
+        let server = Arc::new(Server::start(cfg, None, None).unwrap().0);
+        let (addr, front) = spawn_event_loop(server.clone());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut frames = Vec::new();
+        for id in 1..=1024u64 {
+            write_frame(
+                &mut frames,
+                &Request::predict(id, vec![vec![id as f64; 4]]).to_json(),
+            )
+            .unwrap();
+        }
+        stream.write_all(&frames).unwrap();
+        for id in 1..=1024u64 {
+            let reply = Reply::from_json(&read_frame(&mut stream).unwrap().unwrap()).unwrap();
+            assert_eq!(reply.id, id, "replies must come back in request order");
+            assert_eq!(reply.status, ReplyStatus::Degraded, "no model installed");
         }
         stop(&server, front);
     }

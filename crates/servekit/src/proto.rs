@@ -263,43 +263,53 @@ impl Reply {
         self.status == ReplyStatus::Degraded
     }
 
-    /// Serialize to the wire JSON.
+    /// Serialize to the wire JSON: an object with its keys in sorted
+    /// order, written straight into one string.
     pub fn to_json(&self) -> String {
-        let mut o = BTreeMap::new();
-        o.insert("id".into(), Value::Num(self.id as f64));
-        o.insert("status".into(), Value::Str(self.status.name().into()));
-        o.insert("degraded".into(), Value::Bool(self.degraded()));
-        if !self.model.is_empty() {
-            o.insert("model".into(), Value::Str(self.model.clone()));
+        let preds = !self.vertical.is_empty() || !self.horizontal.is_empty();
+        let mut out = String::with_capacity(
+            96 + 20 * (self.vertical.len() + self.horizontal.len()) + 8 * self.lines.len(),
+        );
+        out.push_str("{\"degraded\":");
+        out.push_str(if self.degraded() { "true" } else { "false" });
+        if let Some(e) = &self.error {
+            out.push_str(",\"error\":");
+            json::write_string(&mut out, e);
         }
-        let nums = |v: &[f64]| Value::Arr(v.iter().map(|&x| Value::Num(x)).collect());
-        if !self.vertical.is_empty() || !self.horizontal.is_empty() {
-            o.insert("vertical".into(), nums(&self.vertical));
-            o.insert("horizontal".into(), nums(&self.horizontal));
+        if preds {
+            out.push_str(",\"horizontal\":");
+            write_numbers(&mut out, self.horizontal.iter().copied());
+        }
+        out.push_str(",\"id\":");
+        json::write_number(&mut out, self.id as f64);
+        if !self.info.is_empty() {
+            out.push_str(",\"info\":{");
+            for (i, (k, v)) in self.info.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::write_string(&mut out, k);
+                out.push(':');
+                json::write_string(&mut out, v);
+            }
+            out.push('}');
         }
         if !self.lines.is_empty() {
-            o.insert(
-                "lines".into(),
-                Value::Arr(
-                    self.lines
-                        .iter()
-                        .map(|&l| Value::Num(f64::from(l)))
-                        .collect(),
-                ),
-            );
+            out.push_str(",\"lines\":");
+            write_numbers(&mut out, self.lines.iter().map(|&l| f64::from(l)));
         }
-        if let Some(e) = &self.error {
-            o.insert("error".into(), Value::Str(e.clone()));
+        if !self.model.is_empty() {
+            out.push_str(",\"model\":");
+            json::write_string(&mut out, &self.model);
         }
-        if !self.info.is_empty() {
-            let info = self
-                .info
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
-                .collect();
-            o.insert("info".into(), Value::Obj(info));
+        out.push_str(",\"status\":");
+        json::write_string(&mut out, self.status.name());
+        if preds {
+            out.push_str(",\"vertical\":");
+            write_numbers(&mut out, self.vertical.iter().copied());
         }
-        Value::Obj(o).to_json()
+        out.push('}');
+        out
     }
 
     /// Parse a reply from wire JSON.
@@ -347,6 +357,18 @@ impl Reply {
             info,
         })
     }
+}
+
+/// Append `values` as a JSON array of numbers.
+fn write_numbers(out: &mut String, values: impl Iterator<Item = f64>) {
+    out.push('[');
+    for (i, v) in values.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_number(out, v);
+    }
+    out.push(']');
 }
 
 #[cfg(test)]
@@ -410,6 +432,94 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"degraded\":true"), "{json}");
         assert_eq!(Reply::from_json(&json).unwrap(), r);
+    }
+
+    /// The encoding `Reply::to_json` had before it wrote its keys
+    /// directly: a sorted value tree, serialized by `obskit::json`.
+    fn tree_json(r: &Reply) -> String {
+        let mut o = BTreeMap::new();
+        o.insert("id".into(), Value::Num(r.id as f64));
+        o.insert("status".into(), Value::Str(r.status.name().into()));
+        o.insert("degraded".into(), Value::Bool(r.degraded()));
+        if !r.model.is_empty() {
+            o.insert("model".into(), Value::Str(r.model.clone()));
+        }
+        let nums = |v: &[f64]| Value::Arr(v.iter().map(|&x| Value::Num(x)).collect());
+        if !r.vertical.is_empty() || !r.horizontal.is_empty() {
+            o.insert("vertical".into(), nums(&r.vertical));
+            o.insert("horizontal".into(), nums(&r.horizontal));
+        }
+        if !r.lines.is_empty() {
+            let lines = r.lines.iter().map(|&l| Value::Num(f64::from(l))).collect();
+            o.insert("lines".into(), Value::Arr(lines));
+        }
+        if let Some(e) = &r.error {
+            o.insert("error".into(), Value::Str(e.clone()));
+        }
+        if !r.info.is_empty() {
+            let info = r
+                .info
+                .iter()
+                .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
+                .collect();
+            o.insert("info".into(), Value::Obj(info));
+        }
+        Value::Obj(o).to_json()
+    }
+
+    #[test]
+    fn reply_json_matches_the_tree_encoding() {
+        let awkward = "q\"b\\s\n\r\t\u{1}\u{1f} é 日本";
+        let mut info = BTreeMap::new();
+        info.insert("cache".to_string(), "hit".to_string());
+        info.insert(awkward.to_string(), awkward.to_string());
+        info.insert(String::new(), String::new());
+        let mut replies = vec![
+            Reply::status_only(0, ReplyStatus::Ok),
+            Reply::status_only((1 << 53) - 1, ReplyStatus::Overloaded),
+            Reply::status_only(1 << 53, ReplyStatus::DeadlineExceeded),
+            Reply::status_only((1 << 53) + 1, ReplyStatus::Ok),
+            Reply::status_only(u64::MAX, ReplyStatus::Ok),
+            Reply::error(7, awkward),
+            Reply::error(8, ""),
+            Reply {
+                id: 3,
+                status: ReplyStatus::Degraded,
+                model: "analytic".into(),
+                vertical: vec![12.5, 80.0, -0.0, 0.0, 1e300, 5e-324],
+                horizontal: vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -3.0, 0.1, 1e16],
+                lines: vec![0, 4, u32::MAX],
+                error: None,
+                info: info.clone(),
+            },
+            // One side empty: both keys are still written.
+            Reply {
+                id: 4,
+                vertical: vec![],
+                horizontal: vec![2.0],
+                ..Default::default()
+            },
+            Reply {
+                id: 5,
+                model: awkward.into(),
+                lines: vec![9],
+                error: Some(awkward.into()),
+                info,
+                ..Default::default()
+            },
+        ];
+        // A served reply's worth of ops.
+        replies.push(Reply {
+            id: 6,
+            model: "gbrt@v1".into(),
+            vertical: (0..57).map(|i| 17.25 + f64::from(i) * 1.37).collect(),
+            horizontal: (0..57).map(|i| 3.0 * f64::from(i)).collect(),
+            lines: (1..=57).collect(),
+            ..Default::default()
+        });
+        for r in &replies {
+            assert_eq!(r.to_json(), tree_json(r), "{r:?}");
+        }
     }
 
     #[test]

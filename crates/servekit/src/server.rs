@@ -5,8 +5,10 @@
 //!
 //! ```text
 //! submit ── serve.admission (supervised) ──► queue (bounded, shed-oldest)
-//!        │                                       │
-//!        └─► Overloaded / Error                  ▼ worker pop
+//!        │        │                              │
+//!        │        └─► source hit on an idle      ▼ worker pop
+//!        │            server: answered here
+//!        └─► Overloaded / Error
 //!                       deadline check ──► DeadlineExceeded
 //!                       serve.extract / serve.predict / serve.swap
 //!                       (supervised: retries + backoff + panic isolation)
@@ -34,7 +36,7 @@ use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -113,7 +115,8 @@ pub struct ServeConfig {
     /// takes one permit. Benches and conformance tests use this as a
     /// virtual clock to reproduce `shed_plan` exactly; production leaves
     /// it `None`. [`Server::shutdown`] opens the gate so workers never
-    /// wedge on it.
+    /// wedge on it. It paces workers only: a `source` cache hit that
+    /// [`Server::submit`] answers on an idle server takes no permit.
     pub pace_gate: Option<Arc<WorkGate>>,
 }
 
@@ -162,7 +165,8 @@ impl Default for ServeConfig {
 pub struct ServeMetrics {
     /// Requests accepted into the queue (or answered at admission).
     pub admitted: u64,
-    /// Requests answered by a worker (any status but shed).
+    /// Requests answered by a worker or at admission (any status but
+    /// shed).
     pub completed: u64,
     /// Requests shed at admission (`Overloaded`).
     pub shed: u64,
@@ -235,6 +239,17 @@ struct Job {
     req: Request,
     admitted_at: Instant,
     reply_to: mpsc::Sender<Reply>,
+    /// Set for a `source` request that admission already looked up and
+    /// missed, so the worker does not look it up again.
+    probe: Option<Probe>,
+}
+
+/// One reply-cache lookup of a `source` request: its key, and the cache
+/// generation read before the lookup (the miss inserts under it).
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    key: u64,
+    generation: u64,
 }
 
 struct ServerState {
@@ -244,6 +259,9 @@ struct ServerState {
     journal: Mutex<Option<Journal>>,
     metrics: Mutex<ServeMetrics>,
     shutdown: AtomicBool,
+    /// Admitted jobs not yet finished: queued, or held by a worker. While
+    /// it is 0 nothing ahead of a new request can change its answer.
+    in_flight: AtomicUsize,
     extractor: Option<Arc<SourceExtractor>>,
     cache: ReplyCache,
     recovered: RecoveredState,
@@ -340,6 +358,7 @@ impl Server {
             journal: Mutex::new(journal),
             metrics: Mutex::new(metrics),
             shutdown: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
             extractor,
             cache: ReplyCache::new(cfg.cache_capacity),
             recovered: report.recovered.clone(),
@@ -367,6 +386,13 @@ impl Server {
     /// Admit one request. Never blocks; the reply (exactly one) arrives on
     /// the returned channel. Under overload the *oldest* queued request is
     /// shed with an `Overloaded` reply to make room.
+    ///
+    /// A `source` request is looked up in the reply cache here when
+    /// nothing is queued or running and the server is not shutting down:
+    /// then nothing can be ordered ahead of it, so a hit is answered on
+    /// this thread, and its reply is in the channel when `submit` returns.
+    /// A miss carries its lookup to the worker. While work is queued or
+    /// running, the worker looks the request up in its turn.
     pub fn submit(&self, req: Request) -> mpsc::Receiver<Reply> {
         let (tx, rx) = mpsc::channel();
         let state = &self.state;
@@ -383,7 +409,7 @@ impl Server {
             |_| faultkit::inject(serve_stages::ADMISSION).map_err(|f| f.to_string()),
             |_| true,
         );
-        {
+        if run.log.injected > 0 || run.log.retries() > 0 {
             let mut m = state.metrics.lock().unwrap();
             m.injected += u64::from(run.log.injected);
             m.retries += u64::from(run.log.retries());
@@ -397,19 +423,45 @@ impl Server {
             let _ = tx.send(Reply::error(id, format!("admission failed: {failure}")));
             return rx;
         }
+        let admitted_at = Instant::now();
+        let mut probe = None;
+        if let RequestBody::Source { name, text } = &req.body {
+            if state.extractor.is_some() && !state.cache.disabled() && idle(state) {
+                let (lookup, hit) = look_up(state, name, text);
+                if let Some(answer) = hit {
+                    let reply = cache_hit(id, &answer, deadline_of(state, &req, admitted_at));
+                    let flush = {
+                        let mut m = state.metrics.lock().expect("metrics lock poisoned");
+                        m.admitted += 1;
+                        record_completion(&mut m, reply.status, admitted_at)
+                    };
+                    // The caller collects the reply on return: no wake.
+                    let _ = tx.send(reply);
+                    if flush {
+                        journal_progress(state);
+                    }
+                    return rx;
+                }
+                probe = Some(lookup);
+            }
+        }
         let job = Job {
             req,
-            admitted_at: Instant::now(),
+            admitted_at,
             reply_to: tx.clone(),
+            probe,
         };
+        // Held across the push, so a worker cannot answer the job (or a
+        // `status` report it) before it is counted as admitted.
+        let mut m = state.metrics.lock().expect("metrics lock poisoned");
+        state.in_flight.fetch_add(1, Ordering::SeqCst);
         match state.queue.push(job) {
             Admit::Queued => {
-                let mut m = state.metrics.lock().unwrap();
                 m.admitted += 1;
                 m.queue_depth_peak = m.queue_depth_peak.max(state.queue.depth() as u64);
             }
             Admit::Shed(old) => {
-                let mut m = state.metrics.lock().unwrap();
+                state.in_flight.fetch_sub(1, Ordering::SeqCst);
                 m.admitted += 1;
                 m.shed += 1;
                 drop(m);
@@ -421,6 +473,8 @@ impl Server {
                 wake_loop(state);
             }
             Admit::Closed(job) => {
+                state.in_flight.fetch_sub(1, Ordering::SeqCst);
+                drop(m);
                 let _ = job
                     .reply_to
                     .send(Reply::error(id, "server is shutting down"));
@@ -577,27 +631,45 @@ fn worker_loop(state: &Arc<ServerState>) {
 }
 
 /// Per-reply bookkeeping shared by the singleton and coalesced paths:
-/// completion counters, latency sketch, reply delivery plus the event
-/// loop's wake, journal cadence.
+/// the in-flight count, completion counters, latency sketch, reply
+/// delivery plus the event loop's wake, journal cadence.
 fn finish(state: &Arc<ServerState>, job: &Job, reply: Reply) {
-    let flush = {
-        let mut m = state.metrics.lock().unwrap();
-        m.completed += 1;
-        match reply.status {
-            ReplyStatus::Degraded => m.degraded += 1,
-            ReplyStatus::DeadlineExceeded => m.deadline_missed += 1,
-            ReplyStatus::Error => m.errors += 1,
-            _ => {}
-        }
-        m.latency_ms
-            .observe(job.admitted_at.elapsed().as_secs_f64() * 1e3);
-        m.completed.is_multiple_of(JOURNAL_FLUSH_EVERY)
-    };
+    // The job's work is done, so it can no longer change a later answer.
+    // Lowered before the reply leaves: a client that sends its next
+    // request on receipt finds an idle server.
+    state.in_flight.fetch_sub(1, Ordering::SeqCst);
+    let flush = record_completion(
+        &mut state.metrics.lock().expect("metrics lock poisoned"),
+        reply.status,
+        job.admitted_at,
+    );
     let _ = job.reply_to.send(reply);
     wake_loop(state);
     if flush {
         journal_progress(state);
     }
+}
+
+/// Count one answered request, by [`finish`] or by a hit answered at
+/// admission. Returns whether a journal progress record is due.
+fn record_completion(m: &mut ServeMetrics, status: ReplyStatus, admitted_at: Instant) -> bool {
+    m.completed += 1;
+    match status {
+        ReplyStatus::Degraded => m.degraded += 1,
+        ReplyStatus::DeadlineExceeded => m.deadline_missed += 1,
+        ReplyStatus::Error => m.errors += 1,
+        _ => {}
+    }
+    m.latency_ms
+        .observe(admitted_at.elapsed().as_secs_f64() * 1e3);
+    m.completed.is_multiple_of(JOURNAL_FLUSH_EVERY)
+}
+
+/// Nothing admitted is unfinished and the server is not shutting down,
+/// so no swap, rollback, demotion or shutdown can be ordered ahead of a
+/// request admitted now.
+fn idle(state: &ServerState) -> bool {
+    state.in_flight.load(Ordering::SeqCst) == 0 && !state.shutdown.load(Ordering::SeqCst)
 }
 
 /// Tell a blocked event loop that something changed: a reply is waiting
@@ -655,7 +727,7 @@ fn batch_replies(state: &Arc<ServerState>, batch: &[Job]) -> Vec<Reply> {
         let RequestBody::Predict { rows } = &job.req.body else {
             unreachable!("pop_batch only coalesces predict requests");
         };
-        if past(deadline_of(state, job)) {
+        if past(deadline_of(state, &job.req, job.admitted_at)) {
             replies.push(Some(Reply::status_only(id, ReplyStatus::DeadlineExceeded)));
             continue;
         }
@@ -810,14 +882,13 @@ fn journal_progress(state: &ServerState) {
     }
 }
 
-/// The request's absolute deadline, if any.
-fn deadline_of(state: &ServerState, job: &Job) -> Option<Instant> {
-    let dur = job
-        .req
+/// The absolute deadline of `req`, admitted at `admitted_at`, if any.
+fn deadline_of(state: &ServerState, req: &Request, admitted_at: Instant) -> Option<Instant> {
+    let dur = req
         .deadline_ms
         .map(Duration::from_millis)
         .or(state.cfg.default_deadline)?;
-    Some(job.admitted_at + dur)
+    Some(admitted_at + dur)
 }
 
 fn past(deadline: Option<Instant>) -> bool {
@@ -826,13 +897,15 @@ fn past(deadline: Option<Instant>) -> bool {
 
 fn process(state: &Arc<ServerState>, job: &Job) -> Reply {
     let id = job.req.id;
-    let deadline = deadline_of(state, job);
+    let deadline = deadline_of(state, &job.req, job.admitted_at);
     if past(deadline) {
         return Reply::status_only(id, ReplyStatus::DeadlineExceeded);
     }
     match &job.req.body {
         RequestBody::Predict { rows } => predict_request(state, id, rows, deadline),
-        RequestBody::Source { name, text } => source_request(state, id, name, text, deadline),
+        RequestBody::Source { name, text } => {
+            source_request(state, id, name, text, deadline, job.probe)
+        }
         RequestBody::Swap { path } => swap_request(state, id, path),
         RequestBody::Rollback => rollback_request(state, id),
         RequestBody::Status => status_request(state, id),
@@ -919,7 +992,6 @@ fn predict_ladder(
                 faultkit::inject(serve_stages::PREDICT)
                     .map_err(|f| PredictErr::Injected(f.to_string()))?;
                 let n = rows.rows();
-                let cols = rows.cols();
                 let mut v = vec![0.0; n];
                 let mut h = vec![0.0; n];
                 let mut start = 0usize;
@@ -931,10 +1003,12 @@ fn predict_ladder(
                         return Err(PredictErr::Deadline);
                     }
                     let end = (start + PREDICT_CHUNK).min(n);
-                    let chunk =
-                        Matrix::from_flat(cols, rows.flat()[start * cols..end * cols].to_vec());
-                    model.vertical.predict_into(&chunk, &mut v[start..end]);
-                    model.horizontal.predict_into(&chunk, &mut h[start..end]);
+                    model
+                        .vertical
+                        .predict_rows_into(rows, start, &mut v[start..end]);
+                    model
+                        .horizontal
+                        .predict_rows_into(rows, start, &mut h[start..end]);
                     start = end;
                 }
                 Ok((v, h))
@@ -979,34 +1053,52 @@ fn analytic_predict(state: &ServerState, rows: &Matrix) -> (Vec<f64>, Vec<f64>) 
     (v, h)
 }
 
+/// Look `source` up in the reply cache. The generation is read *before*
+/// the lookup, so a model change that lands while a miss runs turns its
+/// eventual insert into a dropped stale write.
+fn look_up(state: &ServerState, name: &str, text: &str) -> (Probe, Option<Arc<CachedReply>>) {
+    let key = match &state.cfg.cache_key {
+        Some(f) => f(name, text),
+        None => default_source_key(name, text),
+    };
+    let generation = state.cache.generation();
+    (Probe { key, generation }, state.cache.lookup(key))
+}
+
+/// Answer a `source` request from its cache entry: at admission, or by
+/// the worker when the request had to wait its turn.
+fn cache_hit(id: u64, answer: &CachedReply, deadline: Option<Instant>) -> Reply {
+    if past(deadline) {
+        return Reply::status_only(id, ReplyStatus::DeadlineExceeded);
+    }
+    // The entry is the active model's answer (the cache is cleared on
+    // every change of model), so it is what predicting again returns.
+    let mut r = answer.reply(id);
+    r.info.insert("cache".into(), "hit".into());
+    r
+}
+
+/// A `source` request in its worker turn. `probe` is its admission
+/// lookup, a miss; without one it is looked up here, so each request is
+/// looked up once.
 fn source_request(
     state: &Arc<ServerState>,
     id: u64,
     name: &str,
     text: &str,
     deadline: Option<Instant>,
+    probe: Option<Probe>,
 ) -> Reply {
     let Some(extractor) = state.extractor.clone() else {
         return Reply::error(id, "this server was started without MiniHLS source support");
     };
-    // Reply-cache probe, keyed by source digest. The generation is read
-    // *before* the lookup/extraction, so a model change that lands while
-    // this miss runs turns its eventual insert into a dropped stale write.
-    let key = match &state.cfg.cache_key {
-        Some(f) => f(name, text),
-        None => default_source_key(name, text),
+    let probe = match probe {
+        Some(probe) => probe,
+        None => match look_up(state, name, text) {
+            (_, Some(answer)) => return cache_hit(id, &answer, deadline),
+            (probe, None) => probe,
+        },
     };
-    let generation = state.cache.generation();
-    if let Some(answer) = state.cache.lookup(key) {
-        if past(deadline) {
-            return Reply::status_only(id, ReplyStatus::DeadlineExceeded);
-        }
-        // The entry is the active model's answer (the cache is cleared on
-        // every change of model), so it is what predicting again returns.
-        let mut r = answer.reply(id);
-        r.info.insert("cache".into(), "hit".into());
-        return r;
-    }
     let sup = Supervisor::new(
         state.cfg.policy.clone(),
         state.cfg.plan.clone(),
@@ -1051,7 +1143,9 @@ fn source_request(
         // Only complete answers are kept: a prediction cut short by its
         // deadline leaves nothing behind.
         if matches!(status, ReplyStatus::Ok | ReplyStatus::Degraded) {
-            state.cache.insert(key, generation, Arc::new(answer));
+            state
+                .cache
+                .insert(probe.key, probe.generation, Arc::new(answer));
         }
         r.info.insert("cache".into(), "miss".into());
     }
@@ -1413,30 +1507,173 @@ mod tests {
     /// A server over the stump artifact whose extractor counts its calls,
     /// with `plan` armed.
     fn start_counting(plan: FaultPlan) -> (Server, Arc<AtomicU64>) {
+        start_counting_with(ServeConfig {
+            plan: Some(Arc::new(plan)),
+            ..ServeConfig::default()
+        })
+    }
+
+    /// A server over the stump artifact whose extractor counts its calls.
+    fn start_counting_with(cfg: ServeConfig) -> (Server, Arc<AtomicU64>) {
         let extractions = Arc::new(AtomicU64::new(0));
         let counter = extractions.clone();
         let extractor: Arc<SourceExtractor> = Arc::new(move |_name, _text| {
             counter.fetch_add(1, Ordering::SeqCst);
             Ok((vec![vec![1.0; 4], vec![9.0, 0.0, 0.0, 0.0]], vec![3, 4]))
         });
-        let cfg = ServeConfig {
-            plan: Some(Arc::new(plan)),
-            ..ServeConfig::default()
-        };
         let (s, report) = Server::start(cfg, Some(stump_artifact(1, 4)), Some(extractor)).unwrap();
         assert!(report.install_error.is_none(), "{report:?}");
         (s, extractions)
     }
 
     fn source(id: u64, deadline_ms: Option<u64>) -> Request {
+        source_of("d", id, deadline_ms)
+    }
+
+    fn source_of(name: &str, id: u64, deadline_ms: Option<u64>) -> Request {
         Request {
             id,
             deadline_ms,
             body: RequestBody::Source {
-                name: "d".into(),
+                name: name.into(),
                 text: "int32 f() { return 1; }".into(),
             },
         }
+    }
+
+    fn cache_of(r: &Reply) -> Option<&str> {
+        r.info.get("cache").map(String::as_str)
+    }
+
+    /// A server whose only worker drains only when `gate` grants a permit.
+    fn start_gated() -> (Server, Arc<AtomicU64>, Arc<WorkGate>) {
+        let gate = Arc::new(WorkGate::closed());
+        let (s, extractions) = start_counting_with(ServeConfig {
+            pace_gate: Some(gate.clone()),
+            ..ServeConfig::default()
+        });
+        (s, extractions, gate)
+    }
+
+    /// Submit `req` and let the worker drain exactly it.
+    fn drained(s: &Server, gate: &WorkGate, req: Request) -> Reply {
+        let rx = s.submit(req);
+        gate.release(1);
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("one permit drains the request")
+    }
+
+    #[test]
+    fn a_hit_needs_no_worker() {
+        let (s, extractions, gate) = start_gated();
+        let miss = drained(&s, &gate, source(1, None));
+        assert_eq!(cache_of(&miss), Some("miss"));
+        // The worker now waits for a permit that never comes.
+        let hit = s
+            .submit(source(2, None))
+            .try_recv()
+            .expect("a hit on an idle server is answered before submit returns");
+        assert_eq!(cache_of(&hit), Some("hit"));
+        assert_eq!((hit.id, hit.status), (2, ReplyStatus::Ok));
+        assert_eq!(hit.model, "gbrt@v1");
+        assert_eq!(bits(&hit.vertical), bits(&miss.vertical));
+        assert_eq!(bits(&hit.horizontal), bits(&miss.horizontal));
+        assert_eq!(hit.lines, miss.lines);
+        assert_eq!(extractions.load(Ordering::SeqCst), 1);
+        let m = s.metrics();
+        assert_eq!(m.counters["serve.admitted"], 2);
+        assert_eq!(m.counters["serve.completed"], 2);
+        assert_eq!(m.histograms["serve.latency_ms"].count(), 2);
+        s.shutdown();
+    }
+
+    #[test]
+    fn a_hit_behind_queued_work_waits_its_turn() {
+        let dir = std::env::temp_dir().join(format!("servekit-turn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let v2 = dir.join("v2.json");
+        stump_artifact(2, 4).save(&v2).unwrap();
+        let (s, extractions, gate) = start_gated();
+        assert_eq!(cache_of(&drained(&s, &gate, source(1, None))), Some("miss"));
+        let swap = s.submit(Request {
+            id: 2,
+            deadline_ms: None,
+            body: RequestBody::Swap {
+                path: v2.to_string_lossy().into_owned(),
+            },
+        });
+        // Warm, but queued behind the swap: no answer until the gate opens.
+        let behind = s.submit(source(3, None));
+        assert!(
+            behind.recv_timeout(Duration::from_millis(100)).is_err(),
+            "a hit behind queued work was answered ahead of it"
+        );
+        gate.open();
+        let swap = swap.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(swap.status, ReplyStatus::Ok, "{swap:?}");
+        let r = behind.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(cache_of(&r), Some("miss"), "the swap cleared the entry");
+        assert_eq!((r.status, r.model.as_str()), (ReplyStatus::Ok, "gbrt@v2"));
+        assert_eq!(extractions.load(Ordering::SeqCst), 2);
+        let stats = s.cache_stats();
+        assert_eq!((stats.lookups, stats.hits, stats.misses), (2, 0, 2));
+        assert_eq!(stats.invalidations, 1);
+        s.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_admission_miss_is_looked_up_once() {
+        let (s, extractions, gate) = start_gated();
+        // Idle: looked up at admission, a miss the worker extracts…
+        assert_eq!(
+            cache_of(&drained(&s, &gate, source_of("a", 1, None))),
+            Some("miss")
+        );
+        // …then a hit answered at admission.
+        let hit = s.submit(source_of("a", 2, None)).try_recv().unwrap();
+        assert_eq!(cache_of(&hit), Some("hit"));
+        // Busy: `b` is looked up at admission (a miss); the two behind it
+        // are looked up by the worker in their turn (both hits).
+        let rxs: Vec<_> = [("b", 3), ("b", 4), ("a", 5)]
+            .into_iter()
+            .map(|(name, id)| s.submit(source_of(name, id, None)))
+            .collect();
+        gate.open();
+        let replies: Vec<Reply> = rxs
+            .into_iter()
+            .map(|rx| rx.recv_timeout(Duration::from_secs(10)).unwrap())
+            .collect();
+        let caches: Vec<_> = replies.iter().map(cache_of).collect();
+        assert_eq!(caches, [Some("miss"), Some("hit"), Some("hit")]);
+        assert_eq!(extractions.load(Ordering::SeqCst), 2);
+        let stats = s.cache_stats();
+        assert_eq!(stats.lookups, 5, "one lookup per source request: {stats:?}");
+        assert_eq!((stats.hits, stats.misses), (3, 2));
+        s.shutdown();
+    }
+
+    #[test]
+    fn a_predict_over_several_chunks_matches_per_row_bits() {
+        let s = start_simple(ServeConfig::default());
+        let rows: Vec<Vec<f64>> = (0..2 * PREDICT_CHUNK + 1)
+            .map(|i| vec![(i % 7) as f64, (i % 3) as f64, 0.5, i as f64])
+            .collect();
+        let r = s.call(Request::predict(1, rows.clone()));
+        assert_eq!(r.status, ReplyStatus::Ok);
+        s.shutdown();
+        let model = stump_artifact(1, 4);
+        let per_row = |m: &CompiledEnsemble| -> Vec<u64> {
+            rows.iter()
+                .map(|row| {
+                    let mut out = [0.0];
+                    m.predict_into(&Matrix::from_rows(std::slice::from_ref(row)), &mut out);
+                    out[0].to_bits()
+                })
+                .collect()
+        };
+        assert_eq!(bits(&r.vertical), per_row(&model.vertical));
+        assert_eq!(bits(&r.horizontal), per_row(&model.horizontal));
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {

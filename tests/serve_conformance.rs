@@ -23,7 +23,9 @@
 //!   balances (`hits + misses == lookups`).
 //! * **The wire adds nothing** — the readiness-polled event loop answers a
 //!   pipelined request stream with reply frames byte-identical to the
-//!   serialized replies of in-process [`Server::call`]s.
+//!   serialized replies of in-process [`Server::call`]s, for `predict`
+//!   and for `source` requests, whether a hit is answered at admission
+//!   or by a worker.
 
 use fpga_hls_congestion::mlkit::{CompiledEnsemble, Matrix};
 use fpga_hls_congestion::servekit::{
@@ -400,14 +402,7 @@ fn event_loop_reply_frames_match_in_process_calls() {
     server.shutdown();
 
     let server = start();
-    let (tx, rx) = mpsc::channel();
-    let net = {
-        let server = server.clone();
-        std::thread::spawn(move || {
-            serve_event_loop(server, "127.0.0.1:0", move |a| tx.send(a).unwrap()).expect("serve");
-        })
-    };
-    let addr = rx.recv_timeout(Duration::from_secs(10)).expect("bound");
+    let (addr, net) = spawn_loop(&server);
     let wire = roundtrip(addr, &frames);
     server.shutdown();
     net.join().expect("front-end thread");
@@ -419,5 +414,116 @@ fn event_loop_reply_frames_match_in_process_calls() {
     assert_eq!(
         wire, in_process,
         "event-loop reply frames diverged from in-process replies"
+    );
+}
+
+/// `rounds` passes over `designs` designs, ids from 1: the first pass
+/// misses, every later pass hits.
+fn source_requests(designs: u64, rounds: u64) -> Vec<Request> {
+    (0..rounds * designs)
+        .map(|i| Request {
+            id: i + 1,
+            deadline_ms: None,
+            body: RequestBody::Source {
+                name: format!("design-{}", i % designs),
+                text: format!("// design {}", i % designs),
+            },
+        })
+        .collect()
+}
+
+/// One worker (so a pipelined stream drains in order), an extractor over
+/// [`design_rows`], and `gate` pacing the worker's drains.
+fn start_source_server(gate: Option<Arc<WorkGate>>) -> Arc<Server> {
+    let extractor: Arc<SourceExtractor> = Arc::new(|name: &str, _text: &str| {
+        let rows = design_rows(name);
+        let lines = (1..=rows.len() as u32).collect();
+        Ok((rows, lines))
+    });
+    let mut cfg = ServeConfig {
+        workers: 1,
+        pace_gate: gate,
+        ..Default::default()
+    };
+    cfg.gate.expected_features = FEATURES;
+    let (server, report) = Server::start(cfg, Some(artifact(1)), Some(extractor)).expect("start");
+    assert!(report.install_error.is_none(), "{report:?}");
+    Arc::new(server)
+}
+
+/// Run the event loop for `server` on a thread; returns its address.
+fn spawn_loop(server: &Arc<Server>) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let (tx, rx) = mpsc::channel();
+    let server = server.clone();
+    let net = std::thread::spawn(move || {
+        serve_event_loop(server, "127.0.0.1:0", move |a| tx.send(a).unwrap()).expect("serve");
+    });
+    (
+        rx.recv_timeout(Duration::from_secs(10)).expect("bound"),
+        net,
+    )
+}
+
+#[test]
+fn event_loop_source_reply_frames_match_in_process_calls() {
+    let reqs = source_requests(3, 4);
+    let frames: Vec<String> = reqs.iter().map(Request::to_json).collect();
+
+    // Reference: the same requests answered in process, one call at a time.
+    let server = start_source_server(None);
+    let in_process: Vec<String> = reqs
+        .iter()
+        .map(|r| server.call(r.clone()).to_json())
+        .collect();
+    server.shutdown();
+    let misses = in_process
+        .iter()
+        .filter(|json| json.contains("\"cache\":\"miss\""))
+        .count();
+    assert_eq!(misses, 3, "one miss per design: {in_process:?}");
+    for json in &in_process {
+        let reply = Reply::from_json(json).expect("decode reply");
+        assert_eq!(reply.status, ReplyStatus::Ok, "{reply:?}");
+    }
+
+    // Pipelined on one connection: the hits queued behind a miss are
+    // answered by the worker in their turn.
+    let server = start_source_server(None);
+    let (addr, net) = spawn_loop(&server);
+    let pipelined = roundtrip(addr, &frames);
+    server.shutdown();
+    net.join().expect("front-end thread");
+    assert_eq!(
+        pipelined, in_process,
+        "pipelined source frames diverged from in-process replies"
+    );
+
+    // One at a time, with the only worker granted one drain per miss: a
+    // hit that was not answered at admission would never be answered.
+    let gate = Arc::new(WorkGate::closed());
+    let server = start_source_server(Some(gate.clone()));
+    let (addr, net) = spawn_loop(&server);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let one_at_a_time: Vec<String> = frames
+        .iter()
+        .zip(&in_process)
+        .map(|(frame, want)| {
+            if want.contains("\"cache\":\"miss\"") {
+                gate.release(1);
+            }
+            write_frame(&mut stream, frame).expect("write frame");
+            read_frame(&mut stream)
+                .expect("a hit is answered without a worker")
+                .expect("reply frame")
+        })
+        .collect();
+    server.shutdown();
+    net.join().expect("front-end thread");
+    assert_eq!(
+        one_at_a_time, in_process,
+        "admission-answered hit frames diverged from in-process replies"
     );
 }
