@@ -56,7 +56,111 @@ impl BinnedMatrix {
     /// and heavy ties never split a bin. A column's NaNs, of either sign,
     /// share one extra last bin (edge `NaN`) after every number, and its
     /// numbers get one bin fewer of the budget.
+    ///
+    /// Each column's numbers are sorted once, as (value, row) pairs, and
+    /// get their codes from one walk of the sorted pairs against the
+    /// edges, so no cell needs a binary search.
     pub fn with_bins(x: &Matrix, budget: usize) -> BinnedMatrix {
+        let budget = budget.clamp(2, MAX_BINS);
+        let rows = x.rows();
+        let cols = x.cols();
+        let mut bins = vec![0u8; rows * cols];
+        let mut thresholds = Vec::with_capacity(cols);
+        // Reused by every column: its numbers with their rows in value
+        // order, and its distinct numbers.
+        let mut sorted: Vec<(f64, usize)> = Vec::with_capacity(rows);
+        let mut distinct: Vec<f64> = Vec::with_capacity(rows);
+        for j in 0..cols {
+            sorted.clear();
+            sorted.extend(
+                (0..rows)
+                    .map(|i| (x.row(i)[j], i))
+                    .filter(|(v, _)| !v.is_nan()),
+            );
+            let has_nan = sorted.len() < rows;
+            // `total_cmp` puts -0.0 first of the zeros, and the dedup keeps
+            // the first of a run of equal values, so a column with both
+            // zeros has the edge -0.0.
+            sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            distinct.clear();
+            for &(v, _) in &sorted {
+                if distinct.last() != Some(&v) {
+                    distinct.push(v);
+                }
+            }
+            let nb = (budget - usize::from(has_nan)).min(distinct.len());
+            let mut cuts = Vec::with_capacity(nb + usize::from(has_nan));
+            // Upper edge of bin b-1: the (b/nb)-quantile of the distinct
+            // values. `idx >= 1` because `nb <= distinct.len()`, the
+            // indices strictly increase, and `b = nb` lands exactly on the
+            // maximum, so the edges strictly increase and cover the range.
+            for b in 1..=nb {
+                cuts.push(distinct[(b * distinct.len()) / nb - 1]);
+            }
+            // A number's bin is the count of edges below it. The numbers
+            // come in value order, so that count only grows, and it stops
+            // at the last edge, the maximum.
+            let mut code = 0;
+            for &(v, i) in &sorted {
+                while cuts[code] < v {
+                    code += 1;
+                }
+                bins[i * cols + j] = code as u8;
+            }
+            if has_nan {
+                let nan_bin = cuts.len() as u8;
+                for i in (0..rows).filter(|&i| x.row(i)[j].is_nan()) {
+                    bins[i * cols + j] = nan_bin;
+                }
+                cuts.push(f64::NAN);
+            }
+            thresholds.push(cuts);
+        }
+        BinnedMatrix {
+            bins,
+            thresholds,
+            rows,
+            cols,
+        }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of feature columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Number of bins actually used by feature `col`.
+    pub fn n_bins(&self, col: usize) -> usize {
+        self.thresholds[col].len()
+    }
+
+    /// The bin codes of one row.
+    #[inline]
+    pub(crate) fn row(&self, row: usize) -> &[u8] {
+        &self.bins[row * self.cols..(row + 1) * self.cols]
+    }
+
+    /// The bin code of one cell.
+    #[inline]
+    pub fn bin(&self, row: usize, col: usize) -> usize {
+        self.bins[row * self.cols + col] as usize
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The binning [`BinnedMatrix::with_bins`] replaced: a sort, a dedup
+    /// and a binary search per cell. Kept as the reference it must match
+    /// cell for cell and edge for edge.
+    fn with_bins_per_cell(x: &Matrix, budget: usize) -> BinnedMatrix {
         let budget = budget.clamp(2, MAX_BINS);
         let rows = x.rows();
         let cols = x.cols();
@@ -107,37 +211,90 @@ impl BinnedMatrix {
         }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
+    /// Column values that stress binning: NaN of both signs, signed zeros,
+    /// infinities, a few small integers (heavy ties) and a wide spread of
+    /// distinct values, more of them than any bin budget.
+    fn stress_value(code: u32, spread: u32) -> f64 {
+        match code % 16 {
+            0 => f64::NAN,
+            1 => f64::from_bits(0xfff8_0000_0000_0000),
+            2 => -0.0,
+            3 => 0.0,
+            4 => f64::INFINITY,
+            5 => f64::NEG_INFINITY,
+            6..=9 => (code % 5) as f64,
+            _ => (spread as f64 - 5e4) * 0.37,
+        }
     }
 
-    /// Number of feature columns.
-    pub fn cols(&self) -> usize {
-        self.cols
+    fn assert_same_binning(x: &Matrix, budget: usize) {
+        let got = BinnedMatrix::with_bins(x, budget);
+        let want = with_bins_per_cell(x, budget);
+        assert_eq!(got.bins, want.bins, "bin codes, budget {budget}");
+        let bits = |t: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            t.iter()
+                .map(|c| c.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(
+            bits(&got.thresholds),
+            bits(&want.thresholds),
+            "edges, budget {budget}"
+        );
     }
 
-    /// Number of bins actually used by feature `col`.
-    pub fn n_bins(&self, col: usize) -> usize {
-        self.thresholds[col].len()
+    proptest! {
+        #[test]
+        fn one_sort_binning_matches_per_cell_binning(
+            cells in prop::collection::vec((0u32..64, 0u32..100_000), 1..400),
+            cols in 1usize..6,
+            budget in 0usize..300,
+            tie_col in any::<bool>(),
+        ) {
+            let rows = cells.len().div_ceil(cols);
+            let mut flat: Vec<f64> = (0..rows * cols)
+                .map(|k| {
+                    let (code, spread) = cells[k % cells.len()];
+                    stress_value(code, spread)
+                })
+                .collect();
+            // Column 0 is sometimes all ties: constant, or all NaN.
+            if tie_col {
+                let fill = if rows % 2 == 0 { f64::NAN } else { 2.5 };
+                for i in 0..rows {
+                    flat[i * cols] = fill;
+                }
+            }
+            let x = Matrix::from_flat(cols, flat);
+            assert_same_binning(&x, budget);
+        }
     }
 
-    /// The bin codes of one row.
-    #[inline]
-    pub(crate) fn row(&self, row: usize) -> &[u8] {
-        &self.bins[row * self.cols..(row + 1) * self.cols]
+    #[test]
+    fn one_sort_binning_matches_on_named_columns() {
+        let neg_nan = f64::from_bits(0xfff8_0000_0000_0000);
+        let columns: [Vec<f64>; 7] = [
+            vec![5.0; 40],
+            vec![f64::NAN; 40],
+            (0..40)
+                .map(|i| if i % 2 == 0 { f64::NAN } else { neg_nan })
+                .collect(),
+            (0..40)
+                .map(|i| if i % 3 == 0 { -0.0 } else { 0.0 })
+                .collect(),
+            (0..40).map(|i| [0.0, -0.0, 1.0, neg_nan][i % 4]).collect(),
+            (0..40).map(|i| (i % 2) as f64).collect(),
+            (0..40).map(|i| (i * 7919 % 40) as f64 - 20.0).collect(),
+        ];
+        let cols = columns.len();
+        let flat: Vec<f64> = (0..40)
+            .flat_map(|i| columns.iter().map(move |c| c[i]))
+            .collect();
+        let x = Matrix::from_flat(cols, flat);
+        for budget in [0, 2, 3, 7, 39, 40, 41, 256] {
+            assert_same_binning(&x, budget);
+        }
     }
-
-    /// The bin code of one cell.
-    #[inline]
-    pub fn bin(&self, row: usize, col: usize) -> usize {
-        self.bins[row * self.cols + col] as usize
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn edges_are_strictly_increasing_and_cover_range() {

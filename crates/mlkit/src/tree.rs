@@ -206,18 +206,54 @@ impl HistCtx<'_> {
     /// Histogram the candidate features `chunk` (indices into `features`)
     /// into slots numbered from the chunk's first. Row-major scan,
     /// cache-friendly on the bin-code matrix.
+    ///
+    /// Four rows per pass over the (column, first slot) plan: one load of
+    /// each plan entry serves four cells. Within a pass the four rows add
+    /// to a feature's slots in sample order, and every slot belongs to one
+    /// feature, so each slot still gets its addends in sample order and
+    /// its sum is the same float as a one-row-at-a-time scan's.
     fn scan_chunk(&self, chunk: Range<usize>, samples: &[usize]) -> Hist {
         let first = self.offsets[chunk.start];
         let len = self.offsets[chunk.end] - first;
-        let features = &self.features[chunk.clone()];
-        let offsets = &self.offsets[chunk];
+        let plan: Vec<(usize, usize)> = self.features[chunk.clone()]
+            .iter()
+            .zip(&self.offsets[chunk])
+            .map(|(&fj, &off)| (fj, off - first))
+            .collect();
         let mut counts = vec![0u32; len];
         let mut sums = vec![0.0f64; len];
-        for &i in samples {
+        let mut quads = samples.chunks_exact(4);
+        for quad in &mut quads {
+            let &[i0, i1, i2, i3] = quad else {
+                unreachable!("chunks_exact(4) yields four rows")
+            };
+            let (y0, y1, y2, y3) = (self.y[i0], self.y[i1], self.y[i2], self.y[i3]);
+            let (c0, c1, c2, c3) = (
+                self.binned.row(i0),
+                self.binned.row(i1),
+                self.binned.row(i2),
+                self.binned.row(i3),
+            );
+            for &(fj, slot) in &plan {
+                let b0 = slot + c0[fj] as usize;
+                let b1 = slot + c1[fj] as usize;
+                let b2 = slot + c2[fj] as usize;
+                let b3 = slot + c3[fj] as usize;
+                counts[b0] += 1;
+                sums[b0] += y0;
+                counts[b1] += 1;
+                sums[b1] += y1;
+                counts[b2] += 1;
+                sums[b2] += y2;
+                counts[b3] += 1;
+                sums[b3] += y3;
+            }
+        }
+        for &i in quads.remainder() {
             let yi = self.y[i];
             let codes = self.binned.row(i);
-            for (&fj, &off) in features.iter().zip(offsets) {
-                let b = off - first + codes[fj] as usize;
+            for &(fj, slot) in &plan {
+                let b = slot + codes[fj] as usize;
                 counts[b] += 1;
                 sums[b] += yi;
             }
@@ -239,23 +275,24 @@ struct Grow<'a> {
 /// how many there are. Stable: both sides keep their rows in the order
 /// they had, so a child's sums and histograms add in the same order as an
 /// out-of-place partition. `scratch` must be at least as long as `rows`.
+///
+/// Branch-free: each row is written to both sides, and only the index of
+/// the side it belongs to advances, so the next row overwrites the other
+/// copy. The left write never passes the row being read (`n_left <= k`).
 fn partition_stable(
     rows: &mut [usize],
     scratch: &mut [usize],
     goes_left: impl Fn(usize) -> bool,
 ) -> usize {
     let mut n_left = 0;
-    let mut n_right = 0;
     for k in 0..rows.len() {
         let i = rows[k];
-        if goes_left(i) {
-            rows[n_left] = i;
-            n_left += 1;
-        } else {
-            scratch[n_right] = i;
-            n_right += 1;
-        }
+        let left = usize::from(goes_left(i));
+        rows[n_left] = i;
+        scratch[k - n_left] = i;
+        n_left += left;
     }
+    let n_right = rows.len() - n_left;
     rows[n_left..].copy_from_slice(&scratch[..n_right]);
     n_left
 }
@@ -376,17 +413,18 @@ impl RegressionTree {
         // once the right side is below `min_samples_leaf` no later bin of
         // the feature can split either.
         let min_leaf = ctx.opts.min_samples_leaf;
-        let mut best: Option<(usize, usize, f64)> = None; // (feature, bin, gain)
+        let parent_score = sum * sum / n as f64;
+        let mut best_gain = MIN_GAIN;
+        let mut best: Option<(usize, usize)> = None; // (feature, bin)
         for (k, &fj) in ctx.features.iter().enumerate() {
-            let slots = ctx.offsets[k]..ctx.offsets[k + 1];
-            let nb = slots.len();
+            let slots = ctx.offsets[k]..ctx.offsets[k + 1] - 1;
             let counts = &hist.counts[slots.clone()];
             let sums = &hist.sums[slots];
             let mut left_cnt = 0usize;
             let mut left_sum = 0.0f64;
-            for b in 0..nb - 1 {
-                left_cnt += counts[b] as usize;
-                left_sum += sums[b];
+            for (b, (&count, &bin_sum)) in counts.iter().zip(sums).enumerate() {
+                left_cnt += count as usize;
+                left_sum += bin_sum;
                 let right_cnt = n - left_cnt;
                 if right_cnt < min_leaf {
                     break;
@@ -397,14 +435,15 @@ impl RegressionTree {
                 let right_sum = sum - left_sum;
                 let score = left_sum * left_sum / left_cnt as f64
                     + right_sum * right_sum / right_cnt as f64;
-                let gain = score - sum * sum / n as f64;
-                if gain > best.map(|(_, _, g)| g).unwrap_or(MIN_GAIN) {
-                    best = Some((fj, b, gain));
+                let gain = score - parent_score;
+                if gain > best_gain {
+                    best_gain = gain;
+                    best = Some((fj, b));
                 }
             }
         }
 
-        let Some((feature, bin, gain)) = best else {
+        let Some((feature, bin)) = best else {
             return make_leaf(&mut self.nodes, grow);
         };
 
@@ -450,7 +489,7 @@ impl RegressionTree {
             threshold: ctx.binned.thresholds[feature][bin],
             left,
             right,
-            gain,
+            gain: best_gain,
         };
         id
     }
@@ -594,6 +633,7 @@ impl RegressionTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn step_data() -> (Matrix, Vec<f64>) {
         // y = 10 if x0 > 0.5 else 0
@@ -869,5 +909,23 @@ mod tests {
         let n_left = partition_stable(&mut rows, &mut scratch, |i| i % 2 == 0);
         assert_eq!(n_left, 3);
         assert_eq!(rows, [2, 4, 8, 9, 7, 1, 3]);
+    }
+
+    proptest! {
+        #[test]
+        fn partition_keeps_both_sides_in_iterator_partition_order(
+            rows in prop::collection::vec(0usize..64, 0..300),
+            side in prop::collection::vec(any::<bool>(), 64),
+            slack in 0usize..3,
+        ) {
+            let (left, right): (Vec<usize>, Vec<usize>) =
+                rows.iter().partition(|&&i| side[i]);
+            let mut got = rows.clone();
+            let mut scratch = vec![usize::MAX; rows.len() + slack];
+            let n_left = partition_stable(&mut got, &mut scratch, |i| side[i]);
+            prop_assert_eq!(n_left, left.len());
+            prop_assert_eq!(&got[..n_left], &left[..]);
+            prop_assert_eq!(&got[n_left..], &right[..]);
+        }
     }
 }

@@ -93,20 +93,25 @@ const GOLDEN: [(&str, usize, f64, u64); 3] = [
     ("depth4_sparse", 4, 0.02, 0x92a6_a76c_3065_a5b8),
 ];
 
+/// A deep fit with one-row leaves: `(name, max_depth, min_samples_leaf,
+/// feature_fraction, digest)`. Its nodes get small, so most histograms
+/// derive from derived ones, and the empty bins of such a histogram can
+/// carry the nonzero rounding residue of a subtraction chain. Recorded on
+/// commit `4609c31`, before the kernel's scan, split search, partition and
+/// binning loops were rewritten.
+const DEEP: (&str, usize, usize, f64, u64) = ("depth8_leaf1", 8, 1, 0.4, 0x9b20_5b8d_b671_0a2e);
+
 fn fit(
     x: &Matrix,
     y: &[f64],
-    max_depth: usize,
+    tree: TreeOptions,
     feature_fraction: f64,
     workers: usize,
 ) -> GbrtRegressor {
     let mut m = GbrtRegressor::new(GbrtOptions {
         n_estimators: STAGES,
         feature_fraction,
-        tree: TreeOptions {
-            max_depth,
-            ..Default::default()
-        },
+        tree,
         workers,
         ..Default::default()
     });
@@ -120,7 +125,11 @@ fn histogram_fits_match_the_recorded_digests() {
     let mut report = Vec::new();
     for (name, max_depth, fraction, want) in GOLDEN {
         for workers in [1, 2] {
-            let m = fit(&x, &y, max_depth, fraction, workers);
+            let tree = TreeOptions {
+                max_depth,
+                ..Default::default()
+            };
+            let m = fit(&x, &y, tree, fraction, workers);
             assert!(m.n_trees() > 0, "{name}: no tree fitted");
             if name == "depth4_sparse" {
                 assert!(
@@ -137,6 +146,25 @@ fn histogram_fits_match_the_recorded_digests() {
                 panic!("{name} at {workers} workers moved:\n{}", report.join("\n"));
             }
         }
+    }
+}
+
+#[test]
+fn deep_one_row_leaf_fits_match_the_recorded_digest() {
+    let (x, y) = data();
+    let (name, max_depth, min_samples_leaf, fraction, want) = DEEP;
+    let tree = TreeOptions {
+        max_depth,
+        min_samples_leaf,
+    };
+    for workers in [1, 2] {
+        let m = fit(&x, &y, tree, fraction, workers);
+        assert_eq!(m.n_trees(), STAGES, "{name}: every stage fits a tree");
+        let got = digest(&m);
+        assert_eq!(
+            got, want,
+            "{name} at {workers} workers moved: digest={got:#018x}"
+        );
     }
 }
 

@@ -11,9 +11,9 @@
 //! written with Rust's shortest round-trip float formatting, so a
 //! save/load cycle is bitwise lossless.
 
+use crate::proto::write_numbers;
 use mlkit::CompiledEnsemble;
 use obskit::json::{self, Value};
-use std::collections::BTreeMap;
 use std::path::Path;
 
 /// The artifact schema identifier.
@@ -47,52 +47,29 @@ impl ModelArtifact {
         obskit::fnv1a(&[self.to_json().as_bytes()])
     }
 
-    /// Serialize to canonical `servekit.model.v1` JSON. Key order is fixed
-    /// (BTreeMap), numbers use shortest round-trip formatting, so two
-    /// identical artifacts serialize byte-identically.
+    /// Serialize to canonical `servekit.model.v1` JSON: an object with its
+    /// keys in sorted order, written straight into one string. Numbers use
+    /// shortest round-trip formatting, so two identical artifacts
+    /// serialize byte-identically.
     pub fn to_json(&self) -> String {
-        let ensemble = |e: &CompiledEnsemble| {
-            let mut o = BTreeMap::new();
-            o.insert("base".into(), Value::Num(e.base()));
-            o.insert("scale".into(), Value::Num(e.scale()));
-            o.insert(
-                "roots".into(),
-                Value::Arr(
-                    e.roots()
-                        .iter()
-                        .map(|&r| Value::Num(f64::from(r)))
-                        .collect(),
-                ),
-            );
-            o.insert(
-                "nodes".into(),
-                Value::Arr(
-                    e.nodes_raw()
-                        .map(|(f, l, r, t)| {
-                            Value::Arr(vec![
-                                Value::Num(f64::from(f)),
-                                Value::Num(f64::from(l)),
-                                Value::Num(f64::from(r)),
-                                Value::Num(t),
-                            ])
-                        })
-                        .collect(),
-                ),
-            );
-            Value::Obj(o)
-        };
-        let mut top = BTreeMap::new();
-        top.insert("schema".into(), Value::Str(MODEL_SCHEMA.into()));
-        top.insert("name".into(), Value::Str(self.name.clone()));
-        top.insert("version".into(), Value::Num(self.version as f64));
-        top.insert(
-            "feature_count".into(),
-            Value::Num(self.feature_count as f64),
-        );
-        top.insert("trained_on".into(), Value::Str(self.trained_on.clone()));
-        top.insert("vertical".into(), ensemble(&self.vertical));
-        top.insert("horizontal".into(), ensemble(&self.horizontal));
-        Value::Obj(top).to_json()
+        let nodes = self.vertical.n_nodes() + self.horizontal.n_nodes();
+        let mut out = String::with_capacity(256 + 48 * nodes);
+        out.push_str("{\"feature_count\":");
+        json::write_number(&mut out, self.feature_count as f64);
+        out.push_str(",\"horizontal\":");
+        write_ensemble(&mut out, &self.horizontal);
+        out.push_str(",\"name\":");
+        json::write_string(&mut out, &self.name);
+        out.push_str(",\"schema\":");
+        json::write_string(&mut out, MODEL_SCHEMA);
+        out.push_str(",\"trained_on\":");
+        json::write_string(&mut out, &self.trained_on);
+        out.push_str(",\"version\":");
+        json::write_number(&mut out, self.version as f64);
+        out.push_str(",\"vertical\":");
+        write_ensemble(&mut out, &self.vertical);
+        out.push('}');
+        out
     }
 
     /// Parse and structurally validate an artifact. Ensembles are rebuilt
@@ -203,6 +180,34 @@ impl ModelArtifact {
     }
 }
 
+/// Append one ensemble as a JSON object, keys in sorted order: `base`,
+/// `nodes` (one `[feature, left, right, threshold]` array per node, in
+/// table order), `roots`, `scale`.
+fn write_ensemble(out: &mut String, e: &CompiledEnsemble) {
+    out.push_str("{\"base\":");
+    json::write_number(out, e.base());
+    out.push_str(",\"nodes\":[");
+    for (i, (f, l, r, t)) in e.nodes_raw().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        json::write_number(out, f64::from(f));
+        out.push(',');
+        json::write_number(out, f64::from(l));
+        out.push(',');
+        json::write_number(out, f64::from(r));
+        out.push(',');
+        json::write_number(out, t);
+        out.push(']');
+    }
+    out.push_str("],\"roots\":");
+    write_numbers(out, e.roots().iter().map(|&r| f64::from(r)));
+    out.push_str(",\"scale\":");
+    json::write_number(out, e.scale());
+    out.push('}');
+}
+
 /// The leaf sentinel (`u32::MAX`) — re-exported for tests that build node
 /// tables by hand.
 pub use mlkit::compiled::LEAF;
@@ -258,6 +263,74 @@ mod tests {
             assert_eq!(o.to_bits(), m.predict_one(row).to_bits());
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The encoding `ModelArtifact::to_json` had before it wrote its keys
+    /// directly: a sorted value tree, serialized by `obskit::json`.
+    fn tree_json(a: &ModelArtifact) -> String {
+        use std::collections::BTreeMap;
+        let ensemble = |e: &CompiledEnsemble| {
+            let mut o = BTreeMap::new();
+            o.insert("base".into(), Value::Num(e.base()));
+            o.insert("scale".into(), Value::Num(e.scale()));
+            let roots = e.roots().iter().map(|&r| Value::Num(f64::from(r)));
+            o.insert("roots".into(), Value::Arr(roots.collect()));
+            let nodes = e.nodes_raw().map(|(f, l, r, t)| {
+                Value::Arr(vec![
+                    Value::Num(f64::from(f)),
+                    Value::Num(f64::from(l)),
+                    Value::Num(f64::from(r)),
+                    Value::Num(t),
+                ])
+            });
+            o.insert("nodes".into(), Value::Arr(nodes.collect()));
+            Value::Obj(o)
+        };
+        let mut top = BTreeMap::new();
+        top.insert("schema".into(), Value::Str(MODEL_SCHEMA.into()));
+        top.insert("name".into(), Value::Str(a.name.clone()));
+        top.insert("version".into(), Value::Num(a.version as f64));
+        top.insert("feature_count".into(), Value::Num(a.feature_count as f64));
+        top.insert("trained_on".into(), Value::Str(a.trained_on.clone()));
+        top.insert("vertical".into(), ensemble(&a.vertical));
+        top.insert("horizontal".into(), ensemble(&a.horizontal));
+        Value::Obj(top).to_json()
+    }
+
+    #[test]
+    fn artifact_json_matches_the_tree_encoding() {
+        use mlkit::{GbrtOptions, GbrtRegressor, Matrix, Regressor};
+        let rows: Vec<Vec<f64>> = (0..120)
+            .map(|i| vec![f64::from(i % 23) * 0.37, f64::from(i * 7 % 13) - 6.5, 1.0])
+            .collect();
+        let y: Vec<f64> = rows.iter().map(|r| r[0].sin() * 40.0 + r[1]).collect();
+        let mut m = GbrtRegressor::new(GbrtOptions {
+            n_estimators: 30,
+            ..Default::default()
+        });
+        m.fit(&Matrix::from_rows(&rows), &y);
+        let awkward = "q\"b\\s\n\r\t\u{1}\u{1f} é 日本";
+        let artifacts = [
+            tiny_artifact(0),
+            ModelArtifact {
+                name: awkward.into(),
+                version: (1 << 53) - 1,
+                trained_on: awkward.into(),
+                vertical: m.compiled().clone(),
+                ..tiny_artifact(0)
+            },
+            ModelArtifact {
+                name: String::new(),
+                version: u64::MAX,
+                feature_count: usize::MAX,
+                trained_on: String::new(),
+                vertical: CompiledEnsemble::default(),
+                ..tiny_artifact(0)
+            },
+        ];
+        for a in &artifacts {
+            assert_eq!(a.to_json(), tree_json(a), "{}", a.display_name());
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! [`Server::submit`], which answers a `source` cache hit on an idle
 //! server itself and queues everything else, so connection count is
 //! bounded by memory, not by threads, and per-connection pipelining falls
-//! out for free. A connection that stops reading its replies stops being read
+//! out for free. A connection that stops reading its replies, or that owes
+//! as many replies as the admission queue holds, stops being read
 //! (backpressure). Only HTTP stragglers get a thread (they are demo
 //! traffic by definition). Unix only: the loop polls raw descriptors.
 
@@ -40,7 +41,8 @@ pub const MAX_FRAME: u32 = 64 << 20;
 /// starve the others.
 const READ_PER_PASS: usize = 256 * 1024;
 
-/// Replies a connection may owe before the loop stops reading from it.
+/// Replies a connection may owe before the loop stops reading from it;
+/// fewer if the admission queue is smaller (see `Conn::backpressured`).
 const MAX_PENDING_REPLIES: usize = 1024;
 
 /// Unflushed reply bytes a connection may hold before the loop stops
@@ -139,7 +141,7 @@ fn run_event_loop(
         // reports a hung-up socket even when asked for nothing, which
         // would spin the loop, and the reply's wake covers it.
         fds.extend(conns.iter().filter_map(|c| {
-            let events = c.interest();
+            let events = c.interest(server);
             (events != 0).then(|| PollFd::new(c.stream.as_raw_fd(), events))
         }));
         poll::wait(&mut fds)?;
@@ -244,18 +246,21 @@ impl Conn {
         self.pending.is_empty() && self.written >= self.write_buf.len()
     }
 
-    /// The client is not reading its replies fast enough: stop reading its
-    /// requests until it catches up.
-    fn backpressured(&self) -> bool {
-        self.pending.len() >= MAX_PENDING_REPLIES
+    /// The client is not reading its replies fast enough, or owes as many
+    /// as `server`'s admission queue holds: stop reading its requests until
+    /// it catches up. Every queued request of this connection is among the
+    /// replies it owes, so it alone never fills the queue and sheds its own
+    /// oldest request.
+    fn backpressured(&self, server: &Server) -> bool {
+        self.pending.len() >= MAX_PENDING_REPLIES.min(server.queue_capacity())
             || self.write_buf.len() - self.written >= MAX_UNFLUSHED_BYTES
     }
 
     /// The poll(2) events this connection waits for: input while it may
     /// read, output while it has unflushed bytes.
-    fn interest(&self) -> i16 {
+    fn interest(&self, server: &Server) -> i16 {
         let mut events = 0;
-        if !self.eof && !self.backpressured() {
+        if !self.eof && !self.backpressured(server) {
             events |= POLLIN;
         }
         if self.written < self.write_buf.len() {
@@ -269,7 +274,7 @@ impl Conn {
         //    while backpressured.
         let mut scratch = [0u8; 4096];
         let mut pulled = 0usize;
-        while !self.eof && !self.backpressured() && pulled < READ_PER_PASS {
+        while !self.eof && !self.backpressured(server) && pulled < READ_PER_PASS {
             match self.stream.read(&mut scratch) {
                 Ok(0) => self.eof = true,
                 Ok(n) => {
@@ -297,7 +302,7 @@ impl Conn {
             if !self.flush() {
                 return ConnStep::Close;
             }
-            if !stopped || self.backpressured() {
+            if !stopped || self.backpressured(server) {
                 break;
             }
         }
@@ -315,7 +320,7 @@ impl Conn {
         let mut at = 0;
         let mut stopped = false;
         while self.sniffed && self.read_buf.len() - at >= 4 {
-            if self.backpressured() {
+            if self.backpressured(server) {
                 stopped = true;
                 break;
             }
@@ -705,12 +710,11 @@ mod tests {
 
     #[test]
     fn one_write_of_1024_pipelined_frames_gets_1024_replies_in_order() {
-        // One pass may submit every frame, so the queue must hold them all.
-        let cfg = ServeConfig {
-            queue_capacity: 1024,
-            ..ServeConfig::default()
-        };
-        let server = Arc::new(Server::start(cfg, None, None).unwrap().0);
+        // Sixteen times the default queue in one write: the connection
+        // stops reading once it owes a queue's worth of replies, so none
+        // of its own requests is shed.
+        let server = started();
+        assert!(server.queue_capacity() < 1024);
         let (addr, front) = spawn_event_loop(server.clone());
         let mut stream = TcpStream::connect(addr).unwrap();
         stream

@@ -360,7 +360,7 @@ impl Reply {
 }
 
 /// Append `values` as a JSON array of numbers.
-fn write_numbers(out: &mut String, values: impl Iterator<Item = f64>) {
+pub(crate) fn write_numbers(out: &mut String, values: impl Iterator<Item = f64>) {
     out.push('[');
     for (i, v) in values.enumerate() {
         if i > 0 {

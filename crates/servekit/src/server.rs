@@ -530,6 +530,12 @@ impl Server {
         self.state.queue.depth()
     }
 
+    /// Admission queue capacity: the most requests that can wait before
+    /// the oldest is shed.
+    pub(crate) fn queue_capacity(&self) -> usize {
+        self.state.queue.capacity()
+    }
+
     /// Journal recovery state from startup.
     pub fn recovered(&self) -> &RecoveredState {
         &self.state.recovered
