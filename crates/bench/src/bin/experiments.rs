@@ -126,16 +126,11 @@ fn main() {
                 println!("peak congestion recedes: {}", f.peak_recedes());
             }
             "dataset" => {
-                // Parallel supervised dataset build over the training suite,
-                // with the per-design / per-stage timing breakdown. Worker
-                // count honours RAYON_NUM_THREADS; the robustness flags
-                // (--fault-plan/--max-retries/--stage-timeout-ms/
-                // --checkpoint-dir/--resume) mirror `hls-congest dataset`.
-                let flow = opts
-                    .apply_to_flow(effort.flow())
-                    .unwrap_or_else(|e| fail(e, 2));
+                // Parallel dataset build over the training suite, each
+                // design run once, with the per-design / per-stage timing
+                // breakdown. Worker count honours RAYON_NUM_THREADS.
                 let modules = designs::training_suite();
-                let report = flow.build_dataset_report(&modules);
+                let report = effort.flow().build_dataset_report(&modules);
                 emit("dataset_timing", &report.render());
                 obs.absorb(report.obs.clone());
             }

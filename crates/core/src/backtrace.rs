@@ -9,8 +9,8 @@
 //!
 //! Back-tracing is fallible with a typed error ([`BacktraceError`]) rather
 //! than a panic: a provenance/placement mismatch is a per-design data bug
-//! that the supervised dataset builder downgrades into that design's
-//! failure-taxonomy entry, not a reason to kill a batch.
+//! that the dataset builder downgrades into that design's failure-taxonomy
+//! entry, not a reason to kill a batch.
 
 use fpga_fabric::ImplResult;
 use hls_ir::{FuncId, OpId};
@@ -49,16 +49,6 @@ pub enum BacktraceError {
         /// Number of cells the placement knows about.
         placed: usize,
     },
-    /// A transient fault injected by an armed faultkit plan at the
-    /// `backtrace` or `features` injection point (chaos testing only).
-    Injected(String),
-}
-
-impl BacktraceError {
-    /// Whether a supervisor should retry the stage.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, BacktraceError::Injected(_))
-    }
 }
 
 impl fmt::Display for BacktraceError {
@@ -68,7 +58,6 @@ impl fmt::Display for BacktraceError {
                 f,
                 "backtrace: netlist references cell {cell} but the placement has only {placed} cells"
             ),
-            BacktraceError::Injected(m) => write!(f, "{m}"),
         }
     }
 }
@@ -80,13 +69,11 @@ impl std::error::Error for BacktraceError {}
 ///
 /// # Errors
 /// Returns [`BacktraceError::CellUnplaced`] when op→cell provenance points
-/// outside the placement, and [`BacktraceError::Injected`] under an armed
-/// chaos plan.
+/// outside the placement.
 pub fn backtrace_labels(
     design: &SynthesizedDesign,
     impl_result: &ImplResult,
 ) -> Result<HashMap<(FuncId, OpId), OpLabel>, BacktraceError> {
-    faultkit::inject("backtrace").map_err(|f| BacktraceError::Injected(f.to_string()))?;
     let placed = impl_result.placement.pos.len();
     let op_cells = design.rtl.op_cells();
     let mut labels = HashMap::with_capacity(op_cells.len());
@@ -199,7 +186,6 @@ mod tests {
         r.placement.span.clear();
         let e = backtrace_labels(&d, &r).unwrap_err();
         assert!(matches!(e, BacktraceError::CellUnplaced { placed: 0, .. }));
-        assert!(!e.is_transient());
         assert!(e.to_string().contains("placement"));
         Ok(())
     }

@@ -1,9 +1,9 @@
 //! The one command-line parser behind `hls_congest` and `experiments`.
 //! [`RunOptions::from_args`] reads arguments against [`FLAGS`], so a switch
 //! never swallows the next token and an unknown flag is an error naming it.
-//! The options then apply the shared robustness flags to a
-//! [`CongestionFlow`] or a serving [`SupervisorPolicy`], and write the
-//! shared output flags from an [`ObsRecord`], stamped by [`kernel_stamps`].
+//! The options then apply `serve`'s robustness flags to its
+//! [`SupervisorPolicy`], and write the shared output flags from an
+//! [`ObsRecord`], stamped by [`kernel_stamps`].
 //!
 //! ```
 //! use congestion_core::cli::RunOptions;
@@ -16,7 +16,6 @@
 //! ```
 
 use crate::features::ExtractKernel;
-use crate::pipeline::CongestionFlow;
 use faultkit::{FaultPlan, SupervisorPolicy};
 use fpga_fabric::{MazeKernel, PlaceKernel};
 use mlkit::GbrtKernel;
@@ -25,23 +24,25 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
 use std::str::FromStr;
-use std::time::Duration;
 
 /// Every flag either binary accepts, grouped by who reads it. A trailing
 /// `=` marks a flag that takes the next token as its value; the others are
 /// switches.
 pub const FLAGS: &str = "
     output:             --trace-out= --metrics-out= --ledger-out= --profile --version
-    robustness:         --fault-plan= --max-retries= --stage-timeout-ms= --checkpoint-dir= --resume
     experiments:        --fast --grid-search
     implement/dataset:  -o= --out= --workers= --router-stats --fingerprint-out=
     train/predict:      --model= --target= --model-out= --model-version= --data=
     serve:              --addr= --golden= --mae-band= --expect-features= --queue-capacity=
                         --serve-workers= --deadline-ms= --batch-max-rows= --cache-capacity=
-                        --journal=
+                        --journal= --fault-plan= --max-retries=
     serve-client:       --id= --status --shutdown --rollback --swap= --rows-from= --limit=
                         --source=
 ";
+
+/// Flags only `serve` reads; every other command refuses them rather than
+/// silently ignoring them.
+const SERVE_ONLY: [&str; 2] = ["--fault-plan", "--max-retries"];
 
 /// The table entry for `token`: its name and whether it takes a value.
 fn lookup(token: &str) -> Option<(&'static str, bool)> {
@@ -61,8 +62,8 @@ pub enum ArgError {
     MissingValue(&'static str),
     /// `(flag, value)`: a value the flag cannot use.
     BadValue(&'static str, String),
-    /// `--resume` with no `--checkpoint-dir` to resume from.
-    ResumeWithoutCheckpoint,
+    /// A `serve` flag given to another command.
+    ServeOnly(&'static str),
     /// `(path, reason)`: a `--fault-plan` file that cannot be used.
     FaultPlan(String, String),
 }
@@ -73,7 +74,7 @@ impl fmt::Display for ArgError {
             ArgError::UnknownFlag(flag) => write!(f, "unknown flag `{flag}`"),
             ArgError::MissingValue(flag) => write!(f, "`{flag}` needs a value"),
             ArgError::BadValue(flag, value) => write!(f, "bad value `{value}` for `{flag}`"),
-            ArgError::ResumeWithoutCheckpoint => write!(f, "--resume needs --checkpoint-dir <dir>"),
+            ArgError::ServeOnly(flag) => write!(f, "`{flag}` applies only to `serve`"),
             ArgError::FaultPlan(path, reason) => write!(f, "bad --fault-plan {path}: {reason}"),
         }
     }
@@ -132,7 +133,6 @@ pub struct RunOptions {
     values: BTreeMap<&'static str, String>,
     switches: BTreeSet<&'static str>,
     max_retries: Option<u32>,
-    stage_timeout: Option<Duration>,
     command_line: String,
 }
 
@@ -141,8 +141,9 @@ impl RunOptions {
     /// twice keeps its first value.
     ///
     /// # Errors
-    /// An unknown flag, a value flag without a value, a robustness value
-    /// that does not parse, or `--resume` without `--checkpoint-dir`.
+    /// An unknown flag, a value flag without a value, a `--max-retries`
+    /// that does not parse, or `--fault-plan` or `--max-retries` on a
+    /// command other than `serve`.
     pub fn from_args<S: AsRef<str>>(args: &[S]) -> Result<RunOptions, ArgError> {
         let args: Vec<&str> = args.iter().map(AsRef::as_ref).collect();
         let mut opts = RunOptions {
@@ -171,11 +172,12 @@ impl RunOptions {
                 }
             }
         }
-        opts.max_retries = opts.parse("--max-retries")?;
-        opts.stage_timeout = opts.parse("--stage-timeout-ms")?.map(Duration::from_millis);
-        if opts.switch("--resume") && opts.value("--checkpoint-dir").is_none() {
-            return Err(ArgError::ResumeWithoutCheckpoint);
+        if opts.selector.as_deref() != Some("serve") {
+            if let Some(flag) = SERVE_ONLY.into_iter().find(|f| opts.values.contains_key(f)) {
+                return Err(ArgError::ServeOnly(flag));
+            }
         }
+        opts.max_retries = opts.parse("--max-retries")?;
         Ok(opts)
     }
 
@@ -225,26 +227,9 @@ impl RunOptions {
         Ok(Some(plan))
     }
 
-    /// Apply `--max-retries` and `--stage-timeout-ms` to a supervision
-    /// policy.
+    /// Apply `--max-retries` to congestd's supervision policy.
     pub fn apply_to_policy(&self, policy: &mut SupervisorPolicy) {
         policy.max_retries = self.max_retries.unwrap_or(policy.max_retries);
-        policy.stage_timeout = self.stage_timeout.or(policy.stage_timeout);
-    }
-
-    /// Apply the fault plan, supervision budgets and checkpoint/resume.
-    ///
-    /// # Errors
-    /// [`ArgError::FaultPlan`] when the plan file is unusable.
-    pub fn apply_to_flow(&self, mut flow: CongestionFlow) -> Result<CongestionFlow, ArgError> {
-        if let Some(plan) = self.fault_plan()? {
-            flow = flow.with_fault_plan(plan);
-        }
-        self.apply_to_policy(&mut flow.supervision);
-        if let Some(dir) = self.value("--checkpoint-dir") {
-            flow = flow.with_checkpoint(dir, self.switch("--resume"));
-        }
-        Ok(flow)
     }
 
     /// Honour `--trace-out` (Chrome trace), `--metrics-out` (snapshot
@@ -311,12 +296,13 @@ mod tests {
 
     #[test]
     fn switches_keep_the_next_token_and_value_flags_take_it() {
-        let line = "dataset --resume --checkpoint-dir d a.mhls b.mhls -o out.csv --workers 2";
+        let line =
+            "dataset --router-stats --fingerprint-out d a.mhls b.mhls -o out.csv --workers 2";
         let opts = parse(line).unwrap();
         assert_eq!(opts.selector.as_deref(), Some("dataset"));
         assert_eq!(opts.positionals, ["a.mhls", "b.mhls"]);
-        assert!(opts.switch("--resume") && !opts.switch("--profile"));
-        assert_eq!(opts.value("--checkpoint-dir"), Some("d"));
+        assert!(opts.switch("--router-stats") && !opts.switch("--profile"));
+        assert_eq!(opts.value("--fingerprint-out"), Some("d"));
         assert_eq!(opts.value("-o"), Some("out.csv"));
         assert_eq!(opts.parse::<usize>("--workers").unwrap(), Some(2));
         // CI's bench smoke: the selector skips the ledger path.
@@ -343,21 +329,38 @@ mod tests {
                 "serve --batch-max-wait-ms 2",
                 unknown("--batch-max-wait-ms"),
             ),
+            ("dataset a.mhls --resume", unknown("--resume")),
+            (
+                "dataset --checkpoint-dir ckpt a.mhls",
+                unknown("--checkpoint-dir"),
+            ),
+            (
+                "--stage-timeout-ms 250 dataset",
+                unknown("--stage-timeout-ms"),
+            ),
             ("dataset a.mhls -o", MissingValue("-o")),
             (
-                "dataset --checkpoint-dir --resume",
-                MissingValue("--checkpoint-dir"),
+                "dataset --fingerprint-out --router-stats",
+                MissingValue("--fingerprint-out"),
             ),
-            ("dataset --resume a.mhls", ResumeWithoutCheckpoint),
-            ("--fast --resume dataset", ResumeWithoutCheckpoint),
             (
-                "dataset --max-retries x",
+                "serve --max-retries x",
                 BadValue("--max-retries", "x".into()),
             ),
+            // Only `serve` reads the fault plan and the retry budget.
             (
-                "--stage-timeout-ms soon dataset",
-                BadValue("--stage-timeout-ms", "soon".into()),
+                "dataset a.mhls --fault-plan p.json",
+                ServeOnly("--fault-plan"),
             ),
+            ("dataset --max-retries 5 a.mhls", ServeOnly("--max-retries")),
+            ("--fault-plan p.json dataset", ServeOnly("--fault-plan")),
+            ("--fast --max-retries 1 table4", ServeOnly("--max-retries")),
+            ("--max-retries 1", ServeOnly("--max-retries")),
+            (
+                "serve-client --fault-plan p.json",
+                ServeOnly("--fault-plan"),
+            ),
+            ("train d.csv --max-retries x", ServeOnly("--max-retries")),
         ];
         for (line, want) in cases {
             assert_eq!(parse(line).unwrap_err(), want, "{line}");
@@ -366,21 +369,23 @@ mod tests {
             unknown("--gbrt-bins").to_string(),
             "unknown flag `--gbrt-bins`"
         );
+        assert_eq!(
+            ServeOnly("--fault-plan").to_string(),
+            "`--fault-plan` applies only to `serve`"
+        );
     }
 
+    /// Only `serve` takes the robustness flags; every other command
+    /// refuses them (`bad_command_lines_are_typed_errors`).
     #[test]
     fn robustness_flags_reach_the_flow_and_the_policy() {
-        let opts =
-            parse("dataset --checkpoint-dir ckpt --resume --max-retries 5 --stage-timeout-ms 250")
-                .unwrap();
-        let flow = opts.apply_to_flow(CongestionFlow::new()).unwrap();
-        assert_eq!(flow.supervision.max_retries, 5);
-        assert_eq!(
-            flow.supervision.stage_timeout,
-            Some(Duration::from_millis(250))
-        );
-        let ckpt = flow.checkpoint.expect("checkpoint armed");
-        assert!(ckpt.resume && ckpt.dir == Path::new("ckpt"));
+        let opts = parse("serve --max-retries 5").unwrap();
+        let mut policy = SupervisorPolicy::default();
+        opts.apply_to_policy(&mut policy);
+        assert_eq!(policy.max_retries, 5);
+        let mut policy = SupervisorPolicy::default();
+        parse("serve").unwrap().apply_to_policy(&mut policy);
+        assert_eq!(policy, SupervisorPolicy::default());
         let missing = parse("serve --fault-plan /nonexistent/plan.json").unwrap();
         assert!(matches!(missing.fault_plan(), Err(ArgError::FaultPlan(..))));
     }

@@ -157,9 +157,8 @@ impl CongestionDataset {
     /// the default (SoA) extract kernel.
     ///
     /// # Errors
-    /// Fails with a [`BacktraceError`] when op→cell provenance is broken
-    /// (or a chaos plan injects a fault at the `backtrace`/`features`
-    /// points); the dataset is left untouched in that case.
+    /// Fails with a [`BacktraceError`] when op→cell provenance is broken;
+    /// the dataset is left untouched in that case.
     pub fn add_design(
         &mut self,
         design: &SynthesizedDesign,
@@ -183,7 +182,6 @@ impl CongestionDataset {
         kernel: ExtractKernel,
     ) -> Result<usize, BacktraceError> {
         let labels = backtrace_labels(design, impl_result)?;
-        faultkit::inject("features").map_err(|f| BacktraceError::Injected(f.to_string()))?;
         let before = self.samples.len();
         for fid in design.module.bottom_up_order() {
             let f = design.module.function(fid);

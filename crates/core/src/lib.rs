@@ -45,10 +45,6 @@ pub use dataset::{CongestionDataset, Sample, Target};
 pub use features::{FeatureCategory, FEATURE_COUNT};
 pub use fingerprint::{drift, DatasetFingerprint, DriftReport, FINGERPRINT_SCHEMA};
 pub use graph::DepGraph;
-pub use persist::{
-    CheckpointEntry, CheckpointLookup, CheckpointStore, PersistError, RecordedFailure,
-};
-pub use pipeline::{
-    CheckpointConfig, CongestionFlow, DatasetBuildReport, DesignFailure, DesignReport, StageTimings,
-};
+pub use persist::PersistError;
+pub use pipeline::{CongestionFlow, DatasetBuildReport, DesignFailure, DesignReport, StageTimings};
 pub use predict::{extract_feature_rows, source_digest, CongestionPredictor, ModelKind};

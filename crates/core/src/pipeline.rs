@@ -6,25 +6,17 @@
 //! threads with [`parkit::par_map_threads`] and merges the per-design
 //! samples back **in input order**, making the parallel output
 //! bit-identical to the serial path. Each worker takes one design straight
-//! through HLS → place-and-route → features; designs are independent, so
-//! the workers already overlap different stages of different designs.
+//! through HLS → place-and-route → features, once; designs are independent,
+//! so the workers already overlap different stages of different designs.
 //!
-//! It is also *supervised*: each design's stages (`hls`, `par`, `features`)
-//! run under a [`faultkit::Supervisor`] that catches panics at the stage
-//! boundary, retries transient failures with deterministic backoff, and
-//! downgrades terminal failures into the per-design [`DesignFailure`]
-//! taxonomy — a bad design costs its own samples, never the batch. With a
-//! checkpoint directory configured, every design's verdict (success *or*
-//! failure) persists incrementally, so a killed run resumed with the same
-//! configuration recomputes nothing.
+//! A bad design costs its own samples, never the batch: each stage (`hls`,
+//! `par`, `features`) runs under `catch_unwind`, and a typed error or a
+//! panic becomes that design's [`DesignFailure`]. Every stage is
+//! deterministic, so a failure would only repeat: nothing is retried.
 
 use crate::backtrace::BacktraceError;
 use crate::dataset::CongestionDataset;
 use crate::features::ExtractKernel;
-use crate::persist::{
-    CheckpointEntry, CheckpointLookup, CheckpointStore, PersistError, RecordedFailure,
-};
-use faultkit::{FaultPlan, StageFailure, StageLog, Supervisor, SupervisorPolicy};
 use fpga_fabric::par::{run_par, run_par_obs, ParOptions};
 use fpga_fabric::place::PlaceStats;
 use fpga_fabric::route::RouteStats;
@@ -34,19 +26,8 @@ use hls_synth::{HlsFlow, HlsOptions, SynthError, SynthesizedDesign};
 use obskit::{Collector, ObsRecord};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
-
-/// Where (and whether) a dataset build checkpoints per-design outcomes.
-#[derive(Debug, Clone)]
-pub struct CheckpointConfig {
-    /// Directory holding one entry (CSV + JSON meta) per design.
-    pub dir: PathBuf,
-    /// Replay committed entries instead of recomputing their designs.
-    /// When `false` the run still *writes* checkpoints but starts fresh.
-    pub resume: bool,
-}
 
 /// Drives HLS + (for the training phase) simulated PAR over designs.
 #[derive(Debug, Clone)]
@@ -64,12 +45,6 @@ pub struct CongestionFlow {
     /// `Reference` keeps the original per-node allocation path alive for
     /// differential tests and benchmarks.
     pub extract: ExtractKernel,
-    /// Per-stage retry/budget policy for dataset construction.
-    pub supervision: SupervisorPolicy,
-    /// Fault plan armed during dataset construction (chaos testing).
-    pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Per-design checkpointing for dataset construction.
-    pub checkpoint: Option<CheckpointConfig>,
 }
 
 impl CongestionFlow {
@@ -81,9 +56,6 @@ impl CongestionFlow {
             device: Device::xc7z020(),
             workers: None,
             extract: ExtractKernel::default(),
-            supervision: SupervisorPolicy::default(),
-            fault_plan: None,
-            checkpoint: None,
         }
     }
 
@@ -107,38 +79,12 @@ impl CongestionFlow {
         self
     }
 
-    /// Set the per-stage retry/budget policy.
-    pub fn with_supervision(mut self, policy: SupervisorPolicy) -> Self {
-        self.supervision = policy;
-        self
-    }
-
-    /// Arm a fault plan for chaos testing. Also silences the default panic
-    /// hook's backtrace spew for injected panics — they are expected and
-    /// caught.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        faultkit::silence_injected_panics();
-        self.fault_plan = Some(Arc::new(plan));
-        self
-    }
-
-    /// Checkpoint per-design outcomes under `dir`; with `resume`, replay
-    /// entries committed by a previous run of the same configuration.
-    pub fn with_checkpoint(mut self, dir: impl Into<PathBuf>, resume: bool) -> Self {
-        self.checkpoint = Some(CheckpointConfig {
-            dir: dir.into(),
-            resume,
-        });
-        self
-    }
-
     /// Digest of everything that determines a design's samples: HLS and
-    /// PAR options, and the target device. Checkpoints are keyed by this,
-    /// so entries from a differently-configured run are never resumed.
-    /// Worker count, extract kernel, fault plan, and supervision policy are
-    /// deliberately excluded — they change *how* the answer is computed,
-    /// not the answer (the extract kernels are bitwise identical by
-    /// contract, enforced by the differential tests).
+    /// PAR options, and the target device. Ledger records carry it, so two
+    /// runs can be told apart by configuration. Worker count and extract
+    /// kernel are deliberately excluded — they change *how* the answer is
+    /// computed, not the answer (the extract kernels are bitwise identical
+    /// by contract, enforced by the differential tests).
     pub fn config_digest(&self) -> u64 {
         let opts = format!("{:?}|{:?}|{}", self.hls, self.par, self.device.name);
         obskit::fnv1a(&[b"congestion-flow-v1", opts.as_bytes()])
@@ -215,22 +161,16 @@ impl CongestionFlow {
     ///
     /// - **Deterministic**: samples are merged in design input order, and
     ///   each design's HLS/PAR run is seeded, so the dataset — and every
-    ///   supervision log, injection decision, and retry schedule — is
-    ///   bit-identical regardless of worker count.
+    ///   design's outcome — is bit-identical regardless of worker count.
     /// - **Fault-tolerant**: a failing design is recorded in
     ///   [`DatasetBuildReport::designs`] (with its [`DesignFailure`]
     ///   taxonomy entry) and does not abort the build; panics are caught at
     ///   stage boundaries and degrade the same way.
-    /// - **Resumable**: with [`Self::with_checkpoint`], each design's
-    ///   verdict persists as soon as it is known; a resumed run replays
-    ///   committed verdicts instead of recomputing them.
     pub fn build_dataset_report(&self, modules: &[Module]) -> DatasetBuildReport {
         let start = Instant::now();
         let requested = self.workers.unwrap_or_else(parkit::num_threads);
-        let store = self.open_checkpoint_store();
-        let st = store.as_ref().and_then(|s| s.as_ref().ok());
         let results =
-            parkit::par_map_threads(requested, modules, |m| self.implement_for_dataset(m, st));
+            parkit::par_map_threads(requested, modules, |m| self.implement_for_dataset(m));
 
         // Merge in input order — bit-identical to the serial loop. The
         // per-design obskit records merge under the same rule, so every
@@ -248,14 +188,6 @@ impl CongestionFlow {
                 root.absorb(rec);
             }
         }
-        if let Some(Err(e)) = &store {
-            // The directory could not even be opened: record it once and
-            // run without checkpointing rather than aborting the build.
-            root.inc("checkpoint.errors", 1);
-            for d in &mut designs {
-                d.checkpoint_error.get_or_insert_with(|| e.to_string());
-            }
-        }
         let wall = start.elapsed();
         root.set_gauge("dataset.wall_ms", wall.as_secs_f64() * 1e3);
         DatasetBuildReport {
@@ -267,17 +199,8 @@ impl CongestionFlow {
         }
     }
 
-    /// Open the configured checkpoint store, if any. The `Err` form is
-    /// surfaced in the build report instead of failing the build.
-    fn open_checkpoint_store(&self) -> Option<Result<CheckpointStore, PersistError>> {
-        self.checkpoint
-            .as_ref()
-            .map(|c| CheckpointStore::open(&c.dir, self.config_digest()))
-    }
-
-    /// The per-design unit of [`Self::build_dataset_report`]: checkpoint
-    /// replay, or the three supervised stages back to back on the calling
-    /// worker followed by the checkpoint commit. Never panics on a bad
+    /// The per-design unit of [`Self::build_dataset_report`]: the three
+    /// stages back to back on the calling worker. Never panics on a bad
     /// module — or a panicking stage.
     ///
     /// Every stage runs inside an obskit span on the design's own
@@ -285,41 +208,14 @@ impl CongestionFlow {
     /// measurement substrate instead of two. A design that fails mid-flow
     /// keeps the spans of every stage it reached, so partial timings
     /// survive into the report (the `hls` span of a design that dies in
-    /// synthesis still carries the time spent before the error, including
-    /// retried attempts).
-    fn implement_for_dataset(
-        &self,
-        module: &Module,
-        store: Option<&CheckpointStore>,
-    ) -> DesignResult {
+    /// synthesis still carries the time spent before the error).
+    fn implement_for_dataset(&self, module: &Module) -> DesignResult {
         let obs = Collector::new();
         obs.inc("dataset.designs", 1);
-
-        // Resume fast path: a committed verdict under this configuration
-        // short-circuits the whole design.
-        if let Some(store) = store {
-            if self.checkpoint.as_ref().is_some_and(|c| c.resume) {
-                match store.lookup(&module.name) {
-                    CheckpointLookup::Hit(entry) => {
-                        return self.replay_checkpoint(module, entry, obs);
-                    }
-                    CheckpointLookup::Miss => {}
-                    CheckpointLookup::Corrupt(message) => {
-                        // Recompute and overwrite; count the corruption.
-                        obs.inc("checkpoint.corrupt", 1);
-                        let mut span = obs.span("checkpoint_corrupt");
-                        span.arg("design", module.name.clone());
-                        span.arg("error", message);
-                    }
-                }
-            }
-        }
-
-        let mut supervision: Vec<StageLog> = Vec::new();
         let outcome = {
             let mut design_span = obs.span("design");
             design_span.arg("design", module.name.clone());
-            let outcome = self.run_stages(module, &obs, &mut supervision);
+            let outcome = self.run_stages(module, &obs);
             match &outcome {
                 Ok((ds, ..)) => {
                     obs.inc("dataset.designs_ok", 1);
@@ -333,21 +229,6 @@ impl CongestionFlow {
             }
             outcome
         };
-
-        let checkpoint_error = store.and_then(|s| {
-            let outcome = match &outcome {
-                Ok((ds, ..)) => Ok(ds.clone()),
-                Err(failure) => Err(failure.recorded()),
-            };
-            self.commit_checkpoint(
-                s,
-                &obs,
-                CheckpointEntry {
-                    design: module.name.clone(),
-                    outcome,
-                },
-            )
-        });
         let rec = obs.finish();
         let (ds, outcome, route_stats, place_stats) = match outcome {
             Ok((ds, route_stats, place_stats)) => {
@@ -367,152 +248,39 @@ impl CongestionFlow {
             timings: StageTimings::from_record(&rec),
             route_stats,
             place_stats,
-            supervision,
-            from_checkpoint: false,
-            checkpoint_error,
         };
         (ds, report, rec)
     }
 
     /// HLS → place-and-route → back-trace + features for one design, each
-    /// stage under the design's [`Supervisor`] and appending its log to
-    /// `supervision`. `InvalidIr` is permanent; injected faults retry.
-    /// The features stage rebuilds its dataset per attempt, so a failed
-    /// attempt can't leak partial samples.
+    /// stage [`contained`] so that its panic fails this design only.
     fn run_stages(
         &self,
         module: &Module,
         obs: &Collector,
-        supervision: &mut Vec<StageLog>,
     ) -> Result<(CongestionDataset, RouteStats, PlaceStats), DesignFailure> {
-        let supervisor = Supervisor::new(
-            self.supervision.clone(),
-            self.fault_plan.clone(),
-            &module.name,
-        );
-
         let mut hls_span = obs.span("hls");
-        let run =
-            supervisor.run_stage("hls", |_| self.synthesize(module), SynthError::is_transient);
-        record_stage(obs, &run.log);
-        supervision.push(run.log);
-        let design = match run.result {
-            Ok(design) => design,
-            Err(failure) => {
-                let failure = DesignFailure::classify("hls", failure, DesignFailure::Synth);
-                hls_span.arg("error", failure.to_string());
-                return Err(failure);
-            }
-        };
+        let design = contained("hls", || {
+            self.synthesize(module).map_err(DesignFailure::Synth)
+        })
+        .inspect_err(|failure| hls_span.arg("error", failure.to_string()))?;
         hls_span.end();
 
-        // Infallible by type — failures here are panics (real or injected)
-        // or budget overruns.
-        let run = supervisor.run_stage(
-            "par",
-            |_| Ok(run_par_obs(&design, &self.device, &self.par, obs)),
-            |_: &NoError| false,
-        );
-        record_stage(obs, &run.log);
-        supervision.push(run.log);
-        let (impl_result, _) = run
-            .result
-            .map_err(|failure| DesignFailure::classify("par", failure, |e: NoError| match e {}))?;
+        // Infallible by type — a failure here is a panic.
+        let (impl_result, _) = contained("par", || {
+            Ok(run_par_obs(&design, &self.device, &self.par, obs))
+        })?;
 
         let mut features_span = obs.span("features");
-        let run = supervisor.run_stage(
-            "features",
-            |_| {
-                let mut ds = CongestionDataset::new();
-                ds.add_design_with(&design, &impl_result, &self.device, self.extract)?;
-                Ok(ds)
-            },
-            BacktraceError::is_transient,
-        );
-        record_stage(obs, &run.log);
-        supervision.push(run.log);
-        match run.result {
-            Ok(ds) => {
-                features_span.end();
-                Ok((ds, impl_result.route.stats, impl_result.placement.stats))
-            }
-            Err(failure) => {
-                let failure =
-                    DesignFailure::classify("features", failure, DesignFailure::Backtrace);
-                features_span.arg("error", failure.to_string());
-                Err(failure)
-            }
-        }
-    }
-
-    /// Write one design's verdict to the checkpoint store. A store failure
-    /// degrades to a warning on the report (the samples are already in
-    /// hand) rather than failing the design.
-    fn commit_checkpoint(
-        &self,
-        store: &CheckpointStore,
-        obs: &Collector,
-        entry: CheckpointEntry,
-    ) -> Option<String> {
-        match store.store(&entry) {
-            Ok(()) => {
-                obs.inc("checkpoint.stored", 1);
-                None
-            }
-            Err(e) => {
-                obs.inc("checkpoint.errors", 1);
-                Some(e.to_string())
-            }
-        }
-    }
-
-    /// Resume tail: turn a committed checkpoint entry into a report
-    /// without running any stage.
-    fn replay_checkpoint(
-        &self,
-        module: &Module,
-        entry: CheckpointEntry,
-        obs: Collector,
-    ) -> DesignResult {
-        obs.inc("checkpoint.resumed", 1);
-        let mut design_span = obs.span("design");
-        design_span.arg("design", module.name.clone());
-        design_span.arg("outcome", "resumed");
-        let outcome = match entry.outcome {
-            Ok(ds) => {
-                obs.inc("dataset.designs_ok", 1);
-                obs.inc("dataset.samples", ds.len() as u64);
-                design_span.arg("samples", ds.len().to_string());
-                Ok(ds)
-            }
-            Err(recorded) => {
-                obs.inc("dataset.designs_failed", 1);
-                Err(recorded)
-            }
-        };
-        drop(design_span);
-        let rec = obs.finish();
-        let (ds, outcome) = match outcome {
-            Ok(ds) => {
-                let n = ds.len();
-                (ds, Ok(n))
-            }
-            Err(recorded) => (
-                CongestionDataset::new(),
-                Err(DesignFailure::Recorded(recorded)),
-            ),
-        };
-        let report = DesignReport {
-            name: module.name.clone(),
-            outcome,
-            timings: StageTimings::from_record(&rec),
-            route_stats: RouteStats::default(),
-            place_stats: PlaceStats::default(),
-            supervision: Vec::new(),
-            from_checkpoint: true,
-            checkpoint_error: None,
-        };
-        (ds, report, rec)
+        let ds = contained("features", || {
+            let mut ds = CongestionDataset::new();
+            ds.add_design_with(&design, &impl_result, &self.device, self.extract)
+                .map_err(DesignFailure::Backtrace)?;
+            Ok(ds)
+        })
+        .inspect_err(|failure| features_span.arg("error", failure.to_string()))?;
+        features_span.end();
+        Ok((ds, impl_result.route.stats, impl_result.placement.stats))
     }
 }
 
@@ -520,24 +288,22 @@ impl CongestionFlow {
 /// and its observability record.
 type DesignResult = (CongestionDataset, DesignReport, ObsRecord);
 
-/// Fold a stage's supervision log into the design's obskit counters.
-fn record_stage(obs: &Collector, log: &StageLog) {
-    obs.inc("faultkit.injected", u64::from(log.injected));
-    obs.inc("faultkit.retries", u64::from(log.retries()));
-    obs.inc("faultkit.recovered_panics", u64::from(log.panics_caught()));
-    obs.inc("faultkit.timeouts", u64::from(log.timeouts()));
-}
-
-/// Uninhabited error type for supervised stages that are infallible by
-/// construction (place-and-route): the only way such a stage fails is a
-/// panic or a budget overrun, both handled by the supervisor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NoError {}
-
-impl fmt::Display for NoError {
-    fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {}
-    }
+/// Run one stage of a design, turning a panic into that design's
+/// [`DesignFailure::Panic`]. The spans the stage opened close as the panic
+/// unwinds, so the timings of what it reached survive. Asserting unwind
+/// safety is sound: the stage only reads the flow and the design, and the
+/// one thing it mutates, the design's own collector, is finished into a
+/// failed design's record and seen by nothing else.
+fn contained<T>(
+    stage: &str,
+    run: impl FnOnce() -> Result<T, DesignFailure>,
+) -> Result<T, DesignFailure> {
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        Err(DesignFailure::Panic {
+            stage: stage.to_string(),
+            message: parkit::Panicked::from(payload).message(),
+        })
+    })
 }
 
 impl Default for CongestionFlow {
@@ -613,106 +379,38 @@ impl fmt::Display for StageTimings {
 
 /// Why one design failed a dataset build — the failure taxonomy. Every
 /// variant knows its stage and renders a stable `kind` string, so reports
-/// and checkpoints can aggregate failures across runs.
+/// can aggregate failures across designs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DesignFailure {
-    /// HLS failed (IR verification or an injected synthesis fault).
+    /// HLS failed IR verification.
     Synth(SynthError),
     /// Back-trace / feature extraction failed.
     Backtrace(BacktraceError),
-    /// Checkpoint persistence failed in a way that lost the design.
-    Persist(PersistError),
-    /// A fault plan injected an error at an otherwise-infallible stage and
-    /// the retry budget ran out.
-    Injected {
-        /// Supervised stage name.
-        stage: String,
-        /// Rendered injected fault.
-        message: String,
-    },
-    /// The stage panicked on its last allowed attempt; the supervisor
-    /// caught it at the stage boundary.
+    /// The stage panicked; the pipeline caught it at the stage boundary.
     Panic {
-        /// Supervised stage name.
+        /// Stage name: `hls`, `par` or `features`.
         stage: String,
         /// Rendered panic payload.
         message: String,
     },
-    /// Every allowed attempt of the stage overran the per-attempt budget.
-    Timeout {
-        /// Supervised stage name.
-        stage: String,
-        /// The budget each attempt exceeded.
-        budget: Duration,
-    },
-    /// A failure replayed from a checkpoint written by an earlier run.
-    Recorded(RecordedFailure),
 }
 
 impl DesignFailure {
-    /// Map a supervisor's terminal [`StageFailure`] into the taxonomy.
-    /// `wrap` embeds the stage's own typed error.
-    fn classify<E>(
-        stage: &str,
-        failure: StageFailure<E>,
-        wrap: impl FnOnce(E) -> DesignFailure,
-    ) -> DesignFailure {
-        match failure {
-            StageFailure::Error(e) => wrap(e),
-            StageFailure::Injected { message } => DesignFailure::Injected {
-                stage: stage.to_string(),
-                message,
-            },
-            StageFailure::Panic { message, .. } => DesignFailure::Panic {
-                stage: stage.to_string(),
-                message,
-            },
-            StageFailure::Timeout { budget } => DesignFailure::Timeout {
-                stage: stage.to_string(),
-                budget,
-            },
+    /// Stable taxonomy bucket: `synth`, `backtrace` or `panic`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            DesignFailure::Synth(_) => "synth",
+            DesignFailure::Backtrace(_) => "backtrace",
+            DesignFailure::Panic { .. } => "panic",
         }
     }
 
-    /// Stable taxonomy bucket. A resumed failure keeps the bucket it was
-    /// recorded under, so aggregation is identical before and after resume.
-    pub fn kind(&self) -> String {
+    /// The stage the failure is attributed to: `hls`, `par` or `features`.
+    pub fn stage(&self) -> &str {
         match self {
-            DesignFailure::Synth(SynthError::Injected(_)) => "injected".to_string(),
-            DesignFailure::Synth(_) => "synth".to_string(),
-            DesignFailure::Backtrace(BacktraceError::Injected(_)) => "injected".to_string(),
-            DesignFailure::Backtrace(_) => "backtrace".to_string(),
-            DesignFailure::Persist(_) => "persist".to_string(),
-            DesignFailure::Injected { .. } => "injected".to_string(),
-            DesignFailure::Panic { .. } => "panic".to_string(),
-            DesignFailure::Timeout { .. } => "timeout".to_string(),
-            DesignFailure::Recorded(r) => r.kind.clone(),
-        }
-    }
-
-    /// The supervised stage the failure is attributed to.
-    pub fn stage(&self) -> String {
-        match self {
-            DesignFailure::Synth(_) => "hls".to_string(),
-            DesignFailure::Backtrace(_) => "features".to_string(),
-            DesignFailure::Persist(_) => "persist".to_string(),
-            DesignFailure::Injected { stage, .. }
-            | DesignFailure::Panic { stage, .. }
-            | DesignFailure::Timeout { stage, .. } => stage.clone(),
-            DesignFailure::Recorded(r) => r.stage.clone(),
-        }
-    }
-
-    /// The checkpoint-file form of this failure. Round-trips through
-    /// [`DesignFailure::Recorded`] with `kind`/`stage` preserved.
-    fn recorded(&self) -> RecordedFailure {
-        match self {
-            DesignFailure::Recorded(r) => r.clone(),
-            other => RecordedFailure {
-                kind: other.kind(),
-                stage: other.stage(),
-                message: other.to_string(),
-            },
+            DesignFailure::Synth(_) => "hls",
+            DesignFailure::Backtrace(_) => "features",
+            DesignFailure::Panic { stage, .. } => stage,
         }
     }
 }
@@ -722,18 +420,8 @@ impl fmt::Display for DesignFailure {
         match self {
             DesignFailure::Synth(e) => write!(f, "{e}"),
             DesignFailure::Backtrace(e) => write!(f, "{e}"),
-            DesignFailure::Persist(e) => write!(f, "{e}"),
-            DesignFailure::Injected { stage, message } => {
-                write!(f, "[{stage}] {message}")
-            }
             DesignFailure::Panic { stage, message } => {
                 write!(f, "[{stage}] panic: {message}")
-            }
-            DesignFailure::Timeout { stage, budget } => {
-                write!(f, "[{stage}] exceeded stage budget of {budget:?}")
-            }
-            DesignFailure::Recorded(r) => {
-                write!(f, "[{}] {} (from checkpoint)", r.stage, r.message)
             }
         }
     }
@@ -757,27 +445,12 @@ pub struct DesignReport {
     /// Placer annealing-effort counters for this design (zero when the
     /// design failed before placement).
     pub place_stats: PlaceStats,
-    /// Supervision log of every stage attempted: attempts, backoff
-    /// schedule, injected-fault counts. Deterministic across worker counts
-    /// (`StageLog: PartialEq`); empty for checkpoint-resumed designs.
-    pub supervision: Vec<StageLog>,
-    /// True when this verdict was replayed from a checkpoint rather than
-    /// computed.
-    pub from_checkpoint: bool,
-    /// Warning from the checkpoint store, when the design itself succeeded
-    /// but its entry could not be written (the build keeps the samples).
-    pub checkpoint_error: Option<String>,
 }
 
 impl DesignReport {
     /// True when the design contributed samples.
     pub fn is_ok(&self) -> bool {
         self.outcome.is_ok()
-    }
-
-    /// Total retries across this design's supervised stages.
-    pub fn retries(&self) -> u32 {
-        self.supervision.iter().map(StageLog::retries).sum()
     }
 }
 
@@ -839,19 +512,9 @@ impl DatasetBuildReport {
         s
     }
 
-    /// Number of designs whose verdicts were replayed from a checkpoint.
-    pub fn resumed(&self) -> usize {
-        self.designs.iter().filter(|d| d.from_checkpoint).count()
-    }
-
-    /// Total supervised retries across all designs.
-    pub fn total_retries(&self) -> u32 {
-        self.designs.iter().map(DesignReport::retries).sum()
-    }
-
-    /// Failed designs bucketed by taxonomy kind (`synth`, `panic`,
-    /// `timeout`, `injected`, ...), in stable alphabetical order.
-    pub fn failure_taxonomy(&self) -> BTreeMap<String, usize> {
+    /// Failed designs bucketed by taxonomy kind (`backtrace`, `panic`,
+    /// `synth`), in stable alphabetical order.
+    pub fn failure_taxonomy(&self) -> BTreeMap<&'static str, usize> {
         let mut buckets = BTreeMap::new();
         for d in &self.designs {
             if let Err(e) = &d.outcome {
@@ -885,16 +548,6 @@ impl DatasetBuildReport {
             if self.workers == 1 { "" } else { "s" },
             fmt_duration(self.wall),
         ));
-        if self.resumed() > 0 {
-            out.push_str(&format!(
-                "  resumed from checkpoint: {} design{}\n",
-                self.resumed(),
-                if self.resumed() == 1 { "" } else { "s" },
-            ));
-        }
-        if self.total_retries() > 0 {
-            out.push_str(&format!("  supervised retries: {}\n", self.total_retries()));
-        }
         let taxonomy = self.failure_taxonomy();
         if !taxonomy.is_empty() {
             let buckets: Vec<String> = taxonomy
@@ -911,31 +564,25 @@ impl DatasetBuildReport {
             "design", "samples", "total"
         ));
         for d in &self.designs {
-            let cached = if d.from_checkpoint { " (cached)" } else { "" };
             match &d.outcome {
                 Ok(n) => out.push_str(&format!(
-                    "  {:<24} {:>8} {:>10}  {}{}\n",
+                    "  {:<24} {:>8} {:>10}  {}\n",
                     d.name,
                     n,
                     fmt_duration(d.timings.total()),
                     d.timings,
-                    cached,
                 )),
                 // A failed design still shows the time it spent in the
                 // stages it reached before dying — partial timings are
                 // recorded on the error path, not dropped.
                 Err(e) => out.push_str(&format!(
-                    "  {:<24} {:>8} {:>10}  {}{}  FAILED[{}]: {e}\n",
+                    "  {:<24} {:>8} {:>10}  {}  FAILED[{}]: {e}\n",
                     d.name,
                     "-",
                     fmt_duration(d.timings.total()),
                     d.timings,
-                    cached,
                     e.kind(),
                 )),
-            }
-            if let Some(w) = &d.checkpoint_error {
-                out.push_str(&format!("    checkpoint warning: {w}\n"));
             }
         }
         out
@@ -966,8 +613,6 @@ const _: () = {
     assert_send_sync::<DatasetBuildReport>();
     assert_send_sync::<SynthError>();
     assert_send_sync::<DesignFailure>();
-    assert_send_sync::<CheckpointStore>();
-    assert_send_sync::<Supervisor>();
     // Finished records are plain data; only the live `Collector` is
     // single-threaded.
     assert_send_sync::<ObsRecord>();
@@ -1167,15 +812,6 @@ mod tests {
         );
     }
 
-    /// Build `d0` alone under a plan that fails `stage` on every attempt.
-    fn build_failing_at(stage: &str, kind: faultkit::FaultKind) -> DatasetBuildReport {
-        let plan = FaultPlan::new(5)
-            .with_rule(faultkit::FaultRule::once("d0", stage, kind).for_attempts(u32::MAX));
-        CongestionFlow::fast()
-            .with_fault_plan(plan)
-            .build_dataset_report(&suite()[..1])
-    }
-
     fn span_args<'a>(rec: &'a ObsRecord, name: &str) -> Vec<&'a [(String, String)]> {
         rec.events
             .iter()
@@ -1184,50 +820,60 @@ mod tests {
             .collect()
     }
 
+    /// A real panic, contained and attempted once: with the device's column
+    /// list shorter than its width, placement indexes past it in
+    /// `Device::column` for every design.
     #[test]
     fn par_failure_keeps_hls_and_place_timings() {
-        let report = build_failing_at("route", faultkit::FaultKind::Panic);
-        let d = &report.designs[0];
-        let failure = d.outcome.as_ref().unwrap_err();
-        assert_eq!(
-            (failure.kind().as_str(), failure.stage().as_str()),
-            ("panic", "par")
-        );
-        // HLS finished and place ran on every attempt before route died.
-        assert!(d.timings.hls > Duration::ZERO && d.timings.place > Duration::ZERO);
-        assert_eq!(d.timings.features, Duration::ZERO, "features never ran");
-        assert_eq!(d.supervision.len(), 2, "hls and par were attempted");
-        assert_eq!(span_args(&report.obs, "hls"), vec![&[][..]]);
-        assert_eq!(
-            span_args(&report.obs, "design"),
-            vec![
-                &[
-                    ("design".to_string(), "d0".to_string()),
+        let mut flow = CongestionFlow::fast();
+        flow.device.columns.truncate(8);
+        let modules = suite();
+        let reports: Vec<DatasetBuildReport> = [1, 4]
+            .into_iter()
+            .map(|w| flow.clone().with_workers(w).build_dataset_report(&modules))
+            .collect();
+        let outcomes = |r: &DatasetBuildReport| -> Vec<Result<usize, DesignFailure>> {
+            r.designs.iter().map(|d| d.outcome.clone()).collect()
+        };
+        assert_eq!(outcomes(&reports[0]), outcomes(&reports[1]));
+        for report in &reports {
+            for d in &report.designs {
+                let failure = d.outcome.as_ref().unwrap_err();
+                assert!(
+                    matches!(failure, DesignFailure::Panic { stage, .. } if stage == "par"),
+                    "{failure:?}"
+                );
+                assert_eq!(failure.kind(), "panic");
+                // HLS finished before placement died; features never ran.
+                assert!(d.timings.hls > Duration::ZERO, "{}", d.name);
+                assert_eq!(d.timings.features, Duration::ZERO, "{}", d.name);
+            }
+            // Each design's events end with its `design` span: exactly one
+            // `place` span before each, so placement ran once, unretried.
+            let mut place_spans = Vec::new();
+            let mut places = 0;
+            for e in &report.obs.events {
+                match e.name.as_str() {
+                    "place" => places += 1,
+                    "design" => place_spans.push(std::mem::take(&mut places)),
+                    _ => {}
+                }
+            }
+            assert_eq!(place_spans, vec![1; modules.len()]);
+            assert_eq!(span_args(&report.obs, "hls"), vec![&[][..]; modules.len()]);
+            for (m, args) in modules.iter().zip(span_args(&report.obs, "design")) {
+                let want = [
+                    ("design".to_string(), m.name.clone()),
                     ("outcome".to_string(), "failed".to_string()),
-                ][..]
-            ]
-        );
-        assert!(report.dataset.is_empty());
-        assert_eq!(report.obs.metrics.counters["dataset.designs_failed"], 1);
-    }
-
-    #[test]
-    fn features_failure_keeps_par_timings_and_error_span() {
-        let report = build_failing_at("backtrace", faultkit::FaultKind::Error);
-        let d = &report.designs[0];
-        let failure = d.outcome.as_ref().unwrap_err();
-        assert_eq!(
-            (failure.kind().as_str(), failure.stage().as_str()),
-            ("injected", "features")
-        );
-        assert!(d.timings.place > Duration::ZERO && d.timings.route > Duration::ZERO);
-        assert_eq!(d.supervision.len(), 3);
-        // A failed design reports zero effort counters.
-        assert_eq!(d.route_stats, RouteStats::default());
-        let features = span_args(&report.obs, "features");
-        assert_eq!(features.len(), 1);
-        assert_eq!(features[0][0].0, "error");
-        assert_eq!(report.obs.metrics.counters["dataset.designs_failed"], 1);
+                ];
+                assert_eq!(args, want);
+            }
+            assert!(report.dataset.is_empty());
+            assert_eq!(
+                report.obs.metrics.counters["dataset.designs_failed"],
+                modules.len() as u64
+            );
+        }
     }
 
     #[test]
@@ -1263,40 +909,6 @@ mod tests {
         }
         let rest: Vec<&str> = events.map(|e| e.name.as_str()).collect();
         assert_eq!(rest, ["dataset_build"]);
-    }
-
-    #[test]
-    fn corrupt_checkpoint_entry_is_recomputed_and_overwritten() {
-        let dir = std::env::temp_dir().join(format!("congest-corrupt-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let modules = suite();
-        let first = CongestionFlow::fast()
-            .with_checkpoint(&dir, false)
-            .build_dataset_report(&modules);
-        // Garble every committed meta file of d1.
-        let prefix = "d1-";
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let path = entry.unwrap().path();
-            let name = path.file_name().unwrap().to_string_lossy().to_string();
-            if name.starts_with(prefix) && name.ends_with(".json") {
-                std::fs::write(&path, "{not json").unwrap();
-            }
-        }
-        let resumed = CongestionFlow::fast()
-            .with_checkpoint(&dir, true)
-            .build_dataset_report(&modules);
-        assert_eq!(resumed.dataset, first.dataset);
-        let from_ckpt: Vec<bool> = resumed.designs.iter().map(|d| d.from_checkpoint).collect();
-        assert_eq!(from_ckpt, [true, false, true], "only d1 recomputes");
-        assert_eq!(resumed.obs.metrics.counters["checkpoint.corrupt"], 1);
-        assert_eq!(span_args(&resumed.obs, "checkpoint_corrupt").len(), 1);
-        // The recompute overwrote the entry: the next resume replays all.
-        let again = CongestionFlow::fast()
-            .with_checkpoint(&dir, true)
-            .build_dataset_report(&modules);
-        assert_eq!(again.resumed(), modules.len());
-        assert_eq!(again.dataset, first.dataset);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,24 +1,23 @@
-//! Thread-local injection context and the injection points themselves.
+//! Thread-local injection context and the injection point itself.
 //!
 //! The [`Supervisor`](crate::Supervisor) arms a scope —
-//! `(plan, design, attempt)` — around each stage attempt; instrumented code
-//! deep inside the pipeline calls [`inject`] (fallible stages) or
-//! [`inject_abort`] (infallible stages) with its stage name. With no armed
-//! scope both calls are a two-instruction no-op, so production binaries pay
-//! nothing for carrying the injection points.
+//! `(plan, design, attempt)` — around each stage attempt; congestd's serve
+//! stages call [`inject`] with their stage name. With no armed scope the
+//! call is a two-instruction no-op, so production binaries pay nothing for
+//! carrying the injection points.
 //!
-//! The context is thread-local on purpose: the dataset builder fans designs
-//! out one-per-worker (`parkit`), and each worker supervises its own design
-//! with its own attempt counter. A process-global context would leak one
-//! design's faults into another's stages.
+//! The context is thread-local on purpose: congestd's workers each
+//! supervise their own request with its own attempt counter. A
+//! process-global context would leak one request's faults into another's
+//! stages.
 
 use crate::plan::{FaultKind, FaultPlan};
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
-/// A typed, injected transient error. Fallible stages wrap this into their
-/// own error enum (e.g. `SynthError::Injected`).
+/// A typed, injected transient error. Stages wrap this into their own
+/// error type (congestd's predict stage: `PredictErr::Injected`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectedFault {
     /// Injection-point name.
@@ -48,10 +47,6 @@ impl std::error::Error for InjectedFault {}
 pub struct InjectedPanic {
     /// Human-readable description of the injection.
     pub message: String,
-    /// True when the plan asked for a *typed error* at an infallible stage:
-    /// the panic is just the transport, and the supervisor records the
-    /// attempt as a transient error rather than a panic.
-    pub as_error: bool,
 }
 
 struct Ctx {
@@ -125,10 +120,10 @@ fn decide(stage: &str) -> Option<(FaultKind, InjectedFault)> {
     })
 }
 
-/// Injection point for **fallible** stages. Returns `Err(InjectedFault)`
-/// for `error` faults (wrap it into the stage's error type), panics with an
-/// [`InjectedPanic`] payload for `panic` faults, sleeps for `delay_ms`
-/// faults, and is a no-op when no scope is armed or no rule matches.
+/// The injection point. Returns `Err(InjectedFault)` for `error` faults
+/// (wrap it into the stage's error type), panics with an [`InjectedPanic`]
+/// payload for `panic` faults, sleeps for `delay_ms` faults, and is a
+/// no-op when no scope is armed or no rule matches.
 pub fn inject(stage: &str) -> Result<(), InjectedFault> {
     let Some((kind, fault)) = decide(stage) else {
         return Ok(());
@@ -145,41 +140,16 @@ pub fn inject(stage: &str) -> Result<(), InjectedFault> {
                     "faultkit: injected panic at `{}` (design `{}`, attempt {})",
                     fault.stage, fault.design, fault.attempt
                 ),
-                as_error: false,
             });
         }
-    }
-}
-
-/// Injection point for **infallible** stages (the router has no error
-/// path). `error` faults are transported as a panic whose payload is
-/// flagged `as_error`, which the supervisor classifies back into a
-/// transient error; `panic` and `delay_ms` behave as in [`inject`].
-pub fn inject_abort(stage: &str) {
-    let Some((kind, fault)) = decide(stage) else {
-        return;
-    };
-    match kind {
-        FaultKind::Delay(d) => std::thread::sleep(d),
-        FaultKind::Panic => std::panic::panic_any(InjectedPanic {
-            message: format!(
-                "faultkit: injected panic at `{}` (design `{}`, attempt {})",
-                fault.stage, fault.design, fault.attempt
-            ),
-            as_error: false,
-        }),
-        FaultKind::Error => std::panic::panic_any(InjectedPanic {
-            message: fault.to_string(),
-            as_error: true,
-        }),
     }
 }
 
 /// Install a process-wide panic hook that suppresses the default
 /// "thread panicked" stderr message for *injected* panics (payload is an
 /// [`InjectedPanic`]) and delegates everything else to the previous hook.
-/// Idempotent; call it from chaos tests and from the CLI when a fault plan
-/// is loaded, so supervised chaos runs don't spray stderr.
+/// Idempotent; call it from chaos tests and wherever a fault plan is
+/// armed, so supervised chaos runs don't spray stderr.
 pub fn silence_injected_panics() {
     use std::sync::Once;
     static ONCE: Once = Once::new();
@@ -205,7 +175,6 @@ mod tests {
     #[test]
     fn noop_without_scope() {
         assert!(inject("s").is_ok());
-        inject_abort("s"); // must not panic
     }
 
     #[test]
@@ -229,20 +198,8 @@ mod tests {
         let p = caught
             .downcast_ref::<InjectedPanic>()
             .expect("marker payload");
-        assert!(!p.as_error);
         assert!(p.message.contains("`s`"));
         assert_eq!(scope.fired(), 1);
-    }
-
-    #[test]
-    fn abort_point_transports_errors_as_flagged_panics() {
-        silence_injected_panics();
-        let _scope = arm(plan(FaultKind::Error), "d", 0);
-        let caught = std::panic::catch_unwind(|| inject_abort("s")).unwrap_err();
-        let p = caught
-            .downcast_ref::<InjectedPanic>()
-            .expect("marker payload");
-        assert!(p.as_error);
     }
 
     #[test]

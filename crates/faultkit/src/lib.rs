@@ -1,8 +1,7 @@
 //! # faultkit
 //!
-//! Deterministic fault injection and stage supervision for the congestion
-//! pipeline — the robustness substrate the dataset builder (and every
-//! future scaling layer: sharding, remote workers, serving) runs on.
+//! Deterministic fault injection and stage supervision for the serving
+//! daemon, `congestd`.
 //!
 //! Three pieces:
 //!
@@ -11,32 +10,34 @@
 //!   error, or artificial latency. Every decision is a pure function of the
 //!   plan seed and those three coordinates — no wall-clock, no global RNG —
 //!   so chaos runs replay bit-identically from the plan file alone.
-//! * [`inject`] / [`inject_abort`] — the injection points, compiled into
-//!   `hls-synth` (stage `hls`), `fpga-fabric`'s router (stage `route`), and
-//!   `congestion-core`'s back-trace/feature stages. No-ops (two loads) when
-//!   no plan is armed.
-//! * [`Supervisor`] — wraps each pipeline stage with `catch_unwind` panic
-//!   isolation, bounded retries with deterministic exponential backoff, and
-//!   per-stage attempt/time budgets, downgrading failures into per-design
-//!   outcomes instead of aborting the batch.
+//! * [`inject()`] — the injection point, called by congestd's four serve
+//!   stages ([`serve_stages::ALL`]). A no-op (two loads) when no plan is
+//!   armed.
+//! * [`Supervisor`] — wraps each serve stage with `catch_unwind` panic
+//!   isolation and a bounded number of retries, downgrading failures into
+//!   typed replies instead of killing a worker.
 //!
 //! ```
-//! use faultkit::{FaultKind, FaultPlan, FaultRule, Supervisor, SupervisorPolicy};
+//! use faultkit::{serve_stages, FaultKind, FaultPlan, FaultRule, Supervisor, SupervisorPolicy};
 //! use std::sync::Arc;
 //!
 //! faultkit::silence_injected_panics();
-//! // Panic at stage `route` of every design, first attempt only.
-//! let plan = FaultPlan::new(7).with_rule(FaultRule::once("*", "route", FaultKind::Panic));
-//! let sup = Supervisor::new(SupervisorPolicy::no_sleep(), Some(Arc::new(plan)), "my-design");
+//! // Panic at `serve.predict` of every request, first attempt only.
+//! let plan = FaultPlan::new(7).with_rule(FaultRule::once(
+//!     "*",
+//!     serve_stages::PREDICT,
+//!     FaultKind::Panic,
+//! ));
+//! let sup = Supervisor::new(SupervisorPolicy::default(), Some(Arc::new(plan)), "req-1");
 //! let run = sup.run_stage(
-//!     "route",
+//!     serve_stages::PREDICT,
 //!     |_attempt| {
-//!         faultkit::inject_abort("route"); // the instrumented stage body
-//!         Ok::<_, String>("routed")
+//!         faultkit::inject(serve_stages::PREDICT).map_err(|f| f.to_string())?;
+//!         Ok::<_, String>("predicted") // the instrumented stage body
 //!     },
 //!     |_e| false,
 //! );
-//! assert_eq!(run.result.unwrap(), "routed"); // attempt 1 recovered it
+//! assert_eq!(run.result.unwrap(), "predicted"); // attempt 1 recovered it
 //! assert_eq!(run.log.panics_caught(), 1);
 //! ```
 
@@ -44,9 +45,7 @@ pub mod inject;
 pub mod plan;
 pub mod supervisor;
 
-pub use inject::{
-    arm, inject, inject_abort, silence_injected_panics, InjectedFault, InjectedPanic,
-};
+pub use inject::{arm, inject, silence_injected_panics, InjectedFault, InjectedPanic};
 pub use plan::{serve_stages, FaultKind, FaultPlan, FaultRule, PlanParseError};
 pub use supervisor::{
     AttemptOutcome, AttemptRecord, StageFailure, StageLog, StageRun, Supervisor, SupervisorPolicy,

@@ -17,12 +17,11 @@ use std::time::Duration;
 pub enum FaultKind {
     /// Panic with an [`crate::InjectedPanic`] payload (tests panic isolation).
     Panic,
-    /// A typed, transient error (tests retry logic). Fallible stages surface
-    /// it through their own error type; infallible stages panic with a
-    /// payload the supervisor classifies back into a transient error.
+    /// A typed, transient error (tests retry logic), surfaced through the
+    /// stage's own error type.
     Error,
-    /// Sleep for the given duration before continuing (tests stage
-    /// time budgets).
+    /// Sleep for the given duration before continuing (tests request
+    /// deadlines and overload).
     Delay(Duration),
 }
 
@@ -43,8 +42,8 @@ impl FaultKind {
 pub struct FaultRule {
     /// Design name to match, or `*` for every design.
     pub design: String,
-    /// Injection-point name to match (`hls`, `route`, `backtrace`,
-    /// `features`, …), or `*` for every stage.
+    /// Injection-point name to match (one of [`serve_stages::ALL`]), or
+    /// `*` for every stage.
     pub stage: String,
     /// What to inject.
     pub kind: FaultKind,
@@ -167,18 +166,19 @@ impl FaultPlan {
     /// {
     ///   "seed": 7,
     ///   "rules": [
-    ///     {"design": "*", "stage": "route", "kind": "panic"},
-    ///     {"design": "d2", "stage": "hls", "kind": "delay_ms", "delay_ms": 800},
-    ///     {"design": "d3", "stage": "hls", "kind": "error", "attempts_below": 99}
+    ///     {"design": "*", "stage": "serve.predict", "kind": "panic"},
+    ///     {"design": "d2", "stage": "serve.extract", "kind": "delay_ms", "delay_ms": 800},
+    ///     {"design": "*", "stage": "serve.swap", "kind": "error", "attempts_below": 99}
     ///   ]
     /// }
     /// ```
     ///
-    /// `attempts_below` defaults to 1 (first attempt only) and
-    /// `probability` to 1.0.
+    /// `stage` is `*` or one of [`serve_stages::ALL`]; `attempts_below`
+    /// defaults to 1 (first attempt only) and `probability` to 1.0.
     ///
     /// # Errors
-    /// Returns a [`PlanParseError`] describing the first malformed field.
+    /// Returns a [`PlanParseError`] describing the first malformed field,
+    /// including a stage with no injection point.
     pub fn from_json(text: &str) -> Result<FaultPlan, PlanParseError> {
         let doc = json::parse(text).map_err(|e| PlanParseError(e.to_string()))?;
         if doc.as_obj().is_none() {
@@ -214,6 +214,13 @@ fn parse_rule(v: &Value, i: usize) -> Result<FaultRule, PlanParseError> {
     };
     let design = field("design")?.to_string();
     let stage = field("stage")?.to_string();
+    if stage != "*" && !serve_stages::ALL.contains(&stage.as_str()) {
+        // A rule no injection point reads would be armed and never fire.
+        return Err(err(format!(
+            "unknown stage `{stage}`; valid stages are `*`, {}",
+            serve_stages::ALL.join(", ")
+        )));
+    }
     let kind = match field("kind")? {
         "panic" => FaultKind::Panic,
         "error" => FaultKind::Error,
@@ -254,11 +261,9 @@ fn parse_rule(v: &Value, i: usize) -> Result<FaultRule, PlanParseError> {
     })
 }
 
-/// Canonical injection-point names inside the serving daemon (`congestd`),
-/// so chaos plans, the server, and tests agree on spelling. Stage names in
-/// a [`FaultPlan`] are free strings — these constants are the serve-side
-/// vocabulary, the way `hls`/`route`/`backtrace`/`features` are the
-/// dataset-side one.
+/// The injection points inside the serving daemon (`congestd`), so chaos
+/// plans, the server, and tests agree on spelling. A plan file may name
+/// only these stages (or `*`).
 pub mod serve_stages {
     /// Request admission: queue push, framing, request decode.
     pub const ADMISSION: &str = "serve.admission";
@@ -338,9 +343,9 @@ mod tests {
     fn json_example_parses() {
         let plan = FaultPlan::from_json(
             r#"{"seed": 7, "rules": [
-                {"design": "*", "stage": "route", "kind": "panic"},
-                {"design": "d2", "stage": "hls", "kind": "delay_ms", "delay_ms": 800},
-                {"design": "d3", "stage": "hls", "kind": "error", "attempts_below": 99, "probability": 0.75}
+                {"design": "*", "stage": "serve.predict", "kind": "panic"},
+                {"design": "d2", "stage": "serve.extract", "kind": "delay_ms", "delay_ms": 800},
+                {"design": "d3", "stage": "serve.swap", "kind": "error", "attempts_below": 99, "probability": 0.75}
             ]}"#,
         )
         .unwrap();
@@ -380,16 +385,25 @@ mod tests {
             ("[]", "object"),                             // not an object
             (r#"{"rules": [{"design": "d"}]}"#, "stage"), // missing field
             (
-                r#"{"rules": [{"design":"d","stage":"s","kind":"x"}]}"#,
+                r#"{"rules": [{"design":"d","stage":"*","kind":"x"}]}"#,
                 "unknown kind",
             ),
             (
-                r#"{"rules": [{"design":"d","stage":"s","kind":"delay_ms"}]}"#,
+                r#"{"rules": [{"design":"d","stage":"*","kind":"delay_ms"}]}"#,
                 "delay_ms",
             ),
             (
-                r#"{"rules": [{"design":"d","stage":"s","kind":"panic","probability":2}]}"#,
+                r#"{"rules": [{"design":"d","stage":"*","kind":"panic","probability":2}]}"#,
                 "probability",
+            ),
+            // Stages with no injection point would be armed and never fire.
+            (
+                r#"{"rules": [{"design":"mac16","stage":"route","kind":"panic"}]}"#,
+                "unknown stage `route`; valid stages are `*`, serve.admission",
+            ),
+            (
+                r#"{"rules": [{"design":"*","stage":"hls","kind":"error"}]}"#,
+                "serve.predict, serve.swap",
             ),
             // 2^53 + 1 would silently become 2^53 (JSON numbers are f64).
             (r#"{"seed": 9007199254740993, "rules": []}"#, "seed"),
@@ -423,7 +437,7 @@ mod tests {
                 plan.rules.push(FaultRule {
                     design: format!("design-{i}"),
                     stage: match i % 4 {
-                        0 => "hls".into(),
+                        0 => serve_stages::EXTRACT.into(),
                         1 => "*".into(),
                         2 => serve_stages::PREDICT.into(),
                         _ => serve_stages::ADMISSION.into(),

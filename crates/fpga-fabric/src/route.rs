@@ -241,10 +241,6 @@ pub fn route_with_arena(
     opts: &RouterOptions,
     arena: &mut RouterArena,
 ) -> RouteResult {
-    // Chaos-testing injection point (faultkit): routing has no error path,
-    // so injected faults surface as panics/latency for the supervisor to
-    // catch and classify. A no-op unless a fault plan is armed.
-    faultkit::inject_abort("route");
     let tiles = device.tiles() as usize;
     let mut grid = Grid::new(tiles, device.width, device.h_tracks, device.v_tracks);
     let mut stats = RouteStats::default();

@@ -32,26 +32,12 @@ impl Default for HlsOptions {
 pub enum SynthError {
     /// The input module failed IR verification.
     InvalidIr(String),
-    /// A transient fault injected by an armed [`faultkit`] plan at the
-    /// `hls` injection point (chaos testing only — never raised in
-    /// production runs).
-    Injected(String),
-}
-
-impl SynthError {
-    /// Whether a supervisor should retry the stage: verification failures
-    /// are deterministic and permanent, injected faults are transient by
-    /// definition.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, SynthError::Injected(_))
-    }
 }
 
 impl fmt::Display for SynthError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SynthError::InvalidIr(m) => write!(f, "invalid IR: {m}"),
-            SynthError::Injected(m) => write!(f, "{m}"),
         }
     }
 }
@@ -119,9 +105,6 @@ impl HlsFlow {
     /// Returns [`SynthError::InvalidIr`] if the module fails verification.
     pub fn run(&self, module: &Module) -> Result<SynthesizedDesign, SynthError> {
         hls_ir::verify::verify_module(module).map_err(|e| SynthError::InvalidIr(e.to_string()))?;
-        // Chaos-testing injection point; a no-op unless a fault plan is
-        // armed on this thread by a faultkit supervisor.
-        faultkit::inject("hls").map_err(|f| SynthError::Injected(f.to_string()))?;
 
         let sched_opts = SchedulerOptions {
             clock_ns: self.options.clock_ns,

@@ -1,5 +1,6 @@
-//! FNV-1a, 64-bit: the workspace's one stable digest. Checkpoints, model
-//! artifacts and fingerprints store its values, so it must never change.
+//! FNV-1a, 64-bit: the workspace's one stable digest. Model artifacts,
+//! fingerprints and ledger records store its values, so it must never
+//! change.
 
 /// A streaming FNV-1a-64 hasher; `default()` starts at the offset basis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,7 +1,7 @@
 //! The workspace's one JSON module (no serde in-tree): writing helpers
 //! for the sinks and the ledger, plus a small strict reader for the
-//! documents that come back in — fault plans, checkpoint metadata, model
-//! artifacts, wire frames, journals and bench baselines.
+//! documents that come back in — fault plans, model artifacts, wire
+//! frames, journals and bench baselines.
 //!
 //! The reader is a recursive-descent parser over the full JSON value
 //! grammar; it is strict about structure (no trailing commas, no comments)
@@ -101,7 +101,7 @@ pub fn write_number(out: &mut String, v: f64) {
 const MAX_EXACT_INTEGER: f64 = 9_007_199_254_740_992.0;
 
 /// A parsed JSON value. Objects use a [`BTreeMap`], so re-serialization is
-/// deterministic (keys sorted), which keeps checkpoint files diffable.
+/// deterministic (keys sorted), which keeps written documents diffable.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.

@@ -45,16 +45,19 @@ use std::sync::Mutex;
 /// instead of letting the unwind cross the thread join and poison the whole
 /// batch. The original payload is preserved, so callers that do want to die
 /// can [`Panicked::resume`] with full fidelity (typed payloads like
-/// faultkit's marker structs survive the round trip).
+/// faultkit's marker structs survive the round trip). Callers that catch
+/// panics themselves wrap the payload with `Panicked::from` to render it.
 pub struct Panicked {
     payload: Box<dyn Any + Send + 'static>,
 }
 
-impl Panicked {
-    fn new(payload: Box<dyn Any + Send + 'static>) -> Panicked {
+impl From<Box<dyn Any + Send + 'static>> for Panicked {
+    fn from(payload: Box<dyn Any + Send + 'static>) -> Panicked {
         Panicked { payload }
     }
+}
 
+impl Panicked {
     /// Human-readable panic message (`&str`/`String` payloads; anything
     /// else renders as a placeholder).
     pub fn message(&self) -> String {
@@ -180,7 +183,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let call = |item: &T| catch_unwind(AssertUnwindSafe(|| f(item))).map_err(Panicked::new);
+    let call = |item: &T| catch_unwind(AssertUnwindSafe(|| f(item))).map_err(Panicked::from);
     let workers = threads.clamp(1, items.len().max(1));
     if workers <= 1 || items.len() <= 1 {
         return items.iter().map(call).collect();

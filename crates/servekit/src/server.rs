@@ -11,7 +11,7 @@
 //!        └─► Overloaded / Error
 //!                       deadline check ──► DeadlineExceeded
 //!                       serve.extract / serve.predict / serve.swap
-//!                       (supervised: retries + backoff + panic isolation)
+//!                       (supervised: retries + panic isolation)
 //!                            │ terminal model failure
 //!                            ▼
 //!                       demote to last-good ──► analytic (degraded=true)
@@ -86,7 +86,7 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Deadline applied to requests that carry none.
     pub default_deadline: Option<Duration>,
-    /// Supervision policy for the serve stages (retries, backoff).
+    /// Supervision policy for the serve stages (retry budget).
     pub policy: SupervisorPolicy,
     /// Armed fault plan (chaos testing).
     pub plan: Option<Arc<FaultPlan>>,
@@ -146,7 +146,7 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             workers: 1,
             default_deadline: None,
-            policy: SupervisorPolicy::no_sleep(),
+            policy: SupervisorPolicy::default(),
             plan: None,
             journal_path: None,
             gate: ValidationGate::default(),

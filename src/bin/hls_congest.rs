@@ -7,12 +7,6 @@
 //! hls-congest dataset   <file.mhls>... -o data.csv [--workers N] [--router-stats]
 //!                                                   build + save a labelled dataset
 //!                                                   (parallel, fault-tolerant, timed)
-//!   robustness flags:
-//!     --fault-plan <plan.json>    arm a deterministic chaos-testing plan
-//!     --max-retries <n>           per-stage retry budget (default 2)
-//!     --stage-timeout-ms <ms>     per-attempt wall-clock budget
-//!     --checkpoint-dir <dir>      persist per-design verdicts incrementally
-//!     --resume                    replay verdicts committed by a prior run
 //! hls-congest train     <data.csv> [--model linear|ann|gbrt] [--target v|h|avg]
 //!                       [--model-out artifact.json] [--model-version N]
 //!                                                   export a servekit model
@@ -26,6 +20,8 @@
 //!                       [--max-retries N] [--ledger-out runs.jsonl]
 //!                                                   run congestd: the crash-only,
 //!                                                   load-shedding prediction daemon
+//!                                                   (`--fault-plan` and
+//!                                                   `--max-retries` are serve-only)
 //! hls-congest serve-client --addr HOST:PORT
 //!                       (--status | --shutdown | --rollback | --swap artifact.json
 //!                        | --rows-from data.csv [--limit N] | --source file.mhls)
@@ -390,14 +386,13 @@ fn dataset_cmd(opts: &RunOptions) -> Result {
     if let Some(w) = opts.parse("--workers")? {
         flow = flow.with_workers(w);
     }
-    let flow = opts.apply_to_flow(flow)?;
     let mut modules = Vec::new();
     for f in &opts.positionals {
         modules.push(load_module(f)?.0);
     }
-    // Supervised build: designs run on parallel workers; panics, injected
-    // faults, and timeouts degrade into the per-design failure taxonomy
-    // reported below without sinking the rest of the batch.
+    // Designs run once each on parallel workers; a typed error or a panic
+    // degrades into the per-design failure taxonomy reported below without
+    // sinking the rest of the batch.
     let report = flow.build_dataset_report(&modules);
     print!("{}", report.render());
     if opts.switch("--router-stats") {

@@ -1,21 +1,17 @@
-//! Pins every digest that the workspace stores or replays: checkpoint
-//! keys and file names, model-artifact digests, dataset fingerprints,
-//! ledger config digests, retry backoff jitter and probabilistic fault
-//! decisions. All of them are FNV-1a, and a file written by one build must
-//! still be found and trusted by the next.
+//! Pins every digest that the workspace stores or replays: model-artifact
+//! digests, dataset fingerprints, ledger config digests and probabilistic
+//! fault decisions. All of them are FNV-1a, and a file written by one build
+//! must still be found and trusted by the next.
 //!
 //! The constants were recorded by running this file against commit
 //! `47e20a0`, before the workspace's FNV-1a copies were folded into
 //! `obskit::fnv`; the Rosetta GBRT artifact's was recorded at `ee26b56`,
 //! and the served reply bytes at `421fc4f`, while cache hits still
 //! predicted again. A change that moves any of them invalidates stored
-//! checkpoints, artifacts or fingerprints, or changes what `congestd`
-//! answers, and must say so.
+//! artifacts, fingerprints or ledger comparisons, or changes what
+//! `congestd` answers, and must say so.
 
 use fpga_hls_congestion::congestion_core::cli::RunOptions;
-use fpga_hls_congestion::congestion_core::persist::{
-    CheckpointEntry, CheckpointStore, RecordedFailure,
-};
 use fpga_hls_congestion::congestion_core::{
     extract_feature_rows, source_digest, CongestionDataset, DatasetFingerprint, Sample,
     FEATURE_COUNT,
@@ -32,7 +28,6 @@ use fpga_hls_congestion::servekit::{
     ModelArtifact, Request, RequestBody, ServeConfig, Server, SourceExtractor,
 };
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 /// The `mac16` design of the CI observability smoke run, without the
 /// heredoc's trailing newline.
@@ -206,48 +201,10 @@ fn fingerprint_matrix_digest_is_pinned() {
 }
 
 #[test]
-fn checkpoint_file_name_is_pinned() {
-    let dir = std::env::temp_dir().join(format!("digest-pins-ckpt-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let store = CheckpointStore::open(&dir, 0x1234).expect("open store");
-    store
-        .store(&CheckpointEntry {
-            design: "mac16".into(),
-            outcome: Err(RecordedFailure {
-                kind: "synth".into(),
-                stage: "hls".into(),
-                message: "pinned".into(),
-            }),
-        })
-        .expect("store entry");
-    let names: Vec<String> = std::fs::read_dir(&dir)
-        .expect("list store")
-        .map(|e| {
-            e.expect("dir entry")
-                .file_name()
-                .to_string_lossy()
-                .into_owned()
-        })
-        .collect();
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(names, vec!["mac16-7198ad78.json"]);
-}
-
-#[test]
 fn command_digest_is_pinned() {
     let opts = RunOptions::from_args(&["dataset", "a.mhls", "b.mhls", "--workers", "2"])
         .expect("valid argv");
     assert_eq!(opts.command_digest(), 0x4d46_b7ea_6b62_3e26);
-}
-
-#[test]
-fn backoff_jitter_is_pinned() {
-    let policy = SupervisorPolicy::default();
-    let backoffs: Vec<Duration> = (1..=3)
-        .map(|a| policy.backoff_for("d0", "route", a))
-        .collect();
-    let ms = |n| Duration::from_millis(n);
-    assert_eq!(backoffs, vec![ms(34), ms(55), ms(108)]);
 }
 
 #[test]
