@@ -11,7 +11,8 @@
 //! `--ledger-out <file>` and `--profile` export an obskit Chrome trace /
 //! metrics snapshot / run-ledger record / profile table covering every
 //! experiment run by the invocation. Flags are parsed by
-//! `congestion_core::cli::RunOptions`; an unknown flag is an error.
+//! `congestion_core::cli::RunOptions`; an unknown flag, or a flag only an
+//! `hls_congest` command reads, is an error.
 
 use congestion_bench::designs::Effort;
 use congestion_bench::*;
@@ -34,7 +35,7 @@ fn fail(e: impl std::fmt::Display, code: i32) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = RunOptions::from_args(&args).unwrap_or_else(|e| fail(e, 2));
+    let opts = RunOptions::from_experiment_args(&args).unwrap_or_else(|e| fail(e, 2));
     if opts.switch("--version") {
         println!("{}", TOOL.version_line());
         return;

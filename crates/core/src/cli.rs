@@ -1,9 +1,11 @@
 //! The one command-line parser behind `hls_congest` and `experiments`.
 //! [`RunOptions::from_args`] reads arguments against [`FLAGS`], so a switch
-//! never swallows the next token and an unknown flag is an error naming it.
-//! The options then apply `serve`'s robustness flags to its
-//! [`SupervisorPolicy`], and write the shared output flags from an
-//! [`ObsRecord`], stamped by [`kernel_stamps`].
+//! never swallows the next token, an unknown flag is an error naming it,
+//! and a flag of another command is an error naming the flag and the
+//! command rather than a flag silently ignored. The options then apply
+//! `serve`'s robustness flags to its [`SupervisorPolicy`], and write the
+//! shared output flags from an [`ObsRecord`], stamped by
+//! [`kernel_stamps`].
 //!
 //! ```
 //! use congestion_core::cli::RunOptions;
@@ -25,32 +27,79 @@ use std::fmt;
 use std::path::Path;
 use std::str::FromStr;
 
-/// Every flag either binary accepts, grouped by who reads it. A trailing
-/// `=` marks a flag that takes the next token as its value; the others are
-/// switches.
-pub const FLAGS: &str = "
-    output:             --trace-out= --metrics-out= --ledger-out= --profile --version
-    experiments:        --fast --grid-search
-    implement/dataset:  -o= --out= --workers= --router-stats --fingerprint-out=
-    train/predict:      --model= --target= --model-out= --model-version= --data=
-    serve:              --addr= --golden= --mae-band= --expect-features= --queue-capacity=
-                        --serve-workers= --deadline-ms= --batch-max-rows= --cache-capacity=
-                        --journal= --fault-plan= --max-retries=
-    serve-client:       --id= --status --shutdown --rollback --swap= --rows-from= --limit=
-                        --source=
-";
+/// Every flag either binary accepts, as `(commands, flags)` groups: the
+/// `hls_congest` commands that read the flags, or `output` for the flags
+/// every command of both binaries reads, or `experiments` for the flags
+/// every experiment of `experiments` reads. A trailing `=` marks a flag
+/// that takes the next token as its value; the others are switches. A
+/// flag may sit in several groups; it takes a value in all or in none.
+pub const FLAGS: [(&str, &str); 8] = [
+    (
+        OUTPUT,
+        "--trace-out= --metrics-out= --ledger-out= --profile --version",
+    ),
+    (EXPERIMENTS, "--fast --grid-search"),
+    ("implement dataset", "--router-stats"),
+    ("dataset", "-o= --out= --workers= --fingerprint-out="),
+    ("train", "--model= --target= --model-out= --model-version="),
+    ("predict", "--data="),
+    (
+        "serve",
+        "--model= --addr= --golden= --mae-band= --expect-features= --queue-capacity= \
+         --serve-workers= --deadline-ms= --batch-max-rows= --cache-capacity= --journal= \
+         --fault-plan= --max-retries=",
+    ),
+    (
+        "serve-client",
+        "--addr= --deadline-ms= --id= --status --shutdown --rollback --swap= --rows-from= \
+         --limit= --source=",
+    ),
+];
 
-/// Flags only `serve` reads; every other command refuses them rather than
-/// silently ignoring them.
-const SERVE_ONLY: [&str; 2] = ["--fault-plan", "--max-retries"];
+/// The [`FLAGS`] group every command reads.
+const OUTPUT: &str = "output";
 
-/// The table entry for `token`: its name and whether it takes a value.
+/// The [`FLAGS`] group every experiment reads.
+const EXPERIMENTS: &str = "experiments";
+
+/// The experiment `experiments` runs when given none.
+const DEFAULT_EXPERIMENT: &str = "all";
+
+/// Every table entry for `token`: the commands of its group, its name
+/// and whether it takes a value.
+fn entries(token: &str) -> impl Iterator<Item = (&'static str, &'static str, bool)> + '_ {
+    FLAGS.into_iter().flat_map(move |(commands, flags)| {
+        flags.split_whitespace().filter_map(move |word| {
+            let (flag, value) = word.strip_suffix('=').map_or((word, false), |f| (f, true));
+            (flag == token).then_some((commands, flag, value))
+        })
+    })
+}
+
+/// The table's name for `token`, and whether it takes a value.
 fn lookup(token: &str) -> Option<(&'static str, bool)> {
-    let entry = |word: &'static str| word.strip_suffix('=').map_or((word, false), |f| (f, true));
-    let flags = FLAGS
-        .split_whitespace()
-        .filter(|word| word.starts_with('-'));
-    flags.map(entry).find(|(flag, _)| *flag == token)
+    entries(token).next().map(|(_, flag, value)| (flag, value))
+}
+
+/// Which binary's command line is parsed: the commands that read a flag
+/// are named differently in each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Program {
+    /// `hls_congest`: the selector is a command.
+    HlsCongest,
+    /// `experiments`: the selector is an experiment, `all` when absent.
+    Experiments,
+}
+
+/// Whether `command` of `program` reads `flag` (a table name).
+fn reads(program: Program, command: &str, flag: &str) -> bool {
+    entries(flag).any(|(commands, _, _)| match commands {
+        OUTPUT => true,
+        EXPERIMENTS => program == Program::Experiments,
+        commands => {
+            program == Program::HlsCongest && commands.split_whitespace().any(|c| c == command)
+        }
+    })
 }
 
 /// A command line the parser refuses.
@@ -62,8 +111,9 @@ pub enum ArgError {
     MissingValue(&'static str),
     /// `(flag, value)`: a value the flag cannot use.
     BadValue(&'static str, String),
-    /// A `serve` flag given to another command.
-    ServeOnly(&'static str),
+    /// `(flag, command)`: a flag given to a command that does not read
+    /// it. The command is empty when the line names none.
+    NotForCommand(&'static str, String),
     /// `(path, reason)`: a `--fault-plan` file that cannot be used.
     FaultPlan(String, String),
 }
@@ -74,7 +124,12 @@ impl fmt::Display for ArgError {
             ArgError::UnknownFlag(flag) => write!(f, "unknown flag `{flag}`"),
             ArgError::MissingValue(flag) => write!(f, "`{flag}` needs a value"),
             ArgError::BadValue(flag, value) => write!(f, "bad value `{value}` for `{flag}`"),
-            ArgError::ServeOnly(flag) => write!(f, "`{flag}` applies only to `serve`"),
+            ArgError::NotForCommand(flag, command) if command.is_empty() => {
+                write!(f, "`{flag}` needs a command that reads it")
+            }
+            ArgError::NotForCommand(flag, command) => {
+                write!(f, "`{flag}` does not apply to `{command}`")
+            }
             ArgError::FaultPlan(path, reason) => write!(f, "bad --fault-plan {path}: {reason}"),
         }
     }
@@ -137,15 +192,29 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// Parse an argument list (without the program name). A flag given
-    /// twice keeps its first value.
+    /// Parse an `hls_congest` argument list (without the program name):
+    /// the selector is the command. A flag given twice keeps its first
+    /// value.
     ///
     /// # Errors
-    /// An unknown flag, a value flag without a value, a `--max-retries`
-    /// that does not parse, or `--fault-plan` or `--max-retries` on a
-    /// command other than `serve`.
+    /// An unknown flag, a value flag without a value, a flag the command
+    /// does not read, or a `--max-retries` that does not parse.
     pub fn from_args<S: AsRef<str>>(args: &[S]) -> Result<RunOptions, ArgError> {
+        Self::parse_for(Program::HlsCongest, args)
+    }
+
+    /// Parse an `experiments` argument list (without the program name):
+    /// the selector is the experiment, `all` when there is none.
+    ///
+    /// # Errors
+    /// As [`Self::from_args`].
+    pub fn from_experiment_args<S: AsRef<str>>(args: &[S]) -> Result<RunOptions, ArgError> {
+        Self::parse_for(Program::Experiments, args)
+    }
+
+    fn parse_for<S: AsRef<str>>(program: Program, args: &[S]) -> Result<RunOptions, ArgError> {
         let args: Vec<&str> = args.iter().map(AsRef::as_ref).collect();
+        let mut given = Vec::new();
         let mut opts = RunOptions {
             command_line: args.join(" "),
             ..RunOptions::default()
@@ -159,12 +228,13 @@ impl RunOptions {
                 }
                 continue;
             }
-            match lookup(token) {
-                None => return Err(ArgError::UnknownFlag(token.to_string())),
-                Some((flag, false)) => {
+            let entry = lookup(token).ok_or_else(|| ArgError::UnknownFlag(token.to_string()))?;
+            given.push(entry.0);
+            match entry {
+                (flag, false) => {
                     opts.switches.insert(flag);
                 }
-                Some((flag, true)) => {
+                (flag, true) => {
                     let value = tokens
                         .next_if(|next| lookup(next).is_none())
                         .ok_or(ArgError::MissingValue(flag))?;
@@ -172,10 +242,13 @@ impl RunOptions {
                 }
             }
         }
-        if opts.selector.as_deref() != Some("serve") {
-            if let Some(flag) = SERVE_ONLY.into_iter().find(|f| opts.values.contains_key(f)) {
-                return Err(ArgError::ServeOnly(flag));
-            }
+        let command = match (program, opts.selector.as_deref()) {
+            (_, Some(selector)) => selector,
+            (Program::Experiments, None) => DEFAULT_EXPERIMENT,
+            (Program::HlsCongest, None) => "",
+        };
+        if let Some(flag) = given.into_iter().find(|f| !reads(program, command, f)) {
+            return Err(ArgError::NotForCommand(flag, command.to_string()));
         }
         opts.max_retries = opts.parse("--max-retries")?;
         Ok(opts)
@@ -294,6 +367,10 @@ mod tests {
         RunOptions::from_args(&line.split_whitespace().collect::<Vec<_>>())
     }
 
+    fn parse_experiment(line: &str) -> Result<RunOptions, ArgError> {
+        RunOptions::from_experiment_args(&line.split_whitespace().collect::<Vec<_>>())
+    }
+
     #[test]
     fn switches_keep_the_next_token_and_value_flags_take_it() {
         let line =
@@ -306,7 +383,7 @@ mod tests {
         assert_eq!(opts.value("-o"), Some("out.csv"));
         assert_eq!(opts.parse::<usize>("--workers").unwrap(), Some(2));
         // CI's bench smoke: the selector skips the ledger path.
-        let opts = parse("--fast --ledger-out reports/runs.jsonl router-bench").unwrap();
+        let opts = parse_experiment("--fast --ledger-out reports/runs.jsonl router-bench").unwrap();
         assert_eq!(opts.selector.as_deref(), Some("router-bench"));
         assert!(opts.positionals.is_empty() && opts.switch("--fast"));
         // A value that looks like a group label of the table is still a value.
@@ -350,33 +427,162 @@ mod tests {
             // Only `serve` reads the fault plan and the retry budget.
             (
                 "dataset a.mhls --fault-plan p.json",
-                ServeOnly("--fault-plan"),
+                NotForCommand("--fault-plan", "dataset".into()),
             ),
-            ("dataset --max-retries 5 a.mhls", ServeOnly("--max-retries")),
-            ("--fault-plan p.json dataset", ServeOnly("--fault-plan")),
-            ("--fast --max-retries 1 table4", ServeOnly("--max-retries")),
-            ("--max-retries 1", ServeOnly("--max-retries")),
+            (
+                "dataset --max-retries 5 a.mhls",
+                NotForCommand("--max-retries", "dataset".into()),
+            ),
+            (
+                "--fault-plan p.json dataset",
+                NotForCommand("--fault-plan", "dataset".into()),
+            ),
+            (
+                "--max-retries 1",
+                NotForCommand("--max-retries", String::new()),
+            ),
             (
                 "serve-client --fault-plan p.json",
-                ServeOnly("--fault-plan"),
+                NotForCommand("--fault-plan", "serve-client".into()),
             ),
-            ("train d.csv --max-retries x", ServeOnly("--max-retries")),
+            (
+                "train d.csv --max-retries x",
+                NotForCommand("--max-retries", "train".into()),
+            ),
+            // Another command's flag is refused, not ignored.
+            (
+                "dataset mac16.mhls -o x.csv --journal j.jsonl",
+                NotForCommand("--journal", "dataset".into()),
+            ),
+            (
+                "dataset a.mhls --fast",
+                NotForCommand("--fast", "dataset".into()),
+            ),
+            (
+                "predict a.mhls --data d.csv --model gbrt",
+                NotForCommand("--model", "predict".into()),
+            ),
         ];
         for (line, want) in cases {
             assert_eq!(parse(line).unwrap_err(), want, "{line}");
+        }
+        for (line, want) in [
+            (
+                "--fast --max-retries 1 table4",
+                NotForCommand("--max-retries", "table4".into()),
+            ),
+            (
+                "--fast --addr 1.2.3.4:5 --journal j table1",
+                NotForCommand("--addr", "table1".into()),
+            ),
+            ("--workers 2", NotForCommand("--workers", "all".into())),
+            ("dataset -o x.csv", NotForCommand("-o", "dataset".into())),
+        ] {
+            assert_eq!(parse_experiment(line).unwrap_err(), want, "{line}");
         }
         assert_eq!(
             unknown("--gbrt-bins").to_string(),
             "unknown flag `--gbrt-bins`"
         );
         assert_eq!(
-            ServeOnly("--fault-plan").to_string(),
-            "`--fault-plan` applies only to `serve`"
+            NotForCommand("--journal", "dataset".into()).to_string(),
+            "`--journal` does not apply to `dataset`"
+        );
+        assert_eq!(
+            NotForCommand("--workers", String::new()).to_string(),
+            "`--workers` needs a command that reads it"
         );
     }
 
+    /// What each command reads, written out by hand from the binaries
+    /// (beside the output flags every command reads): the table must
+    /// admit exactly these, and refuse every other flag on every command.
+    #[test]
+    fn every_flag_is_refused_by_every_command_that_does_not_read_it() {
+        use ArgError::NotForCommand;
+        let output = "--trace-out --metrics-out --ledger-out --profile --version";
+        let hls_congest = [
+            ("compile", ""),
+            ("synth", ""),
+            ("implement", "--router-stats"),
+            (
+                "dataset",
+                "-o --out --workers --router-stats --fingerprint-out",
+            ),
+            ("train", "--model --target --model-out --model-version"),
+            ("predict", "--data"),
+            ("drift", ""),
+            (
+                "serve",
+                "--model --addr --golden --mae-band --expect-features --queue-capacity \
+                 --serve-workers --deadline-ms --batch-max-rows --cache-capacity --journal \
+                 --fault-plan --max-retries",
+            ),
+            (
+                "serve-client",
+                "--addr --deadline-ms --id --status --shutdown --rollback --swap --rows-from \
+                 --limit --source",
+            ),
+        ];
+        let experiments = [
+            "table1",
+            "table4",
+            "fig6",
+            "dataset",
+            "serve-bench",
+            "regress",
+        ];
+        let among = |list: &str, flag: &str| list.split_whitespace().any(|f| f == flag);
+        let mut flags: Vec<(&str, bool)> = FLAGS
+            .iter()
+            .flat_map(|(_, flags)| flags.split_whitespace())
+            .map(|word| word.strip_suffix('=').map_or((word, false), |f| (f, true)))
+            .collect();
+        flags.sort_unstable();
+        flags.dedup();
+        assert!(
+            flags.windows(2).all(|w| w[0].0 != w[1].0),
+            "a flag takes a value in every group or in none: {flags:?}"
+        );
+        assert_eq!(flags.len(), 37, "{flags:?}");
+        let mut refused = 0;
+        for &(flag, value) in &flags {
+            let line = |command: Option<&'static str>| {
+                let mut line: Vec<&str> = command.into_iter().collect();
+                line.push(flag);
+                if value {
+                    line.push("1");
+                }
+                line
+            };
+            for (command, reads) in hls_congest {
+                let got = RunOptions::from_args(&line(Some(command)));
+                if among(output, flag) || among(reads, flag) {
+                    assert!(got.is_ok(), "{command} {flag}: {got:?}");
+                } else {
+                    let want = NotForCommand(flag, command.to_string());
+                    assert_eq!(got.unwrap_err(), want);
+                    refused += 1;
+                }
+            }
+            let got = RunOptions::from_args(&line(None));
+            assert_eq!(got.is_ok(), among(output, flag), "{flag}: {got:?}");
+            for command in experiments.map(Some).into_iter().chain([None]) {
+                let got = RunOptions::from_experiment_args(&line(command));
+                if among(output, flag) || among("--fast --grid-search", flag) {
+                    assert!(got.is_ok(), "{command:?} {flag}: {got:?}");
+                } else {
+                    let want = NotForCommand(flag, command.unwrap_or("all").to_string());
+                    assert_eq!(got.unwrap_err(), want);
+                    refused += 1;
+                }
+            }
+        }
+        assert!(refused > 300, "{refused}");
+    }
+
     /// Only `serve` takes the robustness flags; every other command
-    /// refuses them (`bad_command_lines_are_typed_errors`).
+    /// refuses them (`every_flag_is_refused_by_every_command_that_does_not_read_it`).
     #[test]
     fn robustness_flags_reach_the_flow_and_the_policy() {
         let opts = parse("serve --max-retries 5").unwrap();

@@ -6,9 +6,12 @@
 //! times. The cache maps a **source digest** (computed by the configured
 //! key function — the binary wires `congestion_core::source_digest` in)
 //! to the answer a miss computed: status, answering model, the V/H
-//! predictions and the line map. A hit copies that answer into its reply
-//! and neither extracts nor predicts. An entry holds 20 bytes per op (two
-//! `f64` and a `u32` line), not the op's 302 feature values.
+//! predictions and the line map, with its reply's text. A hit is answered
+//! from the entry and neither extracts nor predicts; over a socket its
+//! frame is that text around the request's id, so it formats no number
+//! but the id. An entry holds about 65 bytes per op (20 for two `f64` and
+//! a `u32` line, about 45 for their text), not the op's 302 feature
+//! values.
 //!
 //! **Why a stored answer is exact.** An answer depends on the source
 //! and the active model only. Every insert carries the cache
@@ -33,34 +36,102 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-/// The answer a `source` miss computed, as its reply carries it. The
+/// The answer a `source` miss computed, with its reply's text. The
 /// server stores only `Ok` and `Degraded` answers.
+///
+/// Two replies carrying one answer differ only in their `id` and their
+/// `info`, which sit next to each other among the reply's sorted keys
+/// (`degraded, error, horizontal, id, info, lines, model, status,
+/// vertical`). So the entry keeps the text before the `id` value and the
+/// text after the `info` member, cut from the miss's one encoding of its
+/// reply, and [`Self::write_frame`] writes any later reply of the answer
+/// around a new id without formatting its predictions again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedReply {
-    /// `Ok`, or `Degraded` when no model was active.
-    pub status: ReplyStatus,
-    /// Model that answered (`name@vN`, or `analytic`).
-    pub model: String,
-    /// Per-op vertical congestion predictions.
-    pub vertical: Vec<f64>,
-    /// Per-op horizontal congestion predictions.
-    pub horizontal: Vec<f64>,
-    /// Source line of each op.
-    pub lines: Vec<u32>,
+    /// The answer's fields, with id 0 and no `info`.
+    answer: Reply,
+    /// The reply's text up to its `id` value:
+    /// `{"degraded":…,"horizontal":[…],"id":`.
+    head: String,
+    /// The reply's text after its `info` member:
+    /// `,"lines":[…],"model":…,"status":…,"vertical":[…]}`.
+    tail: String,
 }
 
 impl CachedReply {
+    /// Keep the answer `reply` carries, encoding `reply` once and
+    /// cutting the text around its id and its `info`.
+    pub fn new(reply: Reply) -> CachedReply {
+        let mut text = String::with_capacity(
+            96 + 20 * (reply.vertical.len() + reply.horizontal.len()) + 8 * reply.lines.len(),
+        );
+        let cut = reply.write_json(&mut text);
+        let tail = text[cut.end..].to_string();
+        text.truncate(cut.start);
+        text.shrink_to_fit();
+        CachedReply {
+            answer: Reply {
+                id: 0,
+                info: Default::default(),
+                ..reply
+            },
+            head: text,
+            tail,
+        }
+    }
+
+    /// `Ok`, or `Degraded` when no model was active.
+    pub(crate) fn status(&self) -> ReplyStatus {
+        self.answer.status
+    }
+
     /// A reply to request `id` carrying this answer.
     pub fn reply(&self, id: u64) -> Reply {
         Reply {
             id,
-            status: self.status,
-            model: self.model.clone(),
-            vertical: self.vertical.clone(),
-            horizontal: self.horizontal.clone(),
-            lines: self.lines.clone(),
-            ..Default::default()
+            ..self.answer.clone()
         }
+    }
+
+    /// [`Self::reply`] with its `info` telling whether it was a cache
+    /// `hit`, or the `miss` that computed the entry.
+    pub(crate) fn tagged_reply(&self, id: u64, hit: bool) -> Reply {
+        let mut r = self.reply(id);
+        r.info.insert("cache".into(), cache_tag(hit).into());
+        r
+    }
+
+    /// Append the frame of [`Self::tagged_reply`] to `out`: its 4-byte
+    /// little-endian length, then its JSON. Only the id is formatted; the
+    /// rest is the stored text, so the bytes are those of encoding the
+    /// reply.
+    pub(crate) fn write_frame(&self, id: u64, hit: bool, out: &mut Vec<u8>) {
+        let mut id_text = String::new();
+        obskit::json::write_number(&mut id_text, id as f64);
+        let tag = cache_tag(hit);
+        let parts = [
+            self.head.as_str(),
+            &id_text,
+            ",\"info\":{\"cache\":\"",
+            tag,
+            "\"}",
+            &self.tail,
+        ];
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        out.reserve(4 + len);
+        out.extend_from_slice(&(len as u32).to_le_bytes());
+        for part in parts {
+            out.extend_from_slice(part.as_bytes());
+        }
+    }
+}
+
+/// The `"cache"` info value of a reply from the cache.
+fn cache_tag(hit: bool) -> &'static str {
+    if hit {
+        "hit"
+    } else {
+        "miss"
     }
 }
 
@@ -200,14 +271,19 @@ impl ReplyCache {
 mod tests {
     use super::*;
 
-    fn answer(tag: f64) -> Arc<CachedReply> {
-        Arc::new(CachedReply {
+    fn answer_reply(tag: f64) -> Reply {
+        Reply {
             status: ReplyStatus::Ok,
             model: format!("gbrt@v{tag}"),
             vertical: vec![tag, tag + 0.5],
             horizontal: vec![tag + 1.0, tag + 1.5],
             lines: vec![tag as u32, tag as u32 + 1],
-        })
+            ..Default::default()
+        }
+    }
+
+    fn answer(tag: f64) -> Arc<CachedReply> {
+        Arc::new(CachedReply::new(answer_reply(tag)))
     }
 
     #[test]
@@ -226,15 +302,65 @@ mod tests {
 
     #[test]
     fn a_reply_carries_the_answer() {
-        let a = answer(3.0);
+        let want = answer_reply(3.0);
+        // The entry keeps the answer, not the id or info it came with.
+        let a = CachedReply::new(Reply {
+            id: 9,
+            info: [("cache".to_string(), "miss".to_string())].into(),
+            ..want.clone()
+        });
         let r = a.reply(42);
         assert_eq!(r.id, 42);
-        assert_eq!(r.status, a.status);
-        assert_eq!(r.model, a.model);
-        assert_eq!(r.vertical, a.vertical);
-        assert_eq!(r.horizontal, a.horizontal);
-        assert_eq!(r.lines, a.lines);
+        assert_eq!(r.status, want.status);
+        assert_eq!(r.model, want.model);
+        assert_eq!(r.vertical, want.vertical);
+        assert_eq!(r.horizontal, want.horizontal);
+        assert_eq!(r.lines, want.lines);
         assert!(r.info.is_empty() && r.error.is_none());
+        assert_eq!(a.tagged_reply(5, true).info["cache"], "hit");
+        assert_eq!(a.tagged_reply(5, false).info["cache"], "miss");
+    }
+
+    /// A frame written from the stored text is the frame of the reply's
+    /// encoding, with the reference encoded from the reply's fields.
+    #[test]
+    fn frames_from_stored_text_are_the_encoded_replies() {
+        let plain = answer_reply(2.0);
+        let answers = [
+            plain.clone(),
+            Reply {
+                status: ReplyStatus::Degraded,
+                model: "analytic".into(),
+                vertical: vec![-0.0, 5e-324, 1e300, f64::NAN, 0.1],
+                horizontal: vec![0.0, -5e-324, -1e300, f64::INFINITY, 1e16],
+                lines: vec![0, 1, u32::MAX, 7, 7],
+                ..Default::default()
+            },
+            // No ops: no prediction or line keys at all.
+            Reply {
+                model: "gbrt@v1".into(),
+                ..Default::default()
+            },
+            // One side empty: both prediction keys are written.
+            Reply {
+                horizontal: vec![1.5],
+                ..plain
+            },
+        ];
+        for answer in answers {
+            let entry = CachedReply::new(answer.clone());
+            for id in [0, 1, 42, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
+                for hit in [true, false] {
+                    let mut frame = Vec::new();
+                    entry.write_frame(id, hit, &mut frame);
+                    let reply = entry.tagged_reply(id, hit);
+                    let json = crate::proto::tree_json(&reply);
+                    assert_eq!(frame[..4], (json.len() as u32).to_le_bytes());
+                    assert_eq!(std::str::from_utf8(&frame[4..]), Ok(json.as_str()));
+                    assert_eq!(reply.to_json(), json);
+                }
+            }
+        }
     }
 
     #[test]

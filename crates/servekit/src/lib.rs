@@ -2,10 +2,12 @@
 //!
 //! A crash-only, load-shedding prediction service: fitted ensembles load
 //! once as [`ModelArtifact`]s (compiled via `mlkit::compiled`), requests
-//! arrive over a length-prefixed socket protocol (with an HTTP fallback
-//! for curl), and every admitted request receives exactly one typed reply
-//! — `ok`, `degraded`, `overloaded`, `deadline_exceeded`, or `error` —
-//! no matter what fails underneath.
+//! arrive over a length-prefixed socket protocol, and every admitted
+//! request receives exactly one typed reply — `ok`, `degraded`,
+//! `overloaded`, `deadline_exceeded`, or `error` — no matter what fails
+//! underneath. Wire frames and artifacts are decoded with
+//! `obskit::json`'s pull reader straight into their fields, and a reply
+//! the reply cache answers is written from the text its miss encoded.
 //!
 //! The crate deliberately depends only on `mlkit` (prediction), `faultkit`
 //! (supervision + injection), and `obskit` (journal idiom + metrics): the
@@ -14,10 +16,12 @@
 //! acyclic.
 //!
 //! Module map:
-//! - [`proto`] — request/reply wire types (JSON).
+//! - [`proto`] — request/reply wire types (JSON), encoded and decoded
+//!   field by field.
 //! - [`queue`] — bounded admission with deterministic shed-oldest,
 //!   micro-batch coalescing, and the [`queue::WorkGate`] pacing gate.
-//! - [`cache`] — digest-keyed reply cache with swap-aware invalidation.
+//! - [`cache`] — digest-keyed reply cache with swap-aware invalidation;
+//!   each entry keeps its reply's text.
 //! - [`registry`] — hot-swap model registry, validation gate, rollback.
 //! - [`artifact`] — versioned on-disk model artifacts.
 //! - [`journal`] — append-only crash-recovery journal.
@@ -50,6 +54,6 @@ pub use proto::{Reply, ReplyStatus, Request, RequestBody};
 pub use queue::{coalesce_plan, shed_plan, AdmissionQueue, Admit, TraceStep, WorkGate};
 pub use registry::{GateOutcome, GoldenBatch, ModelRegistry, ValidationGate};
 pub use server::{
-    LedgerSink, ServeConfig, ServeMetrics, ServeSummary, Server, SourceExtractor, SourceKeyFn,
-    StartReport,
+    LedgerSink, PendingReply, ServeConfig, ServeMetrics, ServeSummary, Server, SourceExtractor,
+    SourceKeyFn, StartReport,
 };

@@ -1,15 +1,12 @@
 //! Wire transport for `congestd`.
 //!
-//! Native protocol: 4-byte little-endian length prefix followed by one
+//! The one protocol: 4-byte little-endian length prefix followed by one
 //! JSON-encoded [`Request`]; the reply comes back the same way. One
-//! request per frame, many frames per connection. Frames are capped so a
-//! hostile (or torn) prefix cannot make the daemon allocate gigabytes.
-//!
-//! Convenience protocol: the front-end sniffs the first bytes of each
-//! connection — `POST`/`GET ` switches to a minimal HTTP/1.1 handler so
-//! `curl -d '{...}' http://addr/` works for demos and smoke tests. This is
-//! deliberately not a web server: one request per connection, only
-//! `Content-Length` bodies, JSON in, JSON out.
+//! request per frame, many frames per connection. Frames are capped at
+//! [`MAX_FRAME`] so a hostile (or torn) prefix cannot make the daemon
+//! allocate gigabytes: a prefix over the cap gets a typed `error` reply
+//! and the connection is closed. (So does an HTTP request line: `POST`
+//! and `GET ` read as prefixes far over the cap.)
 //!
 //! The one front-end, [`serve_event_loop`], is a single acceptor plus an
 //! event loop over nonblocking sockets that blocks in poll(2) until a
@@ -19,16 +16,17 @@
 //! [`Server::submit`], which answers a `source` cache hit on an idle
 //! server itself and queues everything else, so connection count is
 //! bounded by memory, not by threads, and per-connection pipelining falls
-//! out for free. A connection that stops reading its replies, or that owes
-//! as many replies as the admission queue holds, stops being read
-//! (backpressure). Only HTTP stragglers get a thread (they are demo
-//! traffic by definition). Unix only: the loop polls raw descriptors.
+//! out for free. A reply from the reply cache is written into the
+//! connection's buffer from the entry's stored text, around its id. A
+//! connection that stops reading its replies, or that owes as many
+//! replies as the admission queue holds, stops being read
+//! (backpressure). Unix only: the loop polls raw descriptors.
 
 use crate::proto::{Reply, Request};
-use crate::server::Server;
+use crate::server::{PendingReply, Server};
 use poll::{PollFd, POLLIN, POLLOUT};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -93,9 +91,8 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<String>> {
 /// acceptor plus an event loop over nonblocking sockets that blocks in
 /// poll(2) until a socket or a reply is ready. `on_bound` receives the
 /// bound address before the loop starts (so callers can bind port 0).
-/// Speaks both wire protocols; replies per connection are written in
-/// request order. Returns once shutdown is observed and every in-flight
-/// reply has been flushed.
+/// Replies per connection are written in request order. Returns once
+/// shutdown is observed and every in-flight reply has been flushed.
 ///
 /// # Errors
 /// Bind, accept and poll failures, and a second loop on the same server.
@@ -125,7 +122,6 @@ fn run_event_loop(
     wake: &UnixStream,
 ) -> std::io::Result<()> {
     let mut conns: Vec<Conn> = Vec::new();
-    let mut http_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     loop {
         let shutting_down = server.is_shutting_down();
@@ -165,24 +161,12 @@ fn run_event_loop(
         }
         let mut i = 0;
         while i < conns.len() {
-            match conns[i].step(server) {
-                ConnStep::Keep => i += 1,
-                ConnStep::Close => {
-                    conns.swap_remove(i);
-                }
-                ConnStep::Http => {
-                    let conn = conns.swap_remove(i);
-                    let server = server.clone();
-                    http_threads.push(std::thread::spawn(move || {
-                        let _ = handle_http(&server, conn.stream, conn.read_buf);
-                    }));
-                }
+            if conns[i].step(server) {
+                i += 1;
+            } else {
+                conns.swap_remove(i);
             }
         }
-        http_threads.retain(|h| !h.is_finished());
-    }
-    for h in http_threads {
-        let _ = h.join();
     }
     Ok(())
 }
@@ -206,25 +190,15 @@ fn drain_wakes(mut wake: &UnixStream) -> std::io::Result<()> {
     }
 }
 
-enum ConnStep {
-    /// Connection stays registered.
-    Keep,
-    /// Connection finished (EOF + drained) or errored; drop it.
-    Close,
-    /// First bytes were an HTTP verb; hand the stream to a thread.
-    Http,
-}
-
 /// Per-connection state machine for the event loop: bytes in, frames
 /// parsed, requests submitted (nonblocking), replies polled in order,
 /// bytes out — every step tolerates `WouldBlock`.
 struct Conn {
     stream: TcpStream,
     read_buf: Vec<u8>,
-    pending: VecDeque<mpsc::Receiver<Reply>>,
+    pending: VecDeque<PendingReply>,
     write_buf: Vec<u8>,
     written: usize,
-    sniffed: bool,
     eof: bool,
 }
 
@@ -236,7 +210,6 @@ impl Conn {
             pending: VecDeque::new(),
             write_buf: Vec::new(),
             written: 0,
-            sniffed: false,
             eof: false,
         }
     }
@@ -269,7 +242,9 @@ impl Conn {
         events
     }
 
-    fn step(&mut self, server: &Server) -> ConnStep {
+    /// One pass over the connection; `false` once it is finished (end of
+    /// stream and drained) or failed, and should be dropped.
+    fn step(&mut self, server: &Server) -> bool {
         // 1. Pull whatever bytes are ready, bounded per pass, and none
         //    while backpressured.
         let mut scratch = [0u8; 4096];
@@ -282,17 +257,10 @@ impl Conn {
                     pulled += n;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => return ConnStep::Close,
+                Err(_) => return false,
             }
         }
-        // 2. Protocol sniff, once.
-        if !self.sniffed && self.read_buf.len() >= 4 {
-            self.sniffed = true;
-            if &self.read_buf[..4] == b"POST" || &self.read_buf[..4] == b"GET " {
-                return ConnStep::Http;
-            }
-        }
-        // 3. Submit buffered frames, collect replies, flush — again while
+        // 2. Submit buffered frames, collect replies, flush — again while
         //    flushing lifts the backpressure that stopped the submitting,
         //    so no decodable frame is left behind with nothing to wake
         //    the loop for it.
@@ -300,16 +268,13 @@ impl Conn {
             let stopped = self.submit_frames(server);
             self.collect_replies();
             if !self.flush() {
-                return ConnStep::Close;
+                return false;
             }
             if !stopped || self.backpressured(server) {
                 break;
             }
         }
-        if self.eof && self.drained() {
-            return ConnStep::Close;
-        }
-        ConnStep::Keep
+        !(self.eof && self.drained())
     }
 
     /// Parse complete frames and submit them; the reply receiver queues in
@@ -319,7 +284,7 @@ impl Conn {
     fn submit_frames(&mut self, server: &Server) -> bool {
         let mut at = 0;
         let mut stopped = false;
-        while self.sniffed && self.read_buf.len() - at >= 4 {
+        while self.read_buf.len() - at >= 4 {
             if self.backpressured(server) {
                 stopped = true;
                 break;
@@ -357,22 +322,21 @@ impl Conn {
         stopped
     }
 
-    /// Move ready replies (front first — strict request order) into the
-    /// write buffer.
+    /// Write ready replies (front first — strict request order) into the
+    /// write buffer, length prefixes included.
     fn collect_replies(&mut self) {
-        while let Some(rx) = self.pending.front() {
-            let reply = match rx.try_recv() {
-                Ok(reply) => reply,
+        while let Some(pending) = self.pending.front() {
+            let answer = match pending.0.try_recv() {
+                Ok(answer) => answer,
                 Err(mpsc::TryRecvError::Empty) => break,
                 // Should not happen (exactly-one-reply contract), but
                 // never wedge the connection on it.
-                Err(mpsc::TryRecvError::Disconnected) => Reply::error(0, "reply channel closed"),
+                Err(mpsc::TryRecvError::Disconnected) => {
+                    Reply::error(0, "reply channel closed").into()
+                }
             };
             self.pending.pop_front();
-            let json = reply.to_json();
-            self.write_buf
-                .extend_from_slice(&(json.len() as u32).to_le_bytes());
-            self.write_buf.extend_from_slice(json.as_bytes());
+            answer.write_frame(&mut self.write_buf);
         }
     }
 
@@ -397,69 +361,9 @@ impl Conn {
     /// server, preserving the in-order pending discipline.
     fn enqueue_now(&mut self, reply: Reply) {
         let (tx, rx) = mpsc::channel();
-        let _ = tx.send(reply);
-        self.pending.push_back(rx);
+        let _ = tx.send(reply.into());
+        self.pending.push_back(PendingReply(rx));
     }
-}
-
-/// HTTP handoff from the event loop: `prefix` holds bytes already pulled
-/// off the (nonblocking) socket; the stream goes back to blocking mode
-/// for the thread that owns it from here on.
-fn handle_http(server: &Server, stream: TcpStream, prefix: Vec<u8>) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
-    let mut write_half = stream.try_clone()?;
-    let mut reader = BufReader::new(std::io::Cursor::new(prefix).chain(stream));
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    let is_get = request_line.starts_with("GET ");
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        let line = line.trim();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            content_length = v;
-        }
-    }
-    let reply = if is_get {
-        // `curl http://addr/` — a bare status probe.
-        server.call(Request {
-            id: 0,
-            deadline_ms: None,
-            body: crate::proto::RequestBody::Status,
-        })
-    } else if content_length as u64 > MAX_FRAME as u64 {
-        Reply::error(0, "request body exceeds the frame cap")
-    } else {
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body)?;
-        // A body that does not parse still gets a typed `Error` reply.
-        match String::from_utf8(body) {
-            Ok(json) => match Request::from_json(&json) {
-                Ok(req) => server.call(req),
-                Err(e) => Reply::error(0, format!("bad request: {e}")),
-            },
-            Err(_) => Reply::error(0, "request body is not UTF-8"),
-        }
-    };
-    let json = reply.to_json();
-    write!(
-        write_half,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-        json.len(),
-        json
-    )?;
-    write_half.flush()
 }
 
 /// Client helper: connect, send one request, read one reply.
@@ -844,54 +748,6 @@ mod tests {
         let reply = request(addr, &Request::predict(42, vec![vec![1.0; 4]])).unwrap();
         assert_eq!(reply.id, 42);
         drop(idle);
-        stop(&server, front);
-    }
-
-    #[test]
-    fn http_fallback_answers_curl_style_requests() {
-        let server = started();
-        let (addr, front) = spawn_event_loop(server.clone());
-        // HTTP straggler handed off to a thread.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let body = "{\"id\":3,\"kind\":\"status\"}";
-        write!(
-            stream,
-            "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{}",
-            body.len(),
-            body
-        )
-        .unwrap();
-        let mut resp = String::new();
-        stream.read_to_string(&mut resp).unwrap();
-        assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
-        let json = resp.split("\r\n\r\n").nth(1).unwrap();
-        let reply = Reply::from_json(json).unwrap();
-        assert_eq!(reply.id, 3);
-        assert_eq!(reply.model, "analytic");
-        stop(&server, front);
-    }
-
-    #[test]
-    fn http_body_with_deep_nesting_gets_a_typed_error() {
-        let server = started();
-        let (addr, front) = spawn_event_loop(server.clone());
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let body = "[".repeat(100_000);
-        write!(
-            stream,
-            "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{}",
-            body.len(),
-            body
-        )
-        .unwrap();
-        let mut resp = String::new();
-        stream.read_to_string(&mut resp).unwrap();
-        let json = resp.split("\r\n\r\n").nth(1).unwrap();
-        let reply = Reply::from_json(json).unwrap();
-        assert_eq!(reply.status, ReplyStatus::Error);
-        assert!(reply.error.unwrap_or_default().contains("nesting"));
-        let r = request(addr, &Request::predict(6, vec![vec![1.0; 4]])).unwrap();
-        assert_eq!(r.id, 6);
         stop(&server, front);
     }
 }

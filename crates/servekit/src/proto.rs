@@ -8,8 +8,9 @@
 //! (malformed input or terminal stage failure). The process never answers a
 //! request by dying.
 
-use obskit::json::{self, Value};
+use obskit::json::{self, JsonError, Kind, Reader};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// What a request asks the daemon to do.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,91 +78,103 @@ impl Request {
         }
     }
 
-    /// Serialize to the wire JSON.
+    /// Serialize to the wire JSON: an object with its keys in sorted
+    /// order, written straight into one string.
     pub fn to_json(&self) -> String {
-        let mut o = BTreeMap::new();
-        o.insert("id".into(), Value::Num(self.id as f64));
-        o.insert("kind".into(), Value::Str(self.body.kind().into()));
+        let payload = match &self.body {
+            RequestBody::Predict { rows } => rows.iter().map(|r| 2 + 20 * r.len()).sum(),
+            RequestBody::Source { name, text } => name.len() + text.len(),
+            RequestBody::Swap { path } => path.len(),
+            RequestBody::Rollback | RequestBody::Status | RequestBody::Shutdown => 0,
+        };
+        let mut out = String::with_capacity(80 + payload);
+        out.push('{');
         if let Some(d) = self.deadline_ms {
-            o.insert("deadline_ms".into(), Value::Num(d as f64));
+            out.push_str("\"deadline_ms\":");
+            json::write_number(&mut out, d as f64);
+            out.push(',');
         }
+        out.push_str("\"id\":");
+        json::write_number(&mut out, self.id as f64);
+        out.push_str(",\"kind\":");
+        json::write_string(&mut out, self.body.kind());
         match &self.body {
             RequestBody::Predict { rows } => {
-                let rows = rows
-                    .iter()
-                    .map(|r| Value::Arr(r.iter().map(|&v| Value::Num(v)).collect()))
-                    .collect();
-                o.insert("rows".into(), Value::Arr(rows));
+                out.push_str(",\"rows\":[");
+                for (i, row) in rows.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_numbers(&mut out, row.iter().copied());
+                }
+                out.push(']');
             }
             RequestBody::Source { name, text } => {
-                o.insert("name".into(), Value::Str(name.clone()));
-                o.insert("text".into(), Value::Str(text.clone()));
+                out.push_str(",\"name\":");
+                json::write_string(&mut out, name);
+                out.push_str(",\"text\":");
+                json::write_string(&mut out, text);
             }
             RequestBody::Swap { path } => {
-                o.insert("path".into(), Value::Str(path.clone()));
+                out.push_str(",\"path\":");
+                json::write_string(&mut out, path);
             }
             RequestBody::Rollback | RequestBody::Status | RequestBody::Shutdown => {}
         }
-        Value::Obj(o).to_json()
+        out.push('}');
+        out
     }
 
-    /// Parse a request from wire JSON.
+    /// Parse a request from wire JSON, reading each field straight into
+    /// its place. Of a repeated key the last wins, and a field of the
+    /// wrong type is reported only once the whole frame has read as JSON.
     ///
     /// # Errors
     /// A description of the first malformed field.
     pub fn from_json(text: &str) -> Result<Request, String> {
-        let doc = json::parse(text).map_err(|e| e.to_string())?;
-        if doc.as_obj().is_none() {
+        let (mut id, mut deadline_ms) = (None, None);
+        let (mut kind, mut name, mut body_text, mut path) = (None, None, None, None);
+        let mut rows = Err(NO_ROWS.to_string());
+        let mut r = Reader::new(text);
+        let object = r
+            .object(|key, r| {
+                match key {
+                    "id" => id = Some(r.u64()?),
+                    "deadline_ms" => deadline_ms = Some(r.u64()?),
+                    "kind" => kind = r.string()?,
+                    "name" => name = r.string()?,
+                    "text" => body_text = r.string()?,
+                    "path" => path = r.string()?,
+                    "rows" => rows = read_rows(r)?,
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })
+            .and_then(|object| r.finish().map(|()| object))
+            .map_err(|e| e.to_string())?;
+        if !object {
             return Err("request must be a JSON object".into());
         }
-        let id = match doc.get("id") {
+        let id = match id {
             None => 0,
-            Some(v) => v
-                .as_u64()
-                .ok_or("`id` must be a non-negative integer below 2^53")?,
+            Some(id) => id.ok_or("`id` must be a non-negative integer below 2^53")?,
         };
-        let deadline_ms = match doc.get("deadline_ms") {
+        let deadline_ms = match deadline_ms {
             None => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or("`deadline_ms` must be a non-negative integer below 2^53")?,
-            ),
+            Some(d) => Some(d.ok_or("`deadline_ms` must be a non-negative integer below 2^53")?),
         };
-        let kind = doc
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or("missing string field `kind`")?;
-        let str_field = |k: &str| -> Result<String, String> {
-            doc.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("`{kind}` needs a string `{k}` field"))
+        let kind = kind.ok_or("missing string field `kind`")?;
+        let needs = |field: Option<String>, k: &str| {
+            field.ok_or_else(|| format!("`{kind}` needs a string `{k}` field"))
         };
-        let body = match kind {
-            "predict" => {
-                let rows = doc
-                    .get("rows")
-                    .and_then(Value::as_arr)
-                    .ok_or("`predict` needs a `rows` array")?;
-                let mut out = Vec::with_capacity(rows.len());
-                for (i, row) in rows.iter().enumerate() {
-                    let row = row
-                        .as_arr()
-                        .ok_or_else(|| format!("row {i}: not an array"))?;
-                    let mut vals = Vec::with_capacity(row.len());
-                    for v in row {
-                        vals.push(v.as_f64().ok_or_else(|| format!("row {i}: non-number"))?);
-                    }
-                    out.push(vals);
-                }
-                RequestBody::Predict { rows: out }
-            }
+        let body = match kind.as_str() {
+            "predict" => RequestBody::Predict { rows: rows? },
             "source" => RequestBody::Source {
-                name: str_field("name")?,
-                text: str_field("text")?,
+                name: needs(name, "name")?,
+                text: needs(body_text, "text")?,
             },
             "swap" => RequestBody::Swap {
-                path: str_field("path")?,
+                path: needs(path, "path")?,
             },
             "rollback" => RequestBody::Rollback,
             "status" => RequestBody::Status,
@@ -174,6 +187,36 @@ impl Request {
             body,
         })
     }
+}
+
+/// Why a `predict` request without a usable `rows` array is refused.
+const NO_ROWS: &str = "`predict` needs a `rows` array";
+
+/// A request's `rows`: every row, or the error its first bad row gets.
+fn read_rows(r: &mut Reader) -> Result<Result<Vec<Vec<f64>>, String>, JsonError> {
+    let mut rows = Vec::new();
+    let mut bad = None;
+    let array = r.array(|r| {
+        if bad.is_some() {
+            return r.skip();
+        }
+        let i = rows.len();
+        let is_array = r.peek() == Some(Kind::Arr);
+        let mut row = Vec::new();
+        if r.numbers(&mut row)? {
+            rows.push(row);
+        } else if is_array {
+            bad = Some(format!("row {i}: non-number"));
+        } else {
+            bad = Some(format!("row {i}: not an array"));
+        }
+        Ok(())
+    })?;
+    Ok(match (array, bad) {
+        (false, _) => Err(NO_ROWS.to_string()),
+        (true, Some(e)) => Err(e),
+        (true, None) => Ok(rows),
+    })
 }
 
 /// The typed outcome of a request.
@@ -266,97 +309,130 @@ impl Reply {
     /// Serialize to the wire JSON: an object with its keys in sorted
     /// order, written straight into one string.
     pub fn to_json(&self) -> String {
-        let preds = !self.vertical.is_empty() || !self.horizontal.is_empty();
         let mut out = String::with_capacity(
             96 + 20 * (self.vertical.len() + self.horizontal.len()) + 8 * self.lines.len(),
         );
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append the wire JSON to `out`. Returns the range of `out` that
+    /// holds the `id` value and the `info` member, if there is one: all
+    /// that differs between two replies carrying one answer, which a
+    /// cached answer's text leaves out (see `CachedReply`).
+    pub(crate) fn write_json(&self, out: &mut String) -> Range<usize> {
+        let preds = !self.vertical.is_empty() || !self.horizontal.is_empty();
         out.push_str("{\"degraded\":");
         out.push_str(if self.degraded() { "true" } else { "false" });
         if let Some(e) = &self.error {
             out.push_str(",\"error\":");
-            json::write_string(&mut out, e);
+            json::write_string(out, e);
         }
         if preds {
             out.push_str(",\"horizontal\":");
-            write_numbers(&mut out, self.horizontal.iter().copied());
+            write_numbers(out, self.horizontal.iter().copied());
         }
         out.push_str(",\"id\":");
-        json::write_number(&mut out, self.id as f64);
+        let id_start = out.len();
+        json::write_number(out, self.id as f64);
         if !self.info.is_empty() {
             out.push_str(",\"info\":{");
             for (i, (k, v)) in self.info.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                json::write_string(&mut out, k);
+                json::write_string(out, k);
                 out.push(':');
-                json::write_string(&mut out, v);
+                json::write_string(out, v);
             }
             out.push('}');
         }
+        let info_end = out.len();
         if !self.lines.is_empty() {
             out.push_str(",\"lines\":");
-            write_numbers(&mut out, self.lines.iter().map(|&l| f64::from(l)));
+            write_numbers(out, self.lines.iter().map(|&l| f64::from(l)));
         }
         if !self.model.is_empty() {
             out.push_str(",\"model\":");
-            json::write_string(&mut out, &self.model);
+            json::write_string(out, &self.model);
         }
         out.push_str(",\"status\":");
-        json::write_string(&mut out, self.status.name());
+        json::write_string(out, self.status.name());
         if preds {
             out.push_str(",\"vertical\":");
-            write_numbers(&mut out, self.vertical.iter().copied());
+            write_numbers(out, self.vertical.iter().copied());
         }
         out.push('}');
-        out
+        id_start..info_end
     }
 
-    /// Parse a reply from wire JSON.
+    /// Parse a reply from wire JSON, reading each field straight into
+    /// its place: numbers into the prediction and line vectors, no value
+    /// tree in between. Of a repeated key the last wins, and a field of
+    /// the wrong type is reported only once the whole frame has read as
+    /// JSON. A missing or non-integer `id` reads as 0, and `info` keeps
+    /// only its string values.
     ///
     /// # Errors
     /// A description of the first malformed field.
     pub fn from_json(text: &str) -> Result<Reply, String> {
-        let doc = json::parse(text).map_err(|e| e.to_string())?;
-        let status = doc
-            .get("status")
-            .and_then(Value::as_str)
-            .and_then(ReplyStatus::parse)
-            .ok_or("missing or unknown `status`")?;
-        let floats = |k: &str| -> Result<Vec<f64>, String> {
-            match doc.get(k) {
-                None => Ok(Vec::new()),
-                Some(v) => v
-                    .as_arr()
-                    .ok_or_else(|| format!("`{k}` must be an array"))?
-                    .iter()
-                    .map(|x| x.as_f64().ok_or_else(|| format!("`{k}`: non-number")))
-                    .collect(),
-            }
-        };
-        let mut info = BTreeMap::new();
-        if let Some(Value::Obj(m)) = doc.get("info") {
-            for (k, v) in m {
-                if let Some(s) = v.as_str() {
-                    info.insert(k.clone(), s.to_string());
+        let mut reply = Reply::default();
+        let mut status = None;
+        let mut lines = Vec::new();
+        // Per number array (vertical, horizontal, lines): why its last
+        // occurrence was refused, if it was.
+        let mut refused: [Result<(), String>; 3] = [Ok(()), Ok(()), Ok(())];
+        let mut r = Reader::new(text);
+        r.object(|key, r| {
+            match key {
+                "id" => reply.id = r.u64()?.unwrap_or(0),
+                "status" => status = r.string()?.as_deref().and_then(ReplyStatus::parse),
+                "model" => reply.model = r.string()?.unwrap_or_default(),
+                "error" => reply.error = r.string()?,
+                "vertical" => refused[0] = read_numbers(r, key, &mut reply.vertical)?,
+                "horizontal" => refused[1] = read_numbers(r, key, &mut reply.horizontal)?,
+                "lines" => refused[2] = read_numbers(r, key, &mut lines)?,
+                "info" => {
+                    let mut info = BTreeMap::new();
+                    r.object(|k, r| {
+                        match r.string()? {
+                            Some(v) => info.insert(k.to_string(), v),
+                            None => info.remove(k),
+                        };
+                        Ok(())
+                    })?;
+                    reply.info = info;
                 }
+                _ => r.skip()?,
             }
-        }
-        Ok(Reply {
-            id: doc.get("id").and_then(Value::as_u64).unwrap_or(0),
-            status,
-            model: doc
-                .get("model")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string(),
-            vertical: floats("vertical")?,
-            horizontal: floats("horizontal")?,
-            lines: floats("lines")?.into_iter().map(|l| l as u32).collect(),
-            error: doc.get("error").and_then(Value::as_str).map(str::to_string),
-            info,
+            Ok(())
         })
+        .and_then(|_| r.finish())
+        .map_err(|e| e.to_string())?;
+        reply.status = status.ok_or("missing or unknown `status`")?;
+        for why in refused {
+            why?;
+        }
+        reply.lines = lines.iter().map(|&l| l as u32).collect();
+        Ok(reply)
     }
+}
+
+/// Read the number array under `key` into `out`; the inner result says
+/// why the value was refused, if it was.
+fn read_numbers(
+    r: &mut Reader,
+    key: &str,
+    out: &mut Vec<f64>,
+) -> Result<Result<(), String>, JsonError> {
+    let is_array = r.peek() == Some(Kind::Arr);
+    Ok(if r.numbers(out)? {
+        Ok(())
+    } else if is_array {
+        Err(format!("`{key}`: non-number"))
+    } else {
+        Err(format!("`{key}` must be an array"))
+    })
 }
 
 /// Append `values` as a JSON array of numbers.
@@ -371,9 +447,46 @@ pub(crate) fn write_numbers(out: &mut String, values: impl Iterator<Item = f64>)
     out.push(']');
 }
 
+/// The encoding `Reply::to_json` had before it wrote its keys
+/// directly: a sorted value tree, serialized by `obskit::json`. Tests
+/// use it as the reference encoding of a reply's fields.
+#[cfg(test)]
+pub(crate) fn tree_json(r: &Reply) -> String {
+    use obskit::json::Value;
+    let mut o = BTreeMap::new();
+    o.insert("id".into(), Value::Num(r.id as f64));
+    o.insert("status".into(), Value::Str(r.status.name().into()));
+    o.insert("degraded".into(), Value::Bool(r.degraded()));
+    if !r.model.is_empty() {
+        o.insert("model".into(), Value::Str(r.model.clone()));
+    }
+    let nums = |v: &[f64]| Value::Arr(v.iter().map(|&x| Value::Num(x)).collect());
+    if !r.vertical.is_empty() || !r.horizontal.is_empty() {
+        o.insert("vertical".into(), nums(&r.vertical));
+        o.insert("horizontal".into(), nums(&r.horizontal));
+    }
+    if !r.lines.is_empty() {
+        let lines = r.lines.iter().map(|&l| Value::Num(f64::from(l))).collect();
+        o.insert("lines".into(), Value::Arr(lines));
+    }
+    if let Some(e) = &r.error {
+        o.insert("error".into(), Value::Str(e.clone()));
+    }
+    if !r.info.is_empty() {
+        let info = r
+            .info
+            .iter()
+            .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
+            .collect();
+        o.insert("info".into(), Value::Obj(info));
+    }
+    Value::Obj(o).to_json()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obskit::json::Value;
 
     #[test]
     fn request_kinds_round_trip() {
@@ -434,41 +547,10 @@ mod tests {
         assert_eq!(Reply::from_json(&json).unwrap(), r);
     }
 
-    /// The encoding `Reply::to_json` had before it wrote its keys
-    /// directly: a sorted value tree, serialized by `obskit::json`.
-    fn tree_json(r: &Reply) -> String {
-        let mut o = BTreeMap::new();
-        o.insert("id".into(), Value::Num(r.id as f64));
-        o.insert("status".into(), Value::Str(r.status.name().into()));
-        o.insert("degraded".into(), Value::Bool(r.degraded()));
-        if !r.model.is_empty() {
-            o.insert("model".into(), Value::Str(r.model.clone()));
-        }
-        let nums = |v: &[f64]| Value::Arr(v.iter().map(|&x| Value::Num(x)).collect());
-        if !r.vertical.is_empty() || !r.horizontal.is_empty() {
-            o.insert("vertical".into(), nums(&r.vertical));
-            o.insert("horizontal".into(), nums(&r.horizontal));
-        }
-        if !r.lines.is_empty() {
-            let lines = r.lines.iter().map(|&l| Value::Num(f64::from(l))).collect();
-            o.insert("lines".into(), Value::Arr(lines));
-        }
-        if let Some(e) = &r.error {
-            o.insert("error".into(), Value::Str(e.clone()));
-        }
-        if !r.info.is_empty() {
-            let info = r
-                .info
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
-                .collect();
-            o.insert("info".into(), Value::Obj(info));
-        }
-        Value::Obj(o).to_json()
-    }
-
-    #[test]
-    fn reply_json_matches_the_tree_encoding() {
+    /// Hand-picked replies: every status, ids around 2^53, awkward
+    /// strings, special floats, one side of the predictions empty, and a
+    /// served reply's worth of ops.
+    fn sample_replies() -> Vec<Reply> {
         let awkward = "q\"b\\s\n\r\t\u{1}\u{1f} é 日本";
         let mut info = BTreeMap::new();
         info.insert("cache".to_string(), "hit".to_string());
@@ -517,9 +599,389 @@ mod tests {
             lines: (1..=57).collect(),
             ..Default::default()
         });
-        for r in &replies {
+        replies
+    }
+
+    #[test]
+    fn reply_json_matches_the_tree_encoding() {
+        for r in &sample_replies() {
             assert_eq!(r.to_json(), tree_json(r), "{r:?}");
         }
+    }
+
+    /// The range `write_json` reports holds exactly the id and the info
+    /// member: outside it, two replies that differ only there agree.
+    #[test]
+    fn the_id_and_info_range_is_all_two_replies_of_one_answer_differ_in() {
+        for r in &sample_replies() {
+            let mut other = r.clone();
+            other.id = r.id.wrapping_mul(31).wrapping_add(17);
+            other.info = BTreeMap::from([("cache".to_string(), "miss".to_string())]);
+            let (mut a, mut b) = (String::new(), String::new());
+            let (ra, rb) = (r.write_json(&mut a), other.write_json(&mut b));
+            assert_eq!(a, r.to_json());
+            assert_eq!(&a[..ra.start], &b[..rb.start], "{r:?}");
+            assert_eq!(&a[ra.end..], &b[rb.end..], "{r:?}");
+            assert_eq!(
+                a[ra.start..].split(',').next(),
+                Some(json::number(r.id as f64).as_str())
+            );
+        }
+    }
+
+    /// `Reply::from_json` as it was before replies decoded straight into
+    /// their fields: a `json::parse` tree, then a copy out of it.
+    fn tree_reply(text: &str) -> Result<Reply, String> {
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
+        let status = doc
+            .get("status")
+            .and_then(Value::as_str)
+            .and_then(ReplyStatus::parse)
+            .ok_or("missing or unknown `status`")?;
+        let floats = |k: &str| -> Result<Vec<f64>, String> {
+            match doc.get(k) {
+                None => Ok(Vec::new()),
+                Some(v) => v
+                    .as_arr()
+                    .ok_or_else(|| format!("`{k}` must be an array"))?
+                    .iter()
+                    .map(|x| x.as_f64().ok_or_else(|| format!("`{k}`: non-number")))
+                    .collect(),
+            }
+        };
+        let mut info = BTreeMap::new();
+        if let Some(Value::Obj(m)) = doc.get("info") {
+            for (k, v) in m {
+                if let Some(s) = v.as_str() {
+                    info.insert(k.clone(), s.to_string());
+                }
+            }
+        }
+        Ok(Reply {
+            id: doc.get("id").and_then(Value::as_u64).unwrap_or(0),
+            status,
+            model: doc
+                .get("model")
+                .and_then(Value::as_str)
+                .unwrap_or("")
+                .to_string(),
+            vertical: floats("vertical")?,
+            horizontal: floats("horizontal")?,
+            lines: floats("lines")?.into_iter().map(|l| l as u32).collect(),
+            error: doc.get("error").and_then(Value::as_str).map(str::to_string),
+            info,
+        })
+    }
+
+    /// `Request::from_json` as it was before requests decoded straight
+    /// into their fields.
+    fn tree_request(text: &str) -> Result<Request, String> {
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
+        if doc.as_obj().is_none() {
+            return Err("request must be a JSON object".into());
+        }
+        let id = match doc.get("id") {
+            None => 0,
+            Some(v) => v
+                .as_u64()
+                .ok_or("`id` must be a non-negative integer below 2^53")?,
+        };
+        let deadline_ms = match doc.get("deadline_ms") {
+            None => None,
+            Some(v) => Some(
+                v.as_u64()
+                    .ok_or("`deadline_ms` must be a non-negative integer below 2^53")?,
+            ),
+        };
+        let kind = doc
+            .get("kind")
+            .and_then(Value::as_str)
+            .ok_or("missing string field `kind`")?;
+        let str_field = |k: &str| -> Result<String, String> {
+            doc.get(k)
+                .and_then(Value::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("`{kind}` needs a string `{k}` field"))
+        };
+        let body = match kind {
+            "predict" => {
+                let rows = doc
+                    .get("rows")
+                    .and_then(Value::as_arr)
+                    .ok_or("`predict` needs a `rows` array")?;
+                let mut out = Vec::with_capacity(rows.len());
+                for (i, row) in rows.iter().enumerate() {
+                    let row = row
+                        .as_arr()
+                        .ok_or_else(|| format!("row {i}: not an array"))?;
+                    let mut vals = Vec::with_capacity(row.len());
+                    for v in row {
+                        vals.push(v.as_f64().ok_or_else(|| format!("row {i}: non-number"))?);
+                    }
+                    out.push(vals);
+                }
+                RequestBody::Predict { rows: out }
+            }
+            "source" => RequestBody::Source {
+                name: str_field("name")?,
+                text: str_field("text")?,
+            },
+            "swap" => RequestBody::Swap {
+                path: str_field("path")?,
+            },
+            "rollback" => RequestBody::Rollback,
+            "status" => RequestBody::Status,
+            "shutdown" => RequestBody::Shutdown,
+            other => return Err(format!("unknown request kind `{other}`")),
+        };
+        Ok(Request {
+            id,
+            deadline_ms,
+            body,
+        })
+    }
+
+    /// `Request::to_json` as it was before it wrote its keys directly.
+    fn tree_request_json(r: &Request) -> String {
+        let mut o = BTreeMap::new();
+        o.insert("id".into(), Value::Num(r.id as f64));
+        o.insert("kind".into(), Value::Str(r.body.kind().into()));
+        if let Some(d) = r.deadline_ms {
+            o.insert("deadline_ms".into(), Value::Num(d as f64));
+        }
+        match &r.body {
+            RequestBody::Predict { rows } => {
+                let rows = rows
+                    .iter()
+                    .map(|r| Value::Arr(r.iter().map(|&v| Value::Num(v)).collect()))
+                    .collect();
+                o.insert("rows".into(), Value::Arr(rows));
+            }
+            RequestBody::Source { name, text } => {
+                o.insert("name".into(), Value::Str(name.clone()));
+                o.insert("text".into(), Value::Str(text.clone()));
+            }
+            RequestBody::Swap { path } => {
+                o.insert("path".into(), Value::Str(path.clone()));
+            }
+            RequestBody::Rollback | RequestBody::Status | RequestBody::Shutdown => {}
+        }
+        Value::Obj(o).to_json()
+    }
+
+    /// Everything a decoded reply carries, floats as bits.
+    type ReplyBits = (
+        u64,
+        ReplyStatus,
+        String,
+        Vec<u64>,
+        Vec<u64>,
+        Vec<u32>,
+        Option<String>,
+        BTreeMap<String, String>,
+    );
+
+    fn reply_bits(r: Result<Reply, String>) -> Option<ReplyBits> {
+        let r = r.ok()?;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        Some((
+            r.id,
+            r.status,
+            r.model,
+            bits(&r.vertical),
+            bits(&r.horizontal),
+            r.lines,
+            r.error,
+            r.info,
+        ))
+    }
+
+    fn request_bits(r: Result<Request, String>) -> Option<String> {
+        // `{:?}` prints every float so that it reads back to its bits.
+        r.ok().map(|r| format!("{r:?}"))
+    }
+
+    /// splitmix64: a fixed, seedable stream of 64-bit words.
+    fn words(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// Random replies over the awkward values: ±0.0, the smallest
+    /// subnormal, 1e300, NaN (written as `null`), any bit pattern, and
+    /// ids at 0, 2^53 − 1, 2^53 and `u64::MAX`.
+    fn random_replies(seed: u64, n: usize) -> Vec<Reply> {
+        let mut next = words(seed);
+        let specials = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 17.25, 3.0];
+        let ids = [0, (1 << 53) - 1, 1 << 53, u64::MAX, 7];
+        let statuses = [
+            ReplyStatus::Ok,
+            ReplyStatus::Degraded,
+            ReplyStatus::Overloaded,
+            ReplyStatus::DeadlineExceeded,
+            ReplyStatus::Error,
+        ];
+        (0..n)
+            .map(|_| {
+                let ops = (next() % 9) as usize;
+                let mut float = || match next() % 8 {
+                    0 => f64::from_bits(next()),
+                    1 if next().is_multiple_of(8) => f64::NAN,
+                    _ => specials[(next() % specials.len() as u64) as usize],
+                };
+                let vertical: Vec<f64> = (0..ops).map(|_| float()).collect();
+                let horizontal: Vec<f64> = (0..ops).map(|_| float()).collect();
+                let mut info = BTreeMap::new();
+                if next().is_multiple_of(2) {
+                    info.insert("cache".to_string(), "hit".to_string());
+                }
+                Reply {
+                    id: ids[(next() % ids.len() as u64) as usize],
+                    status: statuses[(next() % statuses.len() as u64) as usize],
+                    model: if next().is_multiple_of(3) {
+                        String::new()
+                    } else {
+                        "gbrt@v2".into()
+                    },
+                    vertical,
+                    horizontal,
+                    lines: (0..ops).map(|_| next() as u32).collect(),
+                    error: next().is_multiple_of(4).then(|| "why \"not\"".to_string()),
+                    info,
+                }
+            })
+            .collect()
+    }
+
+    /// Hostile variations of one encoded document: every cut, values
+    /// swapped for the wrong type, repeated and unknown keys, deep
+    /// nesting, trailing data.
+    fn hostile_variants(json: &str) -> Vec<String> {
+        let mut out: Vec<String> = (0..json.len())
+            .filter(|&i| json.is_char_boundary(i))
+            .map(|i| json[..i].to_string())
+            .collect();
+        let body = &json[1..json.len() - 1];
+        let deep = format!("{}1{}", "[".repeat(70), "]".repeat(70));
+        let nested_ok = format!("{}1{}", "[".repeat(60), "]".repeat(60));
+        let keys = "id status model error vertical horizontal lines info kind name text path \
+                    rows deadline_ms degraded junk";
+        let values: Vec<&str> = r#"null true 1 -1 1.5 9007199254740992 "ok" "predict" "source"
+            "x" [] [1,2] [1,null] [[1],[2.5]] [[1],3] [["a"]] {} {"a":"b","a":1}
+            {"cache":"hit"}"#
+            .split_whitespace()
+            .chain([deep.as_str(), nested_ok.as_str()])
+            .collect();
+        for key in keys.split_whitespace() {
+            for value in &values {
+                // Prepended (the document's own value wins), appended (this
+                // one wins), and alone.
+                out.push(format!("{{\"{key}\":{value},{body}}}"));
+                out.push(format!("{{{body},\"{key}\":{value}}}"));
+                out.push(format!("{{\"{key}\":{value}}}"));
+            }
+        }
+        out.push(format!("{json} "));
+        out.push(format!("{json}{json}"));
+        out.push(format!("{json},"));
+        out.push(format!("[{json}]"));
+        out.push("[".repeat(100_000));
+        out.push(String::new());
+        out.push("\"status\"".into());
+        out
+    }
+
+    #[test]
+    fn reply_decoder_matches_the_tree_decoder() {
+        let mut texts: Vec<String> = Vec::new();
+        let replies: Vec<Reply> = sample_replies()
+            .into_iter()
+            .chain(random_replies(0x5eed_0003, 400))
+            .collect();
+        for r in &replies {
+            texts.push(r.to_json());
+        }
+        // A real reply, cut and mangled.
+        let served = replies.last().unwrap().to_json();
+        texts.extend(hostile_variants(&sample_replies()[10].to_json()));
+        texts.extend(hostile_variants(&served));
+        let mut decoded = 0;
+        for text in &texts {
+            let (now, then) = (Reply::from_json(text), tree_reply(text));
+            assert_eq!(now.as_ref().err(), then.as_ref().err(), "{text:.200}");
+            decoded += usize::from(now.is_ok());
+            assert_eq!(reply_bits(now), reply_bits(then), "{text:.200}");
+        }
+        assert!(decoded > texts.len() / 4, "{decoded} of {}", texts.len());
+    }
+
+    fn sample_requests() -> Vec<Request> {
+        let awkward = "q\"b\\s\n\r\t\u{1}\u{1f} é 日本";
+        let mut next = words(0x5eed_0004);
+        let mut rows: Vec<Vec<f64>> = vec![vec![], vec![0.0, -0.0, 5e-324, 1e300, 0.1]];
+        rows.push((0..40).map(|_| f64::from_bits(next() >> 2)).collect());
+        rows.push((0..40).map(|i| f64::from(i) * 1.5).collect());
+        let mut reqs = vec![
+            Request::predict(0, vec![]),
+            Request::predict((1 << 53) - 1, rows.clone()),
+            Request::predict(u64::MAX, rows),
+        ];
+        for (i, body) in [
+            RequestBody::Source {
+                name: awkward.into(),
+                text: format!("int32 f() {{ return 1; }} // {awkward}"),
+            },
+            RequestBody::Source {
+                name: String::new(),
+                text: String::new(),
+            },
+            RequestBody::Swap {
+                path: awkward.into(),
+            },
+            RequestBody::Rollback,
+            RequestBody::Status,
+            RequestBody::Shutdown,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            reqs.push(Request {
+                id: 1 << (i * 10),
+                deadline_ms: [None, Some(0), Some(250), Some(u64::MAX)][i % 4],
+                body,
+            });
+        }
+        reqs
+    }
+
+    #[test]
+    fn request_json_matches_the_tree_encoding() {
+        for r in &sample_requests() {
+            assert_eq!(r.to_json(), tree_request_json(r), "{r:?}");
+        }
+    }
+
+    #[test]
+    fn request_decoder_matches_the_tree_decoder() {
+        let mut texts: Vec<String> = Vec::new();
+        for r in &sample_requests() {
+            let json = r.to_json();
+            texts.extend(hostile_variants(&json));
+            texts.push(json);
+        }
+        let mut decoded = 0;
+        for text in &texts {
+            let (now, then) = (Request::from_json(text), tree_request(text));
+            assert_eq!(now, then, "{text:.200}");
+            decoded += usize::from(now.is_ok());
+            assert_eq!(request_bits(now), request_bits(then), "{text:.200}");
+        }
+        assert!(decoded > texts.len() / 4, "{decoded} of {}", texts.len());
     }
 
     #[test]

@@ -105,8 +105,8 @@ pub struct ServeConfig {
     pub batch_max_rows: usize,
     /// Reply-cache capacity in designs for `source` requests; 0 disables
     /// the cache. An entry is the answer a miss computed (status, model,
-    /// V/H predictions, lines: 20 bytes per op), so a hit neither
-    /// extracts nor predicts.
+    /// V/H predictions, lines) and its reply's text, about 65 bytes per
+    /// op, so a hit neither extracts, predicts nor encodes.
     pub cache_capacity: usize,
     /// Source-digest function keying the reply cache; `None` uses a
     /// plain FNV-1a over `(name, text)`.
@@ -235,10 +235,93 @@ impl ServeMetrics {
     }
 }
 
+/// What a request's reply channel carries: a reply built for it, or a
+/// `source` answer from the reply cache, which the event loop writes from
+/// the entry's stored text (`CachedReply::write_frame`) without encoding
+/// it again.
+pub(crate) enum Answer {
+    /// A reply to encode.
+    Reply(Reply),
+    /// Request `id`'s answer from `entry`: a cache `hit`, or the miss
+    /// that computed the entry.
+    Cached {
+        id: u64,
+        entry: Arc<CachedReply>,
+        hit: bool,
+    },
+}
+
+impl Answer {
+    fn status(&self) -> ReplyStatus {
+        match self {
+            Answer::Reply(r) => r.status,
+            Answer::Cached { entry, .. } => entry.status(),
+        }
+    }
+
+    /// The reply this answer stands for.
+    fn into_reply(self) -> Reply {
+        match self {
+            Answer::Reply(r) => r,
+            Answer::Cached { id, entry, hit } => entry.tagged_reply(id, hit),
+        }
+    }
+
+    /// Append the answer's frame to `out`: its 4-byte little-endian
+    /// length, then its JSON.
+    pub(crate) fn write_frame(&self, out: &mut Vec<u8>) {
+        match self {
+            Answer::Reply(r) => {
+                let json = r.to_json();
+                out.extend_from_slice(&(json.len() as u32).to_le_bytes());
+                out.extend_from_slice(json.as_bytes());
+            }
+            Answer::Cached { id, entry, hit } => entry.write_frame(*id, *hit, out),
+        }
+    }
+}
+
+impl From<Reply> for Answer {
+    fn from(reply: Reply) -> Answer {
+        Answer::Reply(reply)
+    }
+}
+
+/// The one reply [`Server::submit`] owes a request, as it arrives.
+pub struct PendingReply(pub(crate) mpsc::Receiver<Answer>);
+
+impl PendingReply {
+    /// Wait for the reply.
+    ///
+    /// # Errors
+    /// The server dropped the request without replying, which the
+    /// exactly-one-reply contract rules out.
+    pub fn recv(&self) -> Result<Reply, mpsc::RecvError> {
+        self.0.recv().map(Answer::into_reply)
+    }
+
+    /// The reply, if it has arrived.
+    ///
+    /// # Errors
+    /// `Empty` while it has not; `Disconnected` as for [`Self::recv`].
+    pub fn try_recv(&self) -> Result<Reply, mpsc::TryRecvError> {
+        self.0.try_recv().map(Answer::into_reply)
+    }
+
+    /// Wait at most `timeout` for the reply.
+    ///
+    /// # Errors
+    /// `Timeout` when it has not arrived; `Disconnected` as for
+    /// [`Self::recv`].
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Reply, mpsc::RecvTimeoutError> {
+        self.0.recv_timeout(timeout).map(Answer::into_reply)
+    }
+}
+
 struct Job {
     req: Request,
     admitted_at: Instant,
-    reply_to: mpsc::Sender<Reply>,
+    reply_to: mpsc::Sender<Answer>,
     /// Set for a `source` request that admission already looked up and
     /// missed, so the worker does not look it up again.
     probe: Option<Probe>,
@@ -298,7 +381,7 @@ pub struct ServeSummary {
 }
 
 /// The running daemon: worker pool + shared state. `submit` is `&self`
-/// and thread-safe, so the network front-end and its HTTP handoff threads
+/// and thread-safe, so the network front-end and in-process callers
 /// share one `Arc<Server>`.
 pub struct Server {
     state: Arc<ServerState>,
@@ -393,7 +476,7 @@ impl Server {
     /// this thread, and its reply is in the channel when `submit` returns.
     /// A miss carries its lookup to the worker. While work is queued or
     /// running, the worker looks the request up in its turn.
-    pub fn submit(&self, req: Request) -> mpsc::Receiver<Reply> {
+    pub fn submit(&self, req: Request) -> PendingReply {
         let (tx, rx) = mpsc::channel();
         let state = &self.state;
         let id = req.id;
@@ -420,27 +503,27 @@ impl Server {
             m.completed += 1;
             m.errors += 1;
             drop(m);
-            let _ = tx.send(Reply::error(id, format!("admission failed: {failure}")));
-            return rx;
+            let _ = tx.send(Reply::error(id, format!("admission failed: {failure}")).into());
+            return PendingReply(rx);
         }
         let admitted_at = Instant::now();
         let mut probe = None;
         if let RequestBody::Source { name, text } = &req.body {
             if state.extractor.is_some() && !state.cache.disabled() && idle(state) {
                 let (lookup, hit) = look_up(state, name, text);
-                if let Some(answer) = hit {
-                    let reply = cache_hit(id, &answer, deadline_of(state, &req, admitted_at));
+                if let Some(entry) = hit {
+                    let answer = cache_hit(id, entry, deadline_of(state, &req, admitted_at));
                     let flush = {
                         let mut m = state.metrics.lock().expect("metrics lock poisoned");
                         m.admitted += 1;
-                        record_completion(&mut m, reply.status, admitted_at)
+                        record_completion(&mut m, answer.status(), admitted_at)
                     };
                     // The caller collects the reply on return: no wake.
-                    let _ = tx.send(reply);
+                    let _ = tx.send(answer);
                     if flush {
                         journal_progress(state);
                     }
-                    return rx;
+                    return PendingReply(rx);
                 }
                 probe = Some(lookup);
             }
@@ -467,7 +550,7 @@ impl Server {
                 drop(m);
                 let _ = old
                     .reply_to
-                    .send(Reply::status_only(old.req.id, ReplyStatus::Overloaded));
+                    .send(Reply::status_only(old.req.id, ReplyStatus::Overloaded).into());
                 // The shed request may belong to a connection the event
                 // loop has already stepped this pass.
                 wake_loop(state);
@@ -477,10 +560,10 @@ impl Server {
                 drop(m);
                 let _ = job
                     .reply_to
-                    .send(Reply::error(id, "server is shutting down"));
+                    .send(Reply::error(id, "server is shutting down").into());
             }
         }
-        rx
+        PendingReply(rx)
     }
 
     /// [`Self::submit`] and wait for the reply.
@@ -627,9 +710,9 @@ fn worker_loop(state: &Arc<ServerState>) {
             let id = job.req.id;
             // Last-resort isolation: even a bug outside the supervised
             // stages becomes a typed Error reply, never a dead worker.
-            let reply = catch_unwind(AssertUnwindSafe(|| process(state, job)))
-                .unwrap_or_else(|_| Reply::error(id, "internal panic (isolated)"));
-            finish(state, job, reply);
+            let answer = catch_unwind(AssertUnwindSafe(|| process(state, job)))
+                .unwrap_or_else(|_| Reply::error(id, "internal panic (isolated)").into());
+            finish(state, job, answer);
         } else {
             process_batch(state, batch);
         }
@@ -639,17 +722,17 @@ fn worker_loop(state: &Arc<ServerState>) {
 /// Per-reply bookkeeping shared by the singleton and coalesced paths:
 /// the in-flight count, completion counters, latency sketch, reply
 /// delivery plus the event loop's wake, journal cadence.
-fn finish(state: &Arc<ServerState>, job: &Job, reply: Reply) {
+fn finish(state: &Arc<ServerState>, job: &Job, answer: Answer) {
     // The job's work is done, so it can no longer change a later answer.
     // Lowered before the reply leaves: a client that sends its next
     // request on receipt finds an idle server.
     state.in_flight.fetch_sub(1, Ordering::SeqCst);
     let flush = record_completion(
         &mut state.metrics.lock().expect("metrics lock poisoned"),
-        reply.status,
+        answer.status(),
         job.admitted_at,
     );
-    let _ = job.reply_to.send(reply);
+    let _ = job.reply_to.send(answer);
     wake_loop(state);
     if flush {
         journal_progress(state);
@@ -715,7 +798,7 @@ fn process_batch(state: &Arc<ServerState>, batch: Vec<Job>) {
         m.batch_peak = m.batch_peak.max(batch.len() as u64);
     }
     for (job, reply) in batch.iter().zip(replies) {
-        finish(state, job, reply);
+        finish(state, job, reply.into());
     }
 }
 
@@ -901,16 +984,16 @@ fn past(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() > d)
 }
 
-fn process(state: &Arc<ServerState>, job: &Job) -> Reply {
+fn process(state: &Arc<ServerState>, job: &Job) -> Answer {
     let id = job.req.id;
     let deadline = deadline_of(state, &job.req, job.admitted_at);
     if past(deadline) {
-        return Reply::status_only(id, ReplyStatus::DeadlineExceeded);
+        return Reply::status_only(id, ReplyStatus::DeadlineExceeded).into();
     }
-    match &job.req.body {
+    let reply = match &job.req.body {
         RequestBody::Predict { rows } => predict_request(state, id, rows, deadline),
         RequestBody::Source { name, text } => {
-            source_request(state, id, name, text, deadline, job.probe)
+            return source_request(state, id, name, text, deadline, job.probe)
         }
         RequestBody::Swap { path } => swap_request(state, id, path),
         RequestBody::Rollback => rollback_request(state, id),
@@ -920,7 +1003,8 @@ fn process(state: &Arc<ServerState>, job: &Job) -> Reply {
             state.queue.close();
             Reply::status_only(id, ReplyStatus::Ok)
         }
-    }
+    };
+    reply.into()
 }
 
 fn predict_request(
@@ -1073,15 +1157,17 @@ fn look_up(state: &ServerState, name: &str, text: &str) -> (Probe, Option<Arc<Ca
 
 /// Answer a `source` request from its cache entry: at admission, or by
 /// the worker when the request had to wait its turn.
-fn cache_hit(id: u64, answer: &CachedReply, deadline: Option<Instant>) -> Reply {
+fn cache_hit(id: u64, entry: Arc<CachedReply>, deadline: Option<Instant>) -> Answer {
     if past(deadline) {
-        return Reply::status_only(id, ReplyStatus::DeadlineExceeded);
+        return Reply::status_only(id, ReplyStatus::DeadlineExceeded).into();
     }
     // The entry is the active model's answer (the cache is cleared on
     // every change of model), so it is what predicting again returns.
-    let mut r = answer.reply(id);
-    r.info.insert("cache".into(), "hit".into());
-    r
+    Answer::Cached {
+        id,
+        entry,
+        hit: true,
+    }
 }
 
 /// A `source` request in its worker turn. `probe` is its admission
@@ -1094,14 +1180,14 @@ fn source_request(
     text: &str,
     deadline: Option<Instant>,
     probe: Option<Probe>,
-) -> Reply {
+) -> Answer {
     let Some(extractor) = state.extractor.clone() else {
-        return Reply::error(id, "this server was started without MiniHLS source support");
+        return Reply::error(id, "this server was started without MiniHLS source support").into();
     };
     let probe = match probe {
         Some(probe) => probe,
         None => match look_up(state, name, text) {
-            (_, Some(answer)) => return cache_hit(id, &answer, deadline),
+            (_, Some(entry)) => return cache_hit(id, entry, deadline),
             (probe, None) => probe,
         },
     };
@@ -1126,10 +1212,10 @@ fn source_request(
     }
     let (rows, lines) = match run.result {
         Ok(v) => v,
-        Err(failure) => return Reply::error(id, format!("extract failed: {failure}")),
+        Err(failure) => return Reply::error(id, format!("extract failed: {failure}")).into(),
     };
     if past(deadline) {
-        return Reply::status_only(id, ReplyStatus::DeadlineExceeded);
+        return Reply::status_only(id, ReplyStatus::DeadlineExceeded).into();
     }
     let cols = rows.first().map(|r| r.len()).unwrap_or(0);
     let mut m = Matrix::with_cols(cols);
@@ -1137,25 +1223,35 @@ fn source_request(
         m.push_row(row);
     }
     let (status, model, vertical, horizontal) = predict_ladder(state, id, &m, deadline);
-    let answer = CachedReply {
+    let mut reply = Reply {
+        id,
         status,
         model,
         vertical,
         horizontal,
         lines,
+        ..Default::default()
     };
-    let mut r = answer.reply(id);
-    if !state.cache.disabled() {
-        // Only complete answers are kept: a prediction cut short by its
-        // deadline leaves nothing behind.
-        if matches!(status, ReplyStatus::Ok | ReplyStatus::Degraded) {
-            state
-                .cache
-                .insert(probe.key, probe.generation, Arc::new(answer));
-        }
-        r.info.insert("cache".into(), "miss".into());
+    if state.cache.disabled() {
+        return reply.into();
     }
-    r
+    reply.info.insert("cache".into(), "miss".into());
+    // Only complete answers are kept: a prediction cut short by its
+    // deadline leaves nothing behind.
+    if !matches!(status, ReplyStatus::Ok | ReplyStatus::Degraded) {
+        return reply.into();
+    }
+    // The miss encodes its reply once, into the entry's text, and its
+    // own frame is written from that text like every hit's.
+    let entry = Arc::new(CachedReply::new(reply));
+    state
+        .cache
+        .insert(probe.key, probe.generation, entry.clone());
+    Answer::Cached {
+        id,
+        entry,
+        hit: false,
+    }
 }
 
 fn swap_request(state: &Arc<ServerState>, id: u64, path: &str) -> Reply {

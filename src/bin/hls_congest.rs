@@ -20,8 +20,6 @@
 //!                       [--max-retries N] [--ledger-out runs.jsonl]
 //!                                                   run congestd: the crash-only,
 //!                                                   load-shedding prediction daemon
-//!                                                   (`--fault-plan` and
-//!                                                   `--max-retries` are serve-only)
 //! hls-congest serve-client --addr HOST:PORT
 //!                       (--status | --shutdown | --rollback | --swap artifact.json
 //!                        | --rows-from data.csv [--limit N] | --source file.mhls)
@@ -48,7 +46,8 @@
 //! (per-column quantile sketches + matrix digest), consumed by `drift`.
 //!
 //! Every flag is parsed by `congestion_core::cli::RunOptions`; an unknown
-//! flag is an error.
+//! flag, or a flag of another command (`dataset --journal j.jsonl`), is an
+//! error naming it.
 
 use fpga_hls_congestion::congestion_core::cli::{RunOptions, Tool};
 use fpga_hls_congestion::obskit;

@@ -25,15 +25,18 @@
 //!   pipelined request stream with reply frames byte-identical to the
 //!   serialized replies of in-process [`Server::call`]s, for `predict`
 //!   and for `source` requests, whether a hit is answered at admission
-//!   or by a worker.
+//!   or by a worker. A `source` frame is written from a cache entry's
+//!   stored text, so its reference is encoded from the reply's fields
+//!   through a `json::Value` tree, not by the code under test.
 
 use fpga_hls_congestion::mlkit::{CompiledEnsemble, Matrix};
+use fpga_hls_congestion::obskit::json::Value;
 use fpga_hls_congestion::servekit::{
     coalesce_plan, read_frame, serve_event_loop, shed_plan, write_frame, ModelArtifact, Reply,
     ReplyStatus, Request, RequestBody, ServeConfig, Server, SourceExtractor, TraceStep, WorkGate,
 };
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -417,26 +420,37 @@ fn event_loop_reply_frames_match_in_process_calls() {
     );
 }
 
-/// `rounds` passes over `designs` designs, ids from 1: the first pass
-/// misses, every later pass hits.
-fn source_requests(designs: u64, rounds: u64) -> Vec<Request> {
-    (0..rounds * designs)
-        .map(|i| Request {
-            id: i + 1,
-            deadline_ms: None,
-            body: RequestBody::Source {
-                name: format!("design-{}", i % designs),
-                text: format!("// design {}", i % designs),
-            },
-        })
+/// `rounds` passes over `designs`, ids from 1: the first pass misses,
+/// every later pass hits.
+fn source_requests(designs: &[&str], rounds: u64) -> Vec<Request> {
+    let n = designs.len() as u64;
+    (0..rounds * n)
+        .map(|i| source_request(i + 1, designs[(i % n) as usize]))
         .collect()
 }
 
+fn source_request(id: u64, name: &str) -> Request {
+    Request {
+        id,
+        deadline_ms: None,
+        body: RequestBody::Source {
+            name: name.into(),
+            text: format!("// {name}"),
+        },
+    }
+}
+
 /// One worker (so a pipelined stream drains in order), an extractor over
-/// [`design_rows`], and `gate` pacing the worker's drains.
-fn start_source_server(gate: Option<Arc<WorkGate>>) -> Arc<Server> {
+/// [`design_rows`] that finds no ops in a design named `empty`, `gate`
+/// pacing the worker's drains, and `model` active (none: every answer is
+/// the analytic estimator's, `Degraded`).
+fn start_source_server(gate: Option<Arc<WorkGate>>, model: Option<ModelArtifact>) -> Arc<Server> {
     let extractor: Arc<SourceExtractor> = Arc::new(|name: &str, _text: &str| {
-        let rows = design_rows(name);
+        let rows = if name == "empty" {
+            Vec::new()
+        } else {
+            design_rows(name)
+        };
         let lines = (1..=rows.len() as u32).collect();
         Ok((rows, lines))
     });
@@ -446,7 +460,7 @@ fn start_source_server(gate: Option<Arc<WorkGate>>) -> Arc<Server> {
         ..Default::default()
     };
     cfg.gate.expected_features = FEATURES;
-    let (server, report) = Server::start(cfg, Some(artifact(1)), Some(extractor)).expect("start");
+    let (server, report) = Server::start(cfg, model, Some(extractor)).expect("start");
     assert!(report.install_error.is_none(), "{report:?}");
     Arc::new(server)
 }
@@ -464,66 +478,129 @@ fn spawn_loop(server: &Arc<Server>) -> (std::net::SocketAddr, std::thread::JoinH
     )
 }
 
+/// A reply's wire JSON, encoded from its fields through a sorted
+/// `json::Value` tree: the reference for frames that the daemon writes
+/// from a cache entry's stored text.
+fn tree_json(r: &Reply) -> String {
+    let mut o = BTreeMap::new();
+    o.insert("id".to_string(), Value::Num(r.id as f64));
+    o.insert("status".into(), Value::Str(r.status.name().into()));
+    o.insert(
+        "degraded".into(),
+        Value::Bool(r.status == ReplyStatus::Degraded),
+    );
+    if !r.model.is_empty() {
+        o.insert("model".into(), Value::Str(r.model.clone()));
+    }
+    let nums = |v: &[f64]| Value::Arr(v.iter().map(|&x| Value::Num(x)).collect());
+    if !r.vertical.is_empty() || !r.horizontal.is_empty() {
+        o.insert("vertical".into(), nums(&r.vertical));
+        o.insert("horizontal".into(), nums(&r.horizontal));
+    }
+    if !r.lines.is_empty() {
+        let lines = r.lines.iter().map(|&l| Value::Num(f64::from(l))).collect();
+        o.insert("lines".into(), Value::Arr(lines));
+    }
+    if let Some(e) = &r.error {
+        o.insert("error".into(), Value::Str(e.clone()));
+    }
+    if !r.info.is_empty() {
+        let info = r
+            .info
+            .iter()
+            .map(|(k, v)| (k.clone(), Value::Str(v.clone())));
+        o.insert("info".into(), Value::Obj(info.collect()));
+    }
+    Value::Obj(o).to_json()
+}
+
+/// Every `source` frame the event loop writes, misses and hits alike, is
+/// the reply `Server::call` returns for the request, encoded from that
+/// reply's fields: answered by the active model (`Ok`) or with none
+/// (`Degraded`), for a design with ops and one without.
 #[test]
 fn event_loop_source_reply_frames_match_in_process_calls() {
-    let reqs = source_requests(3, 4);
-    let frames: Vec<String> = reqs.iter().map(Request::to_json).collect();
+    let designs = ["design-0", "design-1", "empty", "design-2"];
+    for (model, status) in [
+        (Some(artifact(1)), ReplyStatus::Ok),
+        (None, ReplyStatus::Degraded),
+    ] {
+        let reqs = source_requests(&designs, 4);
+        let frames: Vec<String> = reqs.iter().map(Request::to_json).collect();
 
-    // Reference: the same requests answered in process, one call at a time.
-    let server = start_source_server(None);
-    let in_process: Vec<String> = reqs
-        .iter()
-        .map(|r| server.call(r.clone()).to_json())
-        .collect();
-    server.shutdown();
-    let misses = in_process
-        .iter()
-        .filter(|json| json.contains("\"cache\":\"miss\""))
-        .count();
-    assert_eq!(misses, 3, "one miss per design: {in_process:?}");
-    for json in &in_process {
-        let reply = Reply::from_json(json).expect("decode reply");
-        assert_eq!(reply.status, ReplyStatus::Ok, "{reply:?}");
+        // Reference: the same requests answered in process, one call at a
+        // time, and encoded from their fields.
+        let server = start_source_server(None, model.clone());
+        let in_process: Vec<Reply> = reqs.iter().map(|r| server.call(r.clone())).collect();
+        // In process the id is any u64; a hit echoes it and carries the
+        // answer every hit on its design carries.
+        let hit_on_1 = &in_process[1 + designs.len()];
+        for id in [0, (1 << 53) - 1, 1 << 53, u64::MAX] {
+            let hit = server.call(source_request(id, "design-1"));
+            assert_eq!(hit.id, id);
+            assert_eq!(
+                Reply {
+                    id: hit_on_1.id,
+                    ..hit
+                },
+                *hit_on_1
+            );
+        }
+        server.shutdown();
+        for (i, reply) in in_process.iter().enumerate() {
+            let cache = if i < designs.len() { "miss" } else { "hit" };
+            assert_eq!(reply.info.get("cache").map(String::as_str), Some(cache));
+            assert_eq!(reply.status, status, "{reply:?}");
+            let ops = reply.vertical.len().max(reply.lines.len());
+            assert_eq!(ops == 0, designs[i % designs.len()] == "empty", "{reply:?}");
+        }
+        let want: Vec<String> = in_process.iter().map(tree_json).collect();
+        let encoded: Vec<String> = in_process.iter().map(Reply::to_json).collect();
+        assert_eq!(
+            encoded, want,
+            "Reply::to_json diverged from the tree encoding"
+        );
+
+        // Pipelined on one connection: the hits queued behind a miss are
+        // answered by the worker in their turn.
+        let server = start_source_server(None, model.clone());
+        let (addr, net) = spawn_loop(&server);
+        let pipelined = roundtrip(addr, &frames);
+        server.shutdown();
+        net.join().expect("front-end thread");
+        assert_eq!(
+            pipelined, want,
+            "pipelined source frames diverged from in-process replies"
+        );
+
+        // One at a time, with the only worker granted one drain per miss:
+        // a hit that was not answered at admission would never be
+        // answered.
+        let gate = Arc::new(WorkGate::closed());
+        let server = start_source_server(Some(gate.clone()), model);
+        let (addr, net) = spawn_loop(&server);
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let one_at_a_time: Vec<String> = frames
+            .iter()
+            .zip(&want)
+            .map(|(frame, want)| {
+                if want.contains("\"cache\":\"miss\"") {
+                    gate.release(1);
+                }
+                write_frame(&mut stream, frame).expect("write frame");
+                read_frame(&mut stream)
+                    .expect("a hit is answered without a worker")
+                    .expect("reply frame")
+            })
+            .collect();
+        server.shutdown();
+        net.join().expect("front-end thread");
+        assert_eq!(
+            one_at_a_time, want,
+            "admission-answered hit frames diverged from in-process replies"
+        );
     }
-
-    // Pipelined on one connection: the hits queued behind a miss are
-    // answered by the worker in their turn.
-    let server = start_source_server(None);
-    let (addr, net) = spawn_loop(&server);
-    let pipelined = roundtrip(addr, &frames);
-    server.shutdown();
-    net.join().expect("front-end thread");
-    assert_eq!(
-        pipelined, in_process,
-        "pipelined source frames diverged from in-process replies"
-    );
-
-    // One at a time, with the only worker granted one drain per miss: a
-    // hit that was not answered at admission would never be answered.
-    let gate = Arc::new(WorkGate::closed());
-    let server = start_source_server(Some(gate.clone()));
-    let (addr, net) = spawn_loop(&server);
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("read timeout");
-    let one_at_a_time: Vec<String> = frames
-        .iter()
-        .zip(&in_process)
-        .map(|(frame, want)| {
-            if want.contains("\"cache\":\"miss\"") {
-                gate.release(1);
-            }
-            write_frame(&mut stream, frame).expect("write frame");
-            read_frame(&mut stream)
-                .expect("a hit is answered without a worker")
-                .expect("reply frame")
-        })
-        .collect();
-    server.shutdown();
-    net.join().expect("front-end thread");
-    assert_eq!(
-        one_at_a_time, in_process,
-        "admission-answered hit frames diverged from in-process replies"
-    );
 }

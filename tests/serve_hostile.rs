@@ -1,10 +1,15 @@
 //! Hostile input against the real `congestd` process: a `source` request
-//! nested far past the MiniHLS parser's cap must come back as a typed
-//! `error` reply, and the daemon must keep serving afterwards.
+//! nested far past the MiniHLS parser's cap, or an HTTP request on the
+//! framed socket, must come back as a typed `error` reply, and the daemon
+//! must keep serving afterwards.
 
-use fpga_hls_congestion::servekit::{request, Reply, ReplyStatus, Request, RequestBody};
-use std::io::{BufRead, BufReader};
+use fpga_hls_congestion::servekit::{
+    read_frame, request, Reply, ReplyStatus, Request, RequestBody, MAX_FRAME,
+};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
 /// A spawned daemon, killed if the test ends before it shuts down.
 struct Daemon(Child);
@@ -89,4 +94,59 @@ fn deeply_nested_source_gets_a_typed_error_and_the_daemon_keeps_serving() {
         daemon.0.wait().unwrap().success(),
         "clean exit after shutdown"
     );
+}
+
+/// Threads the daemon runs now, where the platform lists them.
+fn threads(daemon: &Daemon) -> Option<usize> {
+    let tasks = std::fs::read_dir(format!("/proc/{}/task", daemon.0.id())).ok()?;
+    Some(tasks.count())
+}
+
+/// An HTTP request on the framed socket: its first four bytes read as a
+/// length prefix far over the frame cap, so it gets the typed frame-cap
+/// reply and the connection is closed. No thread is started for it, and
+/// a request line that never ends holds nothing.
+#[test]
+fn http_requests_get_the_frame_cap_reply_and_no_thread() {
+    let (mut daemon, addr) = spawn_congestd();
+    let before = threads(&daemon);
+    let body = r#"{"id":3,"kind":"status"}"#;
+    let post = format!(
+        "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    for (verb, text) in [
+        ("POST", post.as_str()),
+        ("GET ", "GET / HTTP/1.0\r\n\r\n"),
+        ("POST", "POST / HTTP/1.1\r\n"),
+    ] {
+        let prefix = u32::from_le_bytes(verb.as_bytes().try_into().unwrap());
+        assert!(prefix > MAX_FRAME, "{verb:?} reads as {prefix}");
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(text.as_bytes()).unwrap();
+        let json = read_frame(&mut stream)
+            .expect("a framed reply")
+            .expect("the daemon answers before closing");
+        let reply = Reply::from_json(&json).expect("a typed reply");
+        assert_eq!(reply.status, ReplyStatus::Error, "{reply:?}");
+        let error = reply.error.unwrap_or_default();
+        assert!(
+            error.contains(&format!("frame length {prefix} exceeds")) && error.contains("cap"),
+            "{error}"
+        );
+        assert!(
+            read_frame(&mut stream).unwrap_or(None).is_none(),
+            "the connection is closed after the cap reply"
+        );
+    }
+    assert_eq!(threads(&daemon), before, "an HTTP client got a thread");
+
+    let status = call(&addr, 4, RequestBody::Status).expect("status after HTTP clients");
+    assert_eq!(status.status, ReplyStatus::Ok, "{status:?}");
+    let shutdown = call(&addr, 5, RequestBody::Shutdown).expect("shutdown");
+    assert_eq!(shutdown.status, ReplyStatus::Ok);
+    assert!(daemon.0.wait().unwrap().success());
 }
