@@ -2,10 +2,8 @@
 //! [`RunOptions::from_args`] reads arguments against [`FLAGS`], so a switch
 //! never swallows the next token, an unknown flag is an error naming it,
 //! and a flag of another command is an error naming the flag and the
-//! command rather than a flag silently ignored. The options then apply
-//! `serve`'s robustness flags to its [`SupervisorPolicy`], and write the
-//! shared output flags from an [`ObsRecord`], stamped by
-//! [`kernel_stamps`].
+//! command rather than a flag silently ignored. The options then write
+//! the output flags from an [`ObsRecord`], stamped by [`kernel_stamps`].
 //!
 //! ```
 //! use congestion_core::cli::RunOptions;
@@ -18,7 +16,6 @@
 //! ```
 
 use crate::features::ExtractKernel;
-use faultkit::{FaultPlan, SupervisorPolicy};
 use fpga_fabric::{MazeKernel, PlaceKernel};
 use mlkit::GbrtKernel;
 use obskit::{ObsRecord, RunRecord};
@@ -28,17 +25,23 @@ use std::path::Path;
 use std::str::FromStr;
 
 /// Every flag either binary accepts, as `(commands, flags)` groups: the
-/// `hls_congest` commands that read the flags, or `output` for the flags
+/// `hls_congest` commands that read the flags, or `every` for the flag
 /// every command of both binaries reads, or `experiments` for the flags
 /// every experiment of `experiments` reads. A trailing `=` marks a flag
 /// that takes the next token as its value; the others are switches. A
 /// flag may sit in several groups; it takes a value in all or in none.
-pub const FLAGS: [(&str, &str); 8] = [
+/// An output flag sits with the commands that write it.
+pub const FLAGS: [(&str, &str); 10] = [
+    (EVERY, "--version"),
     (
-        OUTPUT,
-        "--trace-out= --metrics-out= --ledger-out= --profile --version",
+        EXPERIMENTS,
+        "--fast --grid-search --trace-out= --metrics-out= --ledger-out= --profile",
     ),
-    (EXPERIMENTS, "--fast --grid-search"),
+    (
+        "implement dataset train predict serve",
+        "--trace-out= --metrics-out= --profile",
+    ),
+    ("dataset train serve", "--ledger-out="),
     ("implement dataset", "--router-stats"),
     ("dataset", "-o= --out= --workers= --fingerprint-out="),
     ("train", "--model= --target= --model-out= --model-version="),
@@ -47,7 +50,7 @@ pub const FLAGS: [(&str, &str); 8] = [
         "serve",
         "--model= --addr= --golden= --mae-band= --expect-features= --queue-capacity= \
          --serve-workers= --deadline-ms= --batch-max-rows= --cache-capacity= --journal= \
-         --fault-plan= --max-retries=",
+         --fault-plan=",
     ),
     (
         "serve-client",
@@ -57,7 +60,7 @@ pub const FLAGS: [(&str, &str); 8] = [
 ];
 
 /// The [`FLAGS`] group every command reads.
-const OUTPUT: &str = "output";
+const EVERY: &str = "every";
 
 /// The [`FLAGS`] group every experiment reads.
 const EXPERIMENTS: &str = "experiments";
@@ -94,7 +97,7 @@ enum Program {
 /// Whether `command` of `program` reads `flag` (a table name).
 fn reads(program: Program, command: &str, flag: &str) -> bool {
     entries(flag).any(|(commands, _, _)| match commands {
-        OUTPUT => true,
+        EVERY => true,
         EXPERIMENTS => program == Program::Experiments,
         commands => {
             program == Program::HlsCongest && commands.split_whitespace().any(|c| c == command)
@@ -114,8 +117,6 @@ pub enum ArgError {
     /// `(flag, command)`: a flag given to a command that does not read
     /// it. The command is empty when the line names none.
     NotForCommand(&'static str, String),
-    /// `(path, reason)`: a `--fault-plan` file that cannot be used.
-    FaultPlan(String, String),
 }
 
 impl fmt::Display for ArgError {
@@ -130,7 +131,6 @@ impl fmt::Display for ArgError {
             ArgError::NotForCommand(flag, command) => {
                 write!(f, "`{flag}` does not apply to `{command}`")
             }
-            ArgError::FaultPlan(path, reason) => write!(f, "bad --fault-plan {path}: {reason}"),
         }
     }
 }
@@ -187,7 +187,6 @@ pub struct RunOptions {
     pub positionals: Vec<String>,
     values: BTreeMap<&'static str, String>,
     switches: BTreeSet<&'static str>,
-    max_retries: Option<u32>,
     command_line: String,
 }
 
@@ -197,8 +196,8 @@ impl RunOptions {
     /// value.
     ///
     /// # Errors
-    /// An unknown flag, a value flag without a value, a flag the command
-    /// does not read, or a `--max-retries` that does not parse.
+    /// An unknown flag, a value flag without a value, or a flag the
+    /// command does not read.
     pub fn from_args<S: AsRef<str>>(args: &[S]) -> Result<RunOptions, ArgError> {
         Self::parse_for(Program::HlsCongest, args)
     }
@@ -250,7 +249,6 @@ impl RunOptions {
         if let Some(flag) = given.into_iter().find(|f| !reads(program, command, f)) {
             return Err(ArgError::NotForCommand(flag, command.to_string()));
         }
-        opts.max_retries = opts.parse("--max-retries")?;
         Ok(opts)
     }
 
@@ -282,27 +280,6 @@ impl RunOptions {
     /// configuration is the command line itself.
     pub fn command_digest(&self) -> u64 {
         obskit::fnv1a(&[self.command_line.as_bytes()])
-    }
-
-    /// The `--fault-plan` file, read and parsed.
-    ///
-    /// # Errors
-    /// [`ArgError::FaultPlan`] when the file cannot be read or parsed.
-    pub fn fault_plan(&self) -> Result<Option<FaultPlan>, ArgError> {
-        let Some(path) = self.value("--fault-plan") else {
-            return Ok(None);
-        };
-        let plan = std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| FaultPlan::from_json(&text).map_err(|e| e.to_string()))
-            .map_err(|reason| ArgError::FaultPlan(path.to_string(), reason))?;
-        eprintln!("armed fault plan {path} (seed {})", plan.seed);
-        Ok(Some(plan))
-    }
-
-    /// Apply `--max-retries` to congestd's supervision policy.
-    pub fn apply_to_policy(&self, policy: &mut SupervisorPolicy) {
-        policy.max_retries = self.max_retries.unwrap_or(policy.max_retries);
     }
 
     /// Honour `--trace-out` (Chrome trace), `--metrics-out` (snapshot
@@ -415,39 +392,47 @@ mod tests {
                 "--stage-timeout-ms 250 dataset",
                 unknown("--stage-timeout-ms"),
             ),
+            // congestd runs each stage once: there is no retry budget.
+            ("serve --max-retries 2", unknown("--max-retries")),
             ("dataset a.mhls -o", MissingValue("-o")),
             (
                 "dataset --fingerprint-out --router-stats",
                 MissingValue("--fingerprint-out"),
             ),
-            (
-                "serve --max-retries x",
-                BadValue("--max-retries", "x".into()),
-            ),
-            // Only `serve` reads the fault plan and the retry budget.
+            // Only `serve` reads the fault plan.
             (
                 "dataset a.mhls --fault-plan p.json",
                 NotForCommand("--fault-plan", "dataset".into()),
-            ),
-            (
-                "dataset --max-retries 5 a.mhls",
-                NotForCommand("--max-retries", "dataset".into()),
             ),
             (
                 "--fault-plan p.json dataset",
                 NotForCommand("--fault-plan", "dataset".into()),
             ),
             (
-                "--max-retries 1",
-                NotForCommand("--max-retries", String::new()),
-            ),
-            (
                 "serve-client --fault-plan p.json",
                 NotForCommand("--fault-plan", "serve-client".into()),
             ),
+            // An output flag is refused by a command that writes no such
+            // output.
             (
-                "train d.csv --max-retries x",
-                NotForCommand("--max-retries", "train".into()),
+                "compile mac16.mhls --metrics-out m.json",
+                NotForCommand("--metrics-out", "compile".into()),
+            ),
+            (
+                "implement mac16.mhls --ledger-out l.jsonl",
+                NotForCommand("--ledger-out", "implement".into()),
+            ),
+            (
+                "predict a.mhls --data d.csv --ledger-out l.jsonl",
+                NotForCommand("--ledger-out", "predict".into()),
+            ),
+            (
+                "serve-client --addr a:1 --status --trace-out t.json",
+                NotForCommand("--trace-out", "serve-client".into()),
+            ),
+            (
+                "--metrics-out m.json",
+                NotForCommand("--metrics-out", String::new()),
             ),
             // Another command's flag is refused, not ignored.
             (
@@ -467,10 +452,7 @@ mod tests {
             assert_eq!(parse(line).unwrap_err(), want, "{line}");
         }
         for (line, want) in [
-            (
-                "--fast --max-retries 1 table4",
-                NotForCommand("--max-retries", "table4".into()),
-            ),
+            ("--fast --max-retries 1 table4", unknown("--max-retries")),
             (
                 "--fast --addr 1.2.3.4:5 --journal j table1",
                 NotForCommand("--addr", "table1".into()),
@@ -492,31 +474,46 @@ mod tests {
             NotForCommand("--workers", String::new()).to_string(),
             "`--workers` needs a command that reads it"
         );
+        // A value is parsed where it is read.
+        assert_eq!(
+            parse("serve --queue-capacity x")
+                .unwrap()
+                .parse::<usize>("--queue-capacity"),
+            Err(BadValue("--queue-capacity", "x".into()))
+        );
     }
 
     /// What each command reads, written out by hand from the binaries
-    /// (beside the output flags every command reads): the table must
+    /// (beside `--version`, which every command reads): the table must
     /// admit exactly these, and refuse every other flag on every command.
     #[test]
     fn every_flag_is_refused_by_every_command_that_does_not_read_it() {
         use ArgError::NotForCommand;
-        let output = "--trace-out --metrics-out --ledger-out --profile --version";
+        let every = "--version";
         let hls_congest = [
             ("compile", ""),
             ("synth", ""),
-            ("implement", "--router-stats"),
+            (
+                "implement",
+                "--router-stats --trace-out --metrics-out --profile",
+            ),
             (
                 "dataset",
-                "-o --out --workers --router-stats --fingerprint-out",
+                "-o --out --workers --router-stats --fingerprint-out --trace-out --metrics-out \
+                 --ledger-out --profile",
             ),
-            ("train", "--model --target --model-out --model-version"),
-            ("predict", "--data"),
+            (
+                "train",
+                "--model --target --model-out --model-version --trace-out --metrics-out \
+                 --ledger-out --profile",
+            ),
+            ("predict", "--data --trace-out --metrics-out --profile"),
             ("drift", ""),
             (
                 "serve",
                 "--model --addr --golden --mae-band --expect-features --queue-capacity \
                  --serve-workers --deadline-ms --batch-max-rows --cache-capacity --journal \
-                 --fault-plan --max-retries",
+                 --fault-plan --trace-out --metrics-out --ledger-out --profile",
             ),
             (
                 "serve-client",
@@ -524,6 +521,8 @@ mod tests {
                  --limit --source",
             ),
         ];
+        let experiment_reads =
+            "--fast --grid-search --trace-out --metrics-out --ledger-out --profile";
         let experiments = [
             "table1",
             "table4",
@@ -544,7 +543,7 @@ mod tests {
             flags.windows(2).all(|w| w[0].0 != w[1].0),
             "a flag takes a value in every group or in none: {flags:?}"
         );
-        assert_eq!(flags.len(), 37, "{flags:?}");
+        assert_eq!(flags.len(), 36, "{flags:?}");
         let mut refused = 0;
         for &(flag, value) in &flags {
             let line = |command: Option<&'static str>| {
@@ -557,7 +556,7 @@ mod tests {
             };
             for (command, reads) in hls_congest {
                 let got = RunOptions::from_args(&line(Some(command)));
-                if among(output, flag) || among(reads, flag) {
+                if among(every, flag) || among(reads, flag) {
                     assert!(got.is_ok(), "{command} {flag}: {got:?}");
                 } else {
                     let want = NotForCommand(flag, command.to_string());
@@ -566,10 +565,10 @@ mod tests {
                 }
             }
             let got = RunOptions::from_args(&line(None));
-            assert_eq!(got.is_ok(), among(output, flag), "{flag}: {got:?}");
+            assert_eq!(got.is_ok(), among(every, flag), "{flag}: {got:?}");
             for command in experiments.map(Some).into_iter().chain([None]) {
                 let got = RunOptions::from_experiment_args(&line(command));
-                if among(output, flag) || among("--fast --grid-search", flag) {
+                if among(every, flag) || among(experiment_reads, flag) {
                     assert!(got.is_ok(), "{command:?} {flag}: {got:?}");
                 } else {
                     let want = NotForCommand(flag, command.unwrap_or("all").to_string());
@@ -581,26 +580,12 @@ mod tests {
         assert!(refused > 300, "{refused}");
     }
 
-    /// Only `serve` takes the robustness flags; every other command
-    /// refuses them (`every_flag_is_refused_by_every_command_that_does_not_read_it`).
-    #[test]
-    fn robustness_flags_reach_the_flow_and_the_policy() {
-        let opts = parse("serve --max-retries 5").unwrap();
-        let mut policy = SupervisorPolicy::default();
-        opts.apply_to_policy(&mut policy);
-        assert_eq!(policy.max_retries, 5);
-        let mut policy = SupervisorPolicy::default();
-        parse("serve").unwrap().apply_to_policy(&mut policy);
-        assert_eq!(policy, SupervisorPolicy::default());
-        let missing = parse("serve --fault-plan /nonexistent/plan.json").unwrap();
-        assert!(matches!(missing.fault_plan(), Err(ArgError::FaultPlan(..))));
-    }
-
     #[test]
     fn ledger_records_carry_every_kernel_stamp() {
         let path = std::env::temp_dir().join(format!("core-cli-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let opts = RunOptions::from_args(&["--ledger-out", path.to_str().unwrap()]).unwrap();
+        let opts =
+            RunOptions::from_args(&["train", "--ledger-out", path.to_str().unwrap()]).unwrap();
         let tool = Tool::new("t", "0", None);
         let note = |r: &mut RunRecord| {
             r.note("model", "GBRT");

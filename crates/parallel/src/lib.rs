@@ -45,8 +45,9 @@ use std::sync::Mutex;
 /// instead of letting the unwind cross the thread join and poison the whole
 /// batch. The original payload is preserved, so callers that do want to die
 /// can [`Panicked::resume`] with full fidelity (typed payloads like
-/// faultkit's marker structs survive the round trip). Callers that catch
-/// panics themselves wrap the payload with `Panicked::from` to render it.
+/// servekit's injected-panic marker survive the round trip). Callers that
+/// catch panics themselves wrap the payload with `Panicked::from` to
+/// render it.
 pub struct Panicked {
     payload: Box<dyn Any + Send + 'static>,
 }

@@ -9,11 +9,10 @@
 //! `obskit::json`'s pull reader straight into their fields, and a reply
 //! the reply cache answers is written from the text its miss encoded.
 //!
-//! The crate deliberately depends only on `mlkit` (prediction), `faultkit`
-//! (supervision + injection), and `obskit` (journal idiom + metrics): the
-//! MiniHLS front-end for `source` requests is a callback the binary wires
-//! in, keeping the serving layer reusable and the dependency graph
-//! acyclic.
+//! The crate deliberately depends only on `mlkit` (prediction), `obskit`
+//! (journal idiom + metrics) and `parkit` (panic rendering): the MiniHLS
+//! front-end for `source` requests is a callback the binary wires in,
+//! keeping the serving layer reusable and the dependency graph acyclic.
 //!
 //! Module map:
 //! - [`proto`] — request/reply wire types (JSON), encoded and decoded
@@ -26,7 +25,10 @@
 //! - [`artifact`] — versioned on-disk model artifacts.
 //! - [`journal`] — append-only crash-recovery journal.
 //! - [`estimator`] — the analytic degraded-path estimator.
-//! - [`server`] — the request engine tying it together.
+//! - [`server`] — the request engine tying it together; it runs each
+//!   serve stage once under `catch_unwind`.
+//! - [`plan`] — fault plans for chaos tests, and the faults they inject
+//!   at the serve stages.
 //! - [`net`] — TCP framing, the poll(2) event-loop front-end, client
 //!   helper.
 
@@ -40,6 +42,7 @@ pub mod cache;
 pub mod estimator;
 pub mod journal;
 pub mod net;
+pub mod plan;
 pub mod proto;
 pub mod queue;
 pub mod registry;
@@ -50,6 +53,7 @@ pub use cache::{CacheStats, CachedReply, ReplyCache};
 pub use estimator::{AnalyticEstimator, ANALYTIC_MODEL};
 pub use journal::{Journal, JournalEvent, RecoveredState, JOURNAL_SCHEMA};
 pub use net::{read_frame, request, serve_event_loop, write_frame, MAX_FRAME};
+pub use plan::{serve_stages, FaultKind, FaultPlan, FaultRule};
 pub use proto::{Reply, ReplyStatus, Request, RequestBody};
 pub use queue::{coalesce_plan, shed_plan, AdmissionQueue, Admit, TraceStep, WorkGate};
 pub use registry::{GateOutcome, GoldenBatch, ModelRegistry, ValidationGate};

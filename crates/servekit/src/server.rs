@@ -1,36 +1,38 @@
 //! The `congestd` request engine: bounded admission, worker pool,
-//! supervised execution, degradation ladder, crash-only journaling.
+//! stages run once under panic isolation, degradation ladder, crash-only
+//! journaling.
 //!
 //! Request lifecycle (DESIGN.md §14 has the state machine):
 //!
 //! ```text
-//! submit ── serve.admission (supervised) ──► queue (bounded, shed-oldest)
+//! submit ── serve.admission (with a plan) ──► queue (bounded, shed-oldest)
 //!        │        │                              │
 //!        │        └─► source hit on an idle      ▼ worker pop
 //!        │            server: answered here
 //!        └─► Overloaded / Error
 //!                       deadline check ──► DeadlineExceeded
 //!                       serve.extract / serve.predict / serve.swap
-//!                       (supervised: retries + panic isolation)
-//!                            │ terminal model failure
+//!                       (each run once under catch_unwind)
+//!                            │ model failure
 //!                            ▼
 //!                       demote to last-good ──► analytic (degraded=true)
 //! ```
 //!
 //! Every admitted request receives exactly one typed reply; no failure
 //! mode — injected panic, poisoned model, overload, deadline — exits the
-//! process.
+//! process. A stage's failure is deterministic, so nothing is retried.
 
 use crate::cache::{CacheStats, CachedReply, ReplyCache};
 use crate::estimator::{AnalyticEstimator, ANALYTIC_MODEL};
 use crate::journal::{Journal, JournalEvent, RecoveredState};
+use crate::plan::{serve_stages, silence_injected_panics, FaultPlan, InjectedPanic};
 use crate::proto::{Reply, ReplyStatus, Request, RequestBody};
 use crate::queue::{AdmissionQueue, Admit, WorkGate};
 use crate::registry::{ModelRegistry, ValidationGate};
 use crate::ModelArtifact;
-use faultkit::{serve_stages, FaultPlan, StageFailure, Supervisor, SupervisorPolicy};
 use mlkit::Matrix;
 use obskit::QuantileSketch;
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -86,8 +88,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Deadline applied to requests that carry none.
     pub default_deadline: Option<Duration>,
-    /// Supervision policy for the serve stages (retry budget).
-    pub policy: SupervisorPolicy,
     /// Armed fault plan (chaos testing).
     pub plan: Option<Arc<FaultPlan>>,
     /// Journal path; `None` disables crash-only persistence.
@@ -126,7 +126,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("queue_capacity", &self.queue_capacity)
             .field("workers", &self.workers)
             .field("default_deadline", &self.default_deadline)
-            .field("policy", &self.policy)
             .field("plan", &self.plan)
             .field("journal_path", &self.journal_path)
             .field("gate", &self.gate)
@@ -146,7 +145,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             workers: 1,
             default_deadline: None,
-            policy: SupervisorPolicy::default(),
             plan: None,
             journal_path: None,
             gate: ValidationGate::default(),
@@ -178,8 +176,6 @@ pub struct ServeMetrics {
     pub errors: u64,
     /// Faults injected across serve stages.
     pub injected: u64,
-    /// Retries performed across serve stages.
-    pub retries: u64,
     /// Peak queue depth observed at admission.
     pub queue_depth_peak: u64,
     /// Multi-request micro-batches formed by coalescing workers.
@@ -214,7 +210,6 @@ impl ServeMetrics {
         r.inc("serve.degraded", self.degraded);
         r.inc("serve.errors", self.errors);
         r.inc("serve.injected", self.injected);
-        r.inc("serve.retries", self.retries);
         r.inc("serve.swap.committed", swaps);
         r.inc("serve.swap.rejected", rejects);
         r.inc("serve.swap.rollbacks", rollbacks);
@@ -400,7 +395,7 @@ impl Server {
         initial: Option<ModelArtifact>,
         extractor: Option<Arc<SourceExtractor>>,
     ) -> std::io::Result<(Server, StartReport)> {
-        faultkit::silence_injected_panics();
+        silence_injected_panics();
         let mut report = StartReport::default();
         let mut journal = None;
         if let Some(path) = &cfg.journal_path {
@@ -480,31 +475,25 @@ impl Server {
         let (tx, rx) = mpsc::channel();
         let state = &self.state;
         let id = req.id;
-        // The admission stage is supervised like any other: an injected
-        // admission fault degrades into a typed Error reply, not a crash.
-        let sup = Supervisor::new(
-            state.cfg.policy.clone(),
-            state.cfg.plan.clone(),
-            &format!("req-{id}"),
-        );
-        let run = sup.run_stage(
-            serve_stages::ADMISSION,
-            |_| faultkit::inject(serve_stages::ADMISSION).map_err(|f| f.to_string()),
-            |_| true,
-        );
-        if run.log.injected > 0 || run.log.retries() > 0 {
-            let mut m = state.metrics.lock().unwrap();
-            m.injected += u64::from(run.log.injected);
-            m.retries += u64::from(run.log.retries());
-        }
-        if let Err(failure) = run.result {
-            let mut m = state.metrics.lock().unwrap();
-            m.admitted += 1;
-            m.completed += 1;
-            m.errors += 1;
-            drop(m);
-            let _ = tx.send(Reply::error(id, format!("admission failed: {failure}")).into());
-            return PendingReply(rx);
+        // Admission is a stage only under a fault plan, which is all it
+        // runs: an injected admission fault degrades into a typed Error
+        // reply, not a crash. Without one it costs nothing.
+        if state.cfg.plan.is_some() {
+            let admitted = run_stage(
+                state,
+                serve_stages::ADMISSION,
+                || format!("req-{id}"),
+                || (),
+            );
+            if let Err(failure) = admitted {
+                let mut m = state.metrics.lock().expect("metrics lock poisoned");
+                m.admitted += 1;
+                m.completed += 1;
+                m.errors += 1;
+                drop(m);
+                let _ = tx.send(Reply::error(id, format!("admission failed: {failure}")).into());
+                return PendingReply(rx);
+            }
         }
         let admitted_at = Instant::now();
         let mut probe = None;
@@ -708,8 +697,8 @@ fn worker_loop(state: &Arc<ServerState>) {
         if batch.len() == 1 {
             let job = &batch[0];
             let id = job.req.id;
-            // Last-resort isolation: even a bug outside the supervised
-            // stages becomes a typed Error reply, never a dead worker.
+            // Last-resort isolation: even a bug outside the stages
+            // becomes a typed Error reply, never a dead worker.
             let answer = catch_unwind(AssertUnwindSafe(|| process(state, job)))
                 .unwrap_or_else(|_| Reply::error(id, "internal panic (isolated)").into());
             finish(state, job, answer);
@@ -896,12 +885,12 @@ fn batch_replies(state: &Arc<ServerState>, batch: &[Job]) -> Vec<Reply> {
         .collect()
 }
 
-/// The merged-batch rung of the degradation ladder: one supervised
-/// `predict_into` call over the whole merged matrix (members already
-/// passed their dequeue deadline check; a coalesced member runs to
-/// completion). Terminal model failure demotes once and answers the whole
-/// batch on the analytic rung, stamped `Degraded` — exactly what each
-/// member would have seen per-request.
+/// The merged-batch rung of the degradation ladder: one `predict_into`
+/// call over the whole merged matrix (members already passed their
+/// dequeue deadline check; a coalesced member runs to completion). A
+/// model failure demotes once and answers the whole batch on the analytic
+/// rung, stamped `Degraded` — exactly what each member would have seen
+/// per-request.
 fn predict_merged(
     state: &Arc<ServerState>,
     first_id: u64,
@@ -909,30 +898,20 @@ fn predict_merged(
 ) -> (ReplyStatus, String, Vec<f64>, Vec<f64>) {
     let active = state.registry.lock().unwrap().active();
     if let Some(model) = active {
-        let sup = Supervisor::new(
-            state.cfg.policy.clone(),
-            state.cfg.plan.clone(),
-            &format!("req-{first_id}"),
-        );
-        let run = sup.run_stage(
+        let predicted = run_stage(
+            state,
             serve_stages::PREDICT,
-            |_| {
-                faultkit::inject(serve_stages::PREDICT).map_err(|f| f.to_string())?;
+            || format!("req-{first_id}"),
+            || {
                 let n = merged.rows();
                 let mut v = vec![0.0; n];
                 let mut h = vec![0.0; n];
                 model.vertical.predict_into(merged, &mut v);
                 model.horizontal.predict_into(merged, &mut h);
-                Ok((v, h))
+                (v, h)
             },
-            |_: &String| true,
         );
-        {
-            let mut met = state.metrics.lock().unwrap();
-            met.injected += u64::from(run.log.injected);
-            met.retries += u64::from(run.log.retries());
-        }
-        match run.result {
+        match predicted {
             Ok((v, h)) => return (ReplyStatus::Ok, model.display_name(), v, h),
             Err(_) => demote_active(state),
         }
@@ -941,7 +920,7 @@ fn predict_merged(
     (ReplyStatus::Degraded, ANALYTIC_MODEL.to_string(), v, h)
 }
 
-/// Terminal model-path failure: demote (last-good takes over for future
+/// Model-path failure: demote (last-good takes over for future
 /// requests), journal the rollback, and invalidate the reply cache —
 /// the active-model epoch changed.
 fn demote_active(state: &Arc<ServerState>) {
@@ -1047,21 +1026,7 @@ fn predict_request(
     }
 }
 
-enum PredictErr {
-    Deadline,
-    Injected(String),
-}
-
-impl std::fmt::Display for PredictErr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PredictErr::Deadline => write!(f, "deadline exceeded"),
-            PredictErr::Injected(m) => write!(f, "{m}"),
-        }
-    }
-}
-
-/// The degradation ladder: active model → (on terminal failure) demote to
+/// The degradation ladder: active model → (on a model failure) demote to
 /// last-good → analytic estimator, stamped `Degraded`.
 fn predict_ladder(
     state: &Arc<ServerState>,
@@ -1071,16 +1036,12 @@ fn predict_ladder(
 ) -> (ReplyStatus, String, Vec<f64>, Vec<f64>) {
     let active = state.registry.lock().unwrap().active();
     if let Some(model) = active {
-        let sup = Supervisor::new(
-            state.cfg.policy.clone(),
-            state.cfg.plan.clone(),
-            &format!("req-{id}"),
-        );
-        let run = sup.run_stage(
+        // `None` when the deadline passed between chunks.
+        let predicted = run_stage(
+            state,
             serve_stages::PREDICT,
-            |_| {
-                faultkit::inject(serve_stages::PREDICT)
-                    .map_err(|f| PredictErr::Injected(f.to_string()))?;
+            || format!("req-{id}"),
+            || {
                 let n = rows.rows();
                 let mut v = vec![0.0; n];
                 let mut h = vec![0.0; n];
@@ -1090,7 +1051,7 @@ fn predict_ladder(
                     // that blows its budget mid-batch stops early instead
                     // of stalling the worker.
                     if past(deadline) {
-                        return Err(PredictErr::Deadline);
+                        return None;
                     }
                     let end = (start + PREDICT_CHUNK).min(n);
                     model
@@ -1101,18 +1062,12 @@ fn predict_ladder(
                         .predict_rows_into(rows, start, &mut h[start..end]);
                     start = end;
                 }
-                Ok((v, h))
+                Some((v, h))
             },
-            |e| matches!(e, PredictErr::Injected(_)),
         );
-        {
-            let mut met = state.metrics.lock().unwrap();
-            met.injected += u64::from(run.log.injected);
-            met.retries += u64::from(run.log.retries());
-        }
-        match run.result {
-            Ok((v, h)) => return (ReplyStatus::Ok, model.display_name(), v, h),
-            Err(StageFailure::Error(PredictErr::Deadline)) => {
+        match predicted {
+            Ok(Some((v, h))) => return (ReplyStatus::Ok, model.display_name(), v, h),
+            Ok(None) => {
                 return (
                     ReplyStatus::DeadlineExceeded,
                     model.display_name(),
@@ -1121,15 +1076,59 @@ fn predict_ladder(
                 )
             }
             Err(_) => {
-                // Terminal model-path failure: demote (last-good takes
-                // over for *future* requests) and answer this one on the
-                // analytic rung.
+                // A model-path failure: demote (last-good takes over for
+                // *future* requests) and answer this one on the analytic
+                // rung.
                 demote_active(state);
             }
         }
     }
     let (v, h) = analytic_predict(state, rows);
     (ReplyStatus::Degraded, ANALYTIC_MODEL.to_string(), v, h)
+}
+
+/// Run one serve stage, once: apply the armed plan's fault for
+/// `(design, stage)`, counted in `serve.injected`, then `body`, both under
+/// one `catch_unwind`. `Err` is the injected error or the caught panic,
+/// as reply text; `body`'s own result is `Ok`. `design` names the stage's
+/// request or design in the plan, and is only built when a plan is armed.
+///
+/// Asserting unwind safety is sound: a body only reads shared state (the
+/// model, the request, the extractor), and what it builds is dropped with
+/// the unwind.
+fn run_stage<T>(
+    state: &ServerState,
+    stage: &str,
+    design: impl FnOnce() -> String,
+    body: impl FnOnce() -> T,
+) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        if let Some(plan) = &state.cfg.plan {
+            let design = design();
+            if let Some(rule) = plan.fault_for(&design, stage) {
+                state
+                    .metrics
+                    .lock()
+                    .expect("metrics lock poisoned")
+                    .injected += 1;
+                rule.kind
+                    .inject(&design, stage)
+                    .map_err(|f| f.to_string())?;
+            }
+        }
+        Ok(body())
+    }))
+    .unwrap_or_else(|payload| Err(panic_text(payload)))
+}
+
+/// A caught panic as reply text, `panic: {message}`. An injected panic's
+/// message is in its [`InjectedPanic`] payload; any other is rendered by
+/// `parkit::Panicked`.
+fn panic_text(payload: Box<dyn Any + Send>) -> String {
+    match payload.downcast::<InjectedPanic>() {
+        Ok(injected) => format!("panic: {}", injected.message),
+        Err(payload) => parkit::Panicked::from(payload).to_string(),
+    }
 }
 
 fn analytic_predict(state: &ServerState, rows: &Matrix) -> (Vec<f64>, Vec<f64>) {
@@ -1191,26 +1190,14 @@ fn source_request(
             (probe, None) => probe,
         },
     };
-    let sup = Supervisor::new(
-        state.cfg.policy.clone(),
-        state.cfg.plan.clone(),
-        // Keyed by design name so fault plans can target one design.
-        name,
-    );
-    let run = sup.run_stage(
+    // Keyed by design name so fault plans can target one design.
+    let extracted = run_stage(
+        state,
         serve_stages::EXTRACT,
-        |_| {
-            faultkit::inject(serve_stages::EXTRACT).map_err(|f| f.to_string())?;
-            extractor(name, text)
-        },
-        |_| true,
+        || name.to_string(),
+        || extractor(name, text),
     );
-    {
-        let mut m = state.metrics.lock().unwrap();
-        m.injected += u64::from(run.log.injected);
-        m.retries += u64::from(run.log.retries());
-    }
-    let (rows, lines) = match run.result {
+    let (rows, lines) = match extracted.and_then(|e| e) {
         Ok(v) => v,
         Err(failure) => return Reply::error(id, format!("extract failed: {failure}")).into(),
     };
@@ -1255,28 +1242,13 @@ fn source_request(
 }
 
 fn swap_request(state: &Arc<ServerState>, id: u64, path: &str) -> Reply {
-    let sup = Supervisor::new(
-        state.cfg.policy.clone(),
-        state.cfg.plan.clone(),
-        &format!("req-{id}"),
-    );
-    let path_owned = path.to_string();
-    let run = sup.run_stage(
+    let loaded = run_stage(
+        state,
         serve_stages::SWAP,
-        move |_| {
-            faultkit::inject(serve_stages::SWAP).map_err(|f| f.to_string())?;
-            ModelArtifact::load(std::path::Path::new(&path_owned))
-        },
-        // Load/parse failures are permanent (the file will not heal);
-        // injected faults are transient.
-        |e| e.contains("injected"),
+        || format!("req-{id}"),
+        || ModelArtifact::load(std::path::Path::new(path)),
     );
-    {
-        let mut m = state.metrics.lock().unwrap();
-        m.injected += u64::from(run.log.injected);
-        m.retries += u64::from(run.log.retries());
-    }
-    let outcome = match run.result {
+    let outcome = match loaded.and_then(|l| l) {
         Ok(artifact) => {
             let name = artifact.display_name();
             let mut reg = state.registry.lock().unwrap();
@@ -1290,7 +1262,7 @@ fn swap_request(state: &Arc<ServerState>, id: u64, path: &str) -> Reply {
             if reg.active().is_some() {
                 reg.rollbacks += 1;
             }
-            Err(failure.to_string())
+            Err(failure)
         }
     };
     let active_now = state.registry.lock().unwrap().active_name();
@@ -1422,7 +1394,7 @@ fn status_request(state: &Arc<ServerState>, id: u64) -> Reply {
 mod tests {
     use super::*;
     use crate::artifact::LEAF;
-    use faultkit::{FaultKind, FaultRule};
+    use crate::plan::{FaultKind, FaultRule};
     use mlkit::CompiledEnsemble;
     use std::sync::atomic::AtomicU64;
 
@@ -1784,12 +1756,13 @@ mod tests {
 
     #[test]
     fn a_hit_never_predicts() {
-        // Every predict attempt of request 2 fails: were the hit to
-        // predict, it would demote the model and answer degraded.
-        let plan = FaultPlan::new(1).with_rule(
-            FaultRule::once("req-2", serve_stages::PREDICT, FaultKind::Error)
-                .for_attempts(u32::MAX),
-        );
+        // Request 2's prediction fails: were the hit to predict, it would
+        // demote the model and answer degraded.
+        let plan = FaultPlan::new(1).with_rule(FaultRule::new(
+            "req-2",
+            serve_stages::PREDICT,
+            FaultKind::Error,
+        ));
         let (s, extractions) = start_counting(plan);
         let miss = s.call(source(1, None));
         assert_eq!(miss.info.get("cache").map(String::as_str), Some("miss"));
@@ -1811,7 +1784,7 @@ mod tests {
     #[test]
     fn a_miss_cut_short_by_its_deadline_leaves_no_entry() {
         // Request 1's prediction sleeps past its 20 ms deadline.
-        let plan = FaultPlan::new(1).with_rule(FaultRule::once(
+        let plan = FaultPlan::new(1).with_rule(FaultRule::new(
             "req-1",
             serve_stages::PREDICT,
             FaultKind::Delay(Duration::from_millis(50)),
@@ -1831,12 +1804,13 @@ mod tests {
 
     #[test]
     fn a_degraded_answer_after_a_demotion_is_not_kept() {
-        // Request 1's prediction fails for good: the model is demoted to
-        // nothing, which bumps the generation before the miss inserts.
-        let plan = FaultPlan::new(1).with_rule(
-            FaultRule::once("req-1", serve_stages::PREDICT, FaultKind::Error)
-                .for_attempts(u32::MAX),
-        );
+        // Request 1's prediction fails: the model is demoted to nothing,
+        // which bumps the generation before the miss inserts.
+        let plan = FaultPlan::new(1).with_rule(FaultRule::new(
+            "req-1",
+            serve_stages::PREDICT,
+            FaultKind::Error,
+        ));
         let (s, extractions) = start_counting(plan);
         let first = s.call(source(1, None));
         assert_eq!(first.status, ReplyStatus::Degraded, "{first:?}");
@@ -1852,6 +1826,146 @@ mod tests {
         assert_eq!(third.model, ANALYTIC_MODEL);
         assert_eq!(bits(&third.vertical), bits(&second.vertical));
         assert_eq!(extractions.load(Ordering::SeqCst), 2);
+        s.shutdown();
+    }
+
+    #[test]
+    fn a_failing_extraction_runs_once() {
+        // An extractor that rejects `bad` and panics on `boom`: each
+        // failure is deterministic, so the stage runs once.
+        let calls = Arc::new(AtomicU64::new(0));
+        let counter = calls.clone();
+        let extractor: Arc<SourceExtractor> = Arc::new(move |_name, text: &str| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            match text {
+                "boom" => panic!("extractor bug"),
+                _ => Err("parse error at 1:1".to_string()),
+            }
+        });
+        let (s, _) = Server::start(
+            ServeConfig::default(),
+            Some(stump_artifact(1, 4)),
+            Some(extractor),
+        )
+        .unwrap();
+        let ask = |id, text: &str| {
+            s.call(Request {
+                id,
+                deadline_ms: None,
+                body: RequestBody::Source {
+                    name: "d".into(),
+                    text: text.into(),
+                },
+            })
+        };
+        let rejected = ask(1, "bad");
+        assert_eq!(rejected.status, ReplyStatus::Error);
+        assert_eq!(
+            rejected.error.as_deref(),
+            Some("extract failed: parse error at 1:1")
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "an error runs once");
+        let panicked = ask(2, "boom");
+        assert_eq!(panicked.status, ReplyStatus::Error);
+        assert_eq!(
+            panicked.error.as_deref(),
+            Some("extract failed: panic: extractor bug")
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 2, "a panic runs once");
+        let m = s.metrics();
+        assert_eq!(m.counters["serve.errors"], 2);
+        // Exactly these counters: no stage retries, so none counts retries.
+        let counters: Vec<&str> = m.counters.keys().map(String::as_str).collect();
+        assert_eq!(
+            counters,
+            [
+                "serve.admitted",
+                "serve.batch.coalesced_requests",
+                "serve.batch.formed",
+                "serve.batch.rows",
+                "serve.cache.evictions",
+                "serve.cache.hits",
+                "serve.cache.invalidations",
+                "serve.cache.lookups",
+                "serve.cache.misses",
+                "serve.completed",
+                "serve.deadline_missed",
+                "serve.degraded",
+                "serve.errors",
+                "serve.injected",
+                "serve.shed",
+                "serve.swap.committed",
+                "serve.swap.rejected",
+                "serve.swap.rollbacks",
+            ]
+        );
+        s.shutdown();
+    }
+
+    #[test]
+    fn an_injected_predict_error_demotes_on_the_first_request() {
+        // No second attempt recovers it: the first request the rule
+        // matches demotes the model and is answered on the analytic rung.
+        let plan = FaultPlan::new(1).with_rule(FaultRule::new(
+            "*",
+            serve_stages::PREDICT,
+            FaultKind::Error,
+        ));
+        let s = start_simple(ServeConfig {
+            plan: Some(Arc::new(plan)),
+            ..ServeConfig::default()
+        });
+        let r = s.call(Request::predict(1, vec![vec![1.0; 4]]));
+        assert_eq!(r.status, ReplyStatus::Degraded, "{r:?}");
+        assert_eq!(r.model, ANALYTIC_MODEL);
+        assert_eq!(s.active_model(), ANALYTIC_MODEL);
+        let m = s.metrics();
+        assert_eq!(m.counters["serve.injected"], 1);
+        assert_eq!(m.counters["serve.swap.rollbacks"], 1);
+        s.shutdown();
+    }
+
+    #[test]
+    fn injected_faults_are_answered_with_their_stage_and_design() {
+        let plan = FaultPlan::new(1)
+            .with_rule(FaultRule::new(
+                "req-2",
+                serve_stages::SWAP,
+                FaultKind::Panic,
+            ))
+            .with_rule(FaultRule::new(
+                "req-3",
+                serve_stages::ADMISSION,
+                FaultKind::Error,
+            ));
+        let s = start_simple(ServeConfig {
+            plan: Some(Arc::new(plan)),
+            ..ServeConfig::default()
+        });
+        let swap = s.call(Request {
+            id: 2,
+            deadline_ms: None,
+            body: RequestBody::Swap {
+                path: "unread.json".into(),
+            },
+        });
+        assert_eq!(
+            swap.error.as_deref(),
+            Some("swap rejected: panic: injected panic at `serve.swap` (design `req-2`)")
+        );
+        assert_eq!(swap.model, "gbrt@v1");
+        let refused = s.call(Request::predict(3, vec![vec![1.0; 4]]));
+        assert_eq!(
+            refused.error.as_deref(),
+            Some(
+                "admission failed: injected transient error at `serve.admission` (design `req-3`)"
+            )
+        );
+        let ok = s.call(Request::predict(4, vec![vec![1.0; 4]]));
+        assert_eq!(ok.status, ReplyStatus::Ok);
+        let m = s.metrics();
+        assert_eq!(m.counters["serve.injected"], 2);
+        assert_eq!(m.counters["serve.swap.rejected"], 1);
         s.shutdown();
     }
 

@@ -17,7 +17,7 @@
 //!                       [--queue-capacity N] [--serve-workers N] [--deadline-ms MS]
 //!                       [--batch-max-rows N] [--cache-capacity N]
 //!                       [--journal journal.jsonl] [--fault-plan plan.json]
-//!                       [--max-retries N] [--ledger-out runs.jsonl]
+//!                       [--ledger-out runs.jsonl]
 //!                                                   run congestd: the crash-only,
 //!                                                   load-shedding prediction daemon
 //! hls-congest serve-client --addr HOST:PORT
@@ -31,14 +31,15 @@
 //! hls-congest --version                             crate version + git hash
 //! ```
 //!
-//! The `implement`, `dataset`, `train` and `predict` commands also accept the
-//! shared observability flags:
+//! The `implement`, `dataset`, `train`, `predict` and `serve` commands also
+//! accept the observability flags, and `dataset`, `train` and `serve` the
+//! run ledger (`serve` appends one record per swap verdict):
 //!
 //! ```text
 //! --trace-out <trace.json>     Chrome trace-event JSON (chrome://tracing, Perfetto)
 //! --metrics-out <metrics.json> flat metrics snapshot (obskit.metrics.v1)
-//! --ledger-out <runs.jsonl>    append one obskit.run.v1 record for this run
 //! --profile                    per-span wall-clock table on stdout
+//! --ledger-out <runs.jsonl>    append one obskit.run.v1 record for this run
 //! ```
 //!
 //! `dataset` additionally takes `--fingerprint-out <fp.json>`: a
@@ -46,8 +47,8 @@
 //! (per-column quantile sketches + matrix digest), consumed by `drift`.
 //!
 //! Every flag is parsed by `congestion_core::cli::RunOptions`; an unknown
-//! flag, or a flag of another command (`dataset --journal j.jsonl`), is an
-//! error naming it.
+//! flag, or a flag of another command (`dataset --journal j.jsonl`,
+//! `compile --metrics-out m.json`), is an error naming it.
 
 use fpga_hls_congestion::congestion_core::cli::{RunOptions, Tool};
 use fpga_hls_congestion::obskit;
@@ -201,7 +202,7 @@ fn implement_cmd(opts: &RunOptions) -> Result {
 /// and `--fault-plan` arms chaos injection at the `serve.*` stages.
 fn serve_cmd(opts: &RunOptions) -> Result {
     use fpga_hls_congestion::servekit::{
-        self, GoldenBatch, LedgerSink, ModelArtifact, ServeConfig,
+        self, FaultPlan, GoldenBatch, LedgerSink, ModelArtifact, ServeConfig,
     };
     use std::time::Duration;
     let congestd = Tool::new("congestd", TOOL.version, Some(TOOL.git));
@@ -242,8 +243,14 @@ fn serve_cmd(opts: &RunOptions) -> Result {
         congestion_core::source_digest(name, text)
     }));
     cfg.journal_path = opts.value("--journal").map(Into::into);
-    cfg.plan = opts.fault_plan()?.map(std::sync::Arc::new);
-    opts.apply_to_policy(&mut cfg.policy);
+    if let Some(path) = opts.value("--fault-plan") {
+        let plan = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| FaultPlan::from_json(&text).map_err(|e| e.to_string()))
+            .map_err(|reason| format!("bad --fault-plan {path}: {reason}"))?;
+        eprintln!("armed fault plan {path} (seed {})", plan.seed);
+        cfg.plan = Some(std::sync::Arc::new(plan));
+    }
     cfg.ledger = opts.value("--ledger-out").map(|path| LedgerSink {
         path: path.into(),
         tool: congestd.name.into(),
@@ -258,7 +265,8 @@ fn serve_cmd(opts: &RunOptions) -> Result {
         None => None,
     };
     // The MiniHLS front-end for `source` requests: compile + synthesize +
-    // extract, all inside the supervised serve.extract stage.
+    // extract, all inside the serve.extract stage, run once under
+    // panic isolation.
     let extractor: std::sync::Arc<servekit::SourceExtractor> =
         std::sync::Arc::new(|name: &str, text: &str| {
             let module = compile_named(text, name).map_err(|e| e.to_string())?;

@@ -15,7 +15,8 @@
 //!   congestion resolution;
 //! * [`servekit`] — `congestd`, the crash-only, load-shedding prediction
 //!   service: hot-swap model registry, bounded admission, degradation
-//!   ladder, crash-recovery journal.
+//!   ladder, crash-recovery journal, and the fault plans its chaos tests
+//!   arm.
 //!
 //! This facade crate re-exports all of them and hosts the runnable examples
 //! (`examples/`) and cross-crate integration tests (`tests/`).
@@ -47,7 +48,6 @@
 //! ```
 
 pub use congestion_core;
-pub use faultkit;
 pub use fpga_fabric;
 pub use hls_ir;
 pub use hls_synth;
@@ -64,10 +64,10 @@ pub mod prelude {
     pub use congestion_core::predict::TrainOptions;
     pub use congestion_core::resolve::{suggest_fixes, ResolveOptions, Suggestion};
     pub use congestion_core::{CongestionPredictor, DesignFailure, ModelKind, Target};
-    pub use faultkit::{FaultKind, FaultPlan, FaultRule, SupervisorPolicy};
     pub use fpga_fabric::{Device, ImplResult};
     pub use hls_ir::frontend::{compile, compile_named, compile_with_directives};
     pub use hls_ir::{Directives, Module, Partition};
     pub use hls_synth::{HlsFlow, HlsOptions};
     pub use obskit::{Collector, ObsRecord};
+    pub use servekit::{FaultKind, FaultPlan, FaultRule};
 }

@@ -7,8 +7,10 @@
 //! `47e20a0`, before the workspace's FNV-1a copies were folded into
 //! `obskit::fnv`; the Rosetta GBRT artifact's was recorded at `ee26b56`,
 //! and the served reply bytes at `421fc4f`, while cache hits still
-//! predicted again. A change that moves any of them invalidates stored
-//! artifacts, fingerprints or ledger comparisons, or changes what
+//! predicted again. The fault decisions were recorded again when each
+//! serve stage came to run once and the attempt left the roll. A change
+//! that moves any of them invalidates stored artifacts, fingerprints or
+//! ledger comparisons, replays a plan file differently, or changes what
 //! `congestd` answers, and must say so.
 
 use fpga_hls_congestion::congestion_core::cli::RunOptions;
@@ -25,7 +27,7 @@ use fpga_hls_congestion::rosetta_gen::{
     Preset,
 };
 use fpga_hls_congestion::servekit::{
-    ModelArtifact, Request, RequestBody, ServeConfig, Server, SourceExtractor,
+    serve_stages, ModelArtifact, Request, RequestBody, ServeConfig, Server, SourceExtractor,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -211,10 +213,13 @@ fn command_digest_is_pinned() {
 fn probabilistic_fault_decisions_are_pinned() {
     let plan = FaultPlan::new(7).with_rule(FaultRule {
         probability: 0.5,
-        ..FaultRule::once("d0", "route", FaultKind::Error).for_attempts(8)
+        ..FaultRule::new("*", serve_stages::PREDICT, FaultKind::Error)
     });
     let fired: Vec<bool> = (0..8)
-        .map(|a| plan.fault_for("d0", "route", a).is_some())
+        .map(|i| {
+            plan.fault_for(&format!("req-{i}"), serve_stages::PREDICT)
+                .is_some()
+        })
         .collect();
-    assert_eq!(fired, [true, true, true, true, false, false, true, false]);
+    assert_eq!(fired, [true, true, true, false, false, true, false, true]);
 }

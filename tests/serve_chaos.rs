@@ -3,9 +3,9 @@
 //! The serving robustness contract under test:
 //!
 //! * **Typed replies, always** — under 2× overload with faults injected
-//!   into the serve stages (panics, transient errors, delays), every
-//!   submitted request receives exactly one typed reply; the daemon never
-//!   dies and the final accounting balances (admitted = completed + shed).
+//!   into the serve stages (panics, errors, delays), every submitted
+//!   request receives exactly one typed reply; the daemon never dies and
+//!   the final accounting balances (admitted = completed + shed).
 //! * **Gate + rollback** — a corrupt or incompatible artifact never goes
 //!   live: the swap is rejected, the reject *is* the rollback (the daemon
 //!   keeps answering on the model it already trusts), and both are visible
@@ -19,12 +19,11 @@
 //!   bit-identical across runs and worker counts ([`shed_plan`] is the
 //!   reference model the live queue must match).
 
-use fpga_hls_congestion::faultkit::{serve_stages, FaultKind, FaultPlan, FaultRule};
 use fpga_hls_congestion::mlkit::CompiledEnsemble;
 use fpga_hls_congestion::obskit::json::{self, Value};
 use fpga_hls_congestion::servekit::{
-    shed_plan, AdmissionQueue, ModelArtifact, Reply, ReplyStatus, Request, RequestBody,
-    ServeConfig, Server, TraceStep,
+    serve_stages, shed_plan, AdmissionQueue, FaultKind, FaultPlan, FaultRule, ModelArtifact, Reply,
+    ReplyStatus, Request, RequestBody, ServeConfig, Server, TraceStep,
 };
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
@@ -58,24 +57,45 @@ fn tmp(tag: &str) -> PathBuf {
 
 #[test]
 fn chaos_overload_every_request_gets_a_typed_reply() {
-    // Panics, persistent transient errors, and delays across the serve
-    // stages, against a 4-deep queue fed a fast 2×-overload burst.
+    // Panics, errors, and delays across the serve stages, against a
+    // 4-deep queue fed a fast 2×-overload burst. Each stage runs once, so
+    // every rule fires: one at a time, a predict error demotes v2 to v1
+    // and a delayed predict answers on v1; then the burst's first
+    // prediction panics and demotes v1, and the admission rule fails a
+    // seeded quarter of the burst.
     let plan = FaultPlan::new(11)
-        .with_rule(FaultRule::once("*", serve_stages::PREDICT, FaultKind::Panic).for_attempts(3))
-        .with_rule(FaultRule::once("*", serve_stages::PREDICT, FaultKind::Error).for_attempts(2))
-        .with_rule(
-            FaultRule::once(
-                "*",
-                serve_stages::PREDICT,
-                FaultKind::Delay(Duration::from_millis(2)),
-            )
-            .for_attempts(u32::MAX),
-        )
-        .with_rule(FaultRule::once(
-            "*",
-            serve_stages::ADMISSION,
+        .with_rule(FaultRule::new(
+            "req-1002",
+            serve_stages::PREDICT,
             FaultKind::Error,
-        ));
+        ))
+        .with_rule(FaultRule::new(
+            "req-1003",
+            serve_stages::PREDICT,
+            FaultKind::Delay(Duration::from_millis(2)),
+        ))
+        .with_rule(FaultRule::new("*", serve_stages::PREDICT, FaultKind::Panic))
+        .with_rule(FaultRule {
+            probability: 0.25,
+            ..FaultRule::new("*", serve_stages::ADMISSION, FaultKind::Error)
+        });
+    let fails_admission = |id: u64| {
+        plan.fault_for(&format!("req-{id}"), serve_stages::ADMISSION)
+            .is_some()
+    };
+    assert!(
+        !(1001..=1003).any(fails_admission),
+        "the warm-up is admitted"
+    );
+    let total = 64u64;
+    let refused = (0..total).filter(|&id| fails_admission(id)).count() as u64;
+    assert!(refused > 0 && refused < total, "{refused}");
+
+    let dir = tmp("chaos");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let v2 = dir.join("v2.json");
+    stump_artifact(2, 4).save(&v2).unwrap();
     let mut cfg = ServeConfig {
         queue_capacity: 4,
         workers: 2,
@@ -86,12 +106,30 @@ fn chaos_overload_every_request_gets_a_typed_reply() {
     let (server, report) = Server::start(cfg, Some(stump_artifact(1, 4)), None).unwrap();
     assert!(report.install_error.is_none(), "{report:?}");
 
-    let total = 64u64;
+    let swap = server.call(Request {
+        id: 1001,
+        deadline_ms: None,
+        body: RequestBody::Swap {
+            path: v2.display().to_string(),
+        },
+    });
+    assert_eq!(swap.status, ReplyStatus::Ok, "{swap:?}");
+    let demoted = server.call(Request::predict(1002, vec![vec![1.0; 4]]));
+    assert_eq!(demoted.status, ReplyStatus::Degraded, "{demoted:?}");
+    assert_eq!(server.active_model(), "gbrt@v1", "the error demoted v2");
+    let delayed = server.call(Request::predict(1003, vec![vec![1.0; 4]]));
+    assert_eq!(
+        (delayed.status, delayed.model.as_str()),
+        (ReplyStatus::Ok, "gbrt@v1")
+    );
+    assert_eq!(server.metrics().counters["serve.injected"], 2);
+
     let rxs: Vec<_> = (0..total)
         .map(|i| server.submit(Request::predict(i, vec![vec![1.0; 4]; 8])))
         .collect();
     let mut answered = BTreeSet::new();
     let mut shed = 0u64;
+    let mut admission_errors = 0u64;
     for rx in rxs {
         let reply: Reply = rx
             .recv_timeout(Duration::from_secs(30))
@@ -106,9 +144,18 @@ fn chaos_overload_every_request_gets_a_typed_reply() {
         }
         if reply.status == ReplyStatus::Error {
             assert!(reply.error.is_some(), "errors must carry a reason");
+            if reply
+                .error
+                .unwrap()
+                .starts_with("admission failed: injected")
+            {
+                admission_errors += 1;
+            }
         }
     }
     assert_eq!(answered.len() as u64, total, "one reply per request");
+    assert_eq!(admission_errors, refused, "the admission rule fired");
+    assert_eq!(server.active_model(), "analytic", "the panic demoted v1");
 
     let sum = server.shutdown();
     assert_eq!(
@@ -122,6 +169,15 @@ fn chaos_overload_every_request_gets_a_typed_reply() {
         sum.metrics.injected > 0,
         "the fault plan must actually have fired"
     );
+    // The error, the delay, each admission fault, and at least one panic
+    // (two workers may both have predicted on v1 before it went).
+    assert!(
+        sum.metrics.injected > 2 + refused,
+        "{} injected",
+        sum.metrics.injected
+    );
+    assert!(sum.rollbacks >= 2, "{} rollbacks", sum.rollbacks);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -388,14 +444,11 @@ fn shed_victims_get_overloaded_replies_while_server_is_wedged() {
     // Wedge the single worker with a long injected delay, flood the queue,
     // and check the evicted requests get typed Overloaded replies while
     // the daemon keeps accepting.
-    let plan = FaultPlan::new(3).with_rule(
-        FaultRule::once(
-            "*",
-            serve_stages::PREDICT,
-            FaultKind::Delay(Duration::from_millis(30)),
-        )
-        .for_attempts(u32::MAX),
-    );
+    let plan = FaultPlan::new(3).with_rule(FaultRule::new(
+        "*",
+        serve_stages::PREDICT,
+        FaultKind::Delay(Duration::from_millis(30)),
+    ));
     let mut cfg = ServeConfig {
         queue_capacity: 2,
         workers: 1,
@@ -438,7 +491,7 @@ fn sigkill_mid_coalesced_batch_reports_the_whole_batch_lost() {
     // behind it. A `source` request is a barrier, so it always runs
     // alone; the worker then drains the five as one micro-batch
     // (1024-row budget), and an injected delay holds the merged
-    // `predict_into` (supervised as `req-1`, the batch's first id) long
+    // `predict_into` (keyed `req-1`, the batch's first id) long
     // enough to SIGKILL the process mid-batch. The batch-start progress
     // record must make restart recovery report `lost_in_flight` equal to
     // the batch's admitted size — and the seq chain must stay
@@ -451,19 +504,16 @@ fn sigkill_mid_coalesced_batch_reports_the_whole_batch_lost() {
     stump_artifact(1, 4).save(&model).unwrap();
     let plan_path = dir.join("plan.json");
     let plan = FaultPlan::new(11)
-        .with_rule(FaultRule::once(
+        .with_rule(FaultRule::new(
             "lead",
             serve_stages::EXTRACT,
             FaultKind::Delay(Duration::from_millis(500)),
         ))
-        .with_rule(
-            FaultRule::once(
-                "req-1",
-                serve_stages::PREDICT,
-                FaultKind::Delay(Duration::from_millis(4000)),
-            )
-            .for_attempts(u32::MAX),
-        );
+        .with_rule(FaultRule::new(
+            "req-1",
+            serve_stages::PREDICT,
+            FaultKind::Delay(Duration::from_millis(4000)),
+        ));
     std::fs::write(&plan_path, plan.to_json()).unwrap();
     let base_args = vec![
         "--model".to_string(),
