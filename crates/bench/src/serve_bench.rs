@@ -306,9 +306,8 @@ fn cache_phase(artifact: &ModelArtifact, cols: usize, designs: usize, requests: 
         // differently and a stale entry would be visible.
         let seed = name.bytes().map(u64::from).sum::<u64>() as usize;
         let (x, _) = synthetic(4 + seed % 3, cols);
-        let rows: Vec<Vec<f64>> = x.iter_rows().map(<[f64]>::to_vec).collect();
-        let lines = (1..=rows.len() as u32).collect();
-        Ok((rows, lines))
+        let lines = (1..=x.rows() as u32).collect();
+        Ok((x, lines))
     });
     let mut cfg = ServeConfig {
         queue_capacity: requests.max(8),

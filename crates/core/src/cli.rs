@@ -30,17 +30,16 @@ use std::str::FromStr;
 /// every experiment of `experiments` reads. A trailing `=` marks a flag
 /// that takes the next token as its value; the others are switches. A
 /// flag may sit in several groups; it takes a value in all or in none.
-/// An output flag sits with the commands that write it.
-pub const FLAGS: [(&str, &str); 10] = [
+/// An output flag sits with the commands that write it: `serve` records
+/// no spans, so it writes no trace and no profile.
+pub const FLAGS: [(&str, &str); 11] = [
     (EVERY, "--version"),
     (
         EXPERIMENTS,
         "--fast --grid-search --trace-out= --metrics-out= --ledger-out= --profile",
     ),
-    (
-        "implement dataset train predict serve",
-        "--trace-out= --metrics-out= --profile",
-    ),
+    ("implement dataset train predict", "--trace-out= --profile"),
+    ("implement dataset train predict serve", "--metrics-out="),
     ("dataset train serve", "--ledger-out="),
     ("implement dataset", "--router-stats"),
     ("dataset", "-o= --out= --workers= --fingerprint-out="),
@@ -430,6 +429,15 @@ mod tests {
                 "serve-client --addr a:1 --status --trace-out t.json",
                 NotForCommand("--trace-out", "serve-client".into()),
             ),
+            // congestd records no spans: no trace, no profile.
+            (
+                "serve --trace-out t.json",
+                NotForCommand("--trace-out", "serve".into()),
+            ),
+            (
+                "serve --profile",
+                NotForCommand("--profile", "serve".into()),
+            ),
             (
                 "--metrics-out m.json",
                 NotForCommand("--metrics-out", String::new()),
@@ -513,7 +521,7 @@ mod tests {
                 "serve",
                 "--model --addr --golden --mae-band --expect-features --queue-capacity \
                  --serve-workers --deadline-ms --batch-max-rows --cache-capacity --journal \
-                 --fault-plan --trace-out --metrics-out --ledger-out --profile",
+                 --fault-plan --metrics-out --ledger-out",
             ),
             (
                 "serve-client",

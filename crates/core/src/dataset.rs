@@ -7,9 +7,8 @@
 //! place, and [`CongestionDataset::to_ml`] hands the whole block to mlkit
 //! without copying a single row.
 
-use crate::backtrace::{backtrace_labels, BacktraceError, OpLabel};
-use crate::features::{ExtractCtx, ExtractKernel, FEATURE_COUNT};
-use crate::graph::DepGraph;
+use crate::backtrace::{backtrace_labels, BacktraceError};
+use crate::features::{extract_rows, ExtractKernel, FEATURE_COUNT};
 use fpga_fabric::{Device, ImplResult};
 use hls_ir::{FuncId, OpId, ReplicaTag};
 use hls_synth::SynthesizedDesign;
@@ -119,13 +118,6 @@ impl CongestionDataset {
         self.samples.push(sample);
     }
 
-    /// Append one sample and return its zero-filled feature row for
-    /// in-place extraction (the SoA fast path).
-    pub fn alloc_row(&mut self, sample: Sample) -> &mut [f64] {
-        self.samples.push(sample);
-        self.features.alloc_row()
-    }
-
     /// Feature row of sample `i`.
     ///
     /// # Panics
@@ -171,6 +163,8 @@ impl CongestionDataset {
     /// [`CongestionDataset::add_design`] with an explicit extract kernel.
     /// Both kernels produce bitwise-identical rows; `Reference` is the
     /// original per-node allocation path kept for differential testing.
+    /// Only labelled nodes are extracted: a node is labelled if any member
+    /// op has hardware, and its first such op represents it.
     ///
     /// # Errors
     /// Same contract as [`CongestionDataset::add_design`].
@@ -183,44 +177,26 @@ impl CongestionDataset {
     ) -> Result<usize, BacktraceError> {
         let labels = backtrace_labels(design, impl_result)?;
         let before = self.samples.len();
-        for fid in design.module.bottom_up_order() {
-            let f = design.module.function(fid);
-            let binding = &design.bindings[&fid];
-            let graph = DepGraph::build(f, Some(binding), true);
-            let ctx = ExtractCtx::new(&graph, design, fid, device);
-            for (ni, node) in graph.nodes.iter().enumerate() {
-                if node.is_port {
-                    continue;
-                }
-                // A node is labelled if any member op has hardware.
-                let Some((op, label)) = node
-                    .ops
-                    .iter()
-                    .find_map(|&o| labels.get(&(fid, o)).map(|l| (o, *l)))
-                else {
-                    continue;
-                };
-                let OpLabel {
-                    vertical,
-                    horizontal,
-                    ..
-                } = label;
-                let op_ref = f.op(op);
-                let sample = Sample {
-                    design: design.module.name.clone(),
-                    func: fid,
-                    op,
-                    line: op_ref.loc.map(|l| l.line).unwrap_or(0),
-                    replica: op_ref.replica,
-                    vertical,
-                    horizontal,
-                };
-                match kernel {
-                    ExtractKernel::Soa => ctx.extract_into(ni, self.alloc_row(sample)),
-                    ExtractKernel::Reference => self.push(sample, &ctx.extract(ni)),
-                }
-            }
-        }
+        let CongestionDataset { samples, features } = self;
+        extract_rows(design, device, kernel, features, |fid, f, ops| {
+            let Some((op, label)) = ops
+                .iter()
+                .find_map(|&o| labels.get(&(fid, o)).map(|l| (o, l)))
+            else {
+                return 0;
+            };
+            let op_ref = f.op(op);
+            samples.push(Sample {
+                design: design.module.name.clone(),
+                func: fid,
+                op,
+                line: op_ref.loc.map(|l| l.line).unwrap_or(0),
+                replica: op_ref.replica,
+                vertical: label.vertical,
+                horizontal: label.horizontal,
+            });
+            1
+        });
         Ok(self.samples.len() - before)
     }
 

@@ -20,8 +20,9 @@ mod resource_dtcs;
 
 use crate::graph::{Csr, DepGraph};
 use fpga_fabric::Device;
-use hls_ir::Function;
+use hls_ir::{FuncId, Function, OpId};
 use hls_synth::{CharLib, HlsReport, Resources, Schedule, SynthesizedDesign};
+use mlkit::Matrix;
 
 /// Total number of features (the paper's 302).
 pub const FEATURE_COUNT: usize = 302;
@@ -304,6 +305,42 @@ impl<'a> ExtractCtx<'a> {
         resource_dtcs::extract_into(self, node, &mut row[C::ResourcePerDtcs.range()]);
         optype::extract_into(self, node, &mut row[C::OperatorType.range()]);
         row[C::Global.range()].copy_from_slice(&self.global_row);
+    }
+}
+
+/// The one feature-extraction walk, behind the dataset, `predict` and
+/// `congestd`. For each function of `design`, bottom-up, it builds the
+/// dependency graph and its [`ExtractCtx`] once, then offers each node
+/// but the ports, in graph order, to `copies`: given the function and the
+/// node's ops, it answers how many copies of the node's row to append to
+/// `rows`. A row is extracted once, with `kernel`, and only if copied.
+///
+/// # Panics
+/// Panics if a node is copied and `rows` is not [`FEATURE_COUNT`] wide.
+pub(crate) fn extract_rows(
+    design: &SynthesizedDesign,
+    device: &Device,
+    kernel: ExtractKernel,
+    rows: &mut Matrix,
+    mut copies: impl FnMut(FuncId, &Function, &[OpId]) -> usize,
+) {
+    for fid in design.module.bottom_up_order() {
+        let f = design.module.function(fid);
+        let graph = DepGraph::build(f, Some(&design.bindings[&fid]), true);
+        let ctx = ExtractCtx::new(&graph, design, fid, device);
+        for (ni, node) in graph.nodes.iter().enumerate().filter(|(_, n)| !n.is_port) {
+            let n = copies(fid, f, &node.ops);
+            if n == 0 {
+                continue;
+            }
+            match kernel {
+                ExtractKernel::Soa => ctx.extract_into(ni, rows.alloc_row()),
+                ExtractKernel::Reference => rows.push_row(&ctx.extract(ni)),
+            }
+            for _ in 1..n {
+                rows.repeat_last_row();
+            }
+        }
     }
 }
 

@@ -47,4 +47,6 @@ pub use fingerprint::{drift, DatasetFingerprint, DriftReport, FINGERPRINT_SCHEMA
 pub use graph::DepGraph;
 pub use persist::PersistError;
 pub use pipeline::{CongestionFlow, DatasetBuildReport, DesignFailure, DesignReport, StageTimings};
-pub use predict::{extract_feature_rows, source_digest, CongestionPredictor, ModelKind};
+pub use predict::{
+    extract_feature_rows, extract_source, source_digest, CongestionPredictor, ModelKind,
+};

@@ -5,10 +5,10 @@
 //! (k-fold cross-validation on the training set only).
 
 use crate::dataset::{CongestionDataset, Target};
-use crate::features::{ExtractCtx, FEATURE_COUNT};
-use crate::graph::DepGraph;
+use crate::features::{extract_rows, ExtractKernel::Soa, FEATURE_COUNT};
+use crate::pipeline::CongestionFlow;
 use fpga_fabric::Device;
-use hls_ir::{FuncId, OpId};
+use hls_ir::{FuncId, Function, OpId};
 use hls_synth::SynthesizedDesign;
 use mlkit::cv::cross_val_mae_observed;
 use mlkit::metrics::{mae, medae};
@@ -147,10 +147,8 @@ impl CongestionPredictor {
             ModelKind::Linear => {
                 let alphas = [0.001, 0.01, 0.1, 1.0];
                 let alpha = if opts.grid_search {
-                    let mut ds = mlkit::Dataset::with_cols(FEATURE_COUNT);
-                    ds.extend(&ml_to_dataset(&ml));
                     let (best, _) = mlkit::cv::grid_search_observed(
-                        &ds,
+                        &ml,
                         opts.cv_folds,
                         opts.seed,
                         &alphas,
@@ -181,11 +179,10 @@ impl CongestionPredictor {
             ModelKind::Ann => {
                 let grids = [vec![64, 32], vec![128]];
                 let hidden = if opts.grid_search {
-                    let ds = ml_to_dataset(&ml);
                     let mut best = (0usize, f64::INFINITY);
                     for (i, h) in grids.iter().enumerate() {
                         let score = cross_val_mae_observed(
-                            &ds,
+                            &ml,
                             opts.cv_folds,
                             opts.seed,
                             || {
@@ -220,11 +217,10 @@ impl CongestionPredictor {
             ModelKind::Gbrt => {
                 let depths = [3usize, 4];
                 let depth = if opts.grid_search {
-                    let ds = ml_to_dataset(&ml);
                     let mut best = (0usize, f64::INFINITY);
                     for (i, &d) in depths.iter().enumerate() {
                         let score = cross_val_mae_observed(
-                            &ds,
+                            &ml,
                             opts.cv_folds,
                             opts.seed,
                             || {
@@ -300,36 +296,29 @@ impl CongestionPredictor {
     }
 
     /// Predict per-operation congestion for a synthesized design *without*
-    /// implementing it — the paper's prediction phase. Features for every
-    /// op group are extracted with the SoA kernel straight into one
+    /// implementing it — the paper's prediction phase. The extraction walk
+    /// (`features::extract_rows`) writes one row per hardware node into one
     /// matrix, which the model predicts in one batch (for a GBRT, the
-    /// compiled engine `congestd` serves with); each op of a group gets
-    /// its group's prediction.
+    /// compiled engine `congestd` serves with); each op of a node gets
+    /// its node's prediction.
     pub fn predict_design(&self, design: &SynthesizedDesign, device: &Device) -> Vec<OpPrediction> {
-        let mut out = Vec::new();
         let mut rows = Matrix::with_cols(FEATURE_COUNT);
+        let mut out = Vec::new();
         let mut row_of_op = Vec::new();
-        for fid in design.module.bottom_up_order() {
-            let f = design.module.function(fid);
-            let binding = &design.bindings[&fid];
-            let graph = DepGraph::build(f, Some(binding), true);
-            let ctx = ExtractCtx::new(&graph, design, fid, device);
-            for (ni, node) in graph.nodes.iter().enumerate() {
-                if node.is_port || node.ops.is_empty() {
-                    continue;
-                }
-                ctx.extract_into(ni, rows.alloc_row());
-                for &op in &node.ops {
-                    row_of_op.push(rows.rows() - 1);
-                    out.push(OpPrediction {
-                        func: fid,
-                        op,
-                        line: f.op(op).loc.map(|l| l.line).unwrap_or(0),
-                        predicted: 0.0,
-                    });
-                }
+        let mut nodes = 0;
+        extract_rows(design, device, Soa, &mut rows, |func, f, ops| {
+            for &op in ops {
+                row_of_op.push(nodes);
+                out.push(OpPrediction {
+                    func,
+                    op,
+                    line: line_of(f, op),
+                    predicted: 0.0,
+                });
             }
-        }
+            nodes += 1;
+            1
+        });
         let predicted = self.model.as_regressor().predict(&rows);
         for (p, r) in out.iter_mut().zip(row_of_op) {
             p.predicted = predicted[r];
@@ -367,36 +356,39 @@ impl CongestionPredictor {
     }
 }
 
-/// Extract one feature row per operation of a synthesized design — the
-/// serving-path twin of [`CongestionPredictor::predict_design`]: identical
-/// extraction (same graph, same SoA kernel), but the raw rows come back
-/// (paired with their source lines) instead of being pushed through a
-/// model, so `congestd` can batch them through whatever artifact is
+/// Extract one feature row per operation of a synthesized design, in
+/// reply order, straight into one matrix, paired with each op's source
+/// line: the serving-path twin of [`CongestionPredictor::predict_design`].
+/// It is the same walk, extracting each node's row once and copying it
+/// for the node's other ops, but the rows come back instead of going
+/// through a model, so `congestd` predicts them with whatever artifact is
 /// active.
-pub fn extract_feature_rows(
-    design: &SynthesizedDesign,
-    device: &Device,
-) -> (Vec<Vec<f64>>, Vec<u32>) {
-    let mut rows = Vec::new();
+pub fn extract_feature_rows(design: &SynthesizedDesign, device: &Device) -> (Matrix, Vec<u32>) {
+    let mut rows = Matrix::with_cols(FEATURE_COUNT);
     let mut lines = Vec::new();
-    let mut row = [0.0f64; FEATURE_COUNT];
-    for fid in design.module.bottom_up_order() {
-        let f = design.module.function(fid);
-        let binding = &design.bindings[&fid];
-        let graph = DepGraph::build(f, Some(binding), true);
-        let ctx = ExtractCtx::new(&graph, design, fid, device);
-        for (ni, node) in graph.nodes.iter().enumerate() {
-            if node.is_port || node.ops.is_empty() {
-                continue;
-            }
-            ctx.extract_into(ni, &mut row);
-            for &op in &node.ops {
-                rows.push(row.to_vec());
-                lines.push(f.op(op).loc.map(|l| l.line).unwrap_or(0));
-            }
-        }
-    }
+    extract_rows(design, device, Soa, &mut rows, |_, f, ops| {
+        lines.extend(ops.iter().map(|&op| line_of(f, op)));
+        ops.len()
+    });
     (rows, lines)
+}
+
+/// `congestd`'s MiniHLS front-end for `source` requests: compile `text`
+/// as design `name`, synthesize it with the default flow, then
+/// [`extract_feature_rows`].
+///
+/// # Errors
+/// The compile error or the failed IR verification, as text.
+pub fn extract_source(name: &str, text: &str) -> Result<(Matrix, Vec<u32>), String> {
+    let module = hls_ir::frontend::compile_named(text, name).map_err(|e| e.to_string())?;
+    let flow = CongestionFlow::new();
+    let design = flow.synthesize(&module).map_err(|e| e.to_string())?;
+    Ok(extract_feature_rows(&design, &flow.device))
+}
+
+/// The source line of `op` (0 = unknown).
+fn line_of(f: &Function, op: OpId) -> u32 {
+    f.op(op).loc.map(|l| l.line).unwrap_or(0)
 }
 
 /// The digest-keyed extraction entry point for serving-layer caches:
@@ -431,10 +423,6 @@ pub struct OpPrediction {
     pub line: u32,
     /// Predicted congestion (%).
     pub predicted: f64,
-}
-
-fn ml_to_dataset(ml: &mlkit::Dataset) -> mlkit::Dataset {
-    ml.clone()
 }
 
 #[cfg(test)]

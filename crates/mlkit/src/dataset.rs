@@ -119,8 +119,18 @@ impl Matrix {
     }
 
     /// Iterate over rows.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
-        (0..self.rows).map(move |i| self.row(i))
+    pub fn iter_rows(&self) -> Rows<'_> {
+        Rows(self, 0..self.rows)
+    }
+
+    /// Append a copy of the last row.
+    ///
+    /// # Panics
+    /// Panics if the matrix has no rows.
+    pub fn repeat_last_row(&mut self) {
+        assert!(self.rows > 0, "no row to repeat");
+        self.data.extend_from_within(self.data.len() - self.cols..);
+        self.rows += 1;
     }
 
     /// A new matrix containing the given rows (by index).
@@ -135,6 +145,32 @@ impl Matrix {
     /// Column `j` as a vector.
     pub fn column(&self, j: usize) -> Vec<f64> {
         (0..self.rows).map(|i| self.row(i)[j]).collect()
+    }
+}
+
+/// The rows of a [`Matrix`] in order, from [`Matrix::iter_rows`] or a
+/// `for` loop over `&Matrix`: the matrix and the indices of the rows left.
+/// A matrix of zero columns yields [`Matrix::rows`] empty rows.
+pub struct Rows<'a>(&'a Matrix, std::ops::Range<usize>);
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = &'a [f64];
+
+    fn next(&mut self) -> Option<&'a [f64]> {
+        self.1.next().map(|i| self.0.row(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.1.size_hint()
+    }
+}
+
+impl<'a> IntoIterator for &'a Matrix {
+    type Item = &'a [f64];
+    type IntoIter = Rows<'a>;
+
+    fn into_iter(self) -> Rows<'a> {
+        self.iter_rows()
     }
 }
 
@@ -190,16 +226,6 @@ impl Dataset {
         let (test_idx, train_idx) = idx.split_at(n_test.min(self.len()));
         (self.select(train_idx), self.select(test_idx))
     }
-
-    /// Merge another dataset into this one.
-    ///
-    /// # Panics
-    /// Panics if the column counts differ.
-    pub fn extend(&mut self, other: &Dataset) {
-        for (row, &t) in other.x.iter_rows().zip(&other.y) {
-            self.push(row, t);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -243,6 +269,28 @@ mod tests {
     }
 
     #[test]
+    fn zero_column_rows_are_still_rows() {
+        let m = Matrix::from_rows(&[vec![], vec![], vec![]]);
+        assert_eq!((m.rows(), m.cols()), (3, 0));
+        assert_eq!(m.iter_rows().count(), 3);
+        let rows: Vec<&[f64]> = (&m).into_iter().collect();
+        assert_eq!(rows, vec![&[] as &[f64]; 3]);
+    }
+
+    #[test]
+    fn row_iterators_and_copies_agree() {
+        let mut m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        m.repeat_last_row();
+        assert_eq!(m.rows(), 3);
+        let mut looped = Vec::new();
+        for row in &m {
+            looped.push(row);
+        }
+        assert_eq!(looped, m.iter_rows().collect::<Vec<_>>());
+        assert_eq!(looped, [&[1.0, 2.0][..], &[3.0, 4.0], &[3.0, 4.0]]);
+    }
+
+    #[test]
     fn split_partitions_all_samples() {
         let d = toy(100);
         let (train, test) = d.train_test_split(0.2, 7);
@@ -268,9 +316,10 @@ mod tests {
         let d = toy(10);
         let sub = d.select(&[1, 3, 5]);
         assert_eq!(sub.y, vec![1.0, 3.0, 5.0]);
-        let mut e = Dataset::with_cols(2);
-        e.extend(&sub);
-        e.extend(&sub);
-        assert_eq!(e.len(), 6);
+        let mut e = Matrix::with_cols(2);
+        e.extend(&sub.x);
+        e.extend(&sub.x);
+        assert_eq!(e.rows(), 6);
+        assert_eq!(e.row(4), sub.x.row(1));
     }
 }

@@ -30,24 +30,14 @@ pub struct GoldenBatch {
 impl GoldenBatch {
     /// A golden batch from parallel rows/labels, truncated to `cap` rows
     /// (gate latency must stay bounded — a swap holds the registry lock).
-    pub fn new(
-        rows: Vec<Vec<f64>>,
-        vertical: Vec<f64>,
-        horizontal: Vec<f64>,
-        cap: usize,
-    ) -> GoldenBatch {
+    pub fn new(rows: &Matrix, vertical: &[f64], horizontal: &[f64], cap: usize) -> GoldenBatch {
         let n = rows
-            .len()
+            .rows()
             .min(vertical.len())
             .min(horizontal.len())
             .min(cap.max(1));
-        let cols = rows.first().map(|r| r.len()).unwrap_or(0);
-        let mut m = Matrix::with_cols(cols);
-        for row in rows.iter().take(n) {
-            m.push_row(row);
-        }
         GoldenBatch {
-            rows: m,
+            rows: rows.select(&(0..n).collect::<Vec<_>>()),
             vertical: vertical[..n].to_vec(),
             horizontal: horizontal[..n].to_vec(),
         }
@@ -266,9 +256,9 @@ mod tests {
             expected_features: 3,
             mae_band: band,
             golden: Some(GoldenBatch::new(
-                vec![vec![0.0; 3]; 4],
-                vec![label; 4],
-                vec![label; 4],
+                &Matrix::from_rows(&vec![vec![0.0; 3]; 4]),
+                &[label; 4],
+                &[label; 4],
                 256,
             )),
         }

@@ -49,11 +49,11 @@ const PREDICT_CHUNK: usize = 2048;
 const JOURNAL_FLUSH_EVERY: u64 = 32;
 
 /// Pluggable MiniHLS front-end for `source` requests: maps
-/// `(design name, source text)` to per-op feature rows plus source lines.
-/// The binary wires `congestion-core` extraction in; servekit itself stays
-/// extractor-agnostic.
-pub type SourceExtractor =
-    dyn Fn(&str, &str) -> Result<(Vec<Vec<f64>>, Vec<u32>), String> + Send + Sync;
+/// `(design name, source text)` to one matrix of per-op feature rows plus
+/// each op's source line, which the server predicts as they are. The
+/// binary wires `congestion_core::extract_source` in; servekit itself
+/// stays extractor-agnostic.
+pub type SourceExtractor = dyn Fn(&str, &str) -> Result<(Matrix, Vec<u32>), String> + Send + Sync;
 
 /// Pluggable source-digest function: maps `(design name, source text)` to
 /// the reply-cache key. The binary wires
@@ -835,13 +835,7 @@ fn batch_replies(state: &Arc<ServerState>, batch: &[Job]) -> Vec<Reply> {
         } else if width != cols {
             // Ragged widths can only happen with no gate constraint;
             // answer the odd one out on the singleton path.
-            let (status, model, v, h) = {
-                let mut m = Matrix::with_cols(width);
-                for row in rows {
-                    m.push_row(row);
-                }
-                predict_ladder(state, id, &m, None)
-            };
+            let (status, model, v, h) = predict_ladder(state, id, &Matrix::from_rows(rows), None);
             replies.push(Some(Reply {
                 id,
                 status,
@@ -1011,11 +1005,7 @@ fn predict_request(
             format!("rows are {cols}-wide, server expects {expected}"),
         );
     }
-    let mut m = Matrix::with_cols(cols);
-    for row in rows {
-        m.push_row(row);
-    }
-    let (status, model, v, h) = predict_ladder(state, id, &m, deadline);
+    let (status, model, v, h) = predict_ladder(state, id, &Matrix::from_rows(rows), deadline);
     Reply {
         id,
         status,
@@ -1204,12 +1194,7 @@ fn source_request(
     if past(deadline) {
         return Reply::status_only(id, ReplyStatus::DeadlineExceeded).into();
     }
-    let cols = rows.first().map(|r| r.len()).unwrap_or(0);
-    let mut m = Matrix::with_cols(cols);
-    for row in &rows {
-        m.push_row(row);
-    }
-    let (status, model, vertical, horizontal) = predict_ladder(state, id, &m, deadline);
+    let (status, model, vertical, horizontal) = predict_ladder(state, id, &rows, deadline);
     let mut reply = Reply {
         id,
         status,
@@ -1527,7 +1512,7 @@ mod tests {
         let counter = extractions.clone();
         let extractor: Arc<SourceExtractor> = Arc::new(move |_name, text: &str| {
             counter.fetch_add(1, Ordering::SeqCst);
-            Ok((vec![vec![text.len() as f64; 4]], vec![1]))
+            Ok((Matrix::from_rows(&[vec![text.len() as f64; 4]]), vec![1]))
         });
         let dir = std::env::temp_dir().join(format!("servekit-cache-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1593,7 +1578,8 @@ mod tests {
         let counter = extractions.clone();
         let extractor: Arc<SourceExtractor> = Arc::new(move |_name, _text| {
             counter.fetch_add(1, Ordering::SeqCst);
-            Ok((vec![vec![1.0; 4], vec![9.0, 0.0, 0.0, 0.0]], vec![3, 4]))
+            let rows = Matrix::from_rows(&[vec![1.0; 4], vec![9.0, 0.0, 0.0, 0.0]]);
+            Ok((rows, vec![3, 4]))
         });
         let (s, report) = Server::start(cfg, Some(stump_artifact(1, 4)), Some(extractor)).unwrap();
         assert!(report.install_error.is_none(), "{report:?}");

@@ -31,9 +31,10 @@
 //! hls-congest --version                             crate version + git hash
 //! ```
 //!
-//! The `implement`, `dataset`, `train`, `predict` and `serve` commands also
-//! accept the observability flags, and `dataset`, `train` and `serve` the
-//! run ledger (`serve` appends one record per swap verdict):
+//! The `implement`, `dataset`, `train` and `predict` commands also accept
+//! the observability flags, `serve` only `--metrics-out` (congestd records
+//! no spans), and `dataset`, `train` and `serve` the run ledger (`serve`
+//! appends one record per swap verdict):
 //!
 //! ```text
 //! --trace-out <trace.json>     Chrome trace-event JSON (chrome://tracing, Perfetto)
@@ -213,10 +214,9 @@ fn serve_cmd(opts: &RunOptions) -> Result {
     cfg.gate.mae_band = opts.parse("--mae-band")?.unwrap_or(25.0);
     if let Some(path) = opts.value("--golden") {
         let ds = congestion_core::persist::load(path)?;
-        let rows: Vec<Vec<f64>> = (0..ds.len()).map(|i| ds.features_of(i).to_vec()).collect();
         let v: Vec<f64> = ds.samples.iter().map(|s| s.vertical).collect();
         let h: Vec<f64> = ds.samples.iter().map(|s| s.horizontal).collect();
-        cfg.gate.golden = Some(GoldenBatch::new(rows, v, h, 512));
+        cfg.gate.golden = Some(GoldenBatch::new(ds.features(), &v, &h, 512));
         eprintln!(
             "gate: golden batch of {} rows from {path}",
             ds.len().min(512)
@@ -264,16 +264,10 @@ fn serve_cmd(opts: &RunOptions) -> Result {
         ),
         None => None,
     };
-    // The MiniHLS front-end for `source` requests: compile + synthesize +
-    // extract, all inside the serve.extract stage, run once under
-    // panic isolation.
+    // The MiniHLS front-end for `source` requests, run once per miss
+    // inside the serve.extract stage, under panic isolation.
     let extractor: std::sync::Arc<servekit::SourceExtractor> =
-        std::sync::Arc::new(|name: &str, text: &str| {
-            let module = compile_named(text, name).map_err(|e| e.to_string())?;
-            let flow = CongestionFlow::new();
-            let design = flow.synthesize(&module).map_err(|e| e.to_string())?;
-            Ok(congestion_core::extract_feature_rows(&design, &flow.device))
-        });
+        std::sync::Arc::new(congestion_core::extract_source);
     let (server, report) = servekit::Server::start(cfg, initial, Some(extractor))?;
     if let Some(e) = &report.install_error {
         eprintln!("warning: initial model rejected ({e}); serving degraded");
@@ -323,6 +317,8 @@ fn serve_cmd(opts: &RunOptions) -> Result {
         summary.cache.evictions,
         summary.cache.invalidations,
     );
+    // congestd records no spans (`serve` refuses `--trace-out` and
+    // `--profile`), so the record is its metrics.
     let rec = obskit::ObsRecord {
         events: Vec::new(),
         metrics: server.metrics(),

@@ -15,8 +15,7 @@
 
 use fpga_hls_congestion::congestion_core::cli::RunOptions;
 use fpga_hls_congestion::congestion_core::{
-    extract_feature_rows, source_digest, CongestionDataset, DatasetFingerprint, Sample,
-    FEATURE_COUNT,
+    extract_source, source_digest, CongestionDataset, DatasetFingerprint, Sample, FEATURE_COUNT,
 };
 use fpga_hls_congestion::hls_ir::{FuncId, OpId};
 use fpga_hls_congestion::mlkit::CompiledEnsemble;
@@ -125,7 +124,7 @@ fn rosetta_gbrt_artifact_digest_is_pinned() {
 
 /// What `congestd` answers about each Plain Rosetta kernel, byte for
 /// byte: the Rosetta artifact served in process, keyed by
-/// `source_digest`, with the binary's MiniHLS extractor. Each kernel is
+/// `source_digest`, with the binary's MiniHLS extractor, `extract_source`. Each kernel is
 /// asked twice. The first (miss) replies are pinned with a fixed id and
 /// no `info`, and each second (hit) reply must be its miss, byte for
 /// byte, apart from `info`.
@@ -134,12 +133,7 @@ fn served_source_reply_bytes_are_pinned() {
     let mut cfg = ServeConfig::default();
     cfg.gate.expected_features = FEATURE_COUNT;
     cfg.cache_key = Some(Arc::new(|name: &str, text: &str| source_digest(name, text)));
-    let extractor: Arc<SourceExtractor> = Arc::new(|name: &str, text: &str| {
-        let module = compile_named(text, name).map_err(|e| e.to_string())?;
-        let flow = CongestionFlow::new();
-        let design = flow.synthesize(&module).map_err(|e| e.to_string())?;
-        Ok(extract_feature_rows(&design, &flow.device))
-    });
+    let extractor: Arc<SourceExtractor> = Arc::new(extract_source);
     let (server, report) =
         Server::start(cfg, Some(rosetta_gbrt_artifact().clone()), Some(extractor))
             .expect("server starts");

@@ -28,9 +28,21 @@
 //!   or by a worker. A `source` frame is written from a cache entry's
 //!   stored text, so its reference is encoded from the reply's fields
 //!   through a `json::Value` tree, not by the code under test.
+//! * **`predict` and `congestd` agree** — for the same design and the
+//!   same GBRT pair, `hls_congest predict`'s per-op predictions and lines
+//!   are a `source` reply's, bit for bit and in order: both come from the
+//!   one feature-extraction walk.
 
+use fpga_hls_congestion::congestion_core::{extract_feature_rows, extract_source, FEATURE_COUNT};
 use fpga_hls_congestion::mlkit::{CompiledEnsemble, Matrix};
 use fpga_hls_congestion::obskit::json::Value;
+use fpga_hls_congestion::prelude::{
+    compile_named, compile_with_directives, CongestionFlow, CongestionPredictor, ModelKind, Target,
+    TrainOptions,
+};
+use fpga_hls_congestion::rosetta_gen::{
+    bnn, digit_recognition, optical_flow, rendering_3d, spam_filter, suite, Benchmark, Preset,
+};
 use fpga_hls_congestion::servekit::{
     coalesce_plan, read_frame, serve_event_loop, shed_plan, write_frame, ModelArtifact, Reply,
     ReplyStatus, Request, RequestBody, ServeConfig, Server, SourceExtractor, TraceStep, WorkGate,
@@ -235,15 +247,16 @@ fn shed_set_is_untouched_by_the_batch_budget() {
 
 /// The feature rows the proptest's extractor returns for design `name`:
 /// two or three rows with values in [0, 10), both depending on the name.
-fn design_rows(name: &str) -> Vec<Vec<f64>> {
+fn design_rows(name: &str) -> Matrix {
     let d: u64 = name.bytes().map(u64::from).sum();
-    (0..2 + d % 2)
+    let rows: Vec<Vec<f64>> = (0..2 + d % 2)
         .map(|r| {
             (0..FEATURES)
                 .map(|c| (r * 7 + c as u64 + d) as f64 % 10.0)
                 .collect()
         })
-        .collect()
+        .collect();
+    Matrix::from_rows(&rows)
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -283,7 +296,7 @@ proptest! {
         let extractor: Arc<SourceExtractor> = Arc::new(move |name: &str, _text: &str| {
             let e = extractor_epoch.load(Ordering::SeqCst);
             let rows = design_rows(name);
-            let lines = vec![e as u32; rows.len()];
+            let lines = vec![e as u32; rows.rows()];
             Ok((rows, lines))
         });
         let mut cfg = ServeConfig { workers: 1, ..Default::default() };
@@ -315,14 +328,10 @@ proptest! {
                 prop_assert_eq!(&reply.model, &active.display_name(), "{:?}", reply);
                 // The bits are the active model's on this design's rows.
                 let rows = design_rows(&name);
-                let mut m = Matrix::with_cols(FEATURES);
-                for row in &rows {
-                    m.push_row(row);
-                }
-                let mut v = vec![0.0; rows.len()];
-                let mut h = vec![0.0; rows.len()];
-                active.vertical.predict_into(&m, &mut v);
-                active.horizontal.predict_into(&m, &mut h);
+                let mut v = vec![0.0; rows.rows()];
+                let mut h = vec![0.0; rows.rows()];
+                active.vertical.predict_into(&rows, &mut v);
+                active.horizontal.predict_into(&rows, &mut h);
                 prop_assert_eq!(bits(&reply.vertical), bits(&v), "{:?}", reply);
                 prop_assert_eq!(bits(&reply.horizontal), bits(&h), "{:?}", reply);
                 // The epoch stamped on the reply is the current one: the
@@ -447,11 +456,11 @@ fn source_request(id: u64, name: &str) -> Request {
 fn start_source_server(gate: Option<Arc<WorkGate>>, model: Option<ModelArtifact>) -> Arc<Server> {
     let extractor: Arc<SourceExtractor> = Arc::new(|name: &str, _text: &str| {
         let rows = if name == "empty" {
-            Vec::new()
+            Matrix::with_cols(FEATURES)
         } else {
             design_rows(name)
         };
-        let lines = (1..=rows.len() as u32).collect();
+        let lines = (1..=rows.rows() as u32).collect();
         Ok((rows, lines))
     });
     let mut cfg = ServeConfig {
@@ -603,4 +612,101 @@ fn event_loop_source_reply_frames_match_in_process_calls() {
             "admission-answered hit frames diverged from in-process replies"
         );
     }
+}
+
+/// The six Rosetta kernels in `preset`.
+fn rosetta_kernels(preset: Preset) -> Vec<Benchmark> {
+    vec![
+        suite::face_detection_group(preset),
+        digit_recognition::benchmark(preset),
+        spam_filter::benchmark(preset),
+        bnn::benchmark(preset),
+        rendering_3d::benchmark(preset),
+        optical_flow::benchmark(preset),
+    ]
+}
+
+/// On the twelve Rosetta kernel/preset designs, `predict_design`'s
+/// per-op predictions and lines are, bit for bit and in order, the
+/// `source` replies of a server answering with the same GBRT pair as a
+/// model artifact. Plain designs are served by `extract_source`, the
+/// binary's extractor. A `source` request carries text only, so an
+/// Optimized design is served by an extractor that compiles it under
+/// its directive overlay, as `predict` compiles it here.
+#[test]
+fn predict_design_and_source_replies_agree_bitwise() {
+    let plain = rosetta_kernels(Preset::Plain);
+    let optimized = rosetta_kernels(Preset::Optimized);
+    let modules: Vec<_> = plain.iter().map(|b| b.build().expect("builds")).collect();
+    let dataset = CongestionFlow::fast()
+        .build_dataset(&modules)
+        .expect("Plain Rosetta dataset builds");
+    let fit = |target| {
+        CongestionPredictor::train(ModelKind::Gbrt, target, &dataset, &TrainOptions::fast())
+    };
+    let (vertical, horizontal) = (fit(Target::Vertical), fit(Target::Horizontal));
+    let artifact = ModelArtifact {
+        name: "gbrt".into(),
+        version: 1,
+        feature_count: FEATURE_COUNT,
+        trained_on: "parity".into(),
+        vertical: vertical.compiled_ensemble().cloned().expect("a GBRT"),
+        horizontal: horizontal.compiled_ensemble().cloned().expect("a GBRT"),
+    };
+
+    let overlays: BTreeMap<String, _> = optimized
+        .iter()
+        .map(|b| (b.name.clone(), b.directives.clone()))
+        .collect();
+    let extractor: Arc<SourceExtractor> = Arc::new(move |name: &str, text: &str| {
+        let Some(overlay) = overlays.get(name) else {
+            return extract_source(name, text);
+        };
+        let module = compile_with_directives(text, name, overlay).map_err(|e| e.to_string())?;
+        let flow = CongestionFlow::new();
+        let design = flow.synthesize(&module).map_err(|e| e.to_string())?;
+        Ok(extract_feature_rows(&design, &flow.device))
+    });
+    let mut cfg = ServeConfig::default();
+    cfg.gate.expected_features = FEATURE_COUNT;
+    let (server, report) =
+        Server::start(cfg, Some(artifact), Some(extractor)).expect("server starts");
+    assert!(report.install_error.is_none(), "{report:?}");
+
+    // `predict` compiles each design as the server's extractor does.
+    let modules = plain
+        .iter()
+        .map(|b| (b, compile_named(&b.source, &b.name)))
+        .chain(optimized.iter().map(|b| (b, b.build())));
+    let flow = CongestionFlow::new();
+    for (id, (b, module)) in (1..).zip(modules) {
+        let design = flow
+            .synthesize(&module.expect("compiles"))
+            .expect("synthesizes");
+        let v = vertical.predict_design(&design, &flow.device);
+        let h = horizontal.predict_design(&design, &flow.device);
+        let reply = server.call(Request {
+            id,
+            deadline_ms: None,
+            body: RequestBody::Source {
+                name: b.name.clone(),
+                text: b.source.clone(),
+            },
+        });
+        assert_eq!(
+            reply.status,
+            ReplyStatus::Ok,
+            "{}: {:?}",
+            b.name,
+            reply.error
+        );
+        assert!(!v.is_empty(), "{} has ops", b.name);
+        let v_bits: Vec<u64> = v.iter().map(|p| p.predicted.to_bits()).collect();
+        let h_bits: Vec<u64> = h.iter().map(|p| p.predicted.to_bits()).collect();
+        assert_eq!(bits(&reply.vertical), v_bits, "{}", b.name);
+        assert_eq!(bits(&reply.horizontal), h_bits, "{}", b.name);
+        let lines: Vec<u32> = v.iter().map(|p| p.line).collect();
+        assert_eq!(reply.lines, lines, "{}", b.name);
+    }
+    server.shutdown();
 }
