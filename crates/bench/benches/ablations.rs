@@ -29,26 +29,6 @@ fn bench_router_passes(c: &mut Criterion) {
     let placement = place(&design.rtl, &device, &PlacerOptions::fast());
     let mut g = c.benchmark_group("ablation_routing");
     g.sample_size(10);
-    g.bench_function("maze_refine_2", |b| {
-        b.iter(|| {
-            route(
-                &design.rtl,
-                &placement,
-                &device,
-                &RouterOptions::with_maze(2),
-            )
-        })
-    });
-    g.bench_function("maze_refine_2_reference_dijkstra", |b| {
-        b.iter(|| {
-            route(
-                &design.rtl,
-                &placement,
-                &device,
-                &RouterOptions::with_reference_maze(2),
-            )
-        })
-    });
     for passes in [0u32, 1, 2, 4] {
         g.bench_function(format!("refine_passes_{passes}"), |b| {
             b.iter(|| {
@@ -58,7 +38,6 @@ fn bench_router_passes(c: &mut Criterion) {
                     &device,
                     &RouterOptions {
                         refine_passes: passes,
-                        ..Default::default()
                     },
                 )
             })

@@ -1,6 +1,6 @@
-//! Routing-kernel benchmarks: windowed A* (arena + bucket queue) against the
-//! reference full-grid Dijkstra, on a fixed placement, maze mode with two
-//! negotiated-congestion passes. Run with `cargo bench --bench router`.
+//! Router benchmark: the L-shape pass plus two Z-shape rip-up passes on a
+//! fixed placement of a congested design. Run with
+//! `cargo bench --bench router`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fpga_fabric::place::{place, PlacerOptions};
@@ -17,40 +17,8 @@ fn congested_module() -> hls_ir::Module {
     .unwrap()
 }
 
-fn bench_maze_kernels(c: &mut Criterion) {
-    let design = HlsFlow::new(HlsOptions::default())
-        .run(&congested_module())
-        .unwrap();
-    let device = Device::xc7z020();
-    let placement = place(&design.rtl, &device, &PlacerOptions::fast());
-    let mut g = c.benchmark_group("router_kernels");
-    g.sample_size(10);
-    g.bench_function("astar_windowed", |b| {
-        b.iter(|| {
-            route(
-                &design.rtl,
-                &placement,
-                &device,
-                &RouterOptions::with_maze(2),
-            )
-        })
-    });
-    g.bench_function("reference_dijkstra", |b| {
-        b.iter(|| {
-            route(
-                &design.rtl,
-                &placement,
-                &device,
-                &RouterOptions::with_reference_maze(2),
-            )
-        })
-    });
-    g.finish();
-}
-
 fn bench_default_router(c: &mut Criterion) {
-    // The non-maze path (L/Z refinement only) — must stay cheap since every
-    // dataset label goes through it.
+    // Every dataset label goes through this path, so it must stay cheap.
     let design = HlsFlow::new(HlsOptions::default())
         .run(&congested_module())
         .unwrap();
@@ -64,5 +32,5 @@ fn bench_default_router(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_maze_kernels, bench_default_router);
+criterion_group!(benches, bench_default_router);
 criterion_main!(benches);

@@ -15,7 +15,7 @@ use std::fs;
 use std::path::Path;
 
 /// The workspace's production kernels, as `meta` key/value stamps:
-/// `kernel.extract`, `kernel.place`, `kernel.route`, `kernel.gbrt`.
+/// `kernel.extract`, `kernel.place`, `kernel.gbrt`.
 pub fn kernel_meta() -> Vec<(String, String)> {
     kernel_stamps()
         .iter()
@@ -80,20 +80,11 @@ mod tests {
     fn meta_stamps_every_kernel() {
         let stamps = kernel_meta();
         let keys: Vec<&str> = stamps.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "kernel.extract",
-                "kernel.place",
-                "kernel.route",
-                "kernel.gbrt"
-            ]
-        );
+        assert_eq!(keys, ["kernel.extract", "kernel.place", "kernel.gbrt"]);
         // The stamps reflect the current defaults.
         assert_eq!(stamps[0].1, "soa");
         assert_eq!(stamps[1].1, "delta");
-        assert_eq!(stamps[2].1, "astar");
-        assert_eq!(stamps[3].1, "histogram");
+        assert_eq!(stamps[2].1, "histogram");
     }
 
     #[test]
@@ -116,12 +107,7 @@ mod tests {
             .parse()
             .expect("nproc is an integer");
         assert!(nproc >= 1, "nproc stamp {nproc} in {j}");
-        for k in [
-            "kernel.extract",
-            "kernel.place",
-            "kernel.route",
-            "kernel.gbrt",
-        ] {
+        for k in ["kernel.extract", "kernel.place", "kernel.gbrt"] {
             assert!(j.contains(&format!("\"{k}\":")), "missing {k} in {j}");
         }
     }
@@ -132,7 +118,6 @@ mod tests {
         stamp_kernels(&mut rec);
         assert_eq!(rec.kernels["extract"], "soa");
         assert_eq!(rec.kernels["place"], "delta");
-        assert_eq!(rec.kernels["route"], "astar");
         assert_eq!(rec.kernels["gbrt"], "histogram");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments [--fast] [--grid-search]
-//!             <table1|table3|table4|table5|table6|fig1|fig5|fig6|dataset|ablation|place-bench|router-bench|train-bench|pipeline-bench|serve-bench|regress|all>
+//!             <table1|table3|table4|table5|table6|fig1|fig5|fig6|dataset|ablation|place-bench|train-bench|pipeline-bench|serve-bench|regress|all>
 //! experiments --version
 //! ```
 //!
@@ -51,7 +51,7 @@ fn main() {
     fs::create_dir_all("reports").ok();
 
     // Session-wide collector: every experiment gets a span, and experiments
-    // that produce their own records (dataset, router-bench) merge them in.
+    // that produce their own records (dataset, the benches) merge them in.
     let obs = obskit::Collector::new();
     let absorb = |metrics| {
         obs.absorb(obskit::ObsRecord {
@@ -175,15 +175,6 @@ fn main() {
                 let json = place_bench::to_json(&rows, effort);
                 artifact::write_bench("place_bench.json", "BENCH_place.json", &json, full);
                 absorb(place_bench::to_metrics(&rows));
-            }
-            "router-bench" => {
-                // Routing-kernel head-to-head; `--fast` restricts the corpus to
-                // the small designs (used by the CI smoke run).
-                let rows = router_bench::run(effort);
-                emit("router_bench", &router_bench::render(&rows));
-                let json = router_bench::to_json(&rows, effort);
-                artifact::write_bench("router_bench.json", "BENCH_route.json", &json, full);
-                absorb(router_bench::to_metrics(&rows));
             }
             "pipeline-bench" => {
                 // Extraction-kernel head-to-head (SoA vs reference, per design

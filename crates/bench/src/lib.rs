@@ -17,7 +17,6 @@
 //! | [`ablation`] | design-choice ablations called out in DESIGN.md |
 //! | [`place_bench`] | placement-kernel comparison recorded in BENCH_place.json |
 //! | [`pipeline_bench`] | dataset-build stack comparison recorded in BENCH_pipeline.json |
-//! | [`router_bench`] | routing-kernel comparison recorded in BENCH_route.json |
 //! | [`train_bench`] | GBRT training-kernel comparison recorded in BENCH_train.json |
 //! | [`serve_bench`] | `congestd` latency/shed-rate run recorded in BENCH_serve.json |
 
@@ -31,7 +30,6 @@ pub mod metrics;
 pub mod pipeline_bench;
 pub mod place_bench;
 pub mod regress;
-pub mod router_bench;
 pub mod serve_bench;
 pub mod table1;
 pub mod table3;

@@ -8,11 +8,14 @@
 //!    unconstrained queue; reports p50/p99 request latency (from the
 //!    server's own DDSketch) and predictions/second.
 //! 2. **Coalescing** — the same saturated burst of single-row requests
-//!    drained twice, with micro-batch coalescing off (`batch_max_rows=1`)
-//!    and on. Workers are held on a [`WorkGate`] until every request is
-//!    queued, so both runs drain an identical queue; the phase reports
-//!    the per-request vs merged `predict_into` throughput ratio and
-//!    asserts the replies are **bitwise identical**. This phase serves a
+//!    drained in `COALESCE_PAIRS` pairs, once with micro-batch
+//!    coalescing off (`batch_max_rows=1`) and once on, alternating which
+//!    side drains first. Workers are held on a [`WorkGate`] until every
+//!    request is queued, so every run drains an identical queue; the
+//!    phase reports the per-request vs merged `predict_into` throughput
+//!    ratio of the pair with the median ratio, so one slow host phase
+//!    cannot decide it, and asserts that every drain's replies are
+//!    **bitwise identical**. This phase serves a
 //!    deliberately light ensemble: coalescing amortizes *dispatch*
 //!    overhead (supervision, registry lock, metrics, reply channel), so
 //!    the model must not be so heavy that predict compute — identical
@@ -83,13 +86,16 @@ pub struct CoalesceRun {
     pub requests: usize,
     /// Row budget per micro-batch in the batched run.
     pub batch_budget_rows: usize,
-    /// Multi-request batches the batched run formed.
+    /// Multi-request batches each batched run formed.
     pub batches_formed: u64,
-    /// Drain throughput with coalescing off, predictions/second.
+    /// Drain throughput with coalescing off in the median pair,
+    /// predictions/second.
     pub unbatched_pps: f64,
-    /// Drain throughput with coalescing on, predictions/second.
+    /// Drain throughput with coalescing on in the median pair,
+    /// predictions/second.
     pub batched_pps: f64,
-    /// True when every batched reply is bit-for-bit the unbatched reply.
+    /// True when every drain's replies are bit-for-bit the first
+    /// unbatched drain's.
     pub identical: bool,
 }
 
@@ -262,7 +268,12 @@ fn gated_drain(
     )
 }
 
-/// Phase 2: identical saturated queues drained with coalescing off/on.
+/// Coalescing-off/on drain pairs per coalescing phase. Odd, so the median
+/// speedup is one pair's.
+const COALESCE_PAIRS: usize = 7;
+
+/// Phase 2: identical saturated queues drained with coalescing off/on, in
+/// `COALESCE_PAIRS` pairs; reports the pair with the median speedup.
 fn coalesce_phase(artifact: &ModelArtifact, cols: usize, requests: usize) -> CoalesceRun {
     let budget = 256usize;
     let (x, _) = synthetic(requests, cols);
@@ -271,22 +282,40 @@ fn coalesce_phase(artifact: &ModelArtifact, cols: usize, requests: usize) -> Coa
         .enumerate()
         .map(|(i, row)| Request::predict(i as u64, vec![row.to_vec()]))
         .collect();
-    let (unbatched_pps, base, base_batches) = gated_drain(artifact, cols, 1, &reqs);
-    assert_eq!(base_batches, 0, "budget 1 must never coalesce");
-    let (batched_pps, merged, batches_formed) = gated_drain(artifact, cols, budget, &reqs);
     // The whole queue is present at drain time, so the live partition is
     // the coalesce_plan partition: all-singleton weights, fixed budget.
     let plan = coalesce_plan(budget, &vec![1usize; requests]);
-    assert_eq!(
-        batches_formed,
-        plan.iter().filter(|b| b.len() > 1).count() as u64,
-        "live batch partition must match coalesce_plan"
-    );
-    let identical = base.len() == merged.len()
-        && base
-            .iter()
-            .zip(&merged)
-            .all(|(a, b)| reply_bits(a) == reply_bits(b));
+    let batches_formed = plan.iter().filter(|b| b.len() > 1).count() as u64;
+    let drain = |batch_max_rows: usize| {
+        let (pps, replies, batches) = gated_drain(artifact, cols, batch_max_rows, &reqs);
+        let want = if batch_max_rows == 1 {
+            0
+        } else {
+            batches_formed
+        };
+        assert_eq!(
+            batches, want,
+            "live batch partition must match coalesce_plan (budget {batch_max_rows})"
+        );
+        (pps, replies.iter().map(reply_bits).collect::<Vec<_>>())
+    };
+    let mut reference = None;
+    let mut identical = true;
+    let mut pairs = Vec::with_capacity(COALESCE_PAIRS);
+    for pair in 0..COALESCE_PAIRS {
+        let (off, on) = if pair % 2 == 0 {
+            let off = drain(1);
+            (off, drain(budget))
+        } else {
+            let on = drain(budget);
+            (drain(1), on)
+        };
+        let reference = reference.get_or_insert_with(|| off.1.clone());
+        identical &= off.1 == *reference && on.1 == *reference;
+        pairs.push((off.0, on.0));
+    }
+    pairs.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
+    let (unbatched_pps, batched_pps) = pairs[COALESCE_PAIRS / 2];
     CoalesceRun {
         requests,
         batch_budget_rows: budget,
@@ -604,12 +633,13 @@ pub fn render(b: &ServeBench) -> String {
         b.p50_ms, b.p99_ms, b.predictions_per_sec, b.wall_ms
     ));
     out.push_str(&format!(
-        "  coalescing: {} x 1-row requests, budget {} rows -> {:.0} pps batched vs {:.0} unbatched ({:.2}x, bitwise-identical: {})\n",
+        "  coalescing: {} x 1-row requests, budget {} rows -> {:.0} pps batched vs {:.0} unbatched ({:.2}x, median of {} off/on pairs, bitwise-identical: {})\n",
         b.coalesce.requests,
         b.coalesce.batch_budget_rows,
         b.coalesce.batched_pps,
         b.coalesce.unbatched_pps,
         b.coalesce.speedup(),
+        COALESCE_PAIRS,
         b.coalesce.identical,
     ));
     out.push_str(&format!(

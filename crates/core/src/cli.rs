@@ -16,7 +16,7 @@
 //! ```
 
 use crate::features::ExtractKernel;
-use fpga_fabric::{MazeKernel, PlaceKernel};
+use fpga_fabric::PlaceKernel;
 use mlkit::GbrtKernel;
 use obskit::{ObsRecord, RunRecord};
 use std::collections::{BTreeMap, BTreeSet};
@@ -167,11 +167,10 @@ impl Tool {
 /// The kernel each stage runs in production, as `(stage, kernel)` pairs:
 /// the `kernel.*` meta stamps of every bench artifact and the `kernels` of
 /// every ledger record.
-pub fn kernel_stamps() -> [(&'static str, &'static str); 4] {
+pub fn kernel_stamps() -> [(&'static str, &'static str); 3] {
     [
         ("extract", ExtractKernel::default().name()),
         ("place", PlaceKernel::default().name()),
-        ("route", MazeKernel::default().name()),
         ("gbrt", GbrtKernel::default().name()),
     ]
 }
@@ -359,8 +358,8 @@ mod tests {
         assert_eq!(opts.value("-o"), Some("out.csv"));
         assert_eq!(opts.parse::<usize>("--workers").unwrap(), Some(2));
         // CI's bench smoke: the selector skips the ledger path.
-        let opts = parse_experiment("--fast --ledger-out reports/runs.jsonl router-bench").unwrap();
-        assert_eq!(opts.selector.as_deref(), Some("router-bench"));
+        let opts = parse_experiment("--fast --ledger-out reports/runs.jsonl place-bench").unwrap();
+        assert_eq!(opts.selector.as_deref(), Some("place-bench"));
         assert!(opts.positionals.is_empty() && opts.switch("--fast"));
         // A value that looks like a group label of the table is still a value.
         assert_eq!(

@@ -32,8 +32,7 @@ pub const FEATURE_COUNT: usize = 302;
 /// Both kernels produce bitwise-identical feature vectors (pinned by the
 /// differential suite in `tests/extract_differential.rs`); they differ only
 /// in how the work is laid out. The same new-kernel/reference-kernel idiom
-/// as the router (`MazeKernel`), GBRT (`GbrtKernel`), and placer
-/// (`PlaceKernel`).
+/// as GBRT (`GbrtKernel`) and the placer (`PlaceKernel`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExtractKernel {
     /// Batched structure-of-arrays path: `extract_into` writes straight

@@ -766,8 +766,8 @@ mod tests {
         assert_eq!(m.counters["dataset.designs_ok"], report.succeeded() as u64);
         assert_eq!(m.counters["dataset.samples"], report.dataset.len() as u64);
         assert_eq!(
-            m.counters["route.expanded_nodes"],
-            report.route_stats_totals().expanded_nodes
+            m.counters["route.rerouted_conns"],
+            report.route_stats_totals().rerouted_conns
         );
         // The router's convergence histogram has one sample per recorded
         // pass state (initial + executed refinement passes).

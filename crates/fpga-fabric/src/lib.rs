@@ -35,6 +35,6 @@ pub use congestion::CongestionMap;
 pub use device::{ColumnKind, Device};
 pub use par::{run_par, run_par_timed, ImplResult, ParOptions, ParStageTimings};
 pub use place::{recompute_cost, PlaceKernel, PlaceStats, Placement, PlacerOptions};
-pub use route::{MazeKernel, RouteStats, RouterArena, RouterOptions};
+pub use route::{RouteStats, RouterOptions};
 pub use timing::TimingResult;
 pub use utilization::{RoutingUtilization, UtilizationReport};

@@ -136,10 +136,7 @@ pub fn run_par_obs(
 /// `route.pass_overflow` histogram.
 pub fn record_route_metrics(obs: &obskit::Collector, route: &crate::route::RouteResult) {
     let s = &route.stats;
-    obs.inc("route.expanded_nodes", s.expanded_nodes);
-    obs.inc("route.heap_pushes", s.heap_pushes);
     obs.inc("route.rerouted_conns", s.rerouted_conns);
-    obs.inc("route.window_expansions", s.window_expansions);
     obs.inc("route.passes_run", s.passes_run as u64);
     obs.inc("route.conns", route.conns.len() as u64);
     for &tiles in &route.pass_overflow {

@@ -26,7 +26,7 @@
 //!   recomputation over every incident net twice per move, starting from
 //!   the connectivity-ordered column snake. Kept as the reference for
 //!   differential tests and old-vs-new benchmarks, the same playbook as
-//!   `MazeKernel::ReferenceDijkstra` and `GbrtKernel::ReferenceExact`.
+//!   `GbrtKernel::ReferenceExact`.
 //!
 //! Both kernels use the **exact overlap-aware density delta**: when a
 //! move's old and new footprints share tiles (the common case for

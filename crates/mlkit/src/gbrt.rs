@@ -11,10 +11,10 @@
 //! ([`GbrtKernel`]): the production **histogram** engine (features binned
 //! once per fit, per-node histograms with the parent-minus-sibling
 //! subtraction trick, parallel feature chunks via `parkit`) and the
-//! **exact-split reference** that scans every candidate threshold — kept
-//! forever, like the router's `MazeKernel::ReferenceDijkstra`, so the
-//! differential suite can prove the fast kernel never silently changes
-//! the paper's Table IV numbers. After fitting, the ensemble is compiled
+//! **exact-split reference** that scans every candidate threshold — kept,
+//! like the placer's `PlaceKernel::ReferenceAnneal`, so the differential
+//! suite can prove the fast kernel never silently changes the paper's
+//! Table IV numbers. After fitting, the ensemble is compiled
 //! into a [`CompiledEnsemble`] (implicit complete trees, branchless
 //! descent); batched prediction ([`Regressor::predict`] /
 //! [`Regressor::predict_into`]) runs on it and is bit-identical to per-row

@@ -259,12 +259,12 @@ mod tests {
 
     fn sample() -> RunRecord {
         let mut r = Registry::new();
-        r.inc("route.expanded_nodes", 41);
+        r.inc("route.rerouted_conns", 41);
         r.set_gauge("dataset.wall_ms", 12.5);
         r.observe("cv.fold.mae", 17.0);
         let mut rec = RunRecord::new("experiments", "bench", "0.1.0", "abc123");
         rec.config_digest = "deadbeef".to_string();
-        rec.kernel("place", "delta").kernel("route", "astar");
+        rec.kernel("place", "delta").kernel("gbrt", "histogram");
         rec.stage_ms("route", 3.25);
         rec.note("effort", "full");
         rec.absorb_metrics(&r.snapshot());
@@ -279,7 +279,7 @@ mod tests {
         assert!(!a.contains('\n'));
         assert!(a.starts_with("{\"schema\":\"obskit.run.v1\""));
         assert!(a.contains("\"place\":\"delta\""));
-        assert!(a.contains("\"route.expanded_nodes\":41"));
+        assert!(a.contains("\"route.rerouted_conns\":41"));
         assert!(a.contains("\"cv.fold.mae\":{\"count\":1"));
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         assert_eq!(a.matches('[').count(), a.matches(']').count());

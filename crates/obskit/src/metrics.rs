@@ -1,7 +1,7 @@
 //! The metrics registry: monotonic counters, gauges, quantile-sketch
 //! histograms, and deterministic merging.
 //!
-//! Metric names follow the `stage.metric` convention (`route.expanded_nodes`,
+//! Metric names follow the `stage.metric` convention (`route.rerouted_conns`,
 //! `train.gbrt.stage_loss`, `cv.fold.wall_ms`). Names ending in `_ms`, `_us`
 //! or `_ns` are **timing metrics**: their values are wall-clock and therefore
 //! nondeterministic, so [`MetricsSnapshot::deterministic_digest`] includes
@@ -154,14 +154,14 @@ mod tests {
     fn digest_ignores_wall_clock_content() {
         let make = |ms: f64| {
             let mut r = Registry::new();
-            r.inc("route.expanded_nodes", 41);
+            r.inc("route.rerouted_conns", 41);
             r.observe("route.pass_overflow", 3.0);
             r.observe("cv.fold.wall_ms", ms); // timing metric: value varies
             r.set_gauge("dataset.wall_ms", ms);
             r.snapshot().deterministic_digest()
         };
         assert_eq!(make(1.0), make(999.0));
-        assert!(make(1.0).contains("counter route.expanded_nodes=41"));
+        assert!(make(1.0).contains("counter route.rerouted_conns=41"));
         assert!(make(1.0).contains("hist cv.fold.wall_ms n=1\n"));
         assert!(make(1.0).contains("hist route.pass_overflow n=1 sketch={\"alpha\":"));
     }

@@ -176,7 +176,7 @@ mod tests {
             obs.span("hls").end();
             obs.span("route").end();
         }
-        obs.inc("route.expanded_nodes", 17);
+        obs.inc("route.rerouted_conns", 17);
         obs.observe("route.pass_overflow", 2.0);
         obs.set_gauge("dataset.wall_ms", 1.5);
         obs.finish()
@@ -208,7 +208,7 @@ mod tests {
         let j = metrics_json(&rec.metrics, &[("tool", "test"), ("version", "0.1.0")]);
         assert!(j.contains("\"schema\": \"obskit.metrics.v1\""));
         assert!(j.contains("\"tool\": \"test\""));
-        assert!(j.contains("\"route.expanded_nodes\": 17"));
+        assert!(j.contains("\"route.rerouted_conns\": 17"));
         assert!(j.contains("\"dataset.wall_ms\": 1.5"));
         assert!(j.contains("\"p99\":"));
         assert!(j.contains("\"sketch\": {\"alpha\":"));
@@ -222,7 +222,7 @@ mod tests {
         let p = profile_table(&rec);
         assert!(p.contains("design"));
         assert!(p.contains("hls"));
-        assert!(p.contains("route.expanded_nodes"));
+        assert!(p.contains("route.rerouted_conns"));
         assert!(p.contains("route.pass_overflow"));
     }
 

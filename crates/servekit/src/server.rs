@@ -94,8 +94,6 @@ pub struct ServeConfig {
     pub journal_path: Option<PathBuf>,
     /// Swap validation gate.
     pub gate: ValidationGate,
-    /// The degraded-path estimator.
-    pub estimator: AnalyticEstimator,
     /// Optional run-ledger sink for swap records.
     pub ledger: Option<LedgerSink>,
     /// Coalescing row budget per micro-batch: a worker drains the
@@ -129,7 +127,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("plan", &self.plan)
             .field("journal_path", &self.journal_path)
             .field("gate", &self.gate)
-            .field("estimator", &self.estimator)
             .field("ledger", &self.ledger)
             .field("batch_max_rows", &self.batch_max_rows)
             .field("cache_capacity", &self.cache_capacity)
@@ -148,7 +145,6 @@ impl Default for ServeConfig {
             plan: None,
             journal_path: None,
             gate: ValidationGate::default(),
-            estimator: AnalyticEstimator::default(),
             ledger: None,
             batch_max_rows: 256,
             cache_capacity: 64,
@@ -773,17 +769,19 @@ fn process_batch(state: &Arc<ServerState>, batch: Vec<Job>) {
     // makes `lost_in_flight` after a SIGKILL reflect the whole admitted
     // batch (the chaos suite pins this).
     journal_progress(state);
-    let replies =
-        catch_unwind(AssertUnwindSafe(|| batch_replies(state, &batch))).unwrap_or_else(|_| {
-            batch
+    let (replies, merged_rows) = catch_unwind(AssertUnwindSafe(|| batch_replies(state, &batch)))
+        .unwrap_or_else(|_| {
+            let replies = batch
                 .iter()
                 .map(|j| Reply::error(j.req.id, "internal panic (isolated)"))
-                .collect()
+                .collect();
+            (replies, 0)
         });
     {
         let mut m = state.metrics.lock().unwrap();
         m.batches += 1;
         m.coalesced += batch.len() as u64;
+        m.batch_rows += merged_rows as u64;
         m.batch_peak = m.batch_peak.max(batch.len() as u64);
     }
     for (job, reply) in batch.iter().zip(replies) {
@@ -791,8 +789,9 @@ fn process_batch(state: &Arc<ServerState>, batch: Vec<Job>) {
     }
 }
 
-/// Compute one reply per batch member, in member order.
-fn batch_replies(state: &Arc<ServerState>, batch: &[Job]) -> Vec<Reply> {
+/// Compute one reply per batch member, in member order, and the number of
+/// rows merged into the one predict call.
+fn batch_replies(state: &Arc<ServerState>, batch: &[Job]) -> (Vec<Reply>, usize) {
     let mut replies: Vec<Option<Reply>> = Vec::with_capacity(batch.len());
     // Members that survive validation, with their row range in the merged
     // matrix: (index into batch, row offset, row count).
@@ -873,10 +872,11 @@ fn batch_replies(state: &Arc<ServerState>, batch: &[Job]) -> Vec<Reply> {
             });
         }
     }
-    replies
+    let replies = replies
         .into_iter()
         .map(|r| r.expect("every batch member answered"))
-        .collect()
+        .collect();
+    (replies, total_rows)
 }
 
 /// The merged-batch rung of the degradation ladder: one `predict_into`
@@ -910,7 +910,7 @@ fn predict_merged(
             Err(_) => demote_active(state),
         }
     }
-    let (v, h) = analytic_predict(state, merged);
+    let (v, h) = analytic_predict(merged);
     (ReplyStatus::Degraded, ANALYTIC_MODEL.to_string(), v, h)
 }
 
@@ -1073,7 +1073,7 @@ fn predict_ladder(
             }
         }
     }
-    let (v, h) = analytic_predict(state, rows);
+    let (v, h) = analytic_predict(rows);
     (ReplyStatus::Degraded, ANALYTIC_MODEL.to_string(), v, h)
 }
 
@@ -1121,11 +1121,12 @@ fn panic_text(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-fn analytic_predict(state: &ServerState, rows: &Matrix) -> (Vec<f64>, Vec<f64>) {
+fn analytic_predict(rows: &Matrix) -> (Vec<f64>, Vec<f64>) {
+    let estimator = AnalyticEstimator::default();
     let mut v = Vec::with_capacity(rows.rows());
     let mut h = Vec::with_capacity(rows.rows());
     for row in rows.iter_rows() {
-        let (pv, ph) = state.cfg.estimator.predict(row);
+        let (pv, ph) = estimator.predict(row);
         v.push(pv);
         h.push(ph);
     }
@@ -1483,6 +1484,8 @@ mod tests {
         let sum = s.shutdown();
         assert!(sum.metrics.batches >= 1, "a multi-request batch must form");
         assert!(sum.metrics.coalesced >= 2);
+        // Every request carries two rows, and every member is merged.
+        assert_eq!(sum.metrics.batch_rows, 2 * sum.metrics.coalesced);
 
         let single = start_simple(ServeConfig {
             batch_max_rows: 1,

@@ -3,7 +3,7 @@
 //! Every `BENCH_*.json` baseline at the repo root and every
 //! `reports/*_bench.json` mirror must parse as a well-formed
 //! `obskit.metrics.v1` document with complete meta stamps (tool, version,
-//! git, effort, the four kernel selections). A stale artifact — one
+//! git, effort, the three kernel selections). A stale artifact — one
 //! emitted before a schema or meta change — fails here, in CI, instead of
 //! silently passing the regression gate with missing fields. The mirror
 //! and root copies come from one writer, so full-effort mirrors must be
@@ -20,7 +20,6 @@ fn repo_root() -> PathBuf {
 /// Baseline ↔ mirror pairs the canonical writer produces.
 const PAIRS: &[(&str, &str)] = &[
     ("BENCH_place.json", "reports/place_bench.json"),
-    ("BENCH_route.json", "reports/router_bench.json"),
     ("BENCH_train.json", "reports/train_bench.json"),
     ("BENCH_pipeline.json", "reports/pipeline_bench.json"),
 ];
@@ -44,7 +43,6 @@ fn assert_metrics_doc(name: &str, text: &str) -> Value {
         "effort",
         "kernel.extract",
         "kernel.place",
-        "kernel.route",
         "kernel.gbrt",
     ] {
         assert!(
@@ -91,7 +89,10 @@ fn every_committed_bench_artifact_is_schema_valid() {
             checked += 1;
         }
     }
-    assert!(checked >= 4, "all four committed baselines must be checked");
+    assert!(
+        checked >= 3,
+        "all three committed baselines must be checked"
+    );
 }
 
 #[test]
@@ -138,12 +139,6 @@ fn committed_baselines_pass_the_regression_gate_checks() {
             "BENCH_place.json" => {
                 assert!(
                     gauge("place_bench.total.speedup").unwrap() >= 1.3,
-                    "{baseline}"
-                )
-            }
-            "BENCH_route.json" => {
-                assert!(
-                    gauge("router_bench.fd_opt.speedup").unwrap() >= 1.5,
                     "{baseline}"
                 )
             }

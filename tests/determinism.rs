@@ -97,35 +97,6 @@ fn worker_count_does_not_change_dataset_or_models() {
 }
 
 #[test]
-fn maze_router_is_deterministic_across_worker_counts() {
-    // The rewritten maze kernel (A* + arena + incremental rerouting) must be
-    // a pure function of the design: 1 worker and 8 workers produce
-    // bit-identical congestion labels.
-    let modules: Vec<Module> = [
-        "int32 f(int32 a[32], int32 k) { int32 s = 0;\n#pragma HLS unroll factor=8\nfor (i = 0; i < 32; i++) { s = s + a[i] * k; } return s; }",
-        "int32 g(int32 a[64], int32 k) {\n#pragma HLS array_partition variable=a complete\nint32 s = 0;\n#pragma HLS unroll\nfor (i = 0; i < 64; i++) { s = s + a[i] * k; } return s; }",
-    ]
-    .iter()
-    .enumerate()
-    .map(|(i, s)| compile_named(s, &format!("mz{i}")).unwrap())
-    .collect();
-
-    let run = |workers| {
-        let mut flow = CongestionFlow::fast().with_workers(workers);
-        flow.par.router = fpga_fabric::RouterOptions::with_maze(2);
-        flow.build_dataset(&modules).unwrap()
-    };
-    let a = run(1);
-    let b = run(8);
-    assert_eq!(a.samples.len(), b.samples.len());
-    for (x, y) in a.samples.iter().zip(&b.samples) {
-        assert_eq!((&x.design, x.func, x.op), (&y.design, y.func, y.op));
-        assert_eq!(x.vertical.to_bits(), y.vertical.to_bits());
-        assert_eq!(x.horizontal.to_bits(), y.horizontal.to_bits());
-    }
-}
-
-#[test]
 fn dataset_bytes_and_metrics_digest_match_at_1_2_and_8_workers() {
     // Worker count must be a pure scheduling change: the serialized CSV
     // bytes — the strictest equality, catching even `-0.0` vs `+0.0` —

@@ -36,10 +36,10 @@ const MAC16: &str = "int32 f(int32 a[16], int32 k) { int32 s = 0; for (i = 0; i 
 
 #[test]
 fn flow_config_digests_are_pinned() {
-    assert_eq!(CongestionFlow::new().config_digest(), 0x7951_7b0c_5acb_0d2c);
+    assert_eq!(CongestionFlow::new().config_digest(), 0xe9ec_4407_263e_5e92);
     assert_eq!(
         CongestionFlow::fast().config_digest(),
-        0x07b0_9845_990f_04de
+        0xf4f5_66b2_ac4d_ccf0
     );
 }
 

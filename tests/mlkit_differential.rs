@@ -6,8 +6,8 @@
 //!
 //! * **Accuracy equivalence**: the histogram kernel's held-out MAE/MedAE
 //!   stays within a pinned tolerance of `GbrtKernel::ReferenceExact` — the
-//!   exact-split gold standard kept around forever, like the router's
-//!   `ReferenceDijkstra` — so binning can never silently move Table IV.
+//!   exact-split gold standard, like the placer's `ReferenceAnneal` — so
+//!   binning can never silently move Table IV.
 //! * **Bitwise identity**: the compiled SoA node table (and every other
 //!   model's batched path) predicts bit-for-bit what per-row `predict_one`
 //!   predicts, across model families and seeds.

@@ -1,30 +1,26 @@
-//! Golden tests for the routing kernel rewrite.
+//! Golden tests for the router.
 //!
-//! The default (non-maze) router must stay **bit-identical** run to run:
-//! the checksums below pin the plain-Dijkstra route of the default
-//! (delta-kernel) placement, because every congestion label in every
-//! dataset depends on them. They were re-recorded at the delta-placer
-//! rewrite (better placements route differently).
+//! The router (an L-shape pass, then Z-shape rip-up of the connections
+//! that cross overflowed tiles) must stay **bit-identical** run to run:
+//! the checksums below pin its route of the default (delta-kernel)
+//! placement, because every congestion label in every dataset depends on
+//! them. They were re-recorded at the delta-placer rewrite (better
+//! placements route differently).
 //!
 //! When `usage_checksum` became true FNV-1a (it had multiplied by
 //! 2^44 + 0x1b3, not FNV's 2^40 + 0x1b3), one run at `47e20a0` computed
 //! both functions over the same routes: each old value equalled the
 //! constant then committed, and these are the new ones.
-//!
-//! The maze path (A* + windows + negotiated congestion) is allowed to pick
-//! different wires, but must never leave *more* overflowed tiles than the
-//! old full-grid Dijkstra maze did on the same design.
 
 use fpga_fabric::par::{run_par, ParOptions};
-use fpga_fabric::{Device, RouterOptions};
+use fpga_fabric::Device;
 use hls_ir::frontend::compile_named;
 use hls_ir::module::Module;
 use hls_synth::{HlsFlow, HlsOptions};
 use rosetta_gen::face_detection::{benchmark, FdVariant};
 
-/// (name, module, default-router usage checksum, default overflowed tiles,
-/// old-maze overflowed tiles ceiling).
-fn corpus() -> Vec<(&'static str, Module, u64, usize, usize)> {
+/// (name, module, usage checksum, overflowed tiles).
+fn corpus() -> Vec<(&'static str, Module, u64, usize)> {
     let src = |s: &str, n: &str| compile_named(s, n).unwrap();
     vec![
         (
@@ -35,7 +31,6 @@ fn corpus() -> Vec<(&'static str, Module, u64, usize, usize)> {
             ),
             0xfa8f_6dec_5fbf_a324,
             0,
-            0,
         ),
         (
             "unroll64",
@@ -45,7 +40,6 @@ fn corpus() -> Vec<(&'static str, Module, u64, usize, usize)> {
             ),
             0xe9b6_ddc1_e949_d125,
             187,
-            21,
         ),
         (
             "wide256",
@@ -55,7 +49,6 @@ fn corpus() -> Vec<(&'static str, Module, u64, usize, usize)> {
             ),
             0x7f7e_b9f3_412b_3e56,
             1,
-            0,
         ),
     ]
 }
@@ -63,54 +56,30 @@ fn corpus() -> Vec<(&'static str, Module, u64, usize, usize)> {
 #[test]
 fn default_router_matches_recorded_golden_checksums() {
     let device = Device::xc7z020();
-    for (name, module, hash, tiles_over, _) in corpus() {
+    for (name, module, hash, tiles_over) in corpus() {
         let design = HlsFlow::new(HlsOptions::default()).run(&module).unwrap();
         let r = run_par(&design, &device, &ParOptions::fast());
         assert_eq!(
             r.route.usage_checksum(),
             hash,
-            "{name}: default-mode routing changed — congestion labels would drift"
+            "{name}: routing changed — congestion labels would drift"
         );
         assert_eq!(r.congestion.tiles_over(100.0), tiles_over, "{name}");
     }
 }
 
 #[test]
-fn maze_router_never_leaves_more_overflow_than_old_kernel() {
-    let device = Device::xc7z020();
-    for (name, module, _, _, old_maze_over) in corpus() {
-        let design = HlsFlow::new(HlsOptions::default()).run(&module).unwrap();
-        let mut opts = ParOptions::fast();
-        opts.router = RouterOptions::with_maze(2);
-        let r = run_par(&design, &device, &opts);
-        assert!(
-            r.congestion.tiles_over(100.0) <= old_maze_over,
-            "{name}: A* maze left {} overflowed tiles, old kernel left {old_maze_over}",
-            r.congestion.tiles_over(100.0)
-        );
-    }
-}
-
-#[test]
-#[ignore = "slow: routes the largest in-tree design twice"]
-fn maze_router_improves_on_old_kernel_for_face_detection() {
-    // fd_opt is the only in-tree design congested enough that the two maze
-    // kernels converge differently; the windowed A* with improve-based
-    // acceptance must do no worse than the old full-grid Dijkstra (2213
-    // overflowed tiles recorded at the delta-placer rewrite; the default
-    // router leaves 2269).
+#[ignore = "slow: routes the largest in-tree design"]
+fn router_matches_recorded_golden_checksum_for_face_detection() {
+    // fd_opt is the most congested in-tree design: the router leaves 2269
+    // overflowed tiles.
     let module = benchmark(FdVariant::Optimized).build().unwrap();
     let design = HlsFlow::new(HlsOptions::default()).run(&module).unwrap();
-    let device = Device::xc7z020();
+    let r = run_par(&design, &Device::xc7z020(), &ParOptions::fast());
     assert_eq!(
-        run_par(&design, &device, &ParOptions::fast())
-            .route
-            .usage_checksum(),
+        r.route.usage_checksum(),
         0x0270_9740_345c_4c52,
-        "fd_opt: default-mode routing changed"
+        "fd_opt: routing changed"
     );
-    let mut opts = ParOptions::fast();
-    opts.router = RouterOptions::with_maze(2);
-    let r = run_par(&design, &device, &opts);
-    assert!(r.congestion.tiles_over(100.0) <= 2213);
+    assert_eq!(r.congestion.tiles_over(100.0), 2269);
 }
