@@ -1,8 +1,8 @@
 //! Feature-extraction kernel benchmarks: the whole dataset-add stage
-//! under the SoA `extract_into` kernel and under the reference per-node
-//! allocation kernel. Run with `cargo bench --bench features`.
+//! under the SoA `extract_into` kernel (`add_design`) and under the
+//! reference per-node allocation kernel (`add_design_reference`). Run with
+//! `cargo bench --bench features`.
 
-use congestion_core::features::ExtractKernel;
 use congestion_core::pipeline::CongestionFlow;
 use congestion_core::CongestionDataset;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -27,16 +27,21 @@ fn bench_extract_kernels(c: &mut Criterion) {
     let (design, impl_result) = flow.implement(&congested_module()).unwrap();
     let mut g = c.benchmark_group("extract_kernels");
     g.sample_size(10);
-    for kernel in [ExtractKernel::Soa, ExtractKernel::Reference] {
-        g.bench_function(kernel.name(), |b| {
-            b.iter(|| {
-                let mut ds = CongestionDataset::new();
-                ds.add_design_with(&design, &impl_result, &flow.device, kernel)
-                    .unwrap();
-                black_box(ds.len())
-            })
-        });
-    }
+    g.bench_function("soa", |b| {
+        b.iter(|| {
+            let mut ds = CongestionDataset::new();
+            ds.add_design(&design, &impl_result, &flow.device).unwrap();
+            black_box(ds.len())
+        })
+    });
+    g.bench_function("reference", |b| {
+        b.iter(|| {
+            let mut ds = CongestionDataset::new();
+            ds.add_design_reference(&design, &impl_result, &flow.device)
+                .unwrap();
+            black_box(ds.len())
+        })
+    });
     g.finish();
 }
 

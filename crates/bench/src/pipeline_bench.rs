@@ -1,15 +1,13 @@
-//! Dataset-build benchmark: the SoA feature-extraction kernel against the
-//! reference per-node path, per design and on whole dataset builds at
-//! equal worker counts. Produces the rows recorded in
+//! Feature-extraction benchmark: the SoA kernel of
+//! `CongestionDataset::add_design` against the reference per-node path of
+//! `add_design_reference`, per design. Produces the rows recorded in
 //! `BENCH_pipeline.json`.
 //!
 //! Every row also carries a bit-identity verdict: the SoA kernel must
-//! reproduce the baseline dataset byte for byte (CSV serialization) and
-//! the baseline metrics digest exactly — a speedup that changes the answer
-//! is a bug, not a result.
+//! reproduce the reference dataset byte for byte (CSV serialization) — a
+//! speedup that changes the answer is a bug, not a result.
 
 use crate::designs::Effort;
-use congestion_core::features::ExtractKernel;
 use congestion_core::persist::write_csv;
 use congestion_core::pipeline::CongestionFlow;
 use congestion_core::CongestionDataset;
@@ -21,12 +19,12 @@ use std::time::Instant;
 /// Feature-kernel head-to-head on one implemented design.
 ///
 /// Two granularities per kernel: `extract_*_ms` times the extraction loop
-/// alone — the exact seam the [`ExtractKernel`] selector switches — and
-/// `stage_*_ms` times the whole features stage (`add_design_with`:
-/// back-trace, graph + CSR construction, extraction, sample pushes). The
-/// stage numbers include per-design setup that is identical for both
-/// kernels by construction, so the stage ratio is a lower bound on the
-/// kernel ratio.
+/// alone — the only step in which the two kernels differ — and
+/// `stage_*_ms` times the whole features stage (`add_design` or
+/// `add_design_reference`: back-trace, graph + CSR construction,
+/// extraction, sample pushes). The stage numbers include per-design setup
+/// that is identical for both kernels by construction, so the stage ratio
+/// is a lower bound on the kernel ratio.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeatureKernelRow {
     /// Design name.
@@ -41,7 +39,7 @@ pub struct FeatureKernelRow {
     pub stage_reference_ms: f64,
     /// Whole features stage with the SoA kernel, milliseconds.
     pub stage_soa_ms: f64,
-    /// Both kernels produced bitwise-identical datasets.
+    /// Both kernels produced datasets with identical CSV bytes.
     pub identical: bool,
 }
 
@@ -65,39 +63,11 @@ impl FeatureKernelRow {
     }
 }
 
-/// End-to-end dataset build at one worker count: reference-kernel build
-/// vs SoA-kernel build, both on the design-parallel executor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EndToEndRow {
-    /// Worker threads given to both builds.
-    pub workers: usize,
-    /// Reference-kernel build wall-clock, milliseconds.
-    pub reference_ms: f64,
-    /// SoA-kernel build wall-clock, milliseconds.
-    pub soa_ms: f64,
-    /// Dataset CSV bytes and metrics digest match the 1-worker
-    /// reference-kernel baseline exactly.
-    pub identical: bool,
-}
-
-impl EndToEndRow {
-    /// End-to-end speedup of the SoA kernel at this worker count.
-    pub fn speedup(&self) -> f64 {
-        if self.soa_ms > 0.0 {
-            self.reference_ms / self.soa_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
 /// The full benchmark result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineBench {
     /// Per-design feature-kernel comparison.
     pub features: Vec<FeatureKernelRow>,
-    /// Per-worker-count end-to-end comparison.
-    pub e2e: Vec<EndToEndRow>,
 }
 
 impl PipelineBench {
@@ -124,28 +94,17 @@ impl PipelineBench {
         }
     }
 
-    /// End-to-end speedup summed over the worker-count rows.
-    pub fn e2e_speedup(&self) -> f64 {
-        let soa: f64 = self.e2e.iter().map(|r| r.soa_ms).sum();
-        let reference: f64 = self.e2e.iter().map(|r| r.reference_ms).sum();
-        if soa > 0.0 {
-            reference / soa
-        } else {
-            f64::INFINITY
-        }
-    }
-
     /// Every row's bit-identity verdict holds.
     pub fn all_identical(&self) -> bool {
-        self.features.iter().all(|r| r.identical) && self.e2e.iter().all(|r| r.identical)
+        self.features.iter().all(|r| r.identical)
     }
 }
 
-/// The benchmark flow: both kernels run with [`ParOptions::fast`] place and
-/// route regardless of effort, so the features stage keeps the share it
-/// has in the extraction-bound regime this optimisation targets. The two
-/// builds always get identical PAR settings — the comparison is fair at
-/// any effort; effort only scales the corpus and repetition counts.
+/// The benchmark flow: designs are placed and routed with
+/// [`ParOptions::fast`] regardless of effort, so the features stage keeps
+/// the share it has in the extraction-bound regime this optimisation
+/// targets. Both kernels extract from the same implemented design; effort
+/// only scales the corpus and repetition counts.
 fn bench_flow() -> CongestionFlow {
     let mut flow = CongestionFlow::new();
     flow.par = ParOptions::fast();
@@ -193,6 +152,15 @@ fn corpus(effort: Effort) -> Vec<(String, Module)> {
     out
 }
 
+/// [`CongestionDataset::add_design`] or its reference,
+/// [`CongestionDataset::add_design_reference`].
+type AddDesign = fn(
+    &mut CongestionDataset,
+    &hls_synth::SynthesizedDesign,
+    &fpga_fabric::ImplResult,
+    &fpga_fabric::Device,
+) -> Result<usize, congestion_core::backtrace::BacktraceError>;
+
 /// Time the features stage (back-trace + extraction) with both kernels on
 /// every corpus design. Each design is implemented once; each kernel runs
 /// `reps` times and reports the minimum — scheduler noise on a shared box
@@ -210,21 +178,22 @@ pub fn feature_rows(effort: Effort) -> Vec<FeatureKernelRow> {
             let (design, impl_result) = flow
                 .implement(&module)
                 .expect("bench design must implement");
-            let time_stage = |kernel: ExtractKernel| {
+            let time_stage = |add: AddDesign| {
                 let mut best_ms = f64::INFINITY;
                 let mut out = CongestionDataset::new();
                 for _ in 0..reps {
                     let mut ds = CongestionDataset::new();
                     let t = Instant::now();
-                    ds.add_design_with(&design, &impl_result, &flow.device, kernel)
+                    add(&mut ds, &design, &impl_result, &flow.device)
                         .expect("features stage must succeed");
                     best_ms = best_ms.min(t.elapsed().as_secs_f64() * 1e3);
                     out = ds;
                 }
                 (best_ms, out)
             };
-            let (stage_reference_ms, reference) = time_stage(ExtractKernel::Reference);
-            let (stage_soa_ms, soa) = time_stage(ExtractKernel::Soa);
+            let (stage_reference_ms, reference) =
+                time_stage(CongestionDataset::add_design_reference);
+            let (stage_soa_ms, soa) = time_stage(CongestionDataset::add_design);
             let (extract_reference_ms, extract_soa_ms) =
                 time_extract_loops(&design, &impl_result, &flow, reps);
             FeatureKernelRow {
@@ -234,14 +203,22 @@ pub fn feature_rows(effort: Effort) -> Vec<FeatureKernelRow> {
                 extract_soa_ms,
                 stage_reference_ms,
                 stage_soa_ms,
-                identical: soa == reference,
+                identical: csv_bytes(&soa) == csv_bytes(&reference),
             }
         })
         .collect()
 }
 
+/// A dataset's CSV bytes, the identity evidence of a row: unlike `==` on
+/// the feature matrix, they tell `-0.0` from `0.0`.
+fn csv_bytes(ds: &CongestionDataset) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_csv(ds, &mut bytes).expect("in-memory csv");
+    bytes
+}
+
 /// Time the two extraction loops in isolation: the same per-function
-/// graph/ctx/labels setup `add_design_with` performs, then `extract` vs
+/// graph/ctx/labels setup `add_design` performs, then `extract` vs
 /// `extract_into` over exactly the labelled nodes. Minimum over `reps`.
 fn time_extract_loops(
     design: &hls_synth::SynthesizedDesign,
@@ -290,65 +267,10 @@ fn time_extract_loops(
     (reference_ms, soa_ms)
 }
 
-/// One dataset build repeated `reps` times; returns the minimum wall-clock
-/// (noise-robust, see [`feature_rows`]) plus the identity evidence of the
-/// last run (serialized dataset bytes and the deterministic metrics
-/// digest).
-fn build(flow: &CongestionFlow, modules: &[Module], reps: usize) -> (f64, Vec<u8>, String) {
-    let mut best_ms = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..reps {
-        let report = flow.build_dataset_report(modules);
-        assert_eq!(
-            report.failed(),
-            0,
-            "bench corpus designs must all implement"
-        );
-        best_ms = best_ms.min(report.wall.as_secs_f64() * 1e3);
-        let mut bytes = Vec::new();
-        write_csv(&report.dataset, &mut bytes).expect("in-memory csv");
-        last = Some((bytes, report.obs.metrics.deterministic_digest()));
-    }
-    let (bytes, digest) = last.expect("reps >= 1");
-    (best_ms, bytes, digest)
-}
-
-/// End-to-end build comparison at 1, 2, and 8 workers. Identity is judged
-/// against the 1-worker reference-kernel baseline: same CSV bytes, same
-/// digest, for every configuration.
-pub fn e2e_rows(effort: Effort) -> Vec<EndToEndRow> {
-    let modules: Vec<Module> = corpus(effort).into_iter().map(|(_, m)| m).collect();
-    let reps = match effort {
-        Effort::Fast => 3,
-        Effort::Full => 7,
-    };
-    let flow = |w: usize, kernel| bench_flow().with_workers(w).with_extract_kernel(kernel);
-    let (_, base_bytes, base_digest) = build(&flow(1, ExtractKernel::Reference), &modules, 1);
-    [1usize, 2, 8]
-        .into_iter()
-        .map(|workers| {
-            let (reference_ms, r_bytes, r_digest) =
-                build(&flow(workers, ExtractKernel::Reference), &modules, reps);
-            let (soa_ms, s_bytes, s_digest) =
-                build(&flow(workers, ExtractKernel::Soa), &modules, reps);
-            EndToEndRow {
-                workers,
-                reference_ms,
-                soa_ms,
-                identical: r_bytes == base_bytes
-                    && s_bytes == base_bytes
-                    && r_digest == base_digest
-                    && s_digest == base_digest,
-            }
-        })
-        .collect()
-}
-
 /// Run the whole benchmark.
 pub fn run(effort: Effort) -> PipelineBench {
     PipelineBench {
         features: feature_rows(effort),
-        e2e: e2e_rows(effort),
     }
 }
 
@@ -363,7 +285,6 @@ pub fn to_metrics(bench: &PipelineBench) -> obskit::MetricsSnapshot {
         bench.features_speedup(),
     );
     reg.set_gauge("pipeline_bench.total.stage_speedup", bench.stage_speedup());
-    reg.set_gauge("pipeline_bench.total.e2e_speedup", bench.e2e_speedup());
     reg.inc(
         "pipeline_bench.total.identical",
         u64::from(bench.all_identical()),
@@ -381,13 +302,6 @@ pub fn to_metrics(bench: &PipelineBench) -> obskit::MetricsSnapshot {
         reg.set_gauge(&format!("{base}.stage_soa_ms"), r.stage_soa_ms);
         reg.set_gauge(&format!("{base}.speedup"), r.speedup());
         reg.set_gauge(&format!("{base}.stage_speedup"), r.stage_speedup());
-    }
-    for r in &bench.e2e {
-        let base = format!("pipeline_bench.e2e.workers{}", r.workers);
-        reg.inc(&format!("{base}.identical"), u64::from(r.identical));
-        reg.set_gauge(&format!("{base}.reference_ms"), r.reference_ms);
-        reg.set_gauge(&format!("{base}.soa_ms"), r.soa_ms);
-        reg.set_gauge(&format!("{base}.speedup"), r.speedup());
     }
     reg.into_snapshot()
 }
@@ -428,26 +342,10 @@ pub fn render(bench: &PipelineBench) -> String {
         ));
     }
     out.push_str(&format!(
-        "extraction-kernel speedup: {:.2}x | features-stage speedup: {:.2}x\n\n",
+        "extraction-kernel speedup: {:.2}x | features-stage speedup: {:.2}x\n",
         bench.features_speedup(),
         bench.stage_speedup()
     ));
-    out.push_str("DATASET BUILD: SOA KERNEL VS REFERENCE KERNEL\n");
-    out.push_str(&format!(
-        "{:<8} {:>14} {:>8} {:>8} {:>10}\n",
-        "workers", "reference ms", "soa ms", "speedup", "identical"
-    ));
-    for r in &bench.e2e {
-        out.push_str(&format!(
-            "{:<8} {:>14.1} {:>8.1} {:>7.2}x {:>10}\n",
-            r.workers,
-            r.reference_ms,
-            r.soa_ms,
-            r.speedup(),
-            r.identical,
-        ));
-    }
-    out.push_str(&format!("e2e speedup: {:.2}x\n", bench.e2e_speedup()));
     out
 }
 
@@ -459,13 +357,11 @@ mod tests {
     fn fast_bench_is_bit_identical_and_speedups_are_finite() {
         let bench = run(Effort::Fast);
         assert_eq!(bench.features.len(), 2);
-        assert_eq!(bench.e2e.len(), 3);
         assert!(
             bench.all_identical(),
             "SoA kernel changed the dataset: {bench:?}"
         );
         assert!(bench.features_speedup() > 0.0);
-        assert!(bench.e2e_speedup() > 0.0);
         for r in &bench.features {
             assert!(r.samples > 0);
         }
@@ -482,12 +378,6 @@ mod tests {
                 stage_soa_ms: 4.0,
                 identical: true,
             }],
-            e2e: vec![EndToEndRow {
-                workers: 2,
-                reference_ms: 30.0,
-                soa_ms: 20.0,
-                identical: true,
-            }],
         }
     }
 
@@ -498,7 +388,6 @@ mod tests {
         assert_eq!(snap.counters["pipeline_bench.total.identical"], 1);
         assert_eq!(snap.gauges["pipeline_bench.features.d.speedup"], 4.0);
         assert_eq!(snap.gauges["pipeline_bench.features.d.stage_speedup"], 2.5);
-        assert_eq!(snap.gauges["pipeline_bench.e2e.workers2.speedup"], 1.5);
         assert_eq!(snap.gauges["pipeline_bench.total.features_speedup"], 4.0);
         assert_eq!(snap.gauges["pipeline_bench.total.stage_speedup"], 2.5);
     }
@@ -512,7 +401,7 @@ mod tests {
             "{j}"
         );
         assert!(
-            j.contains("pipeline_bench.e2e.workers2.reference_ms"),
+            j.contains("pipeline_bench.features.d.stage_reference_ms"),
             "{j}"
         );
         assert_eq!(j.matches('{').count(), j.matches('}').count());

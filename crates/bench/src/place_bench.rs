@@ -3,7 +3,7 @@
 //! the in-tree designs. Produces the rows recorded in `BENCH_place.json`.
 
 use crate::designs::Effort;
-use fpga_fabric::place::{place, PlaceKernel, Placement, PlacerOptions};
+use fpga_fabric::place::{place, place_reference, Placement, PlacerOptions};
 use fpga_fabric::route::route;
 use fpga_fabric::{Device, RouterOptions, RoutingUtilization};
 use hls_ir::frontend::compile_named;
@@ -104,11 +104,11 @@ fn kernel_run(rtl: &RtlDesign, p: &Placement, wall_ms: f64, device: &Device) -> 
     }
 }
 
-/// Place every corpus design with both kernels and time the place stage.
+/// Place every corpus design with `place` and `place_reference` and time
+/// the place stage.
 ///
-/// Both kernels get identical options apart from the kernel selector (same
-/// seed, same moves-per-cell budget); the timed region is the `place` call
-/// alone. Each placement is then routed with the default router so rows
+/// Both kernels get identical options (same seed, same moves-per-cell
+/// budget); the timed region is the placer call alone. Each placement is then routed with the default router so rows
 /// also compare downstream overflow.
 pub fn run(effort: Effort) -> Vec<PlaceBenchRow> {
     let device = Device::xc7z020();
@@ -121,15 +121,14 @@ pub fn run(effort: Effort) -> Vec<PlaceBenchRow> {
         let design = HlsFlow::new(HlsOptions::default())
             .run(&module)
             .expect("bench design must synthesize");
-        let time = |kernel: PlaceKernel| {
-            let opts = base.clone().with_kernel(kernel);
+        let time = |kernel: fn(&RtlDesign, &Device, &PlacerOptions) -> Placement| {
             let t = Instant::now();
-            let p = place(&design.rtl, &device, &opts);
+            let p = kernel(&design.rtl, &device, &base);
             let ms = t.elapsed().as_secs_f64() * 1e3;
             (p, ms)
         };
-        let (d, d_ms) = time(PlaceKernel::DeltaAnneal);
-        let (r, r_ms) = time(PlaceKernel::ReferenceAnneal);
+        let (d, d_ms) = time(place);
+        let (r, r_ms) = time(place_reference);
         debug_assert_eq!(d.pos.len(), r.pos.len());
         rows.push(PlaceBenchRow {
             design: name,

@@ -7,7 +7,7 @@
 use crate::designs::{self, Effort};
 use congestion_core::dataset::{CongestionDataset, Target};
 use mlkit::metrics::mae;
-use mlkit::{GbrtKernel, GbrtOptions, GbrtRegressor, Regressor};
+use mlkit::{GbrtOptions, GbrtRegressor, Matrix, Regressor};
 use std::time::Instant;
 
 /// One kernel's fit on one target.
@@ -90,13 +90,12 @@ fn dataset(effort: Effort) -> CongestionDataset {
         .expect("bench suite must implement")
 }
 
-fn gbrt_opts(effort: Effort, kernel: GbrtKernel, workers: usize) -> GbrtOptions {
+fn gbrt_opts(effort: Effort, workers: usize) -> GbrtOptions {
     GbrtOptions {
         n_estimators: match effort {
             Effort::Fast => 30,
             Effort::Full => 250,
         },
-        kernel,
         workers,
         ..Default::default()
     }
@@ -114,10 +113,10 @@ pub fn run(effort: Effort) -> Vec<TrainBenchRow> {
     for target in [Target::Vertical, Target::Horizontal] {
         let tr = train.to_ml(target);
         let te = test.to_ml(target);
-        let fit = |kernel, workers| {
-            let mut m = GbrtRegressor::new(gbrt_opts(effort, kernel, workers));
+        let fit = |kernel: fn(&mut GbrtRegressor, &Matrix, &[f64]), workers| {
+            let mut m = GbrtRegressor::new(gbrt_opts(effort, workers));
             let t = Instant::now();
-            m.fit(&tr.x, &tr.y);
+            kernel(&mut m, &tr.x, &tr.y);
             let fit_ms = t.elapsed().as_secs_f64() * 1e3;
             let run = FitRun {
                 fit_ms,
@@ -131,9 +130,9 @@ pub fn run(effort: Effort) -> Vec<TrainBenchRow> {
             };
             (m, run)
         };
-        let (model, hist) = fit(GbrtKernel::Histogram, parkit::num_threads());
-        let (_, hist_serial) = fit(GbrtKernel::Histogram, 1);
-        let (_, exact) = fit(GbrtKernel::ReferenceExact, 1);
+        let (model, hist) = fit(GbrtRegressor::fit, parkit::num_threads());
+        let (_, hist_serial) = fit(GbrtRegressor::fit, 1);
+        let (_, exact) = fit(GbrtRegressor::fit_reference, 1);
 
         // Inference: the compiled batched path vs the per-row walk, over
         // enough repetitions to rise above timer noise.

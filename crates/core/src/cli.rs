@@ -3,7 +3,7 @@
 //! never swallows the next token, an unknown flag is an error naming it,
 //! and a flag of another command is an error naming the flag and the
 //! command rather than a flag silently ignored. The options then write
-//! the output flags from an [`ObsRecord`], stamped by [`kernel_stamps`].
+//! the output flags from an [`ObsRecord`].
 //!
 //! ```
 //! use congestion_core::cli::RunOptions;
@@ -15,9 +15,6 @@
 //! # Ok::<(), congestion_core::cli::ArgError>(())
 //! ```
 
-use crate::features::ExtractKernel;
-use fpga_fabric::PlaceKernel;
-use mlkit::GbrtKernel;
 use obskit::{ObsRecord, RunRecord};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -164,17 +161,6 @@ impl Tool {
     }
 }
 
-/// The kernel each stage runs in production, as `(stage, kernel)` pairs:
-/// the `kernel.*` meta stamps of every bench artifact and the `kernels` of
-/// every ledger record.
-pub fn kernel_stamps() -> [(&'static str, &'static str); 3] {
-    [
-        ("extract", ExtractKernel::default().name()),
-        ("place", PlaceKernel::default().name()),
-        ("gbrt", GbrtKernel::default().name()),
-    ]
-}
-
 /// A parsed command line.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
@@ -306,7 +292,7 @@ impl RunOptions {
     }
 
     /// Honour `--ledger-out`: append one `obskit.run.v1` record — identity,
-    /// config digest, [`kernel_stamps`], metrics, then whatever `extra` adds.
+    /// config digest, metrics, then whatever `extra` adds.
     ///
     /// # Errors
     /// Any failure to append to the ledger file.
@@ -323,9 +309,6 @@ impl RunOptions {
         };
         let mut run = RunRecord::new(tool.name, kind, tool.version, tool.git);
         run.config_digest = format!("{config_digest:016x}");
-        for (stage, kernel) in kernel_stamps() {
-            run.kernel(stage, kernel);
-        }
         run.absorb_metrics(&rec.metrics);
         extra(&mut run);
         run.append_to(Path::new(path))?;
@@ -588,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn ledger_records_carry_every_kernel_stamp() {
+    fn ledger_records_carry_no_kernel_stamp() {
         let path = std::env::temp_dir().join(format!("core-cli-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let opts =
@@ -601,12 +584,11 @@ mod tests {
             .unwrap();
         let mut want = RunRecord::new("t", "train", "0", "unknown");
         want.config_digest = "00000000000000ab".into();
-        for (stage, kernel) in kernel_stamps() {
-            want.kernel(stage, kernel);
-        }
         note(&mut want);
         let line = std::fs::read_to_string(&path).unwrap();
         assert_eq!(line, want.to_json_line() + "\n");
+        // Each stage runs one kernel, so a record names none.
+        assert!(!line.contains("kernel"), "{line}");
         std::fs::remove_file(&path).ok();
     }
 }

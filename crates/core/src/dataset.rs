@@ -3,12 +3,12 @@
 //!
 //! Features live in one flat row-major [`Matrix`] owned by the dataset
 //! (structure-of-arrays), not in per-sample `Vec`s: row `i` of the matrix
-//! belongs to `samples[i]`. The SoA extract kernel writes each row in
-//! place, and [`CongestionDataset::to_ml`] hands the whole block to mlkit
-//! without copying a single row.
+//! belongs to `samples[i]`. Extraction writes each row in place, and
+//! [`CongestionDataset::to_ml`] hands the whole block to mlkit without
+//! copying a single row.
 
 use crate::backtrace::{backtrace_labels, BacktraceError};
-use crate::features::{extract_rows, ExtractKernel, FEATURE_COUNT};
+use crate::features::{extract_rows, FEATURE_COUNT};
 use fpga_fabric::{Device, ImplResult};
 use hls_ir::{FuncId, OpId, ReplicaTag};
 use hls_synth::SynthesizedDesign;
@@ -145,8 +145,9 @@ impl CongestionDataset {
         self.features.extend(&other.features);
     }
 
-    /// Add every hardware-backed graph node of `design` as a sample using
-    /// the default (SoA) extract kernel.
+    /// Add every hardware-backed graph node of `design` as a sample. Only
+    /// labelled nodes are extracted: a node is labelled if any member op
+    /// has hardware, and its first such op represents it.
     ///
     /// # Errors
     /// Fails with a [`BacktraceError`] when op→cell provenance is broken;
@@ -157,28 +158,36 @@ impl CongestionDataset {
         impl_result: &ImplResult,
         device: &Device,
     ) -> Result<usize, BacktraceError> {
-        self.add_design_with(design, impl_result, device, ExtractKernel::default())
+        self.add_labelled(design, impl_result, device, false)
     }
 
-    /// [`CongestionDataset::add_design`] with an explicit extract kernel.
-    /// Both kernels produce bitwise-identical rows; `Reference` is the
-    /// original per-node allocation path kept for differential testing.
-    /// Only labelled nodes are extracted: a node is labelled if any member
-    /// op has hardware, and its first such op represents it.
+    /// [`Self::add_design`] through the original per-node extraction, which
+    /// allocates one `Vec<f64>` per sample: the reference the differential
+    /// tests and `experiments pipeline-bench` hold `add_design` to. Both
+    /// add bitwise-identical samples.
     ///
     /// # Errors
-    /// Same contract as [`CongestionDataset::add_design`].
-    pub fn add_design_with(
+    /// Same contract as [`Self::add_design`].
+    pub fn add_design_reference(
         &mut self,
         design: &SynthesizedDesign,
         impl_result: &ImplResult,
         device: &Device,
-        kernel: ExtractKernel,
+    ) -> Result<usize, BacktraceError> {
+        self.add_labelled(design, impl_result, device, true)
+    }
+
+    fn add_labelled(
+        &mut self,
+        design: &SynthesizedDesign,
+        impl_result: &ImplResult,
+        device: &Device,
+        reference: bool,
     ) -> Result<usize, BacktraceError> {
         let labels = backtrace_labels(design, impl_result)?;
         let before = self.samples.len();
         let CongestionDataset { samples, features } = self;
-        extract_rows(design, device, kernel, features, |fid, f, ops| {
+        extract_rows(design, device, reference, features, |fid, f, ops| {
             let Some((op, label)) = ops
                 .iter()
                 .find_map(|&o| labels.get(&(fid, o)).map(|l| (o, l)))
@@ -293,11 +302,8 @@ mod tests {
         let r = run_par(&d, &device, &ParOptions::fast());
         let mut soa = CongestionDataset::new();
         let mut reference = CongestionDataset::new();
-        soa.add_design_with(&d, &r, &device, ExtractKernel::Soa)
-            .unwrap();
-        reference
-            .add_design_with(&d, &r, &device, ExtractKernel::Reference)
-            .unwrap();
+        soa.add_design(&d, &r, &device).unwrap();
+        reference.add_design_reference(&d, &r, &device).unwrap();
         assert_eq!(soa, reference);
     }
 

@@ -27,34 +27,6 @@ use mlkit::Matrix;
 /// Total number of features (the paper's 302).
 pub const FEATURE_COUNT: usize = 302;
 
-/// Which feature-extraction kernel fills the rows.
-///
-/// Both kernels produce bitwise-identical feature vectors (pinned by the
-/// differential suite in `tests/extract_differential.rs`); they differ only
-/// in how the work is laid out. The same new-kernel/reference-kernel idiom
-/// as GBRT (`GbrtKernel`) and the placer (`PlaceKernel`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExtractKernel {
-    /// Batched structure-of-arrays path: `extract_into` writes straight
-    /// into a row of the dataset's flat feature matrix, reading 2-hop
-    /// neighborhoods from CSR slices — zero allocations per node.
-    #[default]
-    Soa,
-    /// The original per-node path allocating one `Vec<f64>` per sample,
-    /// kept as the differential-test reference.
-    Reference,
-}
-
-impl ExtractKernel {
-    /// Display name (used in metrics and kernel stamps).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExtractKernel::Soa => "soa",
-            ExtractKernel::Reference => "reference",
-        }
-    }
-}
-
 /// Feature categories (paper Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FeatureCategory {
@@ -312,14 +284,18 @@ impl<'a> ExtractCtx<'a> {
 /// dependency graph and its [`ExtractCtx`] once, then offers each node
 /// but the ports, in graph order, to `copies`: given the function and the
 /// node's ops, it answers how many copies of the node's row to append to
-/// `rows`. A row is extracted once, with `kernel`, and only if copied.
+/// `rows`. A row is extracted once, and only if copied: straight into
+/// `rows` by [`ExtractCtx::extract_into`], or with `reference` through the
+/// per-node allocation of [`ExtractCtx::extract`], which the dataset's
+/// differential tests and benchmarks compare it against. Both write the
+/// same bits.
 ///
 /// # Panics
 /// Panics if a node is copied and `rows` is not [`FEATURE_COUNT`] wide.
 pub(crate) fn extract_rows(
     design: &SynthesizedDesign,
     device: &Device,
-    kernel: ExtractKernel,
+    reference: bool,
     rows: &mut Matrix,
     mut copies: impl FnMut(FuncId, &Function, &[OpId]) -> usize,
 ) {
@@ -332,9 +308,10 @@ pub(crate) fn extract_rows(
             if n == 0 {
                 continue;
             }
-            match kernel {
-                ExtractKernel::Soa => ctx.extract_into(ni, rows.alloc_row()),
-                ExtractKernel::Reference => rows.push_row(&ctx.extract(ni)),
+            if reference {
+                rows.push_row(&ctx.extract(ni));
+            } else {
+                ctx.extract_into(ni, rows.alloc_row());
             }
             for _ in 1..n {
                 rows.repeat_last_row();

@@ -16,7 +16,6 @@
 
 use crate::backtrace::BacktraceError;
 use crate::dataset::CongestionDataset;
-use crate::features::ExtractKernel;
 use fpga_fabric::par::{run_par, run_par_obs, ParOptions};
 use fpga_fabric::place::PlaceStats;
 use fpga_fabric::route::RouteStats;
@@ -41,10 +40,6 @@ pub struct CongestionFlow {
     /// Worker threads for dataset construction. `None` (the default) uses
     /// [`parkit::num_threads`], which honours `RAYON_NUM_THREADS`.
     pub workers: Option<usize>,
-    /// Feature-extraction kernel. Both kernels are bitwise identical;
-    /// `Reference` keeps the original per-node allocation path alive for
-    /// differential tests and benchmarks.
-    pub extract: ExtractKernel,
 }
 
 impl CongestionFlow {
@@ -55,7 +50,6 @@ impl CongestionFlow {
             par: ParOptions::default(),
             device: Device::xc7z020(),
             workers: None,
-            extract: ExtractKernel::default(),
         }
     }
 
@@ -73,18 +67,11 @@ impl CongestionFlow {
         self
     }
 
-    /// Select the feature-extraction kernel.
-    pub fn with_extract_kernel(mut self, kernel: ExtractKernel) -> Self {
-        self.extract = kernel;
-        self
-    }
-
     /// Digest of everything that determines a design's samples: HLS and
     /// PAR options, and the target device. Ledger records carry it, so two
-    /// runs can be told apart by configuration. Worker count and extract
-    /// kernel are deliberately excluded — they change *how* the answer is
-    /// computed, not the answer (the extract kernels are bitwise identical
-    /// by contract, enforced by the differential tests).
+    /// runs can be told apart by configuration. The worker count is
+    /// deliberately excluded — it changes *how* the answer is computed,
+    /// not the answer.
     pub fn config_digest(&self) -> u64 {
         let opts = format!("{:?}|{:?}|{}", self.hls, self.par, self.device.name);
         obskit::fnv1a(&[b"congestion-flow-v1", opts.as_bytes()])
@@ -138,7 +125,7 @@ impl CongestionFlow {
             }
         };
         hls_span.end();
-        let (impl_result, _timings) = run_par_obs(&design, &self.device, &self.par, obs);
+        let impl_result = run_par_obs(&design, &self.device, &self.par, obs);
         Ok((design, impl_result))
     }
 
@@ -267,14 +254,14 @@ impl CongestionFlow {
         hls_span.end();
 
         // Infallible by type — a failure here is a panic.
-        let (impl_result, _) = contained("par", || {
+        let impl_result = contained("par", || {
             Ok(run_par_obs(&design, &self.device, &self.par, obs))
         })?;
 
         let mut features_span = obs.span("features");
         let ds = contained("features", || {
             let mut ds = CongestionDataset::new();
-            ds.add_design_with(&design, &impl_result, &self.device, self.extract)
+            ds.add_design(&design, &impl_result, &self.device)
                 .map_err(DesignFailure::Backtrace)?;
             Ok(ds)
         })

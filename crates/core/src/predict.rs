@@ -5,7 +5,7 @@
 //! (k-fold cross-validation on the training set only).
 
 use crate::dataset::{CongestionDataset, Target};
-use crate::features::{extract_rows, ExtractKernel::Soa, FEATURE_COUNT};
+use crate::features::{extract_rows, FEATURE_COUNT};
 use crate::pipeline::CongestionFlow;
 use fpga_fabric::Device;
 use hls_ir::{FuncId, Function, OpId};
@@ -306,7 +306,7 @@ impl CongestionPredictor {
         let mut out = Vec::new();
         let mut row_of_op = Vec::new();
         let mut nodes = 0;
-        extract_rows(design, device, Soa, &mut rows, |func, f, ops| {
+        extract_rows(design, device, false, &mut rows, |func, f, ops| {
             for &op in ops {
                 row_of_op.push(nodes);
                 out.push(OpPrediction {
@@ -366,7 +366,7 @@ impl CongestionPredictor {
 pub fn extract_feature_rows(design: &SynthesizedDesign, device: &Device) -> (Matrix, Vec<u32>) {
     let mut rows = Matrix::with_cols(FEATURE_COUNT);
     let mut lines = Vec::new();
-    extract_rows(design, device, Soa, &mut rows, |_, f, ops| {
+    extract_rows(design, device, false, &mut rows, |_, f, ops| {
         lines.extend(ops.iter().map(|&op| line_of(f, op)));
         ops.len()
     });
@@ -393,18 +393,19 @@ fn line_of(f: &Function, op: OpId) -> u32 {
 
 /// The digest-keyed extraction entry point for serving-layer caches:
 /// a stable 64-bit key over `(design name, source text)`, stamped with the
-/// feature schema width and the active extract kernel so a schema or
-/// kernel change can never alias a cache entry produced under different
-/// extraction semantics. `congestd` wires this in as the reply-cache
-/// key function; two processes (or two runs) computing the key for the
-/// same source always agree.
+/// feature schema width so a schema change can never alias a cache entry
+/// produced under different extraction semantics. The key also hashes
+/// `soa`, the name the in-place extraction was stamped with while the
+/// reference could be selected, so keys written before stay valid.
+/// `congestd` wires this in as the reply-cache key function; two
+/// processes (or two runs) computing the key for the same source always
+/// agree.
 pub fn source_digest(name: &str, text: &str) -> u64 {
     let width = FEATURE_COUNT.to_le_bytes();
-    let kernel = crate::features::ExtractKernel::default().name();
     obskit::fnv1a(&[
         b"congestion-core.source.v1",
         &width,
-        kernel.as_bytes(),
+        b"soa",
         b"\0",
         name.as_bytes(),
         b"\0",

@@ -6,7 +6,6 @@ use crate::place::{place, Placement, PlacerOptions};
 use crate::route::{route, RouteResult, RouterOptions};
 use crate::timing::{analyze, TimingResult, WireModel};
 use hls_synth::{CellId, SynthesizedDesign};
-use std::time::{Duration, Instant};
 
 /// PAR options.
 #[derive(Debug, Clone, Default)]
@@ -78,46 +77,17 @@ impl ImplResult {
     }
 }
 
-/// Wall-clock spent in each implementation stage of one [`run_par_timed`]
-/// call.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ParStageTimings {
-    /// Simulated-annealing placement.
-    pub place: Duration,
-    /// Capacity-aware global routing.
-    pub route: Duration,
-    /// Congestion-map extraction.
-    pub congestion: Duration,
-    /// Static timing analysis.
-    pub timing: Duration,
-}
-
-impl ParStageTimings {
-    /// Sum of all stage durations.
-    pub fn total(&self) -> Duration {
-        self.place + self.route + self.congestion + self.timing
-    }
-}
-
 /// Run the full implementation flow on a synthesized design.
-pub fn run_par(design: &SynthesizedDesign, device: &Device, opts: &ParOptions) -> ImplResult {
-    run_par_timed(design, device, opts).0
-}
-
-/// [`run_par`], also reporting per-stage wall-clock timings.
 ///
 /// All inputs are plain data (`Send + Sync`), so callers may fan this
 /// function out across worker threads — one design per worker — which is
 /// exactly what `congestion_core::CongestionFlow` does for dataset builds.
-pub fn run_par_timed(
-    design: &SynthesizedDesign,
-    device: &Device,
-    opts: &ParOptions,
-) -> (ImplResult, ParStageTimings) {
-    run_par_inner(design, device, opts, None)
+pub fn run_par(design: &SynthesizedDesign, device: &Device, opts: &ParOptions) -> ImplResult {
+    // A throwaway collector keeps one code path, at no measurable cost.
+    run_par_obs(design, device, opts, &obskit::Collector::new())
 }
 
-/// [`run_par_timed`] recording into an [`obskit::Collector`]: one span per
+/// [`run_par`] recording into an [`obskit::Collector`]: one span per
 /// stage (`place`/`route`/`congestion`/`timing`) plus the placer's and
 /// router's registry metrics (see [`record_place_metrics`] and
 /// [`record_route_metrics`]).
@@ -126,8 +96,45 @@ pub fn run_par_obs(
     device: &Device,
     opts: &ParOptions,
     obs: &obskit::Collector,
-) -> (ImplResult, ParStageTimings) {
-    run_par_inner(design, device, opts, Some(obs))
+) -> ImplResult {
+    let placement = {
+        let _span = obs.span("place");
+        place(&design.rtl, device, &opts.placer)
+    };
+    record_place_metrics(obs, &placement);
+
+    let route = {
+        let _span = obs.span("route");
+        route(&design.rtl, &placement, device, &opts.router)
+    };
+    record_route_metrics(obs, &route);
+
+    let congestion = {
+        let _span = obs.span("congestion");
+        CongestionMap::from_route(&route, device)
+    };
+
+    let logic_delay = design
+        .report
+        .top_report()
+        .estimated_clock_ns
+        .max(design.options.clock_ns * 0.35);
+    let timing = {
+        let _span = obs.span("timing");
+        analyze(
+            &route,
+            logic_delay,
+            design.options.clock_ns,
+            &opts.wire_model,
+        )
+    };
+
+    ImplResult {
+        placement,
+        route,
+        congestion,
+        timing,
+    }
 }
 
 /// Record a finished route's deterministic registry metrics: the
@@ -159,75 +166,6 @@ pub fn record_place_metrics(obs: &obskit::Collector, placement: &Placement) {
     }
 }
 
-fn run_par_inner(
-    design: &SynthesizedDesign,
-    device: &Device,
-    opts: &ParOptions,
-    obs: Option<&obskit::Collector>,
-) -> (ImplResult, ParStageTimings) {
-    let mut timings = ParStageTimings::default();
-    // `Collector::span` needs `&Collector`; for the un-observed path a
-    // throwaway collector keeps one code path without measurable cost.
-    let scratch;
-    let obs = match obs {
-        Some(o) => o,
-        None => {
-            scratch = obskit::Collector::new();
-            &scratch
-        }
-    };
-
-    let start = Instant::now();
-    let placement = {
-        let _span = obs.span("place");
-        place(&design.rtl, device, &opts.placer)
-    };
-    timings.place = start.elapsed();
-    record_place_metrics(obs, &placement);
-
-    let start = Instant::now();
-    let route = {
-        let _span = obs.span("route");
-        route(&design.rtl, &placement, device, &opts.router)
-    };
-    timings.route = start.elapsed();
-    record_route_metrics(obs, &route);
-
-    let start = Instant::now();
-    let congestion = {
-        let _span = obs.span("congestion");
-        CongestionMap::from_route(&route, device)
-    };
-    timings.congestion = start.elapsed();
-
-    let start = Instant::now();
-    let logic_delay = design
-        .report
-        .top_report()
-        .estimated_clock_ns
-        .max(design.options.clock_ns * 0.35);
-    let timing = {
-        let _span = obs.span("timing");
-        analyze(
-            &route,
-            logic_delay,
-            design.options.clock_ns,
-            &opts.wire_model,
-        )
-    };
-    timings.timing = start.elapsed();
-
-    (
-        ImplResult {
-            placement,
-            route,
-            congestion,
-            timing,
-        },
-        timings,
-    )
-}
-
 // The parallel dataset builder moves these across worker threads; keep the
 // guarantee explicit so a future `Rc`/`RefCell` sneaking into the flow types
 // fails to compile here rather than at a distant use site.
@@ -237,7 +175,6 @@ const _: () = {
     assert_send_sync::<Device>();
     assert_send_sync::<ParOptions>();
     assert_send_sync::<ImplResult>();
-    assert_send_sync::<ParStageTimings>();
 };
 
 #[cfg(test)]

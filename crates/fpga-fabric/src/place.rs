@@ -7,26 +7,27 @@
 //! penalty, so heavily connected logic clusters — the congestion hot spots
 //! the prediction model must learn — emerge naturally.
 //!
-//! # The placement kernels
+//! # The placement kernel and its reference
 //!
-//! Two kernels share one move generator, temperature schedule, and cost
-//! model (they draw the identical RNG stream), and differ only in how the
-//! wirelength delta of a move is evaluated and where annealing starts:
+//! [`place`] and [`place_reference`] share one move generator, temperature
+//! schedule, and cost model (they draw the identical RNG stream), and
+//! differ only in how the wirelength delta of a move is evaluated, where
+//! annealing starts and how long it runs:
 //!
-//! * [`PlaceKernel::DeltaAnneal`] (the default) keeps a cached bounding box
-//!   per net with boundary-occupancy counts, so a move's wirelength delta is
-//!   O(1) per incident net except when the moved cell was alone on a box
-//!   boundary (then that net's box is rescanned — O(degree), bounded by
-//!   [`MAX_NET_DEGREE`] and counted in [`PlaceStats::bbox_recomputes`]).
-//!   Annealing starts from an analytic wirelength-driven placement: damped
-//!   Jacobi iterations pull each cell toward the centroid of its nets
-//!   (I/O pads act as fixed anchors), then a per-class legalization snaps
-//!   cells into matching columns in desired-(x, y) order.
-//! * [`PlaceKernel::ReferenceAnneal`] is the pre-rewrite kernel: full HPWL
+//! * [`place`] keeps a cached bounding box per net with boundary-occupancy
+//!   counts, so a move's wirelength delta is O(1) per incident net except
+//!   when the moved cell was alone on a box boundary (then that net's box
+//!   is rescanned — O(degree), bounded by [`MAX_NET_DEGREE`] and counted
+//!   in [`PlaceStats::bbox_recomputes`]). Annealing starts from an
+//!   analytic wirelength-driven placement: damped Jacobi iterations pull
+//!   each cell toward the centroid of its nets (I/O pads act as fixed
+//!   anchors), then a per-class legalization snaps cells into matching
+//!   columns in desired-(x, y) order.
+//! * [`place_reference`] is the pre-rewrite kernel: full HPWL
 //!   recomputation over every incident net twice per move, starting from
-//!   the connectivity-ordered column snake. Kept as the reference for
-//!   differential tests and old-vs-new benchmarks, the same playbook as
-//!   `GbrtKernel::ReferenceExact`.
+//!   the connectivity-ordered column snake. Only tests and `experiments
+//!   place-bench` call it, the same playbook as mlkit's
+//!   `GbrtRegressor::fit_reference`.
 //!
 //! Both kernels use the **exact overlap-aware density delta**: when a
 //! move's old and new footprints share tiles (the common case for
@@ -41,29 +42,6 @@ use crate::device::{ColumnKind, Device};
 use hls_synth::{CellKind, RtlDesign};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Which annealing kernel [`place`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlaceKernel {
-    /// Cached per-net bounding boxes with O(1) amortized wirelength deltas
-    /// and an analytic wirelength-driven initial placement.
-    #[default]
-    DeltaAnneal,
-    /// The pre-rewrite kernel: full per-net HPWL recomputation per move,
-    /// column-snake initial placement. Kept as the differential-test
-    /// reference and old-vs-new benchmark baseline.
-    ReferenceAnneal,
-}
-
-impl PlaceKernel {
-    /// Stable display name (used in metrics and kernel stamps).
-    pub fn name(&self) -> &'static str {
-        match self {
-            PlaceKernel::DeltaAnneal => "delta",
-            PlaceKernel::ReferenceAnneal => "reference",
-        }
-    }
-}
 
 /// Annealing-effort counters for one [`place`] call. Deterministic for a
 /// given design, options, and seed.
@@ -155,8 +133,6 @@ pub struct PlacerOptions {
     pub moves_per_cell: u32,
     /// Over-density penalty weight.
     pub density_weight: f64,
-    /// Which annealing kernel to run.
-    pub kernel: PlaceKernel,
 }
 
 impl Default for PlacerOptions {
@@ -165,7 +141,6 @@ impl Default for PlacerOptions {
             seed: 1,
             moves_per_cell: 60,
             density_weight: 48.0,
-            kernel: PlaceKernel::default(),
         }
     }
 }
@@ -177,12 +152,6 @@ impl PlacerOptions {
             moves_per_cell: 8,
             ..Self::default()
         }
-    }
-
-    /// This configuration on the given kernel.
-    pub fn with_kernel(mut self, kernel: PlaceKernel) -> Self {
-        self.kernel = kernel;
-        self
     }
 }
 
@@ -988,17 +957,47 @@ pub fn recompute_cost(
     full_cost(&ctx, &placement.pos, opts.density_weight)
 }
 
-/// Place an RTL design on a device.
+/// Place an RTL design on a device: anneal from the analytic
+/// wirelength-driven start, with cached per-net bounding boxes.
 pub fn place(rtl: &RtlDesign, device: &Device, opts: &PlacerOptions) -> Placement {
     let ctx = PlacerContext::build(rtl, device);
-
-    let pos = match opts.kernel {
-        PlaceKernel::DeltaAnneal => ctx.analytic_initial(),
-        PlaceKernel::ReferenceAnneal => ctx.snake_initial(),
+    let pos = ctx.analytic_initial();
+    // The analytic start is already wirelength-driven, so `place` runs a
+    // refinement schedule — a quarter of the reference budget — and
+    // additionally stops once the anneal quenches.
+    let schedule = Schedule {
+        iters: (ctx.movable().len() as u64 * opts.moves_per_cell.div_ceil(4).max(1) as u64).max(1),
+        quench_exit: true,
+        temp_scale: 0.25,
     };
+    let model = DeltaWirelen::new(&ctx, &pos);
+    anneal_placement(ctx, opts, pos, &schedule, model)
+}
 
-    // Density grid.
-    let mut load = vec![0.0f64; device.tiles() as usize];
+/// The pre-rewrite placer that [`place`] is tested and benchmarked
+/// against: the column snake, the full `moves_per_cell` budget from a hot
+/// start, and every incident net's HPWL recomputed twice per move.
+pub fn place_reference(rtl: &RtlDesign, device: &Device, opts: &PlacerOptions) -> Placement {
+    let ctx = PlacerContext::build(rtl, device);
+    let pos = ctx.snake_initial();
+    let schedule = Schedule {
+        iters: (ctx.movable().len() as u64 * opts.moves_per_cell as u64).max(1),
+        quench_exit: false,
+        temp_scale: 2.0,
+    };
+    anneal_placement(ctx, opts, pos, &schedule, ReferenceWirelen)
+}
+
+/// Build the density grid of the starting positions `pos`, run [`anneal`]
+/// on it and package the [`Placement`].
+fn anneal_placement<M: WirelenModel>(
+    ctx: PlacerContext,
+    opts: &PlacerOptions,
+    pos: Vec<(u32, u32)>,
+    schedule: &Schedule,
+    mut model: M,
+) -> Placement {
+    let mut load = vec![0.0f64; ctx.device.tiles() as usize];
     for (i, &p) in pos.iter().enumerate() {
         let per_tile = ctx.units[i] / ctx.span[i] as f64;
         for t in ctx.footprint(p, ctx.span[i]) {
@@ -1017,30 +1016,7 @@ pub fn place(rtl: &RtlDesign, device: &Device, opts: &PlacerOptions) -> Placemen
         stats: PlaceStats::default(),
         trajectory: Vec::new(),
     };
-
-    let n_movable = ctx.movable().len() as u64;
-    match opts.kernel {
-        PlaceKernel::DeltaAnneal => {
-            // The analytic start is already wirelength-driven, so the delta
-            // kernel runs a refinement schedule — a quarter of the reference
-            // budget — and additionally stops once the anneal quenches.
-            let schedule = Schedule {
-                iters: (n_movable * opts.moves_per_cell.div_ceil(4).max(1) as u64).max(1),
-                quench_exit: true,
-                temp_scale: 0.25,
-            };
-            let mut model = DeltaWirelen::new(&ctx, &state.pos);
-            anneal(&ctx, opts, &schedule, &mut state, &mut model);
-        }
-        PlaceKernel::ReferenceAnneal => {
-            let schedule = Schedule {
-                iters: (n_movable * opts.moves_per_cell as u64).max(1),
-                quench_exit: false,
-                temp_scale: 2.0,
-            };
-            anneal(&ctx, opts, &schedule, &mut state, &mut ReferenceWirelen);
-        }
-    }
+    anneal(&ctx, opts, schedule, &mut state, &mut model);
 
     let cost = state.total_wl + opts.density_weight * state.total_density;
     debug_assert!(
@@ -1053,7 +1029,7 @@ pub fn place(rtl: &RtlDesign, device: &Device, opts: &PlacerOptions) -> Placemen
         span: ctx.span,
         class: ctx.class,
         cost,
-        height: device.height,
+        height: ctx.device.height,
         stats: state.stats,
         cost_trajectory: state.trajectory,
     }
@@ -1065,28 +1041,30 @@ mod tests {
     use hls_ir::frontend::compile;
     use hls_synth::{HlsFlow, HlsOptions};
 
-    fn place_src(src: &str, opts: &PlacerOptions) -> (RtlDesign, Placement, Device) {
+    type Kernel = fn(&RtlDesign, &Device, &PlacerOptions) -> Placement;
+
+    /// Both placers, by name.
+    const KERNELS: [(&str, Kernel); 2] = [("place", place), ("place_reference", place_reference)];
+
+    fn place_src(
+        kernel: Kernel,
+        src: &str,
+        opts: &PlacerOptions,
+    ) -> (RtlDesign, Placement, Device) {
         let m = compile(src).unwrap();
         let d = HlsFlow::new(HlsOptions::default()).run(&m).unwrap();
         let device = Device::xc7z020();
-        let p = place(&d.rtl, &device, opts);
+        let p = kernel(&d.rtl, &device, opts);
         (d.rtl, p, device)
     }
 
     const SRC: &str =
         "int32 f(int32 a[32], int32 k) { int32 s = 0; for (i = 0; i < 32; i++) { s = s + a[i] * k; } return s; }";
 
-    fn both_kernels() -> [PlacerOptions; 2] {
-        [
-            PlacerOptions::fast().with_kernel(PlaceKernel::DeltaAnneal),
-            PlacerOptions::fast().with_kernel(PlaceKernel::ReferenceAnneal),
-        ]
-    }
-
     #[test]
     fn all_cells_inside_device() {
-        for opts in both_kernels() {
-            let (rtl, p, device) = place_src(SRC, &opts);
+        for (name, kernel) in KERNELS {
+            let (rtl, p, device) = place_src(kernel, SRC, &PlacerOptions::fast());
             assert_eq!(p.pos.len(), rtl.cells.len());
             for i in 0..rtl.cells.len() {
                 let (x, y) = p.pos[i];
@@ -1095,8 +1073,7 @@ mod tests {
                 // for well-formed spans.
                 assert!(
                     y + p.span[i] <= device.height,
-                    "{:?}: footprint off-device",
-                    opts.kernel
+                    "{name}: footprint off-device"
                 );
             }
         }
@@ -1104,8 +1081,8 @@ mod tests {
 
     #[test]
     fn cells_sit_in_matching_columns() {
-        for opts in both_kernels() {
-            let (_, p, device) = place_src(SRC, &opts);
+        for (name, kernel) in KERNELS {
+            let (_, p, device) = place_src(kernel, SRC, &PlacerOptions::fast());
             for i in 0..p.pos.len() {
                 let (x, _) = p.pos[i];
                 if device.columns_of(p.class[i]).is_empty() {
@@ -1114,7 +1091,7 @@ mod tests {
                 assert_eq!(
                     device.column(x),
                     p.class[i],
-                    "cell {i} of class {:?} in wrong column",
+                    "{name}: cell {i} of class {:?} in wrong column",
                     p.class[i]
                 );
             }
@@ -1123,9 +1100,9 @@ mod tests {
 
     #[test]
     fn placement_is_deterministic() {
-        for opts in both_kernels() {
-            let (_, p1, _) = place_src(SRC, &opts);
-            let (_, p2, _) = place_src(SRC, &opts);
+        for (_, kernel) in KERNELS {
+            let (_, p1, _) = place_src(kernel, SRC, &PlacerOptions::fast());
+            let (_, p2, _) = place_src(kernel, SRC, &PlacerOptions::fast());
             assert_eq!(p1.pos, p2.pos);
             assert_eq!(p1.stats, p2.stats);
             assert_eq!(p1.position_checksum(), p2.position_checksum());
@@ -1134,22 +1111,22 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let (_, p1, _) = place_src(SRC, &PlacerOptions::fast());
+        let (_, p1, _) = place_src(place, SRC, &PlacerOptions::fast());
         let mut o = PlacerOptions::fast();
         o.seed = 99;
-        let (_, p2, _) = place_src(SRC, &o);
+        let (_, p2, _) = place_src(place, SRC, &o);
         assert_ne!(p1.pos, p2.pos);
     }
 
     #[test]
     fn incremental_cost_matches_recompute_for_both_kernels() {
-        for opts in both_kernels() {
-            let (rtl, p, device) = place_src(SRC, &opts);
+        for (name, kernel) in KERNELS {
+            let opts = PlacerOptions::fast();
+            let (rtl, p, device) = place_src(kernel, SRC, &opts);
             let full = recompute_cost(&rtl, &device, &opts, &p);
             assert!(
                 (p.cost - full).abs() <= 1e-6 * full.abs().max(1.0),
-                "{:?}: incremental {} vs recomputed {}",
-                opts.kernel,
+                "{name}: incremental {} vs recomputed {}",
                 p.cost,
                 full
             );
@@ -1160,6 +1137,7 @@ mod tests {
     fn annealing_improves_over_initial() {
         // More moves should not produce a worse placement than (almost) none.
         let (_, cheap, _) = place_src(
+            place,
             SRC,
             &PlacerOptions {
                 moves_per_cell: 1,
@@ -1167,6 +1145,7 @@ mod tests {
             },
         );
         let (_, tuned, _) = place_src(
+            place,
             SRC,
             &PlacerOptions {
                 moves_per_cell: 100,
@@ -1183,8 +1162,8 @@ mod tests {
 
     #[test]
     fn footprints_follow_span() {
-        for opts in both_kernels() {
-            let (_, p, device) = place_src(SRC, &opts);
+        for (_, kernel) in KERNELS {
+            let (_, p, device) = place_src(kernel, SRC, &PlacerOptions::fast());
             for i in 0..p.pos.len() {
                 let tiles: Vec<_> = p.footprint(i).collect();
                 // The true clamped length (not the tautology the old test
@@ -1216,12 +1195,12 @@ mod tests {
 
     #[test]
     fn stats_count_moves() {
-        for opts in both_kernels() {
-            let (_, p, _) = place_src(SRC, &opts);
+        for (name, kernel) in KERNELS {
+            let (_, p, _) = place_src(kernel, SRC, &PlacerOptions::fast());
             assert!(p.stats.proposed > 0);
             assert!(p.stats.accepted <= p.stats.proposed);
             assert!(!p.cost_trajectory.is_empty());
-            if opts.kernel == PlaceKernel::ReferenceAnneal {
+            if name == "place_reference" {
                 // Two full rescans per incident net per proposal; every
                 // proposal touches at least one net on these designs.
                 assert!(

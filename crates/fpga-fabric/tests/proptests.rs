@@ -3,7 +3,7 @@
 use fpga_fabric::congestion::CongestionMap;
 use fpga_fabric::device::Device;
 use fpga_fabric::par::{run_par, ParOptions};
-use fpga_fabric::place::{place, recompute_cost, PlaceKernel, PlacerOptions};
+use fpga_fabric::place::{place, place_reference, recompute_cost, PlacerOptions};
 use hls_ir::frontend::compile_named;
 use hls_synth::{HlsFlow, HlsOptions};
 use proptest::prelude::*;
@@ -79,13 +79,10 @@ proptest! {
         let m = compile_named(&src, "prop").expect("kernel compiles");
         let design = HlsFlow::new(HlsOptions::default()).run(&m).expect("synthesizes");
         let device = Device::xc7z020();
-        let mut opts = PlacerOptions::fast().with_kernel(if delta_kernel {
-            PlaceKernel::DeltaAnneal
-        } else {
-            PlaceKernel::ReferenceAnneal
-        });
+        let kernel = if delta_kernel { place } else { place_reference };
+        let mut opts = PlacerOptions::fast();
         opts.seed = seed;
-        let p = place(&design.rtl, &device, &opts);
+        let p = kernel(&design.rtl, &device, &opts);
 
         // The incrementally-maintained cost is the true cost: it matches a
         // from-scratch recompute to 1e-6 relative, for every random move
@@ -108,7 +105,7 @@ proptest! {
         }
 
         // Same seed, same kernel: bit-identical placement.
-        let again = place(&design.rtl, &device, &opts);
+        let again = kernel(&design.rtl, &device, &opts);
         prop_assert_eq!(&p.pos, &again.pos);
         prop_assert_eq!(p.position_checksum(), again.position_checksum());
         prop_assert_eq!(p.stats, again.stats);

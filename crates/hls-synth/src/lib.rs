@@ -25,7 +25,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod asap;
 pub mod bind;
 pub mod charlib;
 pub mod datapath;
@@ -34,7 +33,6 @@ pub mod memory;
 pub mod report;
 pub mod schedule;
 
-pub use asap::{asap_alap, ScheduleBounds};
 pub use bind::{Binding, FunctionalUnit};
 pub use charlib::{CharLib, OperatorCost, Resources};
 pub use datapath::{CellId, CellKind, NetId, RtlCell, RtlDesign, RtlNet};

@@ -7,16 +7,16 @@
 //! Feature importance follows the paper's definition: "averaging the number
 //! of times that a feature is used as a split point" (§IV-B).
 //!
-//! Two training kernels sit behind the same options struct
-//! ([`GbrtKernel`]): the production **histogram** engine (features binned
-//! once per fit, per-node histograms with the parent-minus-sibling
-//! subtraction trick, parallel feature chunks via `parkit`) and the
-//! **exact-split reference** that scans every candidate threshold — kept,
-//! like the placer's `PlaceKernel::ReferenceAnneal`, so the differential
-//! suite can prove the fast kernel never silently changes the paper's
-//! Table IV numbers. After fitting, the ensemble is compiled
-//! into a [`CompiledEnsemble`] (implicit complete trees, branchless
-//! descent); batched prediction ([`Regressor::predict`] /
+//! [`Regressor::fit`] runs the **histogram** engine (every feature binned
+//! once per fit into at most [`crate::binning::DEFAULT_BINS`] buckets,
+//! per-node histograms with the parent-minus-sibling subtraction trick,
+//! parallel feature chunks via `parkit`).
+//! [`GbrtRegressor::fit_reference`] runs the **exact-split reference** that
+//! scans every candidate threshold — kept, like the placer's
+//! `place_reference`, so the differential suite can prove the fast kernel
+//! never silently changes the paper's Table IV numbers. After fitting, the
+//! ensemble is compiled into a [`CompiledEnsemble`] (implicit complete
+//! trees, branchless descent); batched prediction ([`Regressor::predict`] /
 //! [`Regressor::predict_into`]) runs on it and is bit-identical to per-row
 //! [`Regressor::predict_one`].
 
@@ -28,28 +28,6 @@ use crate::tree::{RegressionTree, TreeFitStats, TreeOptions};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// Which split-search engine fits each boosting stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GbrtKernel {
-    /// Histogram engine: binned features, subtraction trick, parallel
-    /// histogram construction. The production default.
-    #[default]
-    Histogram,
-    /// Exact-split reference: sorts samples per node and scans every
-    /// boundary between distinct values. The accuracy gold standard.
-    ReferenceExact,
-}
-
-impl GbrtKernel {
-    /// Stable display name (used in metrics and kernel stamps).
-    pub fn name(&self) -> &'static str {
-        match self {
-            GbrtKernel::Histogram => "histogram",
-            GbrtKernel::ReferenceExact => "reference-exact",
-        }
-    }
-}
 
 /// GBRT hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,9 +46,6 @@ pub struct GbrtOptions {
     pub feature_fraction: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Split-search engine. The histogram kernel bins every feature into
-    /// at most [`crate::binning::DEFAULT_BINS`] buckets.
-    pub kernel: GbrtKernel,
     /// Worker threads for histogram construction (1 = serial). Training is
     /// bit-identical for any value; CV/grid-search factories keep 1 to
     /// avoid nesting thread pools inside parallel folds.
@@ -86,7 +61,6 @@ impl Default for GbrtOptions {
             subsample: 0.8,
             feature_fraction: 0.4,
             seed: 11,
-            kernel: GbrtKernel::Histogram,
             workers: 1,
         }
     }
@@ -163,10 +137,20 @@ impl GbrtRegressor {
     /// derived by subtraction, the slots of the scanned ones, split count,
     /// fit wall-clock).
     pub fn fit_observed(&mut self, x: &Matrix, y: &[f64], obs: &obskit::Collector) {
-        self.fit_inner(x, y, Some(obs));
+        self.fit_inner(x, y, Some(obs), false);
     }
 
-    fn fit_inner(&mut self, x: &Matrix, y: &[f64], obs: Option<&obskit::Collector>) {
+    /// Fit with the exact-split reference kernel, which sorts each node's
+    /// samples per feature and scans every boundary between distinct
+    /// values: the accuracy standard the histogram fit of
+    /// [`Regressor::fit`] is tested and benchmarked against.
+    pub fn fit_reference(&mut self, x: &Matrix, y: &[f64]) {
+        self.fit_inner(x, y, None, true);
+    }
+
+    /// One fit: the histogram kernel, or with `exact` the exact-split
+    /// reference.
+    fn fit_inner(&mut self, x: &Matrix, y: &[f64], obs: Option<&obskit::Collector>, exact: bool) {
         assert_eq!(x.rows(), y.len());
         assert!(!y.is_empty());
         assert!(
@@ -182,8 +166,7 @@ impl GbrtRegressor {
         self.trees.clear();
 
         // The histogram kernel quantizes features exactly once per fit.
-        let binned =
-            (self.options.kernel == GbrtKernel::Histogram).then(|| BinnedMatrix::from_matrix(x));
+        let binned = (!exact).then(|| BinnedMatrix::from_matrix(x));
         let workers = self.options.workers.max(1);
         let mut stats = TreeFitStats::default();
 
@@ -268,13 +251,7 @@ impl GbrtRegressor {
             obs.inc("mlkit.gbrt.hist.scanned", stats.hist_scanned);
             obs.inc("mlkit.gbrt.hist.subtracted", stats.hist_subtracted);
             obs.inc("mlkit.gbrt.hist.slots", stats.hist_slots);
-            obs.inc(
-                match self.options.kernel {
-                    GbrtKernel::Histogram => "mlkit.gbrt.fits.histogram",
-                    GbrtKernel::ReferenceExact => "mlkit.gbrt.fits.reference_exact",
-                },
-                1,
-            );
+            obs.inc("mlkit.gbrt.fits", 1);
             obs.observe("mlkit.gbrt.fit_ms", started.elapsed().as_secs_f64() * 1e3);
         }
     }
@@ -288,7 +265,7 @@ impl Default for GbrtRegressor {
 
 impl Regressor for GbrtRegressor {
     fn fit(&mut self, x: &Matrix, y: &[f64]) {
-        self.fit_inner(x, y, None);
+        self.fit_inner(x, y, None, false);
     }
 
     fn predict_one(&self, row: &[f64]) -> f64 {
@@ -308,6 +285,9 @@ impl Regressor for GbrtRegressor {
 mod tests {
     use super::*;
     use crate::metrics::mae;
+
+    /// [`Regressor::fit`] or [`GbrtRegressor::fit_reference`].
+    type Fit = fn(&mut GbrtRegressor, &Matrix, &[f64]);
 
     fn friedman_like(n: usize) -> (Matrix, Vec<f64>) {
         // y = 10 sin(x0) + 5 x1^2 + 2 x2, x3 irrelevant.
@@ -343,10 +323,9 @@ mod tests {
         let (x, y) = friedman_like(400);
         let mut m = GbrtRegressor::new(GbrtOptions {
             n_estimators: 100,
-            kernel: GbrtKernel::ReferenceExact,
             ..Default::default()
         });
-        m.fit(&x, &y);
+        m.fit_reference(&x, &y);
         let err = mae(&y, &m.predict(&x));
         let spread =
             y.iter().cloned().fold(f64::MIN, f64::max) - y.iter().cloned().fold(f64::MAX, f64::min);
@@ -356,17 +335,16 @@ mod tests {
     #[test]
     fn kernels_agree_within_tolerance() {
         let (x, y) = friedman_like(400);
-        let fit_with = |kernel| {
+        let fit_with = |fit: Fit| {
             let mut m = GbrtRegressor::new(GbrtOptions {
                 n_estimators: 80,
-                kernel,
                 ..Default::default()
             });
-            m.fit(&x, &y);
+            fit(&mut m, &x, &y);
             mae(&y, &m.predict(&x))
         };
-        let hist = fit_with(GbrtKernel::Histogram);
-        let exact = fit_with(GbrtKernel::ReferenceExact);
+        let hist = fit_with(GbrtRegressor::fit);
+        let exact = fit_with(GbrtRegressor::fit_reference);
         assert!(
             (hist - exact).abs() <= exact.max(0.05) * 0.35,
             "hist {hist} vs exact {exact}"
@@ -376,19 +354,22 @@ mod tests {
     #[test]
     fn batched_predict_matches_per_row_bitwise() {
         let (x, y) = friedman_like(300);
-        for kernel in [GbrtKernel::Histogram, GbrtKernel::ReferenceExact] {
+        let fits: [(&str, Fit); 2] = [
+            ("fit", GbrtRegressor::fit),
+            ("fit_reference", GbrtRegressor::fit_reference),
+        ];
+        for (name, fit) in fits {
             let mut m = GbrtRegressor::new(GbrtOptions {
                 n_estimators: 40,
-                kernel,
                 ..Default::default()
             });
-            m.fit(&x, &y);
+            fit(&mut m, &x, &y);
             let batched = m.predict(&x);
             for (i, row) in x.iter_rows().enumerate() {
                 assert_eq!(
                     batched[i].to_bits(),
                     m.predict_one(row).to_bits(),
-                    "{kernel:?} row {i}"
+                    "{name} row {i}"
                 );
             }
         }
@@ -503,7 +484,7 @@ mod tests {
         // Splits whose children are leaves (all of depth 3's) build no
         // child histogram.
         assert!(subtracted < splits, "{subtracted} of {splits} splits");
-        assert_eq!(rec.metrics.counters["mlkit.gbrt.fits.histogram"], 1);
+        assert_eq!(rec.metrics.counters["mlkit.gbrt.fits"], 1);
         assert_eq!(rec.metrics.histograms["mlkit.gbrt.fit_ms"].count(), 1);
     }
 

@@ -44,7 +44,7 @@ pub use binning::BinnedMatrix;
 pub use compiled::CompiledEnsemble;
 pub use cv::CvError;
 pub use dataset::{Dataset, Matrix};
-pub use gbrt::{GbrtKernel, GbrtOptions, GbrtRegressor};
+pub use gbrt::{GbrtOptions, GbrtRegressor};
 pub use linear::{Lasso, LassoOptions};
 pub use model::Regressor;
 pub use scaler::StandardScaler;

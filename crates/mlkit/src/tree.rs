@@ -20,7 +20,7 @@
 //!   regardless of chunking, so the result is **bit-identical for any
 //!   worker count**.
 //! * [`RegressionTree::fit_exact`] — the reference kernel
-//!   (`GbrtKernel::ReferenceExact`): sorts the node's samples per feature
+//!   (`GbrtRegressor::fit_reference`): sorts the node's samples per feature
 //!   and scans every boundary between distinct values. Slow, but the
 //!   accuracy gold standard the differential suite compares against.
 
@@ -497,7 +497,7 @@ impl RegressionTree {
     /// Exact-split reference fit: per node, sort the samples by each
     /// candidate feature and scan every boundary between distinct values.
     /// O(samples · log samples · features) per node — the accuracy gold
-    /// standard (`GbrtKernel::ReferenceExact`), not the production path.
+    /// standard (`GbrtRegressor::fit_reference`), not the production path.
     pub fn fit_exact(
         x: &Matrix,
         y: &[f64],

@@ -3,13 +3,13 @@
 //! `obskit.run.v1`).
 //!
 //! A ledger line answers "what produced this artifact?": which tool and
-//! git build, which config digest, which kernels were active, how long
-//! each stage took, and the run's metric snapshot (counters, gauges, and
-//! histogram summaries). The regression gate (`experiments regress`) and
-//! drift tooling read it back; because every map is a `BTreeMap` the
-//! serialization is canonical — two identical runs produce byte-identical
-//! lines, so ledger content inherits the workspace determinism contract
-//! (wall-clock fields excepted, exactly like the metrics registry).
+//! git build, which config digest, how long each stage took, and the
+//! run's metric snapshot (counters, gauges, and histogram summaries). The
+//! regression gate (`experiments regress`) and drift tooling read it
+//! back; because every map is a `BTreeMap` the serialization is canonical
+//! — two identical runs produce byte-identical lines, so ledger content
+//! inherits the workspace determinism contract (wall-clock fields
+//! excepted, exactly like the metrics registry).
 
 use crate::json;
 use crate::metrics::MetricsSnapshot;
@@ -34,8 +34,6 @@ pub struct RunRecord {
     pub git: String,
     /// Digest of the run's configuration (hex, from [`crate::fnv1a`]).
     pub config_digest: String,
-    /// Active kernel selections: `extract`, `place`, `route`, `gbrt`.
-    pub kernels: BTreeMap<String, String>,
     /// Per-stage wall-clock totals in milliseconds (nondeterministic).
     pub stages_ms: BTreeMap<String, f64>,
     /// Counter snapshot (deterministic).
@@ -87,13 +85,6 @@ impl RunRecord {
             git: git.to_string(),
             ..Default::default()
         }
-    }
-
-    /// Record an active kernel selection (`extract`, `place`, `route`,
-    /// `gbrt`).
-    pub fn kernel(&mut self, which: &str, choice: &str) -> &mut Self {
-        self.kernels.insert(which.to_string(), choice.to_string());
-        self
     }
 
     /// Record a freeform note.
@@ -164,14 +155,13 @@ impl RunRecord {
             format!("{{{}}}", items.join(","))
         };
         format!(
-            "{{\"schema\":{},\"tool\":{},\"kind\":{},\"version\":{},\"git\":{},\"config_digest\":{},\"kernels\":{},\"stages_ms\":{},\"counters\":{},\"gauges\":{},\"hists\":{},\"notes\":{}}}",
+            "{{\"schema\":{},\"tool\":{},\"kind\":{},\"version\":{},\"git\":{},\"config_digest\":{},\"stages_ms\":{},\"counters\":{},\"gauges\":{},\"hists\":{},\"notes\":{}}}",
             json::string(RUN_SCHEMA),
             json::string(&self.tool),
             json::string(&self.kind),
             json::string(&self.version),
             json::string(&self.git),
             json::string(&self.config_digest),
-            str_map(&self.kernels),
             f64_map(&self.stages_ms),
             u64_map(&self.counters),
             f64_map(&self.gauges),
@@ -264,7 +254,6 @@ mod tests {
         r.observe("cv.fold.mae", 17.0);
         let mut rec = RunRecord::new("experiments", "bench", "0.1.0", "abc123");
         rec.config_digest = "deadbeef".to_string();
-        rec.kernel("place", "delta").kernel("gbrt", "histogram");
         rec.stage_ms("route", 3.25);
         rec.note("effort", "full");
         rec.absorb_metrics(&r.snapshot());
@@ -278,7 +267,7 @@ mod tests {
         assert_eq!(a, b, "identical runs produce byte-identical lines");
         assert!(!a.contains('\n'));
         assert!(a.starts_with("{\"schema\":\"obskit.run.v1\""));
-        assert!(a.contains("\"place\":\"delta\""));
+        assert!(a.contains("\"effort\":\"full\""));
         assert!(a.contains("\"route.rerouted_conns\":41"));
         assert!(a.contains("\"cv.fold.mae\":{\"count\":1"));
         assert_eq!(a.matches('{').count(), a.matches('}').count());

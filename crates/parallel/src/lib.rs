@@ -154,16 +154,6 @@ where
     out
 }
 
-/// [`par_map_catch_threads`] with the default worker count.
-pub fn par_map_catch<T, R, F>(items: &[T], f: F) -> Vec<Result<R, Panicked>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_catch_threads(num_threads(), items, f)
-}
-
 /// Map `f` over `items` with up to `threads` workers, catching panics **per
 /// item**: a panicking closure yields `Err(`[`Panicked`]`)` in that item's
 /// slot while every other item completes normally.
@@ -211,16 +201,6 @@ where
                 .expect("every slot filled by a worker")
         })
         .collect()
-}
-
-/// Map `f` over `0..n` in parallel, preserving index order.
-pub fn par_map_range<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let indices: Vec<usize> = (0..n).collect();
-    par_map_threads(threads, &indices, |&i| f(i))
 }
 
 #[cfg(test)]
@@ -274,11 +254,6 @@ mod tests {
             x
         });
         assert!(ids.lock().unwrap().len() > 1, "expected >1 worker thread");
-    }
-
-    #[test]
-    fn par_map_range_is_indexed() {
-        assert_eq!(par_map_range(3, 5, |i| i * i), vec![0, 1, 4, 9, 16]);
     }
 
     #[test]

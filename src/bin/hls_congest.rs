@@ -177,11 +177,7 @@ fn implement_cmd(opts: &RunOptions) -> Result {
         fpga_fabric::UtilizationReport::new(&design.rtl, &flow.device)
     );
     if opts.switch("--router-stats") {
-        println!(
-            "placer ({}): {}",
-            flow.par.placer.kernel.name(),
-            result.placement.stats
-        );
+        println!("placer: {}", result.placement.stats);
         println!("router: {}", result.route.stats);
         println!(
             "routing utilization:\n{}",

@@ -3,9 +3,9 @@
 //! Every `BENCH_*.json` baseline at the repo root and every
 //! `reports/*_bench.json` mirror must parse as a well-formed
 //! `obskit.metrics.v1` document with complete meta stamps (tool, version,
-//! git, effort, the three kernel selections). A stale artifact — one
-//! emitted before a schema or meta change — fails here, in CI, instead of
-//! silently passing the regression gate with missing fields. The mirror
+//! git, effort). A stale artifact — one emitted before a schema or meta
+//! change — fails here, in CI, instead of silently passing the regression
+//! gate with missing fields. The mirror
 //! and root copies come from one writer, so full-effort mirrors must be
 //! byte-identical to their baselines.
 
@@ -36,15 +36,7 @@ fn assert_metrics_doc(name: &str, text: &str) -> Value {
         .get("meta")
         .and_then(Value::as_obj)
         .unwrap_or_else(|| panic!("{name}: missing meta object"));
-    for key in [
-        "tool",
-        "version",
-        "git",
-        "effort",
-        "kernel.extract",
-        "kernel.place",
-        "kernel.gbrt",
-    ] {
+    for key in ["tool", "version", "git", "effort"] {
         assert!(
             meta.get(key).and_then(Value::as_str).is_some(),
             "{name}: meta is missing the `{key}` stamp — regenerate the \

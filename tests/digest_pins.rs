@@ -8,10 +8,11 @@
 //! `obskit::fnv`; the Rosetta GBRT artifact's was recorded at `ee26b56`,
 //! and the served reply bytes at `421fc4f`, while cache hits still
 //! predicted again. The fault decisions were recorded again when each
-//! serve stage came to run once and the attempt left the roll. A change
-//! that moves any of them invalidates stored artifacts, fingerprints or
-//! ledger comparisons, replays a plan file differently, or changes what
-//! `congestd` answers, and must say so.
+//! serve stage came to run once and the attempt left the roll, and the
+//! flow config digests each time a field left `ParOptions`, whose `Debug`
+//! text they hash. A change that moves any of them invalidates stored
+//! artifacts, fingerprints or ledger comparisons, replays a plan file
+//! differently, or changes what `congestd` answers, and must say so.
 
 use fpga_hls_congestion::congestion_core::cli::RunOptions;
 use fpga_hls_congestion::congestion_core::{
@@ -36,10 +37,10 @@ const MAC16: &str = "int32 f(int32 a[16], int32 k) { int32 s = 0; for (i = 0; i 
 
 #[test]
 fn flow_config_digests_are_pinned() {
-    assert_eq!(CongestionFlow::new().config_digest(), 0xe9ec_4407_263e_5e92);
+    assert_eq!(CongestionFlow::new().config_digest(), 0x87df_0700_ec22_20d4);
     assert_eq!(
         CongestionFlow::fast().config_digest(),
-        0xf4f5_66b2_ac4d_ccf0
+        0x701d_30bf_da0d_3236
     );
 }
 

@@ -1,11 +1,12 @@
 //! Differential test for the two feature-extraction kernels.
 //!
-//! The SoA kernel (`extract_into`, the default fast path) and the Reference
-//! kernel (the original per-node `Vec` allocation path) must produce
+//! The SoA kernel (`extract_into`, behind `CongestionDataset::add_design`)
+//! and the reference kernel (the original per-node `Vec` allocation path,
+//! behind `add_design_reference`) must produce
 //! *bitwise*-identical feature matrices — not merely `f64 ==` equal, which
 //! would miss `-0.0` vs `+0.0` discrepancies that change the CSV bytes.
 
-use congestion_core::features::{feature_names, ExtractKernel};
+use congestion_core::features::feature_names;
 use congestion_core::persist::write_csv;
 use congestion_core::CongestionDataset;
 use fpga_hls_congestion::prelude::*;
@@ -17,15 +18,10 @@ fn datasets_for(modules: &[Module]) -> (CongestionDataset, CongestionDataset) {
     let mut reference = CongestionDataset::new();
     for module in modules {
         let (design, impl_result) = flow.implement(module).expect("implement");
-        soa.add_design_with(&design, &impl_result, &flow.device, ExtractKernel::Soa)
+        soa.add_design(&design, &impl_result, &flow.device)
             .expect("soa extraction");
         reference
-            .add_design_with(
-                &design,
-                &impl_result,
-                &flow.device,
-                ExtractKernel::Reference,
-            )
+            .add_design_reference(&design, &impl_result, &flow.device)
             .expect("reference extraction");
     }
     (soa, reference)

@@ -5,9 +5,9 @@
 //! (HLS → placement → routing → back-traced congestion labels):
 //!
 //! * **Accuracy equivalence**: the histogram kernel's held-out MAE/MedAE
-//!   stays within a pinned tolerance of `GbrtKernel::ReferenceExact` — the
-//!   exact-split gold standard, like the placer's `ReferenceAnneal` — so
-//!   binning can never silently move Table IV.
+//!   stays within a pinned tolerance of `GbrtRegressor::fit_reference` —
+//!   the exact-split gold standard, like the placer's `place_reference` —
+//!   so binning can never silently move Table IV.
 //! * **Bitwise identity**: the compiled SoA node table (and every other
 //!   model's batched path) predicts bit-for-bit what per-row `predict_one`
 //!   predicts, across model families and seeds.
@@ -15,8 +15,7 @@
 use fpga_hls_congestion::prelude::*;
 use mlkit::metrics::{mae, medae};
 use mlkit::{
-    GbrtKernel, GbrtOptions, GbrtRegressor, Lasso, LassoOptions, MlpOptions, MlpRegressor,
-    Regressor,
+    GbrtOptions, GbrtRegressor, Lasso, LassoOptions, Matrix, MlpOptions, MlpRegressor, Regressor,
 };
 
 /// A small but real training suite: three designs with different loop
@@ -34,14 +33,17 @@ fn paper_dataset() -> congestion_core::dataset::CongestionDataset {
     CongestionFlow::fast().build_dataset(&modules).unwrap()
 }
 
-fn gbrt_opts(kernel: GbrtKernel, seed: u64) -> GbrtOptions {
+fn gbrt_opts(seed: u64) -> GbrtOptions {
     GbrtOptions {
         n_estimators: 120,
-        kernel,
         seed,
         ..Default::default()
     }
 }
+
+/// [`Regressor::fit`] (the histogram kernel) or
+/// [`GbrtRegressor::fit_reference`].
+type Fit = fn(&mut GbrtRegressor, &Matrix, &[f64]);
 
 #[test]
 fn histogram_kernel_matches_reference_exact_within_tolerance() {
@@ -50,14 +52,14 @@ fn histogram_kernel_matches_reference_exact_within_tolerance() {
     for target in [Target::Vertical, Target::Horizontal] {
         let tr = train.to_ml(target);
         let te = test.to_ml(target);
-        let eval = |kernel| {
-            let mut m = GbrtRegressor::new(gbrt_opts(kernel, 11));
-            m.fit(&tr.x, &tr.y);
+        let eval = |fit: Fit| {
+            let mut m = GbrtRegressor::new(gbrt_opts(11));
+            fit(&mut m, &tr.x, &tr.y);
             let pred = m.predict(&te.x);
             (mae(&te.y, &pred), medae(&te.y, &pred))
         };
-        let (mae_h, medae_h) = eval(GbrtKernel::Histogram);
-        let (mae_e, medae_e) = eval(GbrtKernel::ReferenceExact);
+        let (mae_h, medae_h) = eval(GbrtRegressor::fit);
+        let (mae_e, medae_e) = eval(GbrtRegressor::fit_reference);
         // Pinned tolerance: held-out MAE/MedAE in percentage points of
         // congestion. The kernels see identical row/feature subsamples
         // (same RNG schedule), so any drift is pure binning error.
@@ -95,13 +97,13 @@ fn batched_predict_is_bit_identical_to_per_row_for_every_model() {
                 Box::new(m)
             }),
             ("gbrt-hist", {
-                let mut m = GbrtRegressor::new(gbrt_opts(GbrtKernel::Histogram, seed));
+                let mut m = GbrtRegressor::new(gbrt_opts(seed));
                 m.fit(&ml.x, &ml.y);
                 Box::new(m)
             }),
             ("gbrt-exact", {
-                let mut m = GbrtRegressor::new(gbrt_opts(GbrtKernel::ReferenceExact, seed));
-                m.fit(&ml.x, &ml.y);
+                let mut m = GbrtRegressor::new(gbrt_opts(seed));
+                m.fit_reference(&ml.x, &ml.y);
                 Box::new(m)
             }),
         ];

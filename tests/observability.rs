@@ -191,11 +191,10 @@ fn fingerprint_and_ledger_are_bit_identical_across_worker_counts() {
     assert!(report.identical && !report.severe());
 
     // Ledger records built from the two runs agree on every deterministic
-    // field (counters; kernels; identity stamps). Gauges and stage
-    // timings are wall-clock and excluded, same as the metrics digest.
+    // field (counters; identity stamps). Gauges and stage timings are
+    // wall-clock and excluded, same as the metrics digest.
     let record = |report: &congestion_core::pipeline::DatasetBuildReport| {
         let mut rec = obskit::RunRecord::new("test", "dataset", "0.0.0", "deadbeef");
-        rec.kernel("extract", "soa");
         rec.absorb_metrics(&report.obs.metrics);
         rec.gauges.clear(); // wall-clock
         rec.hists

@@ -1,21 +1,22 @@
 //! Differential tests for the placement-kernel rewrite.
 //!
-//! The delta-cost kernel maintains the annealing cost incrementally
-//! (cached net bounding boxes, exact overlap-aware density deltas); these
-//! tests prove the maintained value is the *true* cost — it matches a
-//! from-scratch recompute to 1e-6 relative — for both kernels, that the
-//! default placement is pinned by a golden checksum, and that the delta
-//! kernel never leaves more routed overflow than the reference annealer
-//! it replaced.
+//! `place`, the delta-cost kernel, maintains the annealing cost
+//! incrementally (cached net bounding boxes, exact overlap-aware density
+//! deltas); these tests prove the maintained value is the *true* cost — it
+//! matches a from-scratch recompute to 1e-6 relative — for it and for
+//! `place_reference`, that its placement is pinned by a golden checksum,
+//! and that it never leaves more routed overflow than the reference
+//! annealer it replaced.
 
-use fpga_fabric::par::{run_par, ParOptions};
-use fpga_fabric::place::{place, recompute_cost, PlaceKernel, PlacerOptions};
+use fpga_fabric::congestion::CongestionMap;
+use fpga_fabric::place::{place, place_reference, recompute_cost, Placement, PlacerOptions};
+use fpga_fabric::route::{route, RouterOptions};
 use fpga_fabric::Device;
 use hls_ir::frontend::compile_named;
 use hls_ir::module::Module;
-use hls_synth::{HlsFlow, HlsOptions, SynthesizedDesign};
+use hls_synth::{HlsFlow, HlsOptions, RtlDesign, SynthesizedDesign};
 
-/// (name, module, golden default-kernel placement checksum).
+/// (name, module, golden `place` checksum).
 fn corpus() -> Vec<(&'static str, Module, u64)> {
     let src = |s: &str, n: &str| compile_named(s, n).unwrap();
     vec![
@@ -46,8 +47,8 @@ fn corpus() -> Vec<(&'static str, Module, u64)> {
     ]
 }
 
-/// Golden `Placement::position_checksum()` values for the default kernel
-/// under `ParOptions::fast()` placer options. Recorded at the delta-kernel
+/// Golden `Placement::position_checksum()` values of `place` under
+/// `ParOptions::fast()` placer options. Recorded at the delta-kernel
 /// rewrite; every congestion label downstream depends on placement, so a
 /// drift here means datasets change. When the checksum became true FNV-1a
 /// (it had multiplied by 2^44 + 0x1b3, not FNV's 2^40 + 0x1b3), one run at
@@ -61,20 +62,25 @@ fn synth(module: &Module) -> SynthesizedDesign {
     HlsFlow::new(HlsOptions::default()).run(module).unwrap()
 }
 
+type Kernel = fn(&RtlDesign, &Device, &PlacerOptions) -> Placement;
+
+/// Both placers, by name.
+const KERNELS: [(&str, Kernel); 2] = [("place", place), ("place_reference", place_reference)];
+
 #[test]
 fn incremental_cost_matches_full_recompute_for_both_kernels() {
     let device = Device::xc7z020();
     for (name, module, _) in corpus() {
         let design = synth(&module);
-        for kernel in [PlaceKernel::DeltaAnneal, PlaceKernel::ReferenceAnneal] {
+        for (kernel_name, kernel) in KERNELS {
             for seed in [1u64, 7, 23] {
-                let mut opts = PlacerOptions::fast().with_kernel(kernel);
+                let mut opts = PlacerOptions::fast();
                 opts.seed = seed;
-                let p = place(&design.rtl, &device, &opts);
+                let p = kernel(&design.rtl, &device, &opts);
                 let full = recompute_cost(&design.rtl, &device, &opts, &p);
                 assert!(
                     (p.cost - full).abs() <= 1e-6 * full.abs().max(1.0),
-                    "{name} {kernel:?} seed {seed}: incremental cost {} drifted from recompute {}",
+                    "{name} {kernel_name} seed {seed}: incremental cost {} drifted from recompute {}",
                     p.cost,
                     full
                 );
@@ -107,15 +113,13 @@ fn delta_kernel_never_leaves_more_routed_overflow_than_reference() {
     let device = Device::xc7z020();
     for (name, module, _) in corpus() {
         let design = synth(&module);
-        let run = |kernel: PlaceKernel| {
-            let mut opts = ParOptions::default();
-            opts.placer.kernel = kernel;
-            run_par(&design, &device, &opts)
-                .congestion
-                .tiles_over(100.0)
+        let run = |kernel: Kernel| {
+            let placement = kernel(&design.rtl, &device, &PlacerOptions::default());
+            let routed = route(&design.rtl, &placement, &device, &RouterOptions::default());
+            CongestionMap::from_route(&routed, &device).tiles_over(100.0)
         };
-        let delta = run(PlaceKernel::DeltaAnneal);
-        let reference = run(PlaceKernel::ReferenceAnneal);
+        let delta = run(place);
+        let reference = run(place_reference);
         assert!(
             delta <= reference,
             "{name}: delta placement routed to {delta} overflowed tiles, reference to {reference}"
@@ -128,13 +132,13 @@ fn both_kernels_are_deterministic_per_seed() {
     let device = Device::xc7z020();
     let (_, module, _) = corpus().remove(1);
     let design = synth(&module);
-    for kernel in [PlaceKernel::DeltaAnneal, PlaceKernel::ReferenceAnneal] {
-        let opts = PlacerOptions::fast().with_kernel(kernel);
-        let a = place(&design.rtl, &device, &opts);
-        let b = place(&design.rtl, &device, &opts);
-        assert_eq!(a.pos, b.pos, "{kernel:?}");
-        assert_eq!(a.cost, b.cost, "{kernel:?}");
-        assert_eq!(a.stats, b.stats, "{kernel:?}");
+    for (name, kernel) in KERNELS {
+        let opts = PlacerOptions::fast();
+        let a = kernel(&design.rtl, &device, &opts);
+        let b = kernel(&design.rtl, &device, &opts);
+        assert_eq!(a.pos, b.pos, "{name}");
+        assert_eq!(a.cost, b.cost, "{name}");
+        assert_eq!(a.stats, b.stats, "{name}");
     }
 }
 
@@ -146,15 +150,8 @@ fn delta_kernel_spends_less_annealing_effort() {
     let device = Device::xc7z020();
     let (_, module, _) = corpus().remove(1);
     let design = synth(&module);
-    let p = |kernel| {
-        place(
-            &design.rtl,
-            &device,
-            &PlacerOptions::fast().with_kernel(kernel),
-        )
-    };
-    let delta = p(PlaceKernel::DeltaAnneal);
-    let reference = p(PlaceKernel::ReferenceAnneal);
+    let delta = place(&design.rtl, &device, &PlacerOptions::fast());
+    let reference = place_reference(&design.rtl, &device, &PlacerOptions::fast());
     assert!(
         delta.stats.proposed * 2 < reference.stats.proposed,
         "delta proposed {} vs reference {}",
