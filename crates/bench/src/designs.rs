@@ -1,6 +1,7 @@
 //! Shared design construction and flow configuration for all experiments.
 
 use congestion_core::pipeline::CongestionFlow;
+use congestion_core::predict::TrainOptions;
 use fpga_fabric::par::ParOptions;
 use hls_ir::Module;
 use rosetta_gen::{face_detection::FdVariant, suite, Preset};
@@ -34,18 +35,16 @@ impl Effort {
         flow
     }
 
-    /// Training options for this effort.
-    pub fn train(&self, grid_search: bool) -> congestion_core::predict::TrainOptions {
-        match self {
-            Effort::Fast => congestion_core::predict::TrainOptions {
-                grid_search: false,
-                ..congestion_core::predict::TrainOptions::fast()
-            },
-            Effort::Full => congestion_core::predict::TrainOptions {
-                grid_search,
-                cv_folds: 10,
-                ..Default::default()
-            },
+    /// Training options for this effort, grid-searching each model's
+    /// hyperparameters first when `grid_search` is set.
+    pub fn train(&self, grid_search: bool) -> TrainOptions {
+        let base = match self {
+            Effort::Fast => TrainOptions::fast(),
+            Effort::Full => TrainOptions::default(),
+        };
+        TrainOptions {
+            grid_search,
+            ..base
         }
     }
 }
@@ -80,6 +79,15 @@ mod tests {
         let s = training_suite();
         assert_eq!(s.len(), 3);
         assert!(s.iter().all(|m| m.total_ops() > 100));
+    }
+
+    #[test]
+    fn both_efforts_keep_the_grid_search_switch() {
+        for effort in [Effort::Fast, Effort::Full] {
+            assert!(effort.train(true).grid_search, "{effort:?}");
+            assert!(!effort.train(false).grid_search, "{effort:?}");
+        }
+        assert_eq!(Effort::Full.train(true).cv_folds, 10, "the paper's folds");
     }
 
     #[test]

@@ -10,11 +10,12 @@ use crate::pipeline::CongestionFlow;
 use fpga_fabric::Device;
 use hls_ir::{FuncId, Function, OpId};
 use hls_synth::SynthesizedDesign;
-use mlkit::cv::cross_val_mae_observed;
+use mlkit::cv::grid_search;
 use mlkit::metrics::{mae, medae};
 use mlkit::tree::TreeOptions;
 use mlkit::{
-    GbrtOptions, GbrtRegressor, Lasso, LassoOptions, Matrix, MlpOptions, MlpRegressor, Regressor,
+    Dataset, GbrtOptions, GbrtRegressor, Lasso, LassoOptions, Matrix, MlpOptions, MlpRegressor,
+    Regressor,
 };
 use obskit::Collector;
 
@@ -126,8 +127,9 @@ impl CongestionPredictor {
     }
 
     /// [`Self::train`] recording training telemetry into `obs`: a `train`
-    /// span (annotated with model and target), per-fold CV telemetry when
-    /// grid-searching, and the model's convergence curve
+    /// span (annotated with model and target), [`grid_search`]'s per-point
+    /// and per-fold `cv.*` telemetry when grid-searching, and the model's
+    /// convergence curve
     /// (`train.gbrt.stage_loss` / `train.ann.epoch_loss` histograms —
     /// deterministic, since training is seeded).
     pub fn train_observed(
@@ -145,26 +147,13 @@ impl CongestionPredictor {
         let effort = opts.effort.clamp(0.01, 1.0);
         let model = match kind {
             ModelKind::Linear => {
-                let alphas = [0.001, 0.01, 0.1, 1.0];
-                let alpha = if opts.grid_search {
-                    let (best, _) = mlkit::cv::grid_search_observed(
-                        &ml,
-                        opts.cv_folds,
-                        opts.seed,
-                        &alphas,
-                        |&a| {
-                            Lasso::new(LassoOptions {
-                                alpha: a,
-                                max_iter: (200.0 * effort).max(20.0) as usize,
-                                ..Default::default()
-                            })
-                        },
-                        obs,
-                    );
-                    alphas[best]
-                } else {
-                    0.01
-                };
+                let alpha = *chosen(&[0.001, 0.01, 0.1, 1.0], 1, &ml, opts, obs, |&a| {
+                    Lasso::new(LassoOptions {
+                        alpha: a,
+                        max_iter: (200.0 * effort).max(20.0) as usize,
+                        ..Default::default()
+                    })
+                });
                 let mut m = Lasso::new(LassoOptions {
                     alpha,
                     max_iter: (500.0 * effort).max(30.0) as usize,
@@ -177,32 +166,15 @@ impl CongestionPredictor {
                 Model::Linear(m)
             }
             ModelKind::Ann => {
-                let grids = [vec![64, 32], vec![128]];
-                let hidden = if opts.grid_search {
-                    let mut best = (0usize, f64::INFINITY);
-                    for (i, h) in grids.iter().enumerate() {
-                        let score = cross_val_mae_observed(
-                            &ml,
-                            opts.cv_folds,
-                            opts.seed,
-                            || {
-                                MlpRegressor::new(MlpOptions {
-                                    hidden: h.clone(),
-                                    epochs: (40.0 * effort).max(3.0) as usize,
-                                    ..Default::default()
-                                })
-                            },
-                            obs,
-                        );
-                        obs.inc("cv.grid.points", 1);
-                        if score < best.1 {
-                            best = (i, score);
-                        }
-                    }
-                    grids[best.0].clone()
-                } else {
-                    grids[0].clone()
-                };
+                let grid = [vec![64, 32], vec![128]];
+                let hidden = chosen(&grid, 0, &ml, opts, obs, |h| {
+                    MlpRegressor::new(MlpOptions {
+                        hidden: h.clone(),
+                        epochs: (40.0 * effort).max(3.0) as usize,
+                        ..Default::default()
+                    })
+                })
+                .clone();
                 let mut m = MlpRegressor::new(MlpOptions {
                     hidden,
                     epochs: (120.0 * effort).max(5.0) as usize,
@@ -215,41 +187,21 @@ impl CongestionPredictor {
                 Model::Ann(m)
             }
             ModelKind::Gbrt => {
-                let depths = [3usize, 4];
-                let depth = if opts.grid_search {
-                    let mut best = (0usize, f64::INFINITY);
-                    for (i, &d) in depths.iter().enumerate() {
-                        let score = cross_val_mae_observed(
-                            &ml,
-                            opts.cv_folds,
-                            opts.seed,
-                            || {
-                                GbrtRegressor::new(GbrtOptions {
-                                    n_estimators: (60.0 * effort).max(5.0) as usize,
-                                    learning_rate: (0.08 / effort.sqrt()).min(0.3),
-                                    feature_fraction: (0.4 / effort.sqrt()).min(1.0),
-                                    tree: TreeOptions {
-                                        max_depth: d,
-                                        ..Default::default()
-                                    },
-                                    // CV folds already run on parallel
-                                    // workers; keep each fit serial so the
-                                    // pools don't nest.
-                                    workers: 1,
-                                    ..Default::default()
-                                })
-                            },
-                            obs,
-                        );
-                        obs.inc("cv.grid.points", 1);
-                        if score < best.1 {
-                            best = (i, score);
-                        }
-                    }
-                    depths[best.0]
-                } else {
-                    4
-                };
+                let depth = *chosen(&[3usize, 4], 1, &ml, opts, obs, |&d| {
+                    GbrtRegressor::new(GbrtOptions {
+                        n_estimators: (60.0 * effort).max(5.0) as usize,
+                        learning_rate: (0.08 / effort.sqrt()).min(0.3),
+                        feature_fraction: (0.4 / effort.sqrt()).min(1.0),
+                        tree: TreeOptions {
+                            max_depth: d,
+                            ..Default::default()
+                        },
+                        // CV folds already run on parallel workers; keep
+                        // each fit serial so the pools don't nest.
+                        workers: 1,
+                        ..Default::default()
+                    })
+                });
                 // At reduced effort the ensemble has few stages; compensate
                 // with a larger step and a full feature view per tree.
                 let mut m = GbrtRegressor::new(GbrtOptions {
@@ -354,6 +306,30 @@ impl CongestionPredictor {
             other => mlkit::ModelTelemetry::of_regressor(other.as_regressor(), &ml.x, &ml.y),
         }
     }
+}
+
+/// The point of `grid` that [`CongestionPredictor::train_observed`] fits:
+/// with `opts.grid_search`, the one with the lowest CV MAE over
+/// `opts.cv_folds` folds of the training data (the paper's protocol,
+/// §IV-A, recorded into `obs` by [`grid_search`]); otherwise
+/// `grid[default]`.
+fn chosen<'g, P, M>(
+    grid: &'g [P],
+    default: usize,
+    data: &Dataset,
+    opts: &TrainOptions,
+    obs: &Collector,
+    make: impl Fn(&P) -> M + Sync,
+) -> &'g P
+where
+    P: Sync,
+    M: Regressor,
+{
+    if !opts.grid_search {
+        return &grid[default];
+    }
+    let (best, _) = grid_search(data, opts.cv_folds, opts.seed, grid, make, obs);
+    &grid[best]
 }
 
 /// Extract one feature row per operation of a synthesized design, in

@@ -6,58 +6,26 @@
 use crate::dataset::Dataset;
 use crate::metrics::mae;
 use crate::model::Regressor;
+use obskit::Collector;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// Why a cross-validation or grid-search request is unsatisfiable. The
-/// `try_*` entry points return these; the panicking wrappers keep the old
-/// ergonomics for callers whose inputs are statically valid.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CvError {
-    /// `k < 2`: a single fold has no held-out data to score.
-    TooFewFolds {
-        /// The requested fold count.
-        k: usize,
-    },
-    /// `n < k`: some fold would have an empty validation set.
-    TooFewSamples {
-        /// Available samples.
-        n: usize,
-        /// Requested folds.
-        k: usize,
-    },
-    /// Grid search over zero parameter sets has no winner.
-    EmptyGrid,
-}
-
-impl std::fmt::Display for CvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CvError::TooFewFolds { k } => write!(f, "k-fold needs k >= 2, got k = {k}"),
-            CvError::TooFewSamples { n, k } => {
-                write!(f, "k-fold needs at least k samples, got n = {n} < k = {k}")
-            }
-            CvError::EmptyGrid => write!(f, "grid search over an empty parameter grid"),
-        }
-    }
-}
-
-impl std::error::Error for CvError {}
 
 /// One fold's `(train, validation)` index vectors.
 pub type Fold = (Vec<usize>, Vec<usize>);
 
 /// Deterministic k-fold index split: returns `(train, validation)` index
-/// vectors for each fold, or a [`CvError`] explaining why the split is
-/// impossible.
-pub fn try_kfold(n: usize, k: usize, seed: u64) -> Result<Vec<Fold>, CvError> {
-    if k < 2 {
-        return Err(CvError::TooFewFolds { k });
-    }
-    if n < k {
-        return Err(CvError::TooFewSamples { n, k });
-    }
+/// vectors for each fold.
+///
+/// # Panics
+/// Panics if `k < 2` (a single fold has no held-out data to score) or
+/// `n < k` (some fold would have an empty validation set).
+pub fn kfold(n: usize, k: usize, seed: u64) -> Vec<Fold> {
+    assert!(k >= 2, "k-fold needs k >= 2, got k = {k}");
+    assert!(
+        n >= k,
+        "k-fold needs at least k samples, got n = {n} < k = {k}"
+    );
     let mut idx: Vec<usize> = (0..n).collect();
     let mut rng = StdRng::seed_from_u64(seed);
     idx.shuffle(&mut rng);
@@ -69,18 +37,7 @@ pub fn try_kfold(n: usize, k: usize, seed: u64) -> Result<Vec<Fold>, CvError> {
         let train: Vec<usize> = idx[..lo].iter().chain(&idx[hi..]).copied().collect();
         folds.push((train, val));
     }
-    Ok(folds)
-}
-
-/// [`try_kfold`] for statically valid inputs.
-///
-/// # Panics
-/// Panics if `k < 2` or `n < k`.
-pub fn kfold(n: usize, k: usize, seed: u64) -> Vec<Fold> {
-    match try_kfold(n, k, seed) {
-        Ok(folds) => folds,
-        Err(e) => panic!("{e}"),
-    }
+    folds
 }
 
 /// One fold's MAE: train on `train_idx`, score on `val_idx`.
@@ -97,59 +54,24 @@ where
     mae(&val.y, &pred)
 }
 
-/// Mean CV MAE of a model factory over `k` folds.
+/// Mean validation MAE of a model factory over the `k` folds of `data`.
 ///
-/// Folds are evaluated on parallel worker threads (worker count from
+/// Folds are fitted on parallel worker threads (worker count from
 /// [`parkit::num_threads`], i.e. `RAYON_NUM_THREADS`), which is why `make`
-/// must be `Sync`. The result is deterministic regardless of worker count:
-/// fold scores come back in fold order and are summed in that order, so the
-/// floating-point reduction is identical to the serial loop.
-pub fn cross_val_mae<M, F>(data: &Dataset, k: usize, seed: u64, make: F) -> f64
-where
-    M: Regressor,
-    F: Fn() -> M + Sync,
-{
-    match try_cross_val_mae(data, k, seed, make) {
-        Ok(score) => score,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`cross_val_mae`] returning a [`CvError`] instead of panicking when the
-/// fold split is impossible.
-pub fn try_cross_val_mae<M, F>(data: &Dataset, k: usize, seed: u64, make: F) -> Result<f64, CvError>
-where
-    M: Regressor,
-    F: Fn() -> M + Sync,
-{
-    let folds = try_kfold(data.len(), k, seed)?;
-    let scores = parkit::par_map(&folds, |(train_idx, val_idx)| {
-        fold_mae(data, train_idx, val_idx, &make)
-    });
-    Ok(scores.iter().sum::<f64>() / folds.len() as f64)
-}
-
-/// [`cross_val_mae`] recording per-fold telemetry into `obs`: one `cv.fold`
-/// span, a `cv.fold.wall_ms` histogram sample, and a `cv.fold.mae`
-/// histogram sample per fold (the per-fold accuracy the run ledger keeps),
-/// plus the `cv.folds` counter. Each parallel fold records into its own
-/// collector; the records are absorbed **in fold order**, so every
-/// deterministic metric — per-fold MAE included — is bit-identical for any
-/// worker count.
-pub fn cross_val_mae_observed<M, F>(
-    data: &Dataset,
-    k: usize,
-    seed: u64,
-    make: F,
-    obs: &obskit::Collector,
-) -> f64
+/// must be `Sync`. Each fold records one `cv.fold` span, a
+/// `cv.fold.wall_ms` and a `cv.fold.mae` histogram sample (the per-fold
+/// accuracy the run ledger keeps) and a `cv.folds` increment into its own
+/// collector. Scores are summed and records absorbed into `obs` **in fold
+/// order**, so the score and every deterministic metric are bit-identical
+/// for any worker count.
+fn cross_val_mae<M, F>(data: &Dataset, k: usize, seed: u64, make: F, obs: &Collector) -> f64
 where
     M: Regressor,
     F: Fn() -> M + Sync,
 {
     let folds = kfold(data.len(), k, seed);
     let results = parkit::par_map(&folds, |(train_idx, val_idx)| {
-        let fold_obs = obskit::Collector::new();
+        let fold_obs = Collector::new();
         let start = std::time::Instant::now();
         let score = {
             let _span = fold_obs.span("cv.fold");
@@ -161,130 +83,55 @@ where
         (score, fold_obs.finish())
     });
     let mut total = 0.0;
-    for (score, rec) in &results {
+    for (score, rec) in results {
         total += score;
-        obs.absorb(rec.clone());
+        obs.absorb(rec);
     }
     total / folds.len() as f64
 }
 
-/// [`cross_val_mae`] on the calling thread — used by [`grid_search`], which
-/// already parallelizes across grid points and must not nest thread pools.
-fn cross_val_mae_serial<M, F>(data: &Dataset, k: usize, seed: u64, make: F) -> f64
-where
-    M: Regressor,
-    F: Fn() -> M,
-{
-    let folds = kfold(data.len(), k, seed);
-    let total: f64 = folds
-        .iter()
-        .map(|(train_idx, val_idx)| fold_mae(data, train_idx, val_idx, &make))
-        .sum();
-    total / folds.len() as f64
-}
-
-/// Pick the parameter set with the lowest CV MAE. Returns
+/// Pick the point of `params` with the lowest `k`-fold CV MAE. Returns
 /// `(best_param_index, best_score)`.
 ///
-/// Grid points are evaluated on parallel worker threads (each point runs
-/// its folds serially, so the pools do not nest). Scores are compared in
-/// grid order with a strict `<`, so ties resolve to the lowest index — the
-/// same winner the serial loop picks, for any worker count.
+/// Points are scored one after another, in grid order, each under a
+/// `cv.grid.point` span with its folds on parallel workers (so a model
+/// that `make` builds should fit on one worker, or the pools nest). The
+/// first strict minimum wins, so ties resolve to the lowest index. Records
+/// a `cv.grid.points` increment per point and the winner's
+/// `cv.grid.best_index` and `cv.grid.best_mae` gauges into `obs`.
 ///
 /// # Panics
-/// Panics if `params` is empty.
+/// Panics if `params` is empty, or as [`kfold`] does.
 pub fn grid_search<M, P, F>(
     data: &Dataset,
     k: usize,
     seed: u64,
     params: &[P],
     make: F,
+    obs: &Collector,
 ) -> (usize, f64)
 where
     M: Regressor,
     P: Sync,
     F: Fn(&P) -> M + Sync,
 {
-    match try_grid_search(data, k, seed, params, make) {
-        Ok(best) => best,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`grid_search`] returning a [`CvError`] instead of panicking on an empty
-/// grid or an impossible fold split.
-pub fn try_grid_search<M, P, F>(
-    data: &Dataset,
-    k: usize,
-    seed: u64,
-    params: &[P],
-    make: F,
-) -> Result<(usize, f64), CvError>
-where
-    M: Regressor,
-    P: Sync,
-    F: Fn(&P) -> M + Sync,
-{
-    if params.is_empty() {
-        return Err(CvError::EmptyGrid);
-    }
-    try_kfold(data.len(), k, seed)?; // validate once up front
-    let scores = parkit::par_map(params, |p| cross_val_mae_serial(data, k, seed, || make(p)));
-    Ok(pick_best(&scores))
-}
-
-/// [`grid_search`] recording progress telemetry into `obs`: one
-/// `cv.grid.point` span and a `cv.grid.points` counter increment per grid
-/// point (absorbed in grid order), plus `cv.grid.best_index` /
-/// `cv.grid.best_mae` gauges for the winner.
-///
-/// # Panics
-/// Panics if `params` is empty.
-pub fn grid_search_observed<M, P, F>(
-    data: &Dataset,
-    k: usize,
-    seed: u64,
-    params: &[P],
-    make: F,
-    obs: &obskit::Collector,
-) -> (usize, f64)
-where
-    M: Regressor,
-    P: Sync,
-    F: Fn(&P) -> M + Sync,
-{
-    assert!(!params.is_empty(), "empty parameter grid");
-    let results = parkit::par_map(params, |p| {
-        let point_obs = obskit::Collector::new();
-        let start = std::time::Instant::now();
-        let score = {
-            let _span = point_obs.span("cv.grid.point");
-            cross_val_mae_serial(data, k, seed, || make(p))
-        };
-        point_obs.observe("cv.grid.point.wall_ms", start.elapsed().as_secs_f64() * 1e3);
-        point_obs.inc("cv.grid.points", 1);
-        (score, point_obs.finish())
-    });
-    let mut scores = Vec::with_capacity(results.len());
-    for (score, rec) in results {
-        scores.push(score);
-        obs.absorb(rec);
-    }
-    let best = pick_best(&scores);
-    obs.set_gauge("cv.grid.best_index", best.0 as f64);
-    obs.set_gauge("cv.grid.best_mae", best.1);
-    best
-}
-
-/// Lowest score wins; ties resolve to the lowest index (strict `<`), the
-/// same winner the serial loop picks for any worker count.
-fn pick_best(scores: &[f64]) -> (usize, f64) {
+    assert!(
+        !params.is_empty(),
+        "grid search over an empty parameter grid"
+    );
     let mut best = (0usize, f64::INFINITY);
-    for (i, &score) in scores.iter().enumerate() {
+    for (i, p) in params.iter().enumerate() {
+        let score = {
+            let _span = obs.span("cv.grid.point");
+            cross_val_mae(data, k, seed, || make(p), obs)
+        };
+        obs.inc("cv.grid.points", 1);
         if score < best.1 {
             best = (i, score);
         }
     }
+    obs.set_gauge("cv.grid.best_index", best.0 as f64);
+    obs.set_gauge("cv.grid.best_mae", best.1);
     best
 }
 
@@ -300,6 +147,13 @@ mod tests {
             d.push(&[x], 2.0 * x + 1.0);
         }
         d
+    }
+
+    fn lasso(alpha: f64) -> Lasso {
+        Lasso::new(LassoOptions {
+            alpha,
+            ..Default::default()
+        })
     }
 
     #[test]
@@ -326,108 +180,82 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "k-fold needs k >= 2, got k = 1")]
     fn kfold_rejects_k_one() {
         kfold(10, 1, 0);
     }
 
     #[test]
-    fn try_variants_report_typed_errors() {
-        assert_eq!(try_kfold(10, 1, 0), Err(CvError::TooFewFolds { k: 1 }));
+    fn impossible_requests_panic_with_their_reason() {
+        let reason = |f: &dyn Fn()| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+            payload
+                .downcast::<String>()
+                .map(|s| *s)
+                .unwrap_or_else(|p| {
+                    p.downcast::<&str>()
+                        .map(|s| s.to_string())
+                        .expect("a text payload")
+                })
+        };
         assert_eq!(
-            try_kfold(3, 5, 0),
-            Err(CvError::TooFewSamples { n: 3, k: 5 })
+            reason(&|| {
+                kfold(3, 5, 0);
+            }),
+            "k-fold needs at least k samples, got n = 3 < k = 5"
         );
         let d = toy(4);
-        let make = || Lasso::new(LassoOptions::default());
         assert_eq!(
-            try_cross_val_mae(&d, 10, 0, make),
-            Err(CvError::TooFewSamples { n: 4, k: 10 })
+            reason(&|| {
+                grid_search(&d, 10, 0, &[1e-3], |&a| lasso(a), &Collector::new());
+            }),
+            "k-fold needs at least k samples, got n = 4 < k = 10"
         );
         let empty: [f64; 0] = [];
         assert_eq!(
-            try_grid_search(&d, 2, 0, &empty, |_| make()),
-            Err(CvError::EmptyGrid)
-        );
-        assert_eq!(
-            CvError::EmptyGrid.to_string(),
+            reason(&|| {
+                grid_search(&d, 2, 0, &empty, |&a| lasso(a), &Collector::new());
+            }),
             "grid search over an empty parameter grid"
         );
     }
 
     #[test]
-    fn try_variants_match_panicking_apis_on_valid_input() {
-        let d = toy(60);
-        let make = || {
-            Lasso::new(LassoOptions {
-                alpha: 1e-3,
-                ..Default::default()
-            })
-        };
-        let plain = cross_val_mae(&d, 5, 1, make);
-        let tried = try_cross_val_mae(&d, 5, 1, make).unwrap();
-        assert_eq!(plain.to_bits(), tried.to_bits());
-        let alphas = [1e3, 1e-4];
-        let mk = |&a: &f64| {
-            Lasso::new(LassoOptions {
-                alpha: a,
-                ..Default::default()
-            })
-        };
-        let (bi, bs) = grid_search(&d, 5, 1, &alphas, mk);
-        let (ti, ts) = try_grid_search(&d, 5, 1, &alphas, mk).unwrap();
-        assert_eq!((bi, bs.to_bits()), (ti, ts.to_bits()));
-    }
-
-    #[test]
     fn cv_score_near_zero_on_learnable_data() {
         let d = toy(60);
-        let score = cross_val_mae(&d, 5, 1, || {
-            Lasso::new(LassoOptions {
-                alpha: 1e-5,
-                ..Default::default()
-            })
-        });
+        let score = cross_val_mae(&d, 5, 1, || lasso(1e-5), &Collector::new());
         assert!(score < 0.5, "cv mae = {score}");
     }
 
     #[test]
     fn parallel_cv_is_bitwise_deterministic() {
         let d = toy(64);
-        let make = || {
-            Lasso::new(LassoOptions {
-                alpha: 1e-3,
-                ..Default::default()
-            })
-        };
-        let first = cross_val_mae(&d, 8, 7, make);
+        let make = || lasso(1e-3);
+        let first = cross_val_mae(&d, 8, 7, make, &Collector::new());
         // Fold scores are reduced in fold order, so repeated parallel runs
-        // (and the serial path) agree to the last bit.
+        // and a serial loop over the folds agree to the last bit.
         for _ in 0..3 {
-            assert_eq!(first.to_bits(), cross_val_mae(&d, 8, 7, make).to_bits());
+            let again = cross_val_mae(&d, 8, 7, make, &Collector::new());
+            assert_eq!(first.to_bits(), again.to_bits());
         }
-        assert_eq!(
-            first.to_bits(),
-            cross_val_mae_serial(&d, 8, 7, make).to_bits()
-        );
+        let serial: f64 = kfold(d.len(), 8, 7)
+            .iter()
+            .map(|(train, val)| fold_mae(&d, train, val, &make))
+            .sum();
+        assert_eq!(first.to_bits(), (serial / 8.0).to_bits());
     }
 
     #[test]
-    fn observed_cv_matches_plain_cv_and_counts_folds() {
+    fn cross_val_counts_folds_and_records_one_span_each() {
         let d = toy(64);
-        let make = || {
-            Lasso::new(LassoOptions {
-                alpha: 1e-3,
-                ..Default::default()
-            })
-        };
-        let plain = cross_val_mae(&d, 8, 7, make);
-        let obs = obskit::Collector::new();
-        let observed = cross_val_mae_observed(&d, 8, 7, make, &obs);
-        assert_eq!(plain.to_bits(), observed.to_bits());
+        let obs = Collector::new();
+        let score = cross_val_mae(&d, 8, 7, || lasso(1e-3), &obs);
         let rec = obs.finish();
         assert_eq!(rec.metrics.counters["cv.folds"], 8);
         assert_eq!(rec.metrics.histograms["cv.fold.wall_ms"].count(), 8);
+        let maes = &rec.metrics.histograms["cv.fold.mae"];
+        assert_eq!(maes.count(), 8);
+        assert!((maes.sum() / 8.0 - score).abs() < 1e-12);
         assert_eq!(rec.events.len(), 8, "one cv.fold span per fold");
         assert!(rec.events.iter().all(|e| e.name == "cv.fold"));
     }
@@ -436,30 +264,20 @@ mod tests {
     fn observed_grid_search_records_progress_and_winner() {
         let d = toy(60);
         let alphas = [1e3, 1e-4];
-        let obs = obskit::Collector::new();
-        let (plain_best, plain_score) = grid_search(&d, 5, 1, &alphas, |&a| {
-            Lasso::new(LassoOptions {
-                alpha: a,
-                ..Default::default()
-            })
-        });
-        let (best, score) = grid_search_observed(
-            &d,
-            5,
-            1,
-            &alphas,
-            |&a| {
-                Lasso::new(LassoOptions {
-                    alpha: a,
-                    ..Default::default()
-                })
-            },
-            &obs,
-        );
-        assert_eq!((plain_best, plain_score.to_bits()), (best, score.to_bits()));
+        let obs = Collector::new();
+        let (best, score) = grid_search(&d, 5, 1, &alphas, |&a| lasso(a), &obs);
+        let winner = cross_val_mae(&d, 5, 1, || lasso(alphas[best]), &Collector::new());
+        assert_eq!(score.to_bits(), winner.to_bits());
         let rec = obs.finish();
         assert_eq!(rec.metrics.counters["cv.grid.points"], 2);
+        assert_eq!(rec.metrics.counters["cv.folds"], 10);
         assert_eq!(rec.metrics.gauges["cv.grid.best_index"], best as f64);
+        assert_eq!(
+            rec.metrics.gauges["cv.grid.best_mae"].to_bits(),
+            score.to_bits()
+        );
+        let points = rec.events.iter().filter(|e| e.name == "cv.grid.point");
+        assert_eq!(points.count(), 2, "one cv.grid.point span per point");
     }
 
     #[test]
@@ -467,12 +285,7 @@ mod tests {
         let d = toy(30);
         // Identical parameters → identical scores; strict `<` keeps index 0.
         let alphas = [1e-3, 1e-3, 1e-3];
-        let (best, _) = grid_search(&d, 3, 1, &alphas, |&a| {
-            Lasso::new(LassoOptions {
-                alpha: a,
-                ..Default::default()
-            })
-        });
+        let (best, _) = grid_search(&d, 3, 1, &alphas, |&a| lasso(a), &Collector::new());
         assert_eq!(best, 0);
     }
 
@@ -480,12 +293,7 @@ mod tests {
     fn grid_search_prefers_lower_alpha_on_clean_data() {
         let d = toy(60);
         let alphas = [1e3, 1e-4];
-        let (best, score) = grid_search(&d, 5, 1, &alphas, |&a| {
-            Lasso::new(LassoOptions {
-                alpha: a,
-                ..Default::default()
-            })
-        });
+        let (best, score) = grid_search(&d, 5, 1, &alphas, |&a| lasso(a), &Collector::new());
         assert_eq!(best, 1, "small alpha wins on noiseless linear data");
         assert!(score < 1.0);
     }

@@ -42,7 +42,6 @@ pub mod tree;
 pub use ann::{MlpOptions, MlpRegressor};
 pub use binning::BinnedMatrix;
 pub use compiled::CompiledEnsemble;
-pub use cv::CvError;
 pub use dataset::{Dataset, Matrix};
 pub use gbrt::{GbrtOptions, GbrtRegressor};
 pub use linear::{Lasso, LassoOptions};

@@ -89,16 +89,9 @@ impl<T> AdmissionQueue<T> {
     /// once the queue is closed *and* drained — pending items are still
     /// delivered after close, so every admitted request gets its reply.
     pub fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.ready.wait(inner).unwrap();
-        }
+        // Every item a barrier: the head comes back alone.
+        let batch = self.pop_batch(1, |_| None)?;
+        batch.into_iter().next()
     }
 
     /// Close the queue: future pushes return [`Admit::Closed`], poppers

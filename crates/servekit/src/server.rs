@@ -98,8 +98,8 @@ pub struct ServeConfig {
     pub ledger: Option<LedgerSink>,
     /// Coalescing row budget per micro-batch: a worker drains the
     /// contiguous run of queued `predict` requests whose summed row count
-    /// fits, and answers them with one merged `predict_into` call.
-    /// `1` disables coalescing (per-request drain, the pre-batching path).
+    /// fits, and answers them with one predict call over their merged
+    /// rows. `1` disables coalescing: each predict is a batch of one.
     pub batch_max_rows: usize,
     /// Reply-cache capacity in designs for `source` requests; 0 disables
     /// the cache. An entry is the answer a miss computed (status, model,
@@ -178,7 +178,7 @@ pub struct ServeMetrics {
     pub batches: u64,
     /// Requests answered as members of a multi-request micro-batch.
     pub coalesced: u64,
-    /// Rows merged into coalesced `predict_into` calls.
+    /// Rows merged into the predict calls of multi-request micro-batches.
     pub batch_rows: u64,
     /// Largest micro-batch observed, in requests.
     pub batch_peak: u64,
@@ -680,7 +680,7 @@ fn worker_loop(state: &Arc<ServerState>) {
         // head into one micro-batch; everything else is a barrier and
         // runs alone. The partition is decided under the queue lock, so
         // it is a pure function of (arrival trace, config) — and replies
-        // are bitwise-identical either way (see `process_batch`).
+        // are bitwise-identical either way (see `batch_replies`).
         let Some(batch) = state
             .queue
             .pop_batch(state.cfg.batch_max_rows, |job: &Job| match &job.req.body {
@@ -690,23 +690,42 @@ fn worker_loop(state: &Arc<ServerState>) {
         else {
             break;
         };
-        if batch.len() == 1 {
-            let job = &batch[0];
-            let id = job.req.id;
-            // Last-resort isolation: even a bug outside the stages
-            // becomes a typed Error reply, never a dead worker.
-            let answer = catch_unwind(AssertUnwindSafe(|| process(state, job)))
-                .unwrap_or_else(|_| Reply::error(id, "internal panic (isolated)").into());
+        let coalesced = batch.len() > 1;
+        if coalesced {
+            // Crash-only accounting: a progress record *before* the merged
+            // work makes `lost_in_flight` after a SIGKILL reflect the whole
+            // admitted batch (the chaos suite pins this).
+            journal_progress(state);
+        }
+        // Last-resort isolation: even a bug outside the stages becomes a
+        // typed Error reply to every job of the drain, never a dead worker.
+        let (answers, merged_rows) = catch_unwind(AssertUnwindSafe(|| match &batch[0].req.body {
+            RequestBody::Predict { .. } => batch_replies(state, &batch),
+            _ => (vec![process(state, &batch[0])], 0),
+        }))
+        .unwrap_or_else(|_| {
+            let answers = batch
+                .iter()
+                .map(|j| Reply::error(j.req.id, "internal panic (isolated)").into())
+                .collect();
+            (answers, 0)
+        });
+        if coalesced {
+            let mut m = state.metrics.lock().unwrap();
+            m.batches += 1;
+            m.coalesced += batch.len() as u64;
+            m.batch_rows += merged_rows as u64;
+            m.batch_peak = m.batch_peak.max(batch.len() as u64);
+        }
+        for (job, answer) in batch.iter().zip(answers) {
             finish(state, job, answer);
-        } else {
-            process_batch(state, batch);
         }
     }
 }
 
-/// Per-reply bookkeeping shared by the singleton and coalesced paths:
-/// the in-flight count, completion counters, latency sketch, reply
-/// delivery plus the event loop's wake, journal cadence.
+/// Per-reply bookkeeping for every job a drain answers: the in-flight
+/// count, completion counters, latency sketch, reply delivery plus the
+/// event loop's wake, journal cadence.
 fn finish(state: &Arc<ServerState>, job: &Job, answer: Answer) {
     // The job's work is done, so it can no longer change a later answer.
     // Lowered before the reply leaves: a client that sends its next
@@ -757,41 +776,16 @@ fn wake_loop(state: &ServerState) {
     }
 }
 
-/// Answer a coalesced micro-batch of predict requests. Per-request
-/// validation (deadline at dequeue, row widths) mirrors the singleton
-/// path exactly; the surviving members' rows are merged into one matrix
-/// and answered by a **single** `predict_into` call per channel, then the
-/// output is split back along request boundaries. `predict_into`
-/// accumulates per row in tree order, so every member's floats are
-/// bit-for-bit what per-request serving would have produced.
-fn process_batch(state: &Arc<ServerState>, batch: Vec<Job>) {
-    // Crash-only accounting: a progress record *before* the merged work
-    // makes `lost_in_flight` after a SIGKILL reflect the whole admitted
-    // batch (the chaos suite pins this).
-    journal_progress(state);
-    let (replies, merged_rows) = catch_unwind(AssertUnwindSafe(|| batch_replies(state, &batch)))
-        .unwrap_or_else(|_| {
-            let replies = batch
-                .iter()
-                .map(|j| Reply::error(j.req.id, "internal panic (isolated)"))
-                .collect();
-            (replies, 0)
-        });
-    {
-        let mut m = state.metrics.lock().unwrap();
-        m.batches += 1;
-        m.coalesced += batch.len() as u64;
-        m.batch_rows += merged_rows as u64;
-        m.batch_peak = m.batch_peak.max(batch.len() as u64);
-    }
-    for (job, reply) in batch.iter().zip(replies) {
-        finish(state, job, reply.into());
-    }
-}
-
-/// Compute one reply per batch member, in member order, and the number of
-/// rows merged into the one predict call.
-fn batch_replies(state: &Arc<ServerState>, batch: &[Job]) -> (Vec<Reply>, usize) {
+/// Answer a drained run of predict requests, one answer per member in
+/// member order, and count the rows merged into its one predict call.
+/// Each member is validated as it would be alone (deadline at dequeue, row
+/// widths); the survivors' rows are merged into one matrix and answered by
+/// **one** pass down [`predict_ladder`], then the output is split back
+/// along request boundaries. The model predicts each row on its own, in
+/// tree order, so every member's floats are bit-for-bit what it would get
+/// alone. A lone member's deadline is checked between chunks as well; a
+/// coalesced member runs to completion.
+fn batch_replies(state: &Arc<ServerState>, batch: &[Job]) -> (Vec<Answer>, usize) {
     let mut replies: Vec<Option<Reply>> = Vec::with_capacity(batch.len());
     // Members that survive validation, with their row range in the merged
     // matrix: (index into batch, row offset, row count).
@@ -833,7 +827,7 @@ fn batch_replies(state: &Arc<ServerState>, batch: &[Job]) -> (Vec<Reply>, usize)
             cols = width;
         } else if width != cols {
             // Ragged widths can only happen with no gate constraint;
-            // answer the odd one out on the singleton path.
+            // answer the odd one out on its own.
             let (status, model, v, h) = predict_ladder(state, id, &Matrix::from_rows(rows), None);
             replies.push(Some(Reply {
                 id,
@@ -849,7 +843,7 @@ fn batch_replies(state: &Arc<ServerState>, batch: &[Job]) -> (Vec<Reply>, usize)
         total_rows += rows.len();
         replies.push(None);
     }
-    if !members.is_empty() {
+    if let Some(&(first, _, _)) = members.first() {
         let mut merged = Matrix::with_cols(cols);
         for &(i, _, _) in &members {
             let RequestBody::Predict { rows } = &batch[i].req.body else {
@@ -859,59 +853,29 @@ fn batch_replies(state: &Arc<ServerState>, batch: &[Job]) -> (Vec<Reply>, usize)
                 merged.push_row(row);
             }
         }
-        let first_id = batch[members[0].0].req.id;
-        let (status, model, v, h) = predict_merged(state, first_id, &merged);
+        let deadline = match batch {
+            [lone] => deadline_of(state, &lone.req, lone.admitted_at),
+            _ => None,
+        };
+        let (status, model, v, h) = predict_ladder(state, batch[first].req.id, &merged, deadline);
         for &(i, offset, n) in &members {
+            // A deadline cut (a lone member's) leaves no predictions.
+            let part = |p: &[f64]| p.get(offset..offset + n).unwrap_or_default().to_vec();
             replies[i] = Some(Reply {
                 id: batch[i].req.id,
                 status,
                 model: model.clone(),
-                vertical: v[offset..offset + n].to_vec(),
-                horizontal: h[offset..offset + n].to_vec(),
+                vertical: part(&v),
+                horizontal: part(&h),
                 ..Default::default()
             });
         }
     }
-    let replies = replies
+    let answers = replies
         .into_iter()
-        .map(|r| r.expect("every batch member answered"))
+        .map(|r| r.expect("every batch member answered").into())
         .collect();
-    (replies, total_rows)
-}
-
-/// The merged-batch rung of the degradation ladder: one `predict_into`
-/// call over the whole merged matrix (members already passed their
-/// dequeue deadline check; a coalesced member runs to completion). A
-/// model failure demotes once and answers the whole batch on the analytic
-/// rung, stamped `Degraded` — exactly what each member would have seen
-/// per-request.
-fn predict_merged(
-    state: &Arc<ServerState>,
-    first_id: u64,
-    merged: &Matrix,
-) -> (ReplyStatus, String, Vec<f64>, Vec<f64>) {
-    let active = state.registry.lock().unwrap().active();
-    if let Some(model) = active {
-        let predicted = run_stage(
-            state,
-            serve_stages::PREDICT,
-            || format!("req-{first_id}"),
-            || {
-                let n = merged.rows();
-                let mut v = vec![0.0; n];
-                let mut h = vec![0.0; n];
-                model.vertical.predict_into(merged, &mut v);
-                model.horizontal.predict_into(merged, &mut h);
-                (v, h)
-            },
-        );
-        match predicted {
-            Ok((v, h)) => return (ReplyStatus::Ok, model.display_name(), v, h),
-            Err(_) => demote_active(state),
-        }
-    }
-    let (v, h) = analytic_predict(merged);
-    (ReplyStatus::Degraded, ANALYTIC_MODEL.to_string(), v, h)
+    (answers, total_rows)
 }
 
 /// Model-path failure: demote (last-good takes over for future
@@ -957,6 +921,8 @@ fn past(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() > d)
 }
 
+/// Answer a request that runs alone: every kind but `predict`, which
+/// [`batch_replies`] answers.
 fn process(state: &Arc<ServerState>, job: &Job) -> Answer {
     let id = job.req.id;
     let deadline = deadline_of(state, &job.req, job.admitted_at);
@@ -964,7 +930,7 @@ fn process(state: &Arc<ServerState>, job: &Job) -> Answer {
         return Reply::status_only(id, ReplyStatus::DeadlineExceeded).into();
     }
     let reply = match &job.req.body {
-        RequestBody::Predict { rows } => predict_request(state, id, rows, deadline),
+        RequestBody::Predict { .. } => unreachable!("pop_batch drains predicts as batches"),
         RequestBody::Source { name, text } => {
             return source_request(state, id, name, text, deadline, job.probe)
         }
@@ -978,42 +944,6 @@ fn process(state: &Arc<ServerState>, job: &Job) -> Answer {
         }
     };
     reply.into()
-}
-
-fn predict_request(
-    state: &Arc<ServerState>,
-    id: u64,
-    rows: &[Vec<f64>],
-    deadline: Option<Instant>,
-) -> Reply {
-    let Some(first) = rows.first() else {
-        let mut r = Reply::status_only(id, ReplyStatus::Ok);
-        r.model = state.registry.lock().unwrap().active_name();
-        return r;
-    };
-    let cols = first.len();
-    if let Some((i, row)) = rows.iter().enumerate().find(|(_, r)| r.len() != cols) {
-        return Reply::error(
-            id,
-            format!("row {i} is {}-wide, row 0 is {cols}", row.len()),
-        );
-    }
-    let expected = state.cfg.gate.expected_features;
-    if expected != 0 && cols != expected {
-        return Reply::error(
-            id,
-            format!("rows are {cols}-wide, server expects {expected}"),
-        );
-    }
-    let (status, model, v, h) = predict_ladder(state, id, &Matrix::from_rows(rows), deadline);
-    Reply {
-        id,
-        status,
-        model,
-        vertical: v,
-        horizontal: h,
-        ..Default::default()
-    }
 }
 
 /// The degradation ladder: active model → (on a model failure) demote to
@@ -1455,6 +1385,55 @@ mod tests {
         let r = s.call(req);
         assert_eq!(r.status, ReplyStatus::DeadlineExceeded);
         let sum = s.shutdown();
+        assert_eq!(sum.metrics.deadline_missed, 1);
+    }
+
+    #[test]
+    fn a_lone_predict_stops_at_its_deadline_and_a_coalesced_one_runs_on() {
+        // Requests 1 and 11 each predict past their deadline.
+        let plan = FaultPlan::new(1)
+            .with_rule(FaultRule::new(
+                "req-1",
+                serve_stages::PREDICT,
+                FaultKind::Delay(Duration::from_millis(50)),
+            ))
+            .with_rule(FaultRule::new(
+                "req-11",
+                serve_stages::PREDICT,
+                FaultKind::Delay(Duration::from_millis(600)),
+            ));
+        let gate = Arc::new(WorkGate::closed());
+        let s = start_simple(ServeConfig {
+            batch_max_rows: 64,
+            plan: Some(Arc::new(plan)),
+            pace_gate: Some(gate.clone()),
+            ..ServeConfig::default()
+        });
+        // Alone, request 1's deadline is checked between chunks.
+        let mut lone = Request::predict(1, vec![vec![1.0; 4]]);
+        lone.deadline_ms = Some(20);
+        let late = drained(&s, &gate, lone);
+        assert_eq!(late.status, ReplyStatus::DeadlineExceeded, "{late:?}");
+        assert_eq!(late.model, "gbrt@v1");
+        assert!(late.vertical.is_empty() && late.horizontal.is_empty());
+        // Request 11 passed its dequeue check as a batch member, so the
+        // batch runs to completion.
+        let mut first = Request::predict(11, vec![vec![1.0; 4]]);
+        first.deadline_ms = Some(300);
+        let rxs = [
+            s.submit(first),
+            s.submit(Request::predict(12, vec![vec![9.0, 0.0, 0.0, 0.0]])),
+        ];
+        gate.release(1);
+        let replies: Vec<Reply> = rxs
+            .iter()
+            .map(|rx| rx.recv_timeout(Duration::from_secs(10)).unwrap())
+            .collect();
+        assert_eq!(replies[0].status, ReplyStatus::Ok, "{:?}", replies[0]);
+        assert_eq!(replies[0].vertical, vec![11.0]);
+        assert_eq!(replies[1].vertical, vec![91.0]);
+        let sum = s.shutdown();
+        assert_eq!((sum.metrics.batches, sum.metrics.coalesced), (1, 2));
         assert_eq!(sum.metrics.deadline_missed, 1);
     }
 

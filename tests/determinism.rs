@@ -1,7 +1,9 @@
 //! Reproducibility: identical seeds must produce bit-identical datasets,
 //! placements, and model predictions across independent runs.
 
+use fpga_hls_congestion::obskit::Fnv1a;
 use fpga_hls_congestion::prelude::*;
+use fpga_hls_congestion::rosetta_gen::{digit_recognition, spam_filter, Preset};
 
 fn module() -> Module {
     compile_named(
@@ -42,6 +44,51 @@ fn trained_models_are_reproducible() {
             a.predict_features(row),
             b.predict_features(row),
             "{kind:?} must be deterministic"
+        );
+    }
+}
+
+#[test]
+fn grid_searched_fits_are_pinned() {
+    // Each model's grid search (k-fold CV over its grid, then the final
+    // fit) on DR + SF Plain. The digests are FNV-1a over the bits of the
+    // test-split predictions: every CV score, winner and fitted model keeps
+    // its bits whatever order the points and folds are scored in.
+    let modules: Vec<Module> = [
+        digit_recognition::benchmark(Preset::Plain),
+        spam_filter::benchmark(Preset::Plain),
+    ]
+    .iter()
+    .map(|b| b.build().unwrap())
+    .collect();
+    let ds = CongestionFlow::fast().build_dataset(&modules).unwrap();
+    let (train, test) = ds.split(0.2, 17);
+    let opts = TrainOptions {
+        grid_search: true,
+        ..TrainOptions::fast()
+    };
+    for (kind, points, digest) in [
+        (ModelKind::Linear, 4, 0xa1fc_413c_0654_16a7),
+        (ModelKind::Ann, 2, 0x1c98_3d4b_98ab_4ed9),
+        (ModelKind::Gbrt, 2, 0x7a22_b3c1_c570_e8cb),
+    ] {
+        let obs = Collector::new();
+        let p = CongestionPredictor::train_observed(kind, Target::Vertical, &train, &opts, &obs);
+        let mut h = Fnv1a::default();
+        for i in 0..test.len() {
+            h.bytes(
+                &p.predict_features(test.features_of(i))
+                    .to_bits()
+                    .to_le_bytes(),
+            );
+        }
+        assert_eq!(h.finish(), digest, "{kind:?} test-split predictions");
+        let counters = obs.finish().metrics.counters;
+        assert_eq!(counters["cv.grid.points"], points, "{kind:?}");
+        assert_eq!(
+            counters["cv.folds"],
+            points * opts.cv_folds as u64,
+            "{kind:?}: every point scores every fold"
         );
     }
 }
