@@ -40,7 +40,7 @@ fn bench_table4_accuracy(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("table4_accuracy", |b| {
         b.iter(|| {
-            let t = table4::run_on(&ds, Effort::Fast, false);
+            let t = table4::run_on(&ds, Effort::Fast, false, &obskit::Collector::new());
             assert!(t.rows.len() == 2);
             t
         })

@@ -88,7 +88,7 @@ fn main() {
             "table4" => {
                 let (t3, ds) = table3::run(effort);
                 emit("table3", &t3.render());
-                let t = table4::run_on(&ds, effort, grid);
+                let t = table4::run_on(&ds, effort, grid, &obs);
                 emit("table4", &t.render());
                 println!(
                     "GBRT wins: {}, filtering helps: {}",
@@ -177,9 +177,8 @@ fn main() {
                 absorb(place_bench::to_metrics(&rows));
             }
             "pipeline-bench" => {
-                // Extraction-kernel head-to-head (SoA vs reference, per design
-                // and on whole dataset builds); `--fast` shrinks the corpus
-                // (the CI smoke run).
+                // Extraction-kernel head-to-head (SoA vs reference, per
+                // design); `--fast` shrinks the corpus (the CI smoke run).
                 let bench = pipeline_bench::run(effort);
                 emit("pipeline_bench", &pipeline_bench::render(&bench));
                 let json = pipeline_bench::to_json(&bench, effort);

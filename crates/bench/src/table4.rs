@@ -12,6 +12,7 @@ use congestion_core::dataset::Target;
 use congestion_core::filter::{filter_marginal, FilterOptions};
 use congestion_core::predict::{Accuracy, CongestionPredictor, ModelKind};
 use congestion_core::CongestionDataset;
+use obskit::Collector;
 use std::fmt::Write;
 
 /// One cell pair of the table.
@@ -104,18 +105,42 @@ impl Table4 {
     }
 }
 
-/// Run the Table IV experiment on a prebuilt dataset.
-pub fn run_on(dataset: &CongestionDataset, effort: Effort, grid_search: bool) -> Table4 {
+/// Run the Table IV experiment on a prebuilt dataset, recording each
+/// cell's training into `obs`. With grid search, the point each cell's
+/// search picked and its CV MAE are kept as the gauges
+/// `table4.<unfiltered|filtered>.<linear|ann|gbrt>.<v|h|avg>.best_index`
+/// and `.best_mae`.
+pub fn run_on(
+    dataset: &CongestionDataset,
+    effort: Effort,
+    grid_search: bool,
+    obs: &Collector,
+) -> Table4 {
     let opts = effort.train(grid_search);
     let filtered = filter_marginal(dataset, &FilterOptions::default());
     let mut rows = Vec::new();
-    for data in [dataset, &filtered.kept] {
+    for (data, filtering) in [(dataset, "unfiltered"), (&filtered.kept, "filtered")] {
         let (train, test) = data.split(0.2, 17);
         let mut per_model = Vec::new();
         for model in ModelKind::ALL {
             let mut per_target = Vec::new();
             for target in Target::ALL {
-                let p = CongestionPredictor::train(model, target, &train, &opts);
+                // Each cell trains into its own collector, so the search
+                // gauges read back are this cell's.
+                let cell = Collector::new();
+                let p = CongestionPredictor::train_observed(model, target, &train, &opts, &cell);
+                let gauges = cell.snapshot().gauges;
+                let name = format!(
+                    "table4.{filtering}.{}.{}",
+                    model.name().to_lowercase(),
+                    target_key(target)
+                );
+                for stat in ["best_index", "best_mae"] {
+                    if let Some(v) = gauges.get(&format!("cv.grid.{stat}")) {
+                        obs.set_gauge(&format!("{name}.{stat}"), *v);
+                    }
+                }
+                obs.absorb(cell.finish());
                 let Accuracy { mae, medae } = p.evaluate(&test);
                 per_target.push(Cell { mae, medae });
             }
@@ -130,10 +155,19 @@ pub fn run_on(dataset: &CongestionDataset, effort: Effort, grid_search: bool) ->
     }
 }
 
+/// The short name of `target` in the per-cell gauges.
+fn target_key(target: Target) -> &'static str {
+    match target {
+        Target::Vertical => "v",
+        Target::Horizontal => "h",
+        Target::Average => "avg",
+    }
+}
+
 /// Build the dataset from the training suite and run Table IV.
 pub fn run(effort: Effort, grid_search: bool) -> Table4 {
     let (_, ds) = crate::table3::run(effort);
-    run_on(&ds, effort, grid_search)
+    run_on(&ds, effort, grid_search, &Collector::new())
 }
 
 #[cfg(test)]
@@ -145,8 +179,13 @@ mod tests {
 
     /// A synthetic dataset with learnable structure + marginal outliers.
     fn synthetic() -> CongestionDataset {
+        synthetic_of(400)
+    }
+
+    /// The first `n` samples of [`synthetic`].
+    fn synthetic_of(n: usize) -> CongestionDataset {
         let mut ds = CongestionDataset::new();
-        for i in 0..400usize {
+        for i in 0..n {
             let a = (i % 11) as f64;
             let b = ((i * 3) % 17) as f64;
             let mut features = vec![0.0; FEATURE_COUNT];
@@ -177,7 +216,7 @@ mod tests {
 
     #[test]
     fn table4_shape_on_synthetic_data() {
-        let t = run_on(&synthetic(), Effort::Fast, false);
+        let t = run_on(&synthetic(), Effort::Fast, false, &Collector::new());
         assert_eq!(t.rows.len(), 2);
         assert_eq!(t.rows[0].len(), 3);
         assert_eq!(t.rows[0][0].len(), 3);
@@ -196,5 +235,33 @@ mod tests {
         let text = t.render();
         assert!(text.contains("Not Filtering"));
         assert!(text.contains("GBRT"));
+    }
+
+    #[test]
+    fn a_grid_searched_table_keeps_each_cells_pick() {
+        let obs = Collector::new();
+        run_on(&synthetic_of(40), Effort::Fast, true, &obs);
+        let gauges = obs.snapshot().gauges;
+        let mut cells = 0;
+        for filtering in ["unfiltered", "filtered"] {
+            for (model, points) in [("linear", 4.0), ("ann", 2.0), ("gbrt", 2.0)] {
+                for target in ["v", "h", "avg"] {
+                    let name = format!("table4.{filtering}.{model}.{target}");
+                    let index = gauges[&format!("{name}.best_index")];
+                    assert!(
+                        index.fract() == 0.0 && (0.0..points).contains(&index),
+                        "{name}: index {index}"
+                    );
+                    let mae = gauges[&format!("{name}.best_mae")];
+                    assert!(mae.is_finite() && mae > 0.0, "{name}: MAE {mae}");
+                    cells += 1;
+                }
+            }
+        }
+        assert_eq!(cells, 18);
+        let table4_gauges = gauges.keys().filter(|k| k.starts_with("table4.")).count();
+        assert_eq!(table4_gauges, 36, "two gauges per cell, nothing else");
+        // The cells' training telemetry lands in the session collector.
+        assert!(obs.snapshot().counters["cv.folds"] > 0);
     }
 }

@@ -169,7 +169,7 @@ impl DatasetFingerprint {
                 .and_then(Value::as_str)
                 .ok_or_else(|| format!("column {i}: missing `name`"))?
                 .to_string();
-            let sketch = sketch_from_value(
+            let sketch = QuantileSketch::from_json_value(
                 col.get("sketch")
                     .ok_or_else(|| format!("column {i}: missing `sketch`"))?,
             )
@@ -183,40 +183,6 @@ impl DatasetFingerprint {
             matrix_digest,
         })
     }
-}
-
-/// Rebuild a [`QuantileSketch`] from its canonical JSON value.
-fn sketch_from_value(v: &Value) -> Result<QuantileSketch, String> {
-    let num = |key: &str| {
-        v.get(key)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("sketch missing `{key}`"))
-    };
-    let bins = |key: &str| -> Result<Vec<(i32, u64)>, String> {
-        v.get(key)
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("sketch missing `{key}`"))?
-            .iter()
-            .map(|pair| {
-                let p = pair.as_arr().filter(|p| p.len() == 2);
-                let k = p.and_then(|p| p[0].as_f64()).map(|k| k as i32);
-                let c = p.and_then(|p| p[1].as_u64());
-                k.zip(c).ok_or_else(|| format!("bad `{key}` bin entry"))
-            })
-            .collect()
-    };
-    QuantileSketch::from_parts(
-        num("alpha")?,
-        v.get("zero")
-            .and_then(Value::as_u64)
-            .ok_or("sketch missing `zero`")?,
-        num("sum")?,
-        num("min")?,
-        num("max")?,
-        &bins("pos")?,
-        &bins("neg")?,
-    )
-    .map_err(|e| e.to_string())
 }
 
 /// One feature's drift between two fingerprints.

@@ -39,7 +39,6 @@ pub mod builder;
 pub mod directives;
 pub mod frontend;
 pub mod function;
-pub mod interp;
 pub mod module;
 pub mod op;
 pub mod printer;

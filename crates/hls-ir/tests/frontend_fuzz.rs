@@ -3,9 +3,11 @@
 //! verifiable and semantics intact; and no nesting depth overflows the
 //! stack.
 
+mod interp;
+
 use hls_ir::frontend::parser::MAX_NESTING;
 use hls_ir::frontend::{compile, compile_to_ir, finish, CompileError, Stage};
-use hls_ir::interp::Interpreter;
+use interp::Interpreter;
 use proptest::prelude::*;
 
 proptest! {

@@ -1,4 +1,5 @@
-//! A reference interpreter for the IR.
+//! A reference interpreter for the IR, used only by the tests in this
+//! directory.
 //!
 //! Executes a module's top function on concrete inputs, with bit-accurate
 //! wrapping to each operation's result type. Its purpose is *testing*: the
@@ -6,10 +7,10 @@
 //! all preserve a program's observable behaviour, and the interpreter is the
 //! oracle that checks it.
 
-use crate::function::{ArrayId, FuncId, Function, Region};
-use crate::module::Module;
-use crate::op::{CmpPred, OpId, OpKind};
-use crate::types::IrType;
+use hls_ir::function::{ArrayId, FuncId, Function, Region};
+use hls_ir::module::Module;
+use hls_ir::op::{CmpPred, OpId, OpKind};
+use hls_ir::types::IrType;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -148,7 +149,7 @@ impl<'a> Interpreter<'a> {
         let n_scalars = f
             .params
             .iter()
-            .filter(|p| matches!(p.kind, crate::function::ParamKind::Scalar))
+            .filter(|p| matches!(p.kind, hls_ir::function::ParamKind::Scalar))
             .count();
         if args.len() != n_scalars {
             return Err(InterpError::ArgCount {
@@ -393,7 +394,7 @@ fn collect_direct(r: &Region, out: &mut Vec<OpId>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontend::{compile, compile_to_ir, compile_with_directives, finish};
+    use hls_ir::frontend::{compile, compile_to_ir, compile_with_directives, finish};
 
     fn run(src: &str, args: &[i64], arrays: &[Vec<i64>]) -> RunResult {
         let m = compile(src).unwrap();
@@ -506,7 +507,7 @@ mod tests {
         let arrays = vec![vec![1, 2, 3, 4], vec![5, 6, 7, 8]];
         let plain = compile(src).unwrap();
         let expected = Interpreter::new(&plain).run_top(&[], &arrays).unwrap();
-        let mut d = crate::directives::Directives::new();
+        let mut d = hls_ir::directives::Directives::new();
         d.set_inline("g", true);
         let inlined = compile_with_directives(src, "t", &d).unwrap();
         let got = Interpreter::new(&inlined).run_top(&[], &arrays).unwrap();

@@ -1,9 +1,5 @@
 //! Row-major feature matrices and labelled datasets.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
 /// A dense row-major matrix of `f64` features.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Matrix {
@@ -215,17 +211,6 @@ impl Dataset {
             y: indices.iter().map(|&i| self.y[i]).collect(),
         }
     }
-
-    /// Deterministic shuffled train/test split with `test_fraction` of the
-    /// samples held out (the paper holds out 20 %).
-    pub fn train_test_split(&self, test_fraction: f64, seed: u64) -> (Dataset, Dataset) {
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        idx.shuffle(&mut rng);
-        let n_test = ((self.len() as f64) * test_fraction).round() as usize;
-        let (test_idx, train_idx) = idx.split_at(n_test.min(self.len()));
-        (self.select(train_idx), self.select(test_idx))
-    }
 }
 
 #[cfg(test)]
@@ -288,27 +273,6 @@ mod tests {
         }
         assert_eq!(looped, m.iter_rows().collect::<Vec<_>>());
         assert_eq!(looped, [&[1.0, 2.0][..], &[3.0, 4.0], &[3.0, 4.0]]);
-    }
-
-    #[test]
-    fn split_partitions_all_samples() {
-        let d = toy(100);
-        let (train, test) = d.train_test_split(0.2, 7);
-        assert_eq!(train.len(), 80);
-        assert_eq!(test.len(), 20);
-        let mut all: Vec<f64> = train.y.iter().chain(test.y.iter()).copied().collect();
-        all.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(all, (0..100).map(|i| i as f64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn split_is_deterministic() {
-        let d = toy(50);
-        let (a, _) = d.train_test_split(0.2, 3);
-        let (b, _) = d.train_test_split(0.2, 3);
-        assert_eq!(a.y, b.y);
-        let (c, _) = d.train_test_split(0.2, 4);
-        assert_ne!(a.y, c.y);
     }
 
     #[test]

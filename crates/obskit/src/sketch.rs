@@ -105,7 +105,7 @@ impl QuantileSketch {
         }
     }
 
-    /// Rebuild a sketch from serialized parts (the fingerprint reader's
+    /// Rebuild a sketch from serialized parts ([`Self::from_json_value`]'s
     /// path). `pos`/`neg` are `(bin, count)` pairs; duplicate keys add.
     ///
     /// # Errors
@@ -298,6 +298,45 @@ impl QuantileSketch {
         )
     }
 
+    /// Rebuild a sketch from its canonical JSON ([`Self::to_json`]),
+    /// parsed into `v`. `count` is not read back: it is the bins' total.
+    ///
+    /// # Errors
+    /// A missing or mistyped key, a malformed bin entry, or a
+    /// [`SketchError`] from [`Self::from_parts`], as text.
+    pub fn from_json_value(v: &json::Value) -> Result<QuantileSketch, String> {
+        let num = |key: &str| {
+            v.get(key)
+                .and_then(json::Value::as_f64)
+                .ok_or_else(|| format!("sketch missing `{key}`"))
+        };
+        let bins = |key: &str| -> Result<Vec<(i32, u64)>, String> {
+            v.get(key)
+                .and_then(json::Value::as_arr)
+                .ok_or_else(|| format!("sketch missing `{key}`"))?
+                .iter()
+                .map(|pair| {
+                    let p = pair.as_arr().filter(|p| p.len() == 2);
+                    let k = p.and_then(|p| p[0].as_f64()).map(|k| k as i32);
+                    let c = p.and_then(|p| p[1].as_u64());
+                    k.zip(c).ok_or_else(|| format!("bad `{key}` bin entry"))
+                })
+                .collect()
+        };
+        QuantileSketch::from_parts(
+            num("alpha")?,
+            v.get("zero")
+                .and_then(json::Value::as_u64)
+                .ok_or("sketch missing `zero`")?,
+            num("sum")?,
+            num("min")?,
+            num("max")?,
+            &bins("pos")?,
+            &bins("neg")?,
+        )
+        .map_err(|e| e.to_string())
+    }
+
     /// The relative accuracy this sketch was built with (round-trips
     /// through [`QuantileSketch::from_parts`] exactly enough to reproduce
     /// the same `gamma_ln` for the default alpha).
@@ -436,23 +475,21 @@ mod tests {
     #[test]
     fn canonical_json_round_trips_through_from_parts() {
         let mut s = QuantileSketch::new();
-        for v in [-3.5, 0.0, 0.25, 7.0, 7.0, 4000.0] {
+        for v in [-3.5, 0.0, 0.25, 7.0, 7.0, 4000.0, 1e-300, -0.1] {
             s.observe(v);
         }
-        let pos: Vec<(i32, u64)> = s.pos_bins().collect();
-        let neg: Vec<(i32, u64)> = s.neg_bins().collect();
-        let back = QuantileSketch::from_parts(
-            DEFAULT_ALPHA,
-            s.zero_count(),
-            s.sum(),
-            s.min().unwrap(),
-            s.max().unwrap(),
-            &pos,
-            &neg,
-        )
-        .unwrap();
-        assert_eq!(back.to_json(), s.to_json());
+        let text = s.to_json();
+        let back = QuantileSketch::from_json_value(&json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, s, "the sketch back from its text");
+        let bits = |k: &QuantileSketch| {
+            [k.alpha(), k.sum(), k.min().unwrap(), k.max().unwrap()].map(f64::to_bits)
+        };
+        assert_eq!(bits(&back), bits(&s), "bit for bit");
+        assert_eq!(back.to_json(), text);
         assert_eq!(back.quantile(0.5).to_bits(), s.quantile(0.5).to_bits());
+        let empty = QuantileSketch::new();
+        let back = QuantileSketch::from_json_value(&json::parse(&empty.to_json()).unwrap());
+        assert_eq!(back.unwrap(), empty);
     }
 
     #[test]

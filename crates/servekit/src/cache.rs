@@ -14,27 +14,28 @@
 //! values.
 //!
 //! **Why a stored answer is exact.** An answer depends on the source
-//! and the active model only. Every insert carries the cache
-//! *generation* read before its extraction began. Every change of active
-//! model (hot-swap commit, rollback, mid-request demotion) bumps the
-//! generation and clears the map, and an insert carrying an older
-//! generation — an extraction or prediction that straddled the change —
-//! is dropped on the floor. So an entry only ever holds the answer of the
-//! model that is active now, bit for bit what predicting again would
-//! return. The proptest suite in `tests/serve_conformance.rs` drives
-//! arbitrary `source`/`swap` interleavings against these rules and checks
-//! every reply's bits against the active model.
+//! and the active model only. The cache lives in the server's books, under
+//! the one lock that also guards the model registry (`server.rs`), and the
+//! registry's generation is the model epoch: a miss's lookup reads it,
+//! and its insert is dropped when the epoch moved in between — an
+//! extraction or prediction that straddled a hot-swap commit, rollback or
+//! mid-request demotion. Each of those changes clears the cache in the
+//! critical section that changes the model. So an entry only ever holds
+//! the answer of the model that is active now, bit for bit what predicting
+//! again would return. The proptest suite in `tests/serve_conformance.rs`
+//! drives arbitrary `source`/`swap` interleavings against these rules and
+//! checks every reply's bits against the active model.
 //!
-//! **Determinism.** All decisions (hit/miss, LRU victim, generation
-//! check) happen under one lock, so for a fixed operation order the cache
-//! contents and the `serve.cache.*` counters are a pure function of that
-//! order. The counters satisfy `hits + misses == lookups` by
-//! construction: every lookup increments exactly one of the two.
+//! **Determinism.** The cache takes `&mut self` and has no lock of its
+//! own, so for a fixed operation order its contents and the
+//! `serve.cache.*` counters are a pure function of that order. The
+//! counters satisfy `hits + misses == lookups` by construction: every
+//! lookup increments exactly one of the two.
 
 use crate::proto::{Reply, ReplyStatus};
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The answer a `source` miss computed, with its reply's text. The
 /// server stores only `Ok` and `Degraded` answers.
@@ -44,7 +45,7 @@ use std::sync::{Arc, Mutex};
 /// (`degraded, error, horizontal, id, info, lines, model, status,
 /// vertical`). So the entry keeps the text before the `id` value and the
 /// text after the `info` member, cut from the miss's one encoding of its
-/// reply, and [`Self::write_frame`] writes any later reply of the answer
+/// reply, and `write_frame` writes any later reply of the answer
 /// around a new id without formatting its predictions again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedReply {
@@ -146,22 +147,17 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries dropped to stay within capacity (LRU victim).
     pub evictions: u64,
-    /// Entries dropped by generation bumps (swap/rollback/demote), plus
+    /// Entries dropped by model changes (swap/rollback/demote), plus
     /// stale inserts from misses that straddled one.
     pub invalidations: u64,
 }
 
-struct CacheInner {
+/// Bounded LRU reply cache. Capacity 0 disables the cache (every call is
+/// a no-op miss-free path).
+pub struct ReplyCache {
     map: HashMap<u64, Arc<CachedReply>>,
     lru: VecDeque<u64>, // front = coldest
-    generation: u64,
     stats: CacheStats,
-}
-
-/// Bounded LRU reply cache with generation-checked inserts.
-/// Capacity 0 disables the cache (every call is a no-op miss-free path).
-pub struct ReplyCache {
-    inner: Mutex<CacheInner>,
     capacity: usize,
 }
 
@@ -169,12 +165,9 @@ impl ReplyCache {
     /// A cache holding at most `capacity` designs; 0 disables caching.
     pub fn new(capacity: usize) -> ReplyCache {
         ReplyCache {
-            inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                lru: VecDeque::new(),
-                generation: 0,
-                stats: CacheStats::default(),
-            }),
+            map: HashMap::new(),
+            lru: VecDeque::new(),
+            stats: CacheStats::default(),
             capacity,
         }
     }
@@ -184,55 +177,46 @@ impl ReplyCache {
         self.capacity == 0
     }
 
-    /// Current generation; read it before extracting and pass it to
-    /// [`Self::insert`], so a miss that straddles a model change cannot
-    /// poison the cache with the old model's answer.
-    pub fn generation(&self) -> u64 {
-        self.inner.lock().unwrap().generation
-    }
-
     /// Probe for `key`. Counts exactly one hit or one miss per call.
-    pub fn lookup(&self, key: u64) -> Option<Arc<CachedReply>> {
+    pub fn lookup(&mut self, key: u64) -> Option<Arc<CachedReply>> {
         if self.disabled() {
             return None;
         }
-        let mut inner = self.inner.lock().unwrap();
-        inner.stats.lookups += 1;
-        match inner.map.get(&key).cloned() {
+        self.stats.lookups += 1;
+        match self.map.get(&key).cloned() {
             Some(v) => {
-                inner.stats.hits += 1;
+                self.stats.hits += 1;
                 // Refresh LRU position: move key to the hot end.
-                if let Some(pos) = inner.lru.iter().position(|k| *k == key) {
-                    inner.lru.remove(pos);
+                if let Some(pos) = self.lru.iter().position(|k| *k == key) {
+                    self.lru.remove(pos);
                 }
-                inner.lru.push_back(key);
+                self.lru.push_back(key);
                 Some(v)
             }
             None => {
-                inner.stats.misses += 1;
+                self.stats.misses += 1;
                 None
             }
         }
     }
 
-    /// Insert `value` under `key` if `generation` is still current —
-    /// a stale generation means the active model changed while the miss
-    /// ran, so its answer may come from a model no longer active.
-    pub fn insert(&self, key: u64, generation: u64, value: Arc<CachedReply>) {
+    /// Insert `value` under `key` when `fresh`. A stale answer — one whose
+    /// miss straddled a model change, so it may come from a model no
+    /// longer active — is dropped and counted as an invalidation.
+    pub fn insert(&mut self, key: u64, value: Arc<CachedReply>, fresh: bool) {
         if self.disabled() {
             return;
         }
-        let mut inner = self.inner.lock().unwrap();
-        if generation != inner.generation {
-            inner.stats.invalidations += 1; // stale insert dropped
+        if !fresh {
+            self.stats.invalidations += 1;
             return;
         }
-        if inner.map.insert(key, value).is_none() {
-            inner.lru.push_back(key);
-            while inner.map.len() > self.capacity {
-                if let Some(cold) = inner.lru.pop_front() {
-                    inner.map.remove(&cold);
-                    inner.stats.evictions += 1;
+        if self.map.insert(key, value).is_none() {
+            self.lru.push_back(key);
+            while self.map.len() > self.capacity {
+                if let Some(cold) = self.lru.pop_front() {
+                    self.map.remove(&cold);
+                    self.stats.evictions += 1;
                 } else {
                     break;
                 }
@@ -240,25 +224,22 @@ impl ReplyCache {
         }
     }
 
-    /// Bump the generation and drop every entry. Called on swap commit,
-    /// rollback, and mid-request demotion.
-    pub fn invalidate(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.generation += 1;
-        let dropped = inner.map.len() as u64;
-        inner.stats.invalidations += dropped;
-        inner.map.clear();
-        inner.lru.clear();
+    /// Drop every entry. Called on swap commit, rollback, and mid-request
+    /// demotion, in the critical section that changes the model.
+    pub fn invalidate(&mut self) {
+        self.stats.invalidations += self.map.len() as u64;
+        self.map.clear();
+        self.lru.clear();
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().unwrap().stats
+        self.stats
     }
 
     /// Current entry count.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.map.len()
     }
 
     /// True when the cache holds no entries.
@@ -288,9 +269,9 @@ mod tests {
 
     #[test]
     fn hit_miss_accounting_balances() {
-        let c = ReplyCache::new(4);
+        let mut c = ReplyCache::new(4);
         assert!(c.lookup(1).is_none());
-        c.insert(1, c.generation(), answer(1.0));
+        c.insert(1, answer(1.0), true);
         assert_eq!(c.lookup(1).as_deref(), Some(&*answer(1.0)));
         assert!(c.lookup(2).is_none());
         let s = c.stats();
@@ -365,12 +346,11 @@ mod tests {
 
     #[test]
     fn lru_evicts_coldest_first() {
-        let c = ReplyCache::new(2);
-        let g = c.generation();
-        c.insert(1, g, answer(1.0));
-        c.insert(2, g, answer(2.0));
+        let mut c = ReplyCache::new(2);
+        c.insert(1, answer(1.0), true);
+        c.insert(2, answer(2.0), true);
         assert!(c.lookup(1).is_some()); // 1 is now hot, 2 is coldest
-        c.insert(3, g, answer(3.0));
+        c.insert(3, answer(3.0), true);
         assert!(c.lookup(2).is_none(), "coldest entry evicted");
         assert_eq!(c.lookup(1).as_deref(), Some(&*answer(1.0)));
         assert_eq!(c.lookup(3).as_deref(), Some(&*answer(3.0)));
@@ -379,48 +359,44 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_the_answer_without_evicting() {
-        let c = ReplyCache::new(2);
-        let g = c.generation();
-        c.insert(1, g, answer(1.0));
-        c.insert(2, g, answer(2.0));
-        c.insert(1, g, answer(5.0));
+        let mut c = ReplyCache::new(2);
+        c.insert(1, answer(1.0), true);
+        c.insert(2, answer(2.0), true);
+        c.insert(1, answer(5.0), true);
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().evictions, 0);
         assert_eq!(c.lookup(1).as_deref(), Some(&*answer(5.0)));
     }
 
     #[test]
-    fn invalidate_drops_everything_and_bumps_generation() {
-        let c = ReplyCache::new(4);
-        let g0 = c.generation();
-        c.insert(1, g0, answer(1.0));
-        c.insert(2, g0, answer(2.0));
+    fn invalidate_drops_everything() {
+        let mut c = ReplyCache::new(4);
+        c.insert(1, answer(1.0), true);
+        c.insert(2, answer(2.0), true);
         c.invalidate();
         assert_eq!(c.len(), 0);
         assert!(c.lookup(1).is_none());
-        assert_eq!(c.generation(), g0 + 1);
         assert_eq!(c.stats().invalidations, 2);
     }
 
     #[test]
     fn stale_insert_is_dropped() {
-        let c = ReplyCache::new(4);
-        let g0 = c.generation();
-        c.invalidate(); // the model changes while the miss is in flight
-        c.insert(9, g0, answer(9.0));
+        let mut c = ReplyCache::new(4);
+        // The model changed while the miss was in flight.
+        c.insert(9, answer(9.0), false);
         assert!(
             c.lookup(9).is_none(),
             "the old model's answer is not served"
         );
         assert_eq!(c.stats().invalidations, 1);
-        c.insert(9, c.generation(), answer(10.0));
+        c.insert(9, answer(10.0), true);
         assert_eq!(c.lookup(9).as_deref(), Some(&*answer(10.0)));
     }
 
     #[test]
     fn capacity_zero_disables() {
-        let c = ReplyCache::new(0);
-        c.insert(1, c.generation(), answer(1.0));
+        let mut c = ReplyCache::new(0);
+        c.insert(1, answer(1.0), true);
         assert!(c.lookup(1).is_none());
         let s = c.stats();
         assert_eq!(s.lookups, 0, "disabled cache counts nothing");

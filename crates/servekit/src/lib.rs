@@ -19,14 +19,16 @@
 //!   field by field.
 //! - [`queue`] — bounded admission with deterministic shed-oldest,
 //!   micro-batch coalescing, and the [`queue::WorkGate`] pacing gate.
-//! - [`cache`] — digest-keyed reply cache with swap-aware invalidation;
-//!   each entry keeps its reply's text.
-//! - [`registry`] — hot-swap model registry, validation gate, rollback.
+//! - [`cache`] — digest-keyed LRU reply cache; each entry keeps its
+//!   reply's text.
+//! - [`registry`] — hot-swap model registry (the model epoch), validation
+//!   gate, rollback.
 //! - [`artifact`] — versioned on-disk model artifacts.
 //! - [`journal`] — append-only crash-recovery journal.
 //! - [`estimator`] — the analytic degraded-path estimator.
 //! - [`server`] — the request engine tying it together; it runs each
-//!   serve stage once under `catch_unwind`.
+//!   serve stage once under `catch_unwind`, and keeps the registry, the
+//!   cache, the counters and the journal behind one lock.
 //! - [`plan`] — fault plans for chaos tests, and the faults they inject
 //!   at the serve stages.
 //! - [`net`] — TCP framing, the poll(2) event-loop front-end, client
@@ -61,3 +63,23 @@ pub use server::{
     LedgerSink, PendingReply, ServeConfig, ServeMetrics, ServeSummary, Server, SourceExtractor,
     SourceKeyFn, StartReport,
 };
+
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
+/// Take `mutex`. Every servekit `Mutex` is taken here, under one poisoning
+/// rule: a lock that a panicking thread held is taken as it stands, so one
+/// panic never turns into a panic in every thread that locks after it.
+///
+/// The rule is sound because no code under these locks changes state
+/// before a call that can panic: a critical section bumps counters, swaps
+/// `Arc`s, edits a map or a queue, or appends a journal line, and an I/O
+/// failure comes back as an `Err`. A panic there finds the state as the
+/// last section that completed left it.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Block on `ready`, giving back `guard` under [`lock`]'s rule.
+pub(crate) fn wait<'a, T>(ready: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    ready.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}

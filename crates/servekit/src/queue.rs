@@ -15,6 +15,7 @@
 //! directly testable form, and the chaos suite asserts the live queue
 //! matches it.
 
+use crate::{lock, wait};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
@@ -62,12 +63,12 @@ impl<T> AdmissionQueue<T> {
 
     /// Current occupancy.
     pub fn depth(&self) -> usize {
-        self.inner.lock().unwrap().items.len()
+        lock(&self.inner).items.len()
     }
 
     /// Admit `item` without blocking; see [`Admit`].
     pub fn push(&self, item: T) -> Admit<T> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.closed {
             return Admit::Closed(item);
         }
@@ -97,7 +98,7 @@ impl<T> AdmissionQueue<T> {
     /// Close the queue: future pushes return [`Admit::Closed`], poppers
     /// drain what remains and then see `None`.
     pub fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
+        lock(&self.inner).closed = true;
         self.ready.notify_all();
     }
 
@@ -118,7 +119,7 @@ impl<T> AdmissionQueue<T> {
     where
         F: Fn(&T) -> Option<usize>,
     {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         let first = loop {
             if let Some(item) = inner.items.pop_front() {
                 break item;
@@ -126,7 +127,7 @@ impl<T> AdmissionQueue<T> {
             if inner.closed {
                 return None;
             }
-            inner = self.ready.wait(inner).unwrap();
+            inner = wait(&self.ready, inner);
         };
         let Some(first_weight) = weight_of(&first) else {
             return Some(vec![first]); // barrier request runs alone
@@ -194,11 +195,6 @@ pub struct WorkGate {
 }
 
 impl WorkGate {
-    /// A gate in the open (ungated) state.
-    pub fn new() -> WorkGate {
-        WorkGate::default()
-    }
-
     /// A gate armed with zero permits: workers block until `release`.
     pub fn closed() -> WorkGate {
         WorkGate {
@@ -209,18 +205,18 @@ impl WorkGate {
 
     /// Arm the gate with zero permits.
     pub fn close(&self) {
-        *self.permits.lock().unwrap() = Some(0);
+        *lock(&self.permits) = Some(0);
     }
 
     /// Disarm: unlimited permits; wakes every waiter.
     pub fn open(&self) {
-        *self.permits.lock().unwrap() = None;
+        *lock(&self.permits) = None;
         self.ready.notify_all();
     }
 
     /// Grant `n` permits.
     pub fn release(&self, n: u64) {
-        let mut p = self.permits.lock().unwrap();
+        let mut p = lock(&self.permits);
         if let Some(count) = p.as_mut() {
             *count += n;
             drop(p);
@@ -230,7 +226,7 @@ impl WorkGate {
 
     /// Take one permit, blocking while the gate is armed and empty.
     pub fn acquire(&self) {
-        let mut p = self.permits.lock().unwrap();
+        let mut p = lock(&self.permits);
         loop {
             match p.as_mut() {
                 None => return,
@@ -238,7 +234,7 @@ impl WorkGate {
                     *count -= 1;
                     return;
                 }
-                Some(_) => p = self.ready.wait(p).unwrap(),
+                Some(_) => p = wait(&self.ready, p),
             }
         }
     }

@@ -3,14 +3,17 @@
 //!
 //! Swap protocol: a candidate artifact is loaded and structurally
 //! validated (deserialization already proved the node tables sound), then
-//! gated — its golden-batch MAE must sit inside the configured band for
-//! both targets. Only then does it become active, with the previous active
-//! model retained as *last-good*. A gate failure changes nothing except
-//! the reject/rollback counters: the daemon keeps answering on the model
-//! it already trusts, which **is** the rollback — the candidate never got
-//! in. [`ModelRegistry::demote`] is the predict-path escape hatch: a
-//! poisoned active model falls back to last-good, and past that the
-//! caller degrades to the analytic estimator.
+//! gated by [`ValidationGate::validate`] — its golden-batch MAE must sit
+//! inside the configured band for both targets. The server runs the gate
+//! before it takes the lock the registry lives under, so the registry
+//! holds no gate: a candidate that passed is [`ModelRegistry::install`]ed,
+//! with the previous active model retained as *last-good*, and one that
+//! failed changes nothing but the counters ([`ModelRegistry::reject`]):
+//! the daemon keeps answering on the model it already trusts, which
+//! **is** the rollback — the candidate never got in.
+//! [`ModelRegistry::demote`] is the predict-path escape hatch: a poisoned
+//! active model falls back to last-good, and past that the caller
+//! degrades to the analytic estimator.
 
 use crate::artifact::ModelArtifact;
 use mlkit::Matrix;
@@ -29,7 +32,7 @@ pub struct GoldenBatch {
 
 impl GoldenBatch {
     /// A golden batch from parallel rows/labels, truncated to `cap` rows
-    /// (gate latency must stay bounded — a swap holds the registry lock).
+    /// (gate latency must stay bounded — the swap's worker runs the gate).
     pub fn new(rows: &Matrix, vertical: &[f64], horizontal: &[f64], cap: usize) -> GoldenBatch {
         let n = rows
             .rows()
@@ -127,8 +130,8 @@ impl ValidationGate {
 }
 
 /// The registry: active + last-good artifacts plus swap accounting.
+#[derive(Default)]
 pub struct ModelRegistry {
-    gate: ValidationGate,
     active: Option<Arc<ModelArtifact>>,
     last_good: Option<Arc<ModelArtifact>>,
     /// Committed swaps (including the initial install).
@@ -137,26 +140,18 @@ pub struct ModelRegistry {
     pub rejects: u64,
     /// Fallbacks to last-good (gate failures and predict-path demotions).
     pub rollbacks: u64,
-    /// Monotonic model epoch: bumped on every change to the *active* slot
-    /// (install commit, rollback, demotion). Gate rejects do **not** bump
-    /// it — the active model is unchanged. The reply cache is cleared on
-    /// every bump, so it only ever holds the active model's answers.
+    /// The model epoch: bumped on every change to the *active* slot
+    /// (install, rollback, demotion). Gate rejects do **not** bump it —
+    /// the active model is unchanged. A reply-cache insert is kept only
+    /// under the epoch its lookup read, and the cache is cleared on every
+    /// bump, so it only ever holds the active model's answers.
     pub generation: u64,
 }
 
 impl ModelRegistry {
-    /// An empty registry behind `gate` (serves analytic until a model
-    /// installs).
-    pub fn new(gate: ValidationGate) -> ModelRegistry {
-        ModelRegistry {
-            gate,
-            active: None,
-            last_good: None,
-            swaps: 0,
-            rejects: 0,
-            rollbacks: 0,
-            generation: 0,
-        }
+    /// An empty registry (serves analytic until a model installs).
+    pub fn new() -> ModelRegistry {
+        ModelRegistry::default()
     }
 
     /// The active model, if any.
@@ -173,31 +168,23 @@ impl ModelRegistry {
             .unwrap_or_else(|| crate::estimator::ANALYTIC_MODEL.to_string())
     }
 
-    /// Gate and (on success) activate `candidate`, retaining the previous
-    /// active model as last-good. On gate failure nothing changes except
-    /// the counters: the reject *is* the rollback — the daemon stays on
-    /// the model it already trusts.
-    ///
-    /// # Errors
-    /// The gate's reason; the counters record one reject (plus one
-    /// rollback when there was a model to stay on).
-    pub fn install(&mut self, candidate: ModelArtifact) -> Result<GateOutcome, String> {
-        match self.gate.validate(&candidate) {
-            Ok(outcome) => {
-                let incoming = Arc::new(candidate);
-                self.last_good = self.active.take().or_else(|| Some(incoming.clone()));
-                self.active = Some(incoming);
-                self.swaps += 1;
-                self.generation += 1;
-                Ok(outcome)
-            }
-            Err(reason) => {
-                self.rejects += 1;
-                if self.active.is_some() {
-                    self.rollbacks += 1;
-                }
-                Err(reason)
-            }
+    /// Activate `candidate`, which passed the gate, retaining the previous
+    /// active model as last-good.
+    pub fn install(&mut self, candidate: ModelArtifact) {
+        let incoming = Arc::new(candidate);
+        self.last_good = self.active.take().or_else(|| Some(incoming.clone()));
+        self.active = Some(incoming);
+        self.swaps += 1;
+        self.generation += 1;
+    }
+
+    /// Count a candidate that failed the gate (or could not load): one
+    /// reject, plus one rollback when there is a model to stay on. Nothing
+    /// else changes — the reject *is* the rollback.
+    pub fn reject(&mut self) {
+        self.rejects += 1;
+        if self.active.is_some() {
+            self.rollbacks += 1;
         }
     }
 
@@ -264,13 +251,29 @@ mod tests {
         }
     }
 
+    /// The server's swap: gate `candidate`, then install it or count the
+    /// reject.
+    fn swap(
+        r: &mut ModelRegistry,
+        gate: &ValidationGate,
+        candidate: ModelArtifact,
+    ) -> Result<GateOutcome, String> {
+        let verdict = gate.validate(&candidate);
+        match verdict {
+            Ok(_) => r.install(candidate),
+            Err(_) => r.reject(),
+        }
+        verdict
+    }
+
     #[test]
     fn good_candidate_installs_and_tracks_last_good() {
-        let mut r = ModelRegistry::new(gate(5.0, 50.0));
+        let g = gate(5.0, 50.0);
+        let mut r = ModelRegistry::new();
         assert_eq!(r.active_name(), "analytic");
-        r.install(artifact(1, 50.0)).unwrap();
+        swap(&mut r, &g, artifact(1, 50.0)).unwrap();
         assert_eq!(r.active_name(), "gbrt@v1");
-        let out = r.install(artifact(2, 52.0)).unwrap();
+        let out = swap(&mut r, &g, artifact(2, 52.0)).unwrap();
         assert!(out.mae_v > 0.0 && out.mae_v <= 5.0);
         assert_eq!(r.active_name(), "gbrt@v2");
         assert_eq!(r.swaps, 2);
@@ -282,9 +285,10 @@ mod tests {
 
     #[test]
     fn gate_rejects_out_of_band_candidate_and_keeps_active() {
-        let mut r = ModelRegistry::new(gate(5.0, 50.0));
-        r.install(artifact(1, 50.0)).unwrap();
-        let e = r.install(artifact(2, 90.0)).unwrap_err();
+        let g = gate(5.0, 50.0);
+        let mut r = ModelRegistry::new();
+        swap(&mut r, &g, artifact(1, 50.0)).unwrap();
+        let e = swap(&mut r, &g, artifact(2, 90.0)).unwrap_err();
         assert!(e.contains("band"), "{e}");
         assert_eq!(r.active_name(), "gbrt@v1", "reject leaves active alone");
         assert_eq!(r.rejects, 1);
@@ -293,11 +297,12 @@ mod tests {
 
     #[test]
     fn gate_rejects_wrong_feature_width() {
-        let mut r = ModelRegistry::new(ValidationGate {
+        let g = ValidationGate {
             expected_features: 302,
             ..Default::default()
-        });
-        let e = r.install(artifact(1, 10.0)).unwrap_err();
+        };
+        let mut r = ModelRegistry::new();
+        let e = swap(&mut r, &g, artifact(1, 10.0)).unwrap_err();
         assert!(e.contains("width"), "{e}");
         assert_eq!(r.rejects, 1);
         assert_eq!(r.rollbacks, 0, "nothing to roll back to");
@@ -305,9 +310,10 @@ mod tests {
 
     #[test]
     fn demote_walks_the_degradation_ladder() {
-        let mut r = ModelRegistry::new(gate(10.0, 50.0));
-        r.install(artifact(1, 50.0)).unwrap();
-        r.install(artifact(2, 55.0)).unwrap();
+        let g = gate(10.0, 50.0);
+        let mut r = ModelRegistry::new();
+        swap(&mut r, &g, artifact(1, 50.0)).unwrap();
+        swap(&mut r, &g, artifact(2, 55.0)).unwrap();
         // Active v2 poisoned → last-good v1 takes over.
         let next = r.demote().unwrap();
         assert_eq!(next.display_name(), "gbrt@v1");

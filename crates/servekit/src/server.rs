@@ -21,25 +21,31 @@
 //! Every admitted request receives exactly one typed reply; no failure
 //! mode — injected panic, poisoned model, overload, deadline — exits the
 //! process. A stage's failure is deterministic, so nothing is retried.
+//!
+//! The daemon's books — the model registry, the reply cache, the
+//! `serve.*` counters and the journal — sit behind one lock (`Books`).
+//! A model change updates all of them in one critical section, so its
+//! journal record is on disk before another thread can see the new model,
+//! and the registry's generation is the one model epoch.
 
 use crate::cache::{CacheStats, CachedReply, ReplyCache};
 use crate::estimator::{AnalyticEstimator, ANALYTIC_MODEL};
 use crate::journal::{Journal, JournalEvent, RecoveredState};
+use crate::lock;
 use crate::plan::{serve_stages, silence_injected_panics, FaultPlan, InjectedPanic};
 use crate::proto::{Reply, ReplyStatus, Request, RequestBody};
 use crate::queue::{AdmissionQueue, Admit, WorkGate};
-use crate::registry::{ModelRegistry, ValidationGate};
+use crate::registry::{GateOutcome, ModelRegistry, ValidationGate};
 use crate::ModelArtifact;
 use mlkit::Matrix;
 use obskit::QuantileSketch;
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Rows predicted between cooperative deadline checks.
@@ -186,46 +192,6 @@ pub struct ServeMetrics {
     pub latency_ms: QuantileSketch,
 }
 
-impl ServeMetrics {
-    /// Export as an obskit registry snapshot (`serve.*` namespace),
-    /// folding in the registry's swap counters, the reply-cache
-    /// counters (`serve.cache.*`, where `hits + misses == lookups`) and
-    /// the latency sketch as the `serve.latency_ms` histogram.
-    pub fn snapshot(
-        &self,
-        swaps: u64,
-        rejects: u64,
-        rollbacks: u64,
-        cache: CacheStats,
-    ) -> obskit::MetricsSnapshot {
-        let mut r = obskit::Registry::new();
-        r.inc("serve.admitted", self.admitted);
-        r.inc("serve.completed", self.completed);
-        r.inc("serve.shed", self.shed);
-        r.inc("serve.deadline_missed", self.deadline_missed);
-        r.inc("serve.degraded", self.degraded);
-        r.inc("serve.errors", self.errors);
-        r.inc("serve.injected", self.injected);
-        r.inc("serve.swap.committed", swaps);
-        r.inc("serve.swap.rejected", rejects);
-        r.inc("serve.swap.rollbacks", rollbacks);
-        r.inc("serve.batch.formed", self.batches);
-        r.inc("serve.batch.coalesced_requests", self.coalesced);
-        r.inc("serve.batch.rows", self.batch_rows);
-        r.inc("serve.cache.lookups", cache.lookups);
-        r.inc("serve.cache.hits", cache.hits);
-        r.inc("serve.cache.misses", cache.misses);
-        r.inc("serve.cache.evictions", cache.evictions);
-        r.inc("serve.cache.invalidations", cache.invalidations);
-        r.set_gauge("serve.queue_depth_peak", self.queue_depth_peak as f64);
-        r.set_gauge("serve.batch.peak_requests", self.batch_peak as f64);
-        let mut snap = r.into_snapshot();
-        snap.histograms
-            .insert("serve.latency_ms".to_string(), self.latency_ms.clone());
-        snap
-    }
-}
-
 /// What a request's reply channel carries: a reply built for it, or a
 /// `source` answer from the reply cache, which the event loop writes from
 /// the entry's stored text (`CachedReply::write_frame`) without encoding
@@ -318,26 +284,179 @@ struct Job {
     probe: Option<Probe>,
 }
 
-/// One reply-cache lookup of a `source` request: its key, and the cache
-/// generation read before the lookup (the miss inserts under it).
+/// One reply-cache lookup of a `source` request: its key, and the model
+/// epoch (the registry's generation) at the lookup, which the miss's
+/// insert must still find.
 #[derive(Debug, Clone, Copy)]
 struct Probe {
     key: u64,
     generation: u64,
 }
 
+/// The daemon's books: everything a model change, a completion or a
+/// progress record touches. They live behind one lock
+/// (`ServerState::books`), and each method is one critical section.
+struct Books {
+    registry: ModelRegistry,
+    cache: ReplyCache,
+    metrics: ServeMetrics,
+    journal: Option<Journal>,
+}
+
+impl Books {
+    /// Append `event` to the journal, if there is one: the only I/O done
+    /// under the books' lock. A failed append is dropped; the daemon keeps
+    /// answering.
+    fn append(&mut self, event: &JournalEvent) {
+        if let Some(j) = self.journal.as_mut() {
+            let _ = j.append(event);
+        }
+    }
+
+    /// Journal the cumulative counters as they stand.
+    fn journal_progress(&mut self) {
+        let m = &self.metrics;
+        let event = JournalEvent::Progress {
+            admitted: m.admitted,
+            completed: m.completed,
+            shed: m.shed,
+            degraded: m.degraded,
+        };
+        self.append(&event);
+    }
+
+    /// Count one answered request, by [`finish`] or by a hit answered at
+    /// admission, journaling progress every [`JOURNAL_FLUSH_EVERY`]
+    /// completions.
+    fn complete(&mut self, status: ReplyStatus, admitted_at: Instant) {
+        let m = &mut self.metrics;
+        m.completed += 1;
+        match status {
+            ReplyStatus::Degraded => m.degraded += 1,
+            ReplyStatus::DeadlineExceeded => m.deadline_missed += 1,
+            ReplyStatus::Error => m.errors += 1,
+            _ => {}
+        }
+        m.latency_ms
+            .observe(admitted_at.elapsed().as_secs_f64() * 1e3);
+        if m.completed.is_multiple_of(JOURNAL_FLUSH_EVERY) {
+            self.journal_progress();
+        }
+    }
+
+    /// Look `key` up in the reply cache under the current model epoch.
+    fn look_up(&mut self, key: u64) -> (Probe, Option<Arc<CachedReply>>) {
+        let probe = Probe {
+            key,
+            generation: self.registry.generation,
+        };
+        (probe, self.cache.lookup(key))
+    }
+
+    /// Keep a miss's answer, unless the model changed since its lookup:
+    /// then the answer may come from a model no longer active.
+    fn keep(&mut self, probe: Probe, entry: Arc<CachedReply>) {
+        let fresh = probe.generation == self.registry.generation;
+        self.cache.insert(probe.key, entry, fresh);
+    }
+
+    /// Activate `candidate`, which passed the gate with `gate`: the
+    /// previous model becomes last-good, the cache is cleared and the
+    /// commit journaled. Returns the new model's name.
+    fn commit(&mut self, candidate: ModelArtifact, gate: GateOutcome) -> String {
+        let model = candidate.display_name();
+        self.registry.install(candidate);
+        self.cache.invalidate();
+        self.append(&JournalEvent::SwapCommit {
+            model: model.clone(),
+            mae_v: gate.mae_v,
+            mae_h: gate.mae_h,
+        });
+        model
+    }
+
+    /// Count a candidate that failed to load or to pass the gate, and
+    /// journal the reject and the rollback it is: the active model stays,
+    /// and so do the cached answers. Returns the active model's name.
+    fn reject(&mut self, candidate: &str, reason: &str) -> String {
+        self.registry.reject();
+        let model = self.registry.active_name();
+        self.append(&JournalEvent::SwapReject {
+            model: candidate.to_string(),
+            reason: reason.to_string(),
+        });
+        self.append(&JournalEvent::Rollback {
+            model: model.clone(),
+        });
+        model
+    }
+
+    /// Roll back to last-good, clear the cache and journal it. Returns the
+    /// now-active model's name, or `None` when there is no last-good.
+    fn rollback(&mut self) -> Option<String> {
+        let model = self.registry.rollback()?.display_name();
+        self.cache.invalidate();
+        self.append(&JournalEvent::Rollback {
+            model: model.clone(),
+        });
+        Some(model)
+    }
+
+    /// A model-path failure: demote the active model (last-good takes over
+    /// for future requests), clear the cache and journal the rollback.
+    fn demote(&mut self) {
+        self.registry.demote();
+        self.cache.invalidate();
+        let model = self.registry.active_name();
+        self.append(&JournalEvent::Rollback { model });
+    }
+
+    /// The `serve.*` metrics as an obskit registry snapshot: the counters,
+    /// the registry's swap counters, the reply-cache counters
+    /// (`serve.cache.*`, where `hits + misses == lookups`) and the latency
+    /// sketch as the `serve.latency_ms` histogram.
+    fn snapshot(&self) -> obskit::MetricsSnapshot {
+        let (m, reg, cache) = (&self.metrics, &self.registry, self.cache.stats());
+        let mut r = obskit::Registry::new();
+        r.inc("serve.admitted", m.admitted);
+        r.inc("serve.completed", m.completed);
+        r.inc("serve.shed", m.shed);
+        r.inc("serve.deadline_missed", m.deadline_missed);
+        r.inc("serve.degraded", m.degraded);
+        r.inc("serve.errors", m.errors);
+        r.inc("serve.injected", m.injected);
+        r.inc("serve.swap.committed", reg.swaps);
+        r.inc("serve.swap.rejected", reg.rejects);
+        r.inc("serve.swap.rollbacks", reg.rollbacks);
+        r.inc("serve.batch.formed", m.batches);
+        r.inc("serve.batch.coalesced_requests", m.coalesced);
+        r.inc("serve.batch.rows", m.batch_rows);
+        r.inc("serve.cache.lookups", cache.lookups);
+        r.inc("serve.cache.hits", cache.hits);
+        r.inc("serve.cache.misses", cache.misses);
+        r.inc("serve.cache.evictions", cache.evictions);
+        r.inc("serve.cache.invalidations", cache.invalidations);
+        r.set_gauge("serve.queue_depth_peak", m.queue_depth_peak as f64);
+        r.set_gauge("serve.batch.peak_requests", m.batch_peak as f64);
+        let mut snap = r.into_snapshot();
+        snap.histograms
+            .insert("serve.latency_ms".to_string(), m.latency_ms.clone());
+        snap
+    }
+}
+
 struct ServerState {
     cfg: ServeConfig,
     queue: AdmissionQueue<Job>,
-    registry: Mutex<ModelRegistry>,
-    journal: Mutex<Option<Journal>>,
-    metrics: Mutex<ServeMetrics>,
+    /// Lock order: the books before the admission queue's own lock.
+    /// `submit` holds the books across `queue.push`; nothing takes the
+    /// books while holding the queue.
+    books: Mutex<Books>,
     shutdown: AtomicBool,
     /// Admitted jobs not yet finished: queued, or held by a worker. While
     /// it is 0 nothing ahead of a new request can change its answer.
     in_flight: AtomicUsize,
     extractor: Option<Arc<SourceExtractor>>,
-    cache: ReplyCache,
     recovered: RecoveredState,
     /// The event loop's wake socket, while one runs (see [`wake_loop`]).
     waker: Mutex<Option<UnixStream>>,
@@ -399,11 +518,14 @@ impl Server {
             report.recovered = recovered;
             journal = Some(j);
         }
-        let mut registry = ModelRegistry::new(cfg.gate.clone());
+        let mut registry = ModelRegistry::new();
         if let Some(artifact) = initial {
-            let name = artifact.display_name();
-            if let Err(e) = registry.install(artifact) {
-                report.install_error = Some(format!("{name}: {e}"));
+            match cfg.gate.validate(&artifact) {
+                Ok(_) => registry.install(artifact),
+                Err(e) => {
+                    registry.reject();
+                    report.install_error = Some(format!("{}: {e}", artifact.display_name()));
+                }
             }
         }
         // Crash-only accounting: cumulative counters continue across
@@ -428,13 +550,15 @@ impl Server {
         }
         let state = Arc::new(ServerState {
             queue: AdmissionQueue::new(cfg.queue_capacity),
-            registry: Mutex::new(registry),
-            journal: Mutex::new(journal),
-            metrics: Mutex::new(metrics),
+            books: Mutex::new(Books {
+                registry,
+                cache: ReplyCache::new(cfg.cache_capacity),
+                metrics,
+                journal,
+            }),
             shutdown: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
             extractor,
-            cache: ReplyCache::new(cfg.cache_capacity),
             recovered: report.recovered.clone(),
             waker: Mutex::new(None),
             cfg,
@@ -482,57 +606,59 @@ impl Server {
                 || (),
             );
             if let Err(failure) = admitted {
-                let mut m = state.metrics.lock().expect("metrics lock poisoned");
+                let m = &mut lock(&state.books).metrics;
                 m.admitted += 1;
                 m.completed += 1;
                 m.errors += 1;
-                drop(m);
                 let _ = tx.send(Reply::error(id, format!("admission failed: {failure}")).into());
                 return PendingReply(rx);
             }
         }
         let admitted_at = Instant::now();
-        let mut probe = None;
-        if let RequestBody::Source { name, text } = &req.body {
-            if state.extractor.is_some() && !state.cache.disabled() && idle(state) {
-                let (lookup, hit) = look_up(state, name, text);
-                if let Some(entry) = hit {
-                    let answer = cache_hit(id, entry, deadline_of(state, &req, admitted_at));
-                    let flush = {
-                        let mut m = state.metrics.lock().expect("metrics lock poisoned");
-                        m.admitted += 1;
-                        record_completion(&mut m, answer.status(), admitted_at)
-                    };
-                    // The caller collects the reply on return: no wake.
-                    let _ = tx.send(answer);
-                    if flush {
-                        journal_progress(state);
-                    }
-                    return PendingReply(rx);
-                }
-                probe = Some(lookup);
+        // Hashed before the books are taken.
+        let key = match &req.body {
+            RequestBody::Source { name, text }
+                if state.extractor.is_some() && state.cfg.cache_capacity > 0 && idle(state) =>
+            {
+                Some(source_key(state, name, text))
             }
-        }
+            _ => None,
+        };
+        // Held across the lookup and the push, so a worker cannot answer
+        // the job (or a `status` report it) before it is counted as
+        // admitted.
+        let mut books = lock(&state.books);
+        let probe = match key.map(|key| books.look_up(key)) {
+            Some((_, Some(entry))) => {
+                let answer = cache_hit(id, entry, deadline_of(state, &req, admitted_at));
+                books.metrics.admitted += 1;
+                books.complete(answer.status(), admitted_at);
+                drop(books);
+                // The caller collects the reply on return: no wake.
+                let _ = tx.send(answer);
+                return PendingReply(rx);
+            }
+            Some((probe, None)) => Some(probe),
+            None => None,
+        };
         let job = Job {
             req,
             admitted_at,
-            reply_to: tx.clone(),
+            reply_to: tx,
             probe,
         };
-        // Held across the push, so a worker cannot answer the job (or a
-        // `status` report it) before it is counted as admitted.
-        let mut m = state.metrics.lock().expect("metrics lock poisoned");
         state.in_flight.fetch_add(1, Ordering::SeqCst);
         match state.queue.push(job) {
             Admit::Queued => {
+                let m = &mut books.metrics;
                 m.admitted += 1;
                 m.queue_depth_peak = m.queue_depth_peak.max(state.queue.depth() as u64);
             }
             Admit::Shed(old) => {
                 state.in_flight.fetch_sub(1, Ordering::SeqCst);
-                m.admitted += 1;
-                m.shed += 1;
-                drop(m);
+                books.metrics.admitted += 1;
+                books.metrics.shed += 1;
+                drop(books);
                 let _ = old
                     .reply_to
                     .send(Reply::status_only(old.req.id, ReplyStatus::Overloaded).into());
@@ -542,7 +668,7 @@ impl Server {
             }
             Admit::Closed(job) => {
                 state.in_flight.fetch_sub(1, Ordering::SeqCst);
-                drop(m);
+                drop(books);
                 let _ = job
                     .reply_to
                     .send(Reply::error(id, "server is shutting down").into());
@@ -569,11 +695,7 @@ impl Server {
     /// write one byte to it. One loop per server, so a second registration
     /// is refused.
     pub(crate) fn register_waker(&self, waker: UnixStream) -> std::io::Result<()> {
-        let mut slot = self
-            .state
-            .waker
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut slot = lock(&self.state.waker);
         if slot.is_some() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::AlreadyExists,
@@ -586,16 +708,7 @@ impl Server {
 
     /// Drop the wake socket once the event loop has exited.
     pub(crate) fn clear_waker(&self) {
-        *self
-            .state
-            .waker
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = None;
-    }
-
-    /// Current queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.state.queue.depth()
+        *lock(&self.state.waker) = None;
     }
 
     /// Admission queue capacity: the most requests that can wait before
@@ -604,33 +717,19 @@ impl Server {
         self.state.queue.capacity()
     }
 
-    /// Journal recovery state from startup.
-    pub fn recovered(&self) -> &RecoveredState {
-        &self.state.recovered
-    }
-
     /// Snapshot the `serve.*` metrics.
     pub fn metrics(&self) -> obskit::MetricsSnapshot {
-        let (swaps, rejects, rollbacks) = {
-            let r = self.state.registry.lock().unwrap();
-            (r.swaps, r.rejects, r.rollbacks)
-        };
-        self.state.metrics.lock().unwrap().snapshot(
-            swaps,
-            rejects,
-            rollbacks,
-            self.state.cache.stats(),
-        )
+        lock(&self.state.books).snapshot()
     }
 
     /// Reply-cache counter snapshot (`hits + misses == lookups`).
     pub fn cache_stats(&self) -> CacheStats {
-        self.state.cache.stats()
+        lock(&self.state.books).cache.stats()
     }
 
     /// Display name of the model currently answering.
     pub fn active_model(&self) -> String {
-        self.state.registry.lock().unwrap().active_name()
+        lock(&self.state.books).registry.active_name()
     }
 
     /// Clean shutdown: close the queue, drain pending jobs, join the
@@ -642,30 +741,20 @@ impl Server {
             g.open(); // never leave workers wedged on the pacing gate
         }
         wake_loop(&self.state);
-        for h in self.workers.lock().unwrap().drain(..) {
+        for h in lock(&self.workers).drain(..) {
             let _ = h.join();
         }
-        let metrics = self.state.metrics.lock().unwrap().clone();
-        let (swaps, rejects, rollbacks, model) = {
-            let r = self.state.registry.lock().unwrap();
-            (r.swaps, r.rejects, r.rollbacks, r.active_name())
-        };
-        if let Some(j) = self.state.journal.lock().unwrap().as_mut() {
-            let _ = j.append(&JournalEvent::Progress {
-                admitted: metrics.admitted,
-                completed: metrics.completed,
-                shed: metrics.shed,
-                degraded: metrics.degraded,
-            });
-            let _ = j.append(&JournalEvent::Shutdown);
-        }
+        let mut books = lock(&self.state.books);
+        books.journal_progress();
+        books.append(&JournalEvent::Shutdown);
+        let r = &books.registry;
         ServeSummary {
-            metrics,
-            swaps,
-            rejects,
-            rollbacks,
-            model,
-            cache: self.state.cache.stats(),
+            metrics: books.metrics.clone(),
+            swaps: r.swaps,
+            rejects: r.rejects,
+            rollbacks: r.rollbacks,
+            model: r.active_name(),
+            cache: books.cache.stats(),
         }
     }
 }
@@ -695,7 +784,7 @@ fn worker_loop(state: &Arc<ServerState>) {
             // Crash-only accounting: a progress record *before* the merged
             // work makes `lost_in_flight` after a SIGKILL reflect the whole
             // admitted batch (the chaos suite pins this).
-            journal_progress(state);
+            lock(&state.books).journal_progress();
         }
         // Last-resort isolation: even a bug outside the stages becomes a
         // typed Error reply to every job of the drain, never a dead worker.
@@ -710,52 +799,35 @@ fn worker_loop(state: &Arc<ServerState>) {
                 .collect();
             (answers, 0)
         });
-        if coalesced {
-            let mut m = state.metrics.lock().unwrap();
+        finish(state, &batch, answers, merged_rows);
+    }
+}
+
+/// Bookkeeping for a drain's answers, one per job in order: the in-flight
+/// count, then the batch and completion counters (one acquisition of the
+/// books), then reply delivery and one wake of the event loop.
+fn finish(state: &ServerState, batch: &[Job], answers: Vec<Answer>, merged_rows: usize) {
+    // The jobs' work is done, so they can no longer change a later answer.
+    // Lowered before the replies leave: a client that sends its next
+    // request on receipt finds an idle server.
+    state.in_flight.fetch_sub(batch.len(), Ordering::SeqCst);
+    {
+        let mut books = lock(&state.books);
+        if batch.len() > 1 {
+            let m = &mut books.metrics;
             m.batches += 1;
             m.coalesced += batch.len() as u64;
             m.batch_rows += merged_rows as u64;
             m.batch_peak = m.batch_peak.max(batch.len() as u64);
         }
-        for (job, answer) in batch.iter().zip(answers) {
-            finish(state, job, answer);
+        for (job, answer) in batch.iter().zip(&answers) {
+            books.complete(answer.status(), job.admitted_at);
         }
     }
-}
-
-/// Per-reply bookkeeping for every job a drain answers: the in-flight
-/// count, completion counters, latency sketch, reply delivery plus the
-/// event loop's wake, journal cadence.
-fn finish(state: &Arc<ServerState>, job: &Job, answer: Answer) {
-    // The job's work is done, so it can no longer change a later answer.
-    // Lowered before the reply leaves: a client that sends its next
-    // request on receipt finds an idle server.
-    state.in_flight.fetch_sub(1, Ordering::SeqCst);
-    let flush = record_completion(
-        &mut state.metrics.lock().expect("metrics lock poisoned"),
-        answer.status(),
-        job.admitted_at,
-    );
-    let _ = job.reply_to.send(answer);
+    for (job, answer) in batch.iter().zip(answers) {
+        let _ = job.reply_to.send(answer);
+    }
     wake_loop(state);
-    if flush {
-        journal_progress(state);
-    }
-}
-
-/// Count one answered request, by [`finish`] or by a hit answered at
-/// admission. Returns whether a journal progress record is due.
-fn record_completion(m: &mut ServeMetrics, status: ReplyStatus, admitted_at: Instant) -> bool {
-    m.completed += 1;
-    match status {
-        ReplyStatus::Degraded => m.degraded += 1,
-        ReplyStatus::DeadlineExceeded => m.deadline_missed += 1,
-        ReplyStatus::Error => m.errors += 1,
-        _ => {}
-    }
-    m.latency_ms
-        .observe(admitted_at.elapsed().as_secs_f64() * 1e3);
-    m.completed.is_multiple_of(JOURNAL_FLUSH_EVERY)
 }
 
 /// Nothing admitted is unfinished and the server is not shutting down,
@@ -770,8 +842,7 @@ fn idle(state: &ServerState) -> bool {
 /// and the loop drains the socket *before* looking, so no wake is lost. A
 /// full socket already holds a wake, so a failed write is ignored.
 fn wake_loop(state: &ServerState) {
-    let mut waker = state.waker.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(w) = waker.as_mut() {
+    if let Some(w) = lock(&state.waker).as_mut() {
         let _ = w.write(&[1]);
     }
 }
@@ -804,7 +875,7 @@ fn batch_replies(state: &Arc<ServerState>, batch: &[Job]) -> (Vec<Answer>, usize
         }
         let Some(first) = rows.first() else {
             let mut r = Reply::status_only(id, ReplyStatus::Ok);
-            r.model = state.registry.lock().unwrap().active_name();
+            r.model = lock(&state.books).registry.active_name();
             replies.push(Some(r));
             continue;
         };
@@ -878,36 +949,6 @@ fn batch_replies(state: &Arc<ServerState>, batch: &[Job]) -> (Vec<Answer>, usize
     (answers, total_rows)
 }
 
-/// Model-path failure: demote (last-good takes over for future
-/// requests), journal the rollback, and invalidate the reply cache —
-/// the active-model epoch changed.
-fn demote_active(state: &Arc<ServerState>) {
-    let name = {
-        let mut reg = state.registry.lock().unwrap();
-        reg.demote();
-        reg.active_name()
-    };
-    state.cache.invalidate();
-    if let Some(j) = state.journal.lock().unwrap().as_mut() {
-        let _ = j.append(&JournalEvent::Rollback { model: name });
-    }
-}
-
-fn journal_progress(state: &ServerState) {
-    let (admitted, completed, shed, degraded) = {
-        let m = state.metrics.lock().unwrap();
-        (m.admitted, m.completed, m.shed, m.degraded)
-    };
-    if let Some(j) = state.journal.lock().unwrap().as_mut() {
-        let _ = j.append(&JournalEvent::Progress {
-            admitted,
-            completed,
-            shed,
-            degraded,
-        });
-    }
-}
-
 /// The absolute deadline of `req`, admitted at `admitted_at`, if any.
 fn deadline_of(state: &ServerState, req: &Request, admitted_at: Instant) -> Option<Instant> {
     let dur = req
@@ -954,7 +995,7 @@ fn predict_ladder(
     rows: &Matrix,
     deadline: Option<Instant>,
 ) -> (ReplyStatus, String, Vec<f64>, Vec<f64>) {
-    let active = state.registry.lock().unwrap().active();
+    let active = lock(&state.books).registry.active();
     if let Some(model) = active {
         // `None` when the deadline passed between chunks.
         let predicted = run_stage(
@@ -999,7 +1040,7 @@ fn predict_ladder(
                 // A model-path failure: demote (last-good takes over for
                 // *future* requests) and answer this one on the analytic
                 // rung.
-                demote_active(state);
+                lock(&state.books).demote();
             }
         }
     }
@@ -1015,7 +1056,8 @@ fn predict_ladder(
 ///
 /// Asserting unwind safety is sound: a body only reads shared state (the
 /// model, the request, the extractor), and what it builds is dropped with
-/// the unwind.
+/// the unwind. The caller must not hold the books: an injected fault is
+/// counted in them.
 fn run_stage<T>(
     state: &ServerState,
     stage: &str,
@@ -1026,11 +1068,7 @@ fn run_stage<T>(
         if let Some(plan) = &state.cfg.plan {
             let design = design();
             if let Some(rule) = plan.fault_for(&design, stage) {
-                state
-                    .metrics
-                    .lock()
-                    .expect("metrics lock poisoned")
-                    .injected += 1;
+                lock(&state.books).metrics.injected += 1;
                 rule.kind
                     .inject(&design, stage)
                     .map_err(|f| f.to_string())?;
@@ -1063,16 +1101,12 @@ fn analytic_predict(rows: &Matrix) -> (Vec<f64>, Vec<f64>) {
     (v, h)
 }
 
-/// Look `source` up in the reply cache. The generation is read *before*
-/// the lookup, so a model change that lands while a miss runs turns its
-/// eventual insert into a dropped stale write.
-fn look_up(state: &ServerState, name: &str, text: &str) -> (Probe, Option<Arc<CachedReply>>) {
-    let key = match &state.cfg.cache_key {
+/// The reply-cache key of a `source` request.
+fn source_key(state: &ServerState, name: &str, text: &str) -> u64 {
+    match &state.cfg.cache_key {
         Some(f) => f(name, text),
         None => default_source_key(name, text),
-    };
-    let generation = state.cache.generation();
-    (Probe { key, generation }, state.cache.lookup(key))
+    }
 }
 
 /// Answer a `source` request from its cache entry: at admission, or by
@@ -1106,10 +1140,14 @@ fn source_request(
     };
     let probe = match probe {
         Some(probe) => probe,
-        None => match look_up(state, name, text) {
-            (_, Some(entry)) => return cache_hit(id, entry, deadline),
-            (probe, None) => probe,
-        },
+        None => {
+            let key = source_key(state, name, text);
+            let looked_up = lock(&state.books).look_up(key);
+            match looked_up {
+                (_, Some(entry)) => return cache_hit(id, entry, deadline),
+                (probe, None) => probe,
+            }
+        }
     };
     // Keyed by design name so fault plans can target one design.
     let extracted = run_stage(
@@ -1135,7 +1173,7 @@ fn source_request(
         lines,
         ..Default::default()
     };
-    if state.cache.disabled() {
+    if state.cfg.cache_capacity == 0 {
         return reply.into();
     }
     reply.info.insert("cache".into(), "miss".into());
@@ -1147,9 +1185,7 @@ fn source_request(
     // The miss encodes its reply once, into the entry's text, and its
     // own frame is written from that text like every hit's.
     let entry = Arc::new(CachedReply::new(reply));
-    state
-        .cache
-        .insert(probe.key, probe.generation, entry.clone());
+    lock(&state.books).keep(probe, entry.clone());
     Answer::Cached {
         id,
         entry,
@@ -1157,6 +1193,9 @@ fn source_request(
     }
 }
 
+/// Load and gate the candidate at `path` before taking the books, which
+/// the swap then holds only to install it (or count the reject) and
+/// journal the verdict.
 fn swap_request(state: &Arc<ServerState>, id: u64, path: &str) -> Reply {
     let loaded = run_stage(
         state,
@@ -1164,37 +1203,17 @@ fn swap_request(state: &Arc<ServerState>, id: u64, path: &str) -> Reply {
         || format!("req-{id}"),
         || ModelArtifact::load(std::path::Path::new(path)),
     );
-    let outcome = match loaded.and_then(|l| l) {
-        Ok(artifact) => {
-            let name = artifact.display_name();
-            let mut reg = state.registry.lock().unwrap();
-            reg.install(artifact).map(|gate| (name, gate))
-        }
-        Err(failure) => {
-            // A candidate that cannot even load counts as a gate reject:
-            // same bookkeeping, same rollback-to-trusted semantics.
-            let mut reg = state.registry.lock().unwrap();
-            reg.rejects += 1;
-            if reg.active().is_some() {
-                reg.rollbacks += 1;
-            }
-            Err(failure)
-        }
-    };
-    let active_now = state.registry.lock().unwrap().active_name();
-    match outcome {
-        Ok((name, gate)) => {
-            // The active-model epoch changed: rows extracted before the
-            // swap must never answer post-swap requests.
-            state.cache.invalidate();
-            if let Some(j) = state.journal.lock().unwrap().as_mut() {
-                let _ = j.append(&JournalEvent::SwapCommit {
-                    model: name.clone(),
-                    mae_v: gate.mae_v,
-                    mae_h: gate.mae_h,
-                });
-            }
-            ledger_swap(state, "swap.commit", &name, None);
+    // A candidate that cannot even load counts as a gate reject: same
+    // bookkeeping, same rollback-to-trusted semantics.
+    let vetted = loaded.and_then(|l| l).and_then(|artifact| {
+        let gate = state.cfg.gate.validate(&artifact)?;
+        Ok((artifact, gate))
+    });
+    let mut books = lock(&state.books);
+    match vetted {
+        Ok((artifact, gate)) => {
+            let name = books.commit(artifact, gate);
+            ledger_swap(state, books, "swap.commit", &name, None);
             let mut r = Reply::status_only(id, ReplyStatus::Ok);
             r.model = name;
             r.info
@@ -1204,105 +1223,86 @@ fn swap_request(state: &Arc<ServerState>, id: u64, path: &str) -> Reply {
             r
         }
         Err(reason) => {
-            if let Some(j) = state.journal.lock().unwrap().as_mut() {
-                let _ = j.append(&JournalEvent::SwapReject {
-                    model: path.to_string(),
-                    reason: reason.clone(),
-                });
-                let _ = j.append(&JournalEvent::Rollback {
-                    model: active_now.clone(),
-                });
-            }
-            ledger_swap(state, "swap.reject", path, Some(&reason));
+            let active = books.reject(path, &reason);
+            ledger_swap(state, books, "swap.reject", path, Some(&reason));
             let mut r = Reply::error(id, format!("swap rejected: {reason}"));
-            r.model = active_now;
+            r.model = active;
             r
         }
     }
 }
 
 /// Append one `obskit.run.v1` record per swap event when a ledger sink is
-/// configured (the quality sentinel reads these back).
-fn ledger_swap(state: &ServerState, kind: &str, model: &str, reason: Option<&str>) {
+/// configured (the quality sentinel reads these back). Its metrics are
+/// read from `books`, the swap's critical section, which ends before the
+/// record is written.
+fn ledger_swap(
+    state: &ServerState,
+    books: MutexGuard<'_, Books>,
+    kind: &str,
+    model: &str,
+    reason: Option<&str>,
+) {
     let Some(sink) = &state.cfg.ledger else {
         return;
     };
+    let metrics = books.snapshot();
+    drop(books);
     let mut rec = obskit::RunRecord::new(&sink.tool, kind, &sink.version, &sink.git);
     rec.note("model", model);
     if let Some(reason) = reason {
         rec.note("reason", reason);
     }
-    let (swaps, rejects, rollbacks) = {
-        let r = state.registry.lock().unwrap();
-        (r.swaps, r.rejects, r.rollbacks)
-    };
-    rec.absorb_metrics(&state.metrics.lock().unwrap().snapshot(
-        swaps,
-        rejects,
-        rollbacks,
-        state.cache.stats(),
-    ));
+    rec.absorb_metrics(&metrics);
     let _ = rec.append_to(&sink.path);
 }
 
-fn rollback_request(state: &Arc<ServerState>, id: u64) -> Reply {
-    let rolled = state.registry.lock().unwrap().rollback();
+fn rollback_request(state: &ServerState, id: u64) -> Reply {
+    let rolled = lock(&state.books).rollback();
     match rolled {
         Some(model) => {
-            state.cache.invalidate();
-            let name = model.display_name();
-            if let Some(j) = state.journal.lock().unwrap().as_mut() {
-                let _ = j.append(&JournalEvent::Rollback {
-                    model: name.clone(),
-                });
-            }
             let mut r = Reply::status_only(id, ReplyStatus::Ok);
-            r.model = name;
+            r.model = model;
             r
         }
         None => Reply::error(id, "no last-good model to roll back to"),
     }
 }
 
-fn status_request(state: &Arc<ServerState>, id: u64) -> Reply {
+fn status_request(state: &ServerState, id: u64) -> Reply {
     let mut r = Reply::status_only(id, ReplyStatus::Ok);
-    let mut info = BTreeMap::new();
-    {
-        let reg = state.registry.lock().unwrap();
-        r.model = reg.active_name();
-        info.insert("swaps".into(), reg.swaps.to_string());
-        info.insert("rejects".into(), reg.rejects.to_string());
-        info.insert("rollbacks".into(), reg.rollbacks.to_string());
-        info.insert("model_generation".into(), reg.generation.to_string());
-    }
-    {
-        let m = state.metrics.lock().unwrap();
-        info.insert("admitted".into(), m.admitted.to_string());
-        info.insert("completed".into(), m.completed.to_string());
-        info.insert("shed".into(), m.shed.to_string());
-        info.insert("degraded".into(), m.degraded.to_string());
-        info.insert("deadline_missed".into(), m.deadline_missed.to_string());
-        info.insert("batches".into(), m.batches.to_string());
-        info.insert("coalesced".into(), m.coalesced.to_string());
-    }
-    {
-        let c = state.cache.stats();
-        info.insert("cache_lookups".into(), c.lookups.to_string());
-        info.insert("cache_hits".into(), c.hits.to_string());
-        info.insert("cache_misses".into(), c.misses.to_string());
-        info.insert("cache_evictions".into(), c.evictions.to_string());
-        info.insert("cache_invalidations".into(), c.invalidations.to_string());
-    }
-    info.insert("queue_depth".into(), state.queue.depth().to_string());
-    info.insert(
-        "recovered_lost_in_flight".into(),
-        state.recovered.lost_in_flight.to_string(),
-    );
-    info.insert(
-        "recovered_torn_lines".into(),
-        state.recovered.torn_lines.to_string(),
-    );
-    r.info = info;
+    let books = lock(&state.books);
+    let (reg, m, c) = (&books.registry, &books.metrics, books.cache.stats());
+    r.model = reg.active_name();
+    let counts = [
+        ("swaps", reg.swaps),
+        ("rejects", reg.rejects),
+        ("rollbacks", reg.rollbacks),
+        ("model_generation", reg.generation),
+        ("admitted", m.admitted),
+        ("completed", m.completed),
+        ("shed", m.shed),
+        ("degraded", m.degraded),
+        ("deadline_missed", m.deadline_missed),
+        ("batches", m.batches),
+        ("coalesced", m.coalesced),
+        ("cache_lookups", c.lookups),
+        ("cache_hits", c.hits),
+        ("cache_misses", c.misses),
+        ("cache_evictions", c.evictions),
+        ("cache_invalidations", c.invalidations),
+    ];
+    drop(books);
+    let rest = [
+        ("queue_depth", state.queue.depth() as u64),
+        ("recovered_lost_in_flight", state.recovered.lost_in_flight),
+        ("recovered_torn_lines", state.recovered.torn_lines),
+    ];
+    r.info = counts
+        .into_iter()
+        .chain(rest)
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
     r
 }
 
@@ -1956,5 +1956,87 @@ mod tests {
         assert_eq!(r.status, ReplyStatus::Ok);
         assert!(s.is_shutting_down());
         s.shutdown();
+    }
+
+    #[test]
+    fn a_panic_under_the_books_lock_leaves_the_server_answering() {
+        let (s, _) = start_counting_with(ServeConfig::default());
+        let state = s.state.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _books = lock(&state.books);
+            panic!("a bug under the books lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(s.state.books.is_poisoned());
+        let r = s.call(Request::predict(1, vec![vec![1.0; 4]]));
+        assert_eq!((r.status, r.vertical), (ReplyStatus::Ok, vec![11.0]));
+        let miss = s.call(source(2, None));
+        assert_eq!(cache_of(&miss), Some("miss"));
+        let hit = s.call(source(3, None));
+        assert_eq!(cache_of(&hit), Some("hit"));
+        let status = s.call(Request {
+            id: 4,
+            deadline_ms: None,
+            body: RequestBody::Status,
+        });
+        assert_eq!(status.status, ReplyStatus::Ok);
+        assert_eq!(status.info["completed"], "3");
+        let sum = s.shutdown();
+        assert_eq!((sum.metrics.admitted, sum.metrics.completed), (4, 4));
+        assert_eq!(sum.model, "gbrt@v1");
+    }
+
+    #[test]
+    fn progress_records_never_count_backwards() {
+        let dir = std::env::temp_dir().join(format!("servekit-progress-{}", std::process::id()));
+        let journal = dir.join("journal.jsonl");
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = Arc::new(start_simple(ServeConfig {
+            workers: 4,
+            journal_path: Some(journal.clone()),
+            ..ServeConfig::default()
+        }));
+        let clients: Vec<_> = (0..4u64)
+            .map(|c| {
+                let s = s.clone();
+                std::thread::spawn(move || {
+                    for i in 0..100 {
+                        let r = s.call(Request::predict(c * 1000 + i, vec![vec![1.0; 4]]));
+                        assert_eq!(r.status, ReplyStatus::Ok, "{r:?}");
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().unwrap();
+        }
+        let sum = s.shutdown();
+        assert_eq!(sum.metrics.completed, 400);
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let progress: Vec<[u64; 4]> = text
+            .lines()
+            .map(|line| obskit::json::parse(line).unwrap())
+            .filter(|doc| {
+                doc.get("event").and_then(obskit::json::Value::as_str) == Some("progress")
+            })
+            .map(|doc| {
+                ["admitted", "completed", "shed", "degraded"]
+                    .map(|k| doc.get(k).and_then(obskit::json::Value::as_u64).unwrap())
+            })
+            .collect();
+        assert!(
+            progress.len() > 400 / JOURNAL_FLUSH_EVERY as usize,
+            "{text}"
+        );
+        for pair in progress.windows(2) {
+            assert!(
+                pair[0].iter().zip(&pair[1]).all(|(a, b)| a <= b),
+                "a progress record counts backwards: {:?} then {:?}",
+                pair[0],
+                pair[1]
+            );
+        }
+        assert_eq!(progress.last(), Some(&[400, 400, 0, 0]));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -43,7 +43,11 @@ impl ProptestConfig {
 /// Deterministic per-(test, case) RNG used by the `proptest!` macro.
 #[doc(hidden)]
 pub fn __rng_for(test_name: &str, case: u32) -> StdRng {
-    // FNV-1a over the test path, mixed with the case index.
+    // An FNV-1a-shaped hash of the test path (FNV's offset basis, xor then
+    // multiply per byte), mixed with the case index. It is not FNV-1a: the
+    // multiplier is 2^44 + 0x1b3, where FNV-1a's 64-bit prime is
+    // 2^40 + 0x1b3. It stays as it is because it seeds every property
+    // test: another hash would change the cases each test runs.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in test_name.bytes() {
         h ^= b as u64;
